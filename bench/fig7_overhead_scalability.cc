@@ -8,8 +8,7 @@
 // dominating at larger scales.
 //
 // Besides the tables/CSV, this harness writes BENCH_epoch.json: the
-// per-phase breakdown at the quad and 128-core extremes plus a
-// prediction-cache on-vs-off comparison of the predict phase, against the
+// per-phase breakdown at the quad and 128-core extremes against the
 // committed pre-optimization baselines (see EXPERIMENTS.md "Hot-path
 // performance").
 #include <iostream>
@@ -40,10 +39,6 @@ struct PhaseRow {
   double predict_us = 0;
   double optimize_us = 0;
   double migrate_us = 0;  // 50% of threads × per-migration cost
-  // Prediction-cache accounting (zero when the cache is disabled).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_stale_evictions = 0;
   double total_us() const {
     return sense_us + predict_us + optimize_us + migrate_us;
   }
@@ -60,21 +55,14 @@ sb::arch::Platform make_platform(int cores) {
 }
 
 PhaseRow measure(int cores, int threads, sb::TimeNs duration,
-                 std::uint64_t seed, bool prediction_cache = false,
-                 bool force_cache = false) {
+                 std::uint64_t seed) {
   using namespace sb;
   const auto platform = make_platform(cores);
   sim::SimulationConfig cfg;
   cfg.duration = duration;
   cfg.seed = seed;
   sim::Simulation s(platform, cfg);
-  core::SmartBalanceConfig sb_cfg;
-  sb_cfg.prediction_cache.enabled = prediction_cache;
-  // force_cache drops the small-platform floor (min_cores) so the quad
-  // crossover — where key hashing costs more than the Θ fan-out it saves —
-  // stays measurable even though the policy auto-disables the cache there.
-  if (force_cache) sb_cfg.prediction_cache.min_cores = 0;
-  s.set_balancer(sim::smartbalance_factory(sb_cfg)(s));
+  s.set_balancer(sim::smartbalance_factory(core::SmartBalanceConfig{})(s));
   // Mixed workload touching all characterization regimes.
   const char* names[] = {"swaptions", "canneal", "bodytrack", "x264_H_crew"};
   for (int i = 0; i < threads; ++i) {
@@ -88,13 +76,6 @@ PhaseRow measure(int cores, int threads, sb::TimeNs duration,
   row.predict_us = r.avg_predict_us;
   row.optimize_us = r.avg_optimize_us;
   row.migrate_us = 0.5 * threads * kMigrationCostUs;
-  if (const auto* policy = dynamic_cast<const core::SmartBalancePolicy*>(
-          s.kernel().balancer())) {
-    const auto stats = policy->prediction_cache().stats();
-    row.cache_hits = stats.hits;
-    row.cache_misses = stats.misses;
-    row.cache_stale_evictions = stats.stale_evictions;
-  }
   return row;
 }
 
@@ -115,28 +96,6 @@ void emit_phase_object(sb::bench::Json& j, const std::string& key,
       .field("baseline_optimize_us", base_optimize_us)
       .field("optimize_speedup_vs_baseline",
              row.optimize_us > 0 ? base_optimize_us / row.optimize_us : 0.0)
-      .end_object();
-}
-
-void emit_cache_object(sb::bench::Json& j, const std::string& key,
-                       const PhaseRow& off, const PhaseRow& on,
-                       bool auto_disabled = false) {
-  j.begin_object(key)
-      .field("cores", off.cores)
-      .field("threads", off.threads)
-      .field("auto_disabled", auto_disabled)
-      .field("predict_us_cache_off", off.predict_us)
-      .field("predict_us_cache_on", on.predict_us)
-      .field("predict_speedup",
-             on.predict_us > 0 ? off.predict_us / on.predict_us : 0.0)
-      .field("cache_hits", on.cache_hits)
-      .field("cache_misses", on.cache_misses)
-      .field("cache_stale_evictions", on.cache_stale_evictions)
-      .field("hit_rate",
-             on.cache_hits + on.cache_misses > 0
-                 ? static_cast<double>(on.cache_hits) /
-                       static_cast<double>(on.cache_hits + on.cache_misses)
-                 : 0.0)
       .end_object();
 }
 
@@ -201,34 +160,17 @@ int main(int argc, char** argv) {
   // --- BENCH_epoch.json ----------------------------------------------------
   // Pre-PR per-phase baselines measured on the same machine at -O2 -DNDEBUG
   // (commit b792c4d, default duration, seed 1234, identical workload mix).
-  // On the quad the cache auto-disables (num_cores < min_cores: hashing a
-  // key costs more than the 2-group Θ fan-out it would skip), so the
-  // "quad" row documents the no-op; "quad_forced" drops the floor to keep
-  // the crossover itself measured (predict_speedup < 1 is expected there —
-  // that regression is exactly why the floor exists).
-  const auto quad_cached = measure(4, 8, opt.duration, opt.seed, true);
-  const auto quad_forced = measure(4, 8, opt.duration, opt.seed, true, true);
   bench::Json j;
   j.begin_object()
       .field("bench", "BENCH_epoch")
       .field("description",
-             "SmartBalance per-phase epoch overhead (PARSEC mix workload) "
-             "and prediction-cache predict-phase comparison")
+             "SmartBalance per-phase epoch overhead (PARSEC mix workload)")
       .field("build", "-O2 -DNDEBUG")
       .field("baseline_commit", "b792c4d");
   emit_phase_object(j, "quad", quad, 4.8, 1.0, 54.8);
   if (large.cores == 128) {
     emit_phase_object(j, "fig7_large", large, 130.9, 788.1, 7386.8);
   }
-  j.begin_object("prediction_cache");
-  emit_cache_object(j, "quad", quad, quad_cached, /*auto_disabled=*/true);
-  emit_cache_object(j, "quad_forced", quad, quad_forced);
-  if (large.cores == 128) {
-    const auto large_cached =
-        measure(128, 256, milliseconds(180), opt.seed, true);
-    emit_cache_object(j, "fig7_large", large, large_cached);
-  }
-  j.end_object();
   j.end_object();
   j.write("BENCH_epoch.json");
   return 0;

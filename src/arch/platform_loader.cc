@@ -1,7 +1,9 @@
 #include "arch/platform_loader.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +17,16 @@ namespace {
 [[noreturn]] void fail(std::size_t line, const std::string& why) {
   throw std::runtime_error("platform description line " +
                            std::to_string(line) + ": " + why);
+}
+
+/// Strict base-10 count: the whole token must parse and land in [lo, hi].
+bool parse_count(const std::string& tok, long lo, long hi, int* out) {
+  if (tok.empty()) return false;
+  char* end = nullptr;
+  const long v = std::strtol(tok.c_str(), &end, 10);
+  if (end != tok.c_str() + tok.size() || v < lo || v > hi) return false;
+  *out = static_cast<int>(v);
+  return true;
 }
 
 /// Field accessors keyed by name (shared by the loader and the writer).
@@ -76,8 +88,10 @@ Platform load_platform(std::istream& is) {
           count_tok[0] != 'x') {
         fail(lineno, "expected 'core <name> x<count>'");
       }
-      count = std::atoi(count_tok.c_str() + 1);
-      if (count <= 0) fail(lineno, "core count must be positive");
+      if (!parse_count(count_tok.substr(1), 1, kMaxCores, &count)) {
+        fail(lineno, "core count must be an integer in [1, " +
+                         std::to_string(kMaxCores) + "]: " + count_tok);
+      }
       current = medium_core();  // defaults
       current.name = name;
       in_block = true;
@@ -94,6 +108,11 @@ Platform load_platform(std::istream& is) {
     if (it->second.dmember) {
       current.*(it->second.dmember) = value;
     } else {
+      if (value != std::trunc(value) ||
+          value < std::numeric_limits<int>::min() ||
+          value > std::numeric_limits<int>::max()) {
+        fail(lineno, key + " must be an integer in int range");
+      }
       current.*(it->second.imember) = static_cast<int>(value);
     }
   }
@@ -113,26 +132,25 @@ Platform generate_platform(const std::string& spec) {
     return std::invalid_argument("generate_platform: " + why + " in '" +
                                  spec + "' (expected <big>x<LITTLE>[:clusters])");
   };
-  auto parse_count = [&](const std::string& tok, const char* what, long lo) {
+  auto count_of = [&](const std::string& tok, const char* what, long lo) {
     if (tok.empty()) throw bad(std::string("empty ") + what);
-    char* end = nullptr;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + tok.size() || v < lo || v > kMaxCores) {
+    int v = 0;
+    if (!parse_count(tok, lo, kMaxCores, &v)) {
       throw bad(std::string("bad ") + what + " '" + tok + "'");
     }
-    return static_cast<int>(v);
+    return v;
   };
 
   std::string counts = spec;
   int clusters = 1;
   if (const auto colon = spec.find(':'); colon != std::string::npos) {
     counts = spec.substr(0, colon);
-    clusters = parse_count(spec.substr(colon + 1), "cluster count", 1);
+    clusters = count_of(spec.substr(colon + 1), "cluster count", 1);
   }
   const auto x = counts.find('x');
   if (x == std::string::npos) throw bad("missing 'x'");
-  const int big = parse_count(counts.substr(0, x), "big count", 0);
-  const int little = parse_count(counts.substr(x + 1), "LITTLE count", 0);
+  const int big = count_of(counts.substr(0, x), "big count", 0);
+  const int little = count_of(counts.substr(x + 1), "LITTLE count", 0);
   const long total = static_cast<long>(big + little) * clusters;
   if (total < 1) throw bad("empty platform");
   if (total > kMaxCores) {

@@ -7,13 +7,6 @@
 namespace sb::core {
 namespace {
 
-/// Same guarded signed relative residual as the audit recorder: a thread
-/// that retired essentially nothing says nothing about the predictor.
-double relative_residual(double observed, double predicted) {
-  if (!(std::abs(observed) > 1e-12)) return 0.0;
-  return (observed - predicted) / observed;
-}
-
 /// std::stod/std::stoi throw std::out_of_range (not std::invalid_argument)
 /// on out-of-range values, so numeric fields go through these wrappers to
 /// keep parse()'s documented contract (mirrors fault_plan.cc).
@@ -271,7 +264,9 @@ void RlsFilter::update(const std::array<double, kNumFeatures>& x, double y,
 // ---------------------------------------------------------------------------
 
 OnlineAdapter::OnlineAdapter(const AdaptationConfig& cfg, PredictorModel* model)
-    : cfg_(cfg), model_(model) {}
+    : cfg_(cfg),
+      model_(model),
+      residuals_(cfg.bias_alpha, cfg.drift_threshold, cfg.drift_min_joins) {}
 
 OnlineAdapter::PairState& OnlineAdapter::pair(std::int32_t src_type,
                                               std::int32_t dst_type) {
@@ -298,13 +293,7 @@ AdaptPassStats OnlineAdapter::observe(
   const bool contiguous = pending_valid_ && epoch == pending_epoch_ + 1;
   if (contiguous) {
     for (const Pending& f : pending_) {
-      const ThreadObservation* match = nullptr;
-      for (const ThreadObservation& o : obs) {
-        if (o.tid == f.tid) {
-          match = &o;
-          break;
-        }
-      }
+      const ThreadObservation* match = obs::find_thread(obs, f.tid);
       // Same validity rules as the audit join: the thread must really have
       // run (measured) on the predicted core of the predicted type.
       if (match == nullptr || !match->measured || match->core != f.core ||
@@ -312,23 +301,20 @@ AdaptPassStats OnlineAdapter::observe(
         continue;
       }
       PairState& p = pair(f.src_type, f.dst_type);
-      ++p.joins;
       ++joins_;
       ++stats.joined;
 
       // Tier 1: signed residuals of the *raw* forecasts (adapting on the
       // corrected ones would compound the correction into itself).
-      const double obs_gips = match->ips / 1e9;
-      const double gerr = relative_residual(obs_gips, f.raw_gips);
-      const double perr = relative_residual(match->power_w, f.raw_w);
-      const double a = cfg_.bias_alpha;
-      p.sewma_gips = (1.0 - a) * p.sewma_gips + a * gerr;
-      p.sewma_power = (1.0 - a) * p.sewma_power + a * perr;
-      p.aewma_gips = (1.0 - a) * p.aewma_gips + a * std::abs(gerr);
-      p.aewma_power = (1.0 - a) * p.aewma_power + a * std::abs(perr);
+      const bool drift_edge = residuals_.update(
+          f.src_type, f.dst_type,
+          obs::relative_residual(match->ips / 1e9, f.raw_gips),
+          obs::relative_residual(match->power_w, f.raw_w));
       if (cfg_.bias) {
-        p.gain_gips = clamp_gain(1.0 / (1.0 - p.sewma_gips));
-        p.gain_power = clamp_gain(1.0 / (1.0 - p.sewma_power));
+        const obs::ResidualTracker::Pair& r =
+            *residuals_.find(f.src_type, f.dst_type);
+        p.gain_gips = clamp_gain(1.0 / (1.0 - r.sewma_gips));
+        p.gain_power = clamp_gain(1.0 / (1.0 - r.sewma_power));
       }
 
       // Tier 2: fold the validated sample into Θ. y is the observed IPC on
@@ -348,21 +334,14 @@ AdaptPassStats OnlineAdapter::observe(
         }
       }
 
-      // Drift detector: debounced rising edge on the |residual| EWMAs,
-      // re-armed on recovery — the audit recorder's semantics, but wired to
-      // covariance reset (repair) rather than degraded-mode escalation.
-      const bool over = p.aewma_gips > cfg_.drift_threshold ||
-                        p.aewma_power > cfg_.drift_threshold;
-      if (over && !p.drift_active && p.joins >= cfg_.drift_min_joins) {
-        p.drift_active = true;
-        if (cfg_.rls && cfg_.rls_reset_on_drift && !p.rls.empty()) {
-          p.rls[0].reset();
-          ++p.cov_resets;
-          ++cov_resets_;
-          ++stats.cov_resets;
-        }
-      } else if (!over && p.drift_active) {
-        p.drift_active = false;
+      // Drift repairs the predictor (covariance reset) rather than
+      // escalating to degraded mode.
+      if (drift_edge && cfg_.rls && cfg_.rls_reset_on_drift &&
+          !p.rls.empty()) {
+        p.rls[0].reset();
+        ++p.cov_resets;
+        ++cov_resets_;
+        ++stats.cov_resets;
       }
     }
   }
@@ -412,14 +391,16 @@ std::vector<AdaptPairState> OnlineAdapter::pair_states() const {
   std::vector<AdaptPairState> out;
   out.reserve(pairs_.size());
   for (const auto& [key, p] : pairs_) {
+    const obs::ResidualTracker::Pair& r =
+        *residuals_.find(key.first, key.second);
     AdaptPairState st;
     st.src_type = key.first;
     st.dst_type = key.second;
-    st.joins = p.joins;
+    st.joins = r.joins;
     st.gain_gips = p.gain_gips;
     st.gain_power = p.gain_power;
-    st.ewma_gips = p.sewma_gips;
-    st.ewma_power = p.sewma_power;
+    st.ewma_gips = r.sewma_gips;
+    st.ewma_power = r.sewma_power;
     st.cov_resets = p.cov_resets;
     out.push_back(st);
   }

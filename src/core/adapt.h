@@ -23,17 +23,13 @@
 //                       degraded mode.
 //
 // The adapter keeps its own one-epoch-later forecast→observation join (the
-// same validity rules as obs::AuditRecorder) so adaptation works — and
-// behaves identically — whether or not the observability audit recorder is
-// attached. Everything is a pure function of sim state: no host clocks, no
-// RNG, fixed-sized double arithmetic only, so adapted runs stay
-// bit-identical across --jobs=1/8. Adaptation defaults off; all goldens are
-// untouched unless a config opts in.
-//
-// Interaction with the prediction cache: bias/gain is applied as a
-// post-pass over the built S/P matrices, so cached rows stay *raw* and
-// remain valid; RLS rewrites Θ every epoch, which would serve stale cached
-// rows, so the policy disables row reuse while tier 2 is active.
+// same validity rules as obs::AuditRecorder) and its own obs::ResidualTracker
+// over the raw forecasts, so adaptation works — and behaves identically —
+// whether or not the observability audit recorder is attached. Everything
+// is a pure function of sim state: no host clocks, no RNG, fixed-sized
+// double arithmetic only, so adapted runs stay bit-identical across
+// --jobs=1/8. Adaptation defaults off; all goldens are untouched unless a
+// config opts in.
 #pragma once
 
 #include <array>
@@ -45,6 +41,7 @@
 
 #include "core/features.h"
 #include "core/predictor.h"
+#include "obs/residual_tracker.h"
 
 namespace sb::core {
 
@@ -193,15 +190,10 @@ class OnlineAdapter {
     std::array<double, kNumFeatures> x{};
   };
 
+  /// What the adapter keeps per pair beside the residual tracker's state.
   struct PairState {
-    std::uint64_t joins = 0;
     double gain_gips = 1.0;
     double gain_power = 1.0;
-    double sewma_gips = 0;  // signed EWMAs drive the gains
-    double sewma_power = 0;
-    double aewma_gips = 0;  // |residual| EWMAs drive the drift detector
-    double aewma_power = 0;
-    bool drift_active = false;
     std::uint64_t cov_resets = 0;
     std::vector<RlsFilter> rls;  // 0 or 1 filters (RLS off/on)
   };
@@ -211,6 +203,7 @@ class OnlineAdapter {
 
   AdaptationConfig cfg_;
   PredictorModel* model_;
+  obs::ResidualTracker residuals_;  // on the raw forecasts' residuals
   std::map<std::pair<std::int32_t, std::int32_t>, PairState> pairs_;
   std::vector<Pending> pending_;
   std::uint64_t pending_epoch_ = 0;

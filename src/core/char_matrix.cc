@@ -9,48 +9,10 @@
 
 namespace sb::core {
 
-namespace {
-
-/// Fingerprint of the row-shaping context for the prediction cache: column
-/// count plus each column's effective frequency and power scale (nominal,
-/// or the current DVFS operating point). FNV-1a over the raw bit patterns.
-std::uint64_t context_signature(
-    const arch::Platform& platform, std::size_t n,
-    const std::vector<arch::OperatingPoint>* core_opps) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 64; b += 8) {
-      h ^= (v >> b) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(n));
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto c = static_cast<CoreId>(j);
-    double freq = platform.params_of(c).freq_mhz;
-    double vdd = 0.0;
-    if (core_opps) {
-      freq = (*core_opps)[j].freq_mhz;
-      vdd = (*core_opps)[j].vdd;
-    }
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(freq));
-    std::memcpy(&bits, &freq, sizeof(bits));
-    mix(bits);
-    std::memcpy(&bits, &vdd, sizeof(bits));
-    mix(bits);
-    mix(static_cast<std::uint64_t>(platform.type_of(c)));
-  }
-  return h;
-}
-
-}  // namespace
-
 CharacterizationMatrices build_characterization(
     const std::vector<ThreadObservation>& observations,
     const PredictorModel& predictor, const arch::Platform& platform,
-    const std::vector<arch::OperatingPoint>* core_opps,
-    PredictionCache* cache) {
+    const std::vector<arch::OperatingPoint>* core_opps) {
   const std::size_t m = observations.size();
   const auto n = static_cast<std::size_t>(platform.num_cores());
   if (core_opps && core_opps->size() != n) {
@@ -61,9 +23,6 @@ CharacterizationMatrices build_characterization(
   out.p = Matrix(m, n);
   out.tids.reserve(m);
   out.current.reserve(m);
-
-  const std::uint64_t context_sig =
-      cache ? context_signature(platform, n, core_opps) : 0;
 
   const auto freq_of = [&](CoreId c) {
     return core_opps ? (*core_opps)[static_cast<std::size_t>(c)].freq_mhz
@@ -118,18 +77,6 @@ CharacterizationMatrices build_characterization(
     out.tids.push_back(o.tid);
     out.current.push_back(o.core);
 
-    // Cache consult: rows are stored/served whole, so a hit skips the
-    // entire per-thread fan-out (Matrix is row-major — &at(i, 0) is the
-    // contiguous n-column row).
-    PredictionCache::Key key;
-    if (cache) {
-      key = cache->make_key(o, context_sig);
-      if (n > 0 &&
-          cache->lookup(o.tid, key, n, &out.s.at(i, 0), &out.p.at(i, 0))) {
-        continue;
-      }
-    }
-
     // Unmeasured threads (never ran long enough): neutral prior — assume a
     // modest IPC everywhere so the optimizer parks them on efficient cores
     // until real measurements arrive.
@@ -144,9 +91,6 @@ CharacterizationMatrices build_characterization(
       for (std::size_t j = 0; j < n; ++j) {
         out.s.at(i, j) = group_vals[group_of[j]][0];
         out.p.at(i, j) = group_vals[group_of[j]][1];
-      }
-      if (cache && n > 0) {
-        cache->store(o.tid, key, n, &out.s.at(i, 0), &out.p.at(i, 0));
       }
       continue;
     }
@@ -175,9 +119,6 @@ CharacterizationMatrices build_characterization(
     for (std::size_t j = 0; j < n; ++j) {
       out.s.at(i, j) = group_vals[group_of[j]][0];
       out.p.at(i, j) = group_vals[group_of[j]][1];
-    }
-    if (cache && n > 0) {
-      cache->store(o.tid, key, n, &out.s.at(i, 0), &out.p.at(i, 0));
     }
   }
   return out;

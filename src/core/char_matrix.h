@@ -14,7 +14,6 @@
 #include "arch/platform.h"
 #include "common/matrix.h"
 #include "core/features.h"
-#include "core/prediction_cache.h"
 #include "core/predictor.h"
 
 namespace sb::core {
@@ -37,16 +36,9 @@ struct CharacterizationMatrices {
 /// power is scaled by the V²f dynamic-power law relative to nominal (a
 /// slight overestimate of low-V savings on the leakage share, documented
 /// in DESIGN.md). Without it, all cores are assumed at nominal.
-///
-/// `cache` (optional) memoizes per-thread rows across epochs: a thread
-/// whose quantized observation key is unchanged reuses last epoch's S/P
-/// rows and skips the predictor fan-out entirely (see prediction_cache.h).
-/// Passing nullptr — the default — takes the exact path; the result is then
-/// bit-identical regardless of any earlier cached builds.
 CharacterizationMatrices build_characterization(
     const std::vector<ThreadObservation>& observations,
     const PredictorModel& predictor, const arch::Platform& platform,
-    const std::vector<arch::OperatingPoint>* core_opps = nullptr,
-    PredictionCache* cache = nullptr);
+    const std::vector<arch::OperatingPoint>* core_opps = nullptr);
 
 }  // namespace sb::core

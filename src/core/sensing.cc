@@ -6,6 +6,19 @@
 #include "obs/sink.h"
 
 namespace sb::core {
+namespace {
+
+/// Outlier screen: a fresh IPS farther than kOutlierFactor× from the median
+/// of the thread's last kMedianWindow accepted measurements is rejected.
+constexpr std::size_t kMedianWindow = 5;
+constexpr double kOutlierFactor = 6.0;
+/// Sensor-health tracking: confidence resets to 1 on an accepted
+/// measurement and multiplies by kHealthDecay on every rejected or missing
+/// one; a thread is "healthy" while confidence >= kHealthyThreshold.
+constexpr double kHealthDecay = 0.7;
+constexpr double kHealthyThreshold = 0.5;
+
+}  // namespace
 
 SensingSubsystem::SensingSubsystem(const arch::Platform& platform, Config cfg,
                                    Rng rng)
@@ -99,7 +112,7 @@ bool SensingSubsystem::accept_fresh(const ThreadObservation& o,
     std::nth_element(h.begin(), h.begin() + h.size() / 2, h.end());
     const double med = h[h.size() / 2];
     if (med > 0 &&
-        (o.ips > med * d.outlier_factor || o.ips < med / d.outlier_factor)) {
+        (o.ips > med * kOutlierFactor || o.ips < med / kOutlierFactor)) {
       ++health_.outliers_rejected;
       bump("sense.outliers_rejected");
       return false;
@@ -112,19 +125,17 @@ void SensingSubsystem::note_accepted(ThreadId tid, double ips) {
   ThreadHealth& h = thread_health_[tid];
   h.confidence = 1.0;
   h.stale_epochs = 0;
-  const auto window = static_cast<std::size_t>(
-      std::max(1, cfg_.defense.median_window));
-  if (h.ips_history.size() < window) {
+  if (h.ips_history.size() < kMedianWindow) {
     h.ips_history.push_back(ips);
   } else {
     h.ips_history[h.ips_next] = ips;
-    h.ips_next = (h.ips_next + 1) % window;
+    h.ips_next = (h.ips_next + 1) % kMedianWindow;
   }
 }
 
 void SensingSubsystem::note_rejected(ThreadId tid) {
   ThreadHealth& h = thread_health_[tid];
-  h.confidence *= cfg_.defense.health_decay;
+  h.confidence *= kHealthDecay;
 }
 
 std::vector<ThreadObservation> SensingSubsystem::observe(
@@ -225,7 +236,7 @@ std::vector<ThreadObservation> SensingSubsystem::observe(
     for (const auto& s : samples) {
       const auto it = thread_health_.find(s.tid);
       const double conf = it != thread_health_.end() ? it->second.confidence : 1.0;
-      if (conf >= cfg_.defense.healthy_threshold) ++healthy;
+      if (conf >= kHealthyThreshold) ++healthy;
     }
     health_.healthy_fraction =
         static_cast<double>(healthy) / static_cast<double>(samples.size());

@@ -36,17 +36,10 @@ namespace sb::core {
 struct SensingDefenseConfig {
   bool enabled = false;
   PlausibilityLimits limits{};
-  /// Outlier screen: a fresh IPS farther than `outlier_factor`× from the
-  /// median of the thread's last `median_window` accepted measurements is
-  /// rejected (needs at least `min_history` accepted points first).
-  int median_window = 5;
-  double outlier_factor = 6.0;
+  /// Outlier screen: a fresh IPS far from the median of the thread's
+  /// recent accepted measurements is rejected (needs at least
+  /// `min_history` accepted points first; window and factor in sensing.cc).
   int min_history = 3;
-  /// Sensor-health tracking: confidence resets to 1 on an accepted
-  /// measurement and multiplies by `health_decay` on every rejected or
-  /// missing one; a thread is "healthy" while confidence >= threshold.
-  double health_decay = 0.7;
-  double healthy_threshold = 0.5;
   /// After this many consecutive epochs without an accepted measurement the
   /// cached characterization is deemed untrustworthy and the thread is
   /// served the neutral prior instead (measured=false, instructions=0).

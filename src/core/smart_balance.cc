@@ -9,6 +9,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Degraded mode: with defenses on, when the fraction of threads with
+/// healthy sensors (sensing-layer confidence) drops below this, the pass is
+/// delegated to a vanilla CFS-style balancer — heterogeneity-blind but
+/// sensing-free, so garbage telemetry cannot steer migrations.
+constexpr double kDegradedHealthyThreshold = 0.5;
+
 TimeNs elapsed_ns(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
 }
@@ -77,8 +83,7 @@ SmartBalancePolicy::SmartBalancePolicy(
         SaConfig sa = cfg.sa;
         sa.seed = cfg.seed ^ 0x0a0aULL;
         return sa;
-      }()),
-      pred_cache_(cfg.prediction_cache) {
+      }()) {
   if (!cfg_.fault_plan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan);
   }
@@ -102,7 +107,6 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   obs::Sink* const obs = kernel.obs();
   sensing_.set_obs(obs);
   optimizer_.set_obs(obs);
-  pred_cache_.set_obs(obs);
   if (injector_) injector_->set_obs(obs);
   if (obs != nullptr) {
     obs->begin_epoch(passes_, static_cast<std::uint64_t>(now));
@@ -246,8 +250,8 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   const bool drift_degraded = cfg_.degrade_on_drift && !adapter_ &&
                               audit != nullptr && audit->drift_active();
   if (drift_degraded ||
-      (sensing_.config().defense.enabled && cfg_.degraded_healthy_threshold > 0 &&
-       sensing_.health().healthy_fraction < cfg_.degraded_healthy_threshold)) {
+      (sensing_.config().defense.enabled &&
+       sensing_.health().healthy_fraction < kDegradedHealthyThreshold)) {
     ++degraded_passes_;
     last_.degraded = true;
     if (obs != nullptr) {
@@ -294,17 +298,6 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   }
 
   // ---- Phase 2: PREDICT ---------------------------------------------------
-  // RLS rewrites Θ every epoch, so cached rows would be stale; tier-1-only
-  // adaptation keeps the cache (rows stay raw, gains are a post-pass). On
-  // platforms below min_cores the Θ fan-out is cheaper than the cache's own
-  // key hashing, so the cache auto-disables (BENCH_epoch's quad crossover).
-  PredictionCache* cache =
-      cfg_.prediction_cache.enabled &&
-              kernel.num_cores() >= cfg_.prediction_cache.min_cores &&
-              !(adapter_ && cfg_.adaptation.rls)
-          ? &pred_cache_
-          : nullptr;
-  if (cache) pred_cache_.advance_epoch();
   if (kernel.config().enable_dvfs) {
     // Predict at each core's *current* operating point.
     std::vector<arch::OperatingPoint> opps;
@@ -312,11 +305,9 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     for (CoreId c = 0; c < kernel.num_cores(); ++c) {
       opps.push_back(kernel.core_opp(c));
     }
-    last_mx_ = build_characterization(observations, model_, platform_, &opps,
-                                      cache);
+    last_mx_ = build_characterization(observations, model_, platform_, &opps);
   } else {
-    last_mx_ = build_characterization(observations, model_, platform_,
-                                      nullptr, cache);
+    last_mx_ = build_characterization(observations, model_, platform_);
   }
   // Tier 1 bias/gain: multiply every forecast cell by its pair's
   // correction, keeping a raw copy so forecasts are scored (and adapted)

@@ -23,7 +23,6 @@
 #include "core/adapt.h"
 #include "core/char_matrix.h"
 #include "core/objective.h"
-#include "core/prediction_cache.h"
 #include "core/predictor.h"
 #include "core/sa_optimizer.h"
 #include "core/sensing.h"
@@ -61,13 +60,6 @@ struct SmartBalanceConfig {
   /// instead of a reading. Default: every core instrumented.
   std::bitset<kMaxCores> power_sensor_cores = std::bitset<kMaxCores>().set();
 
-  /// Predict-phase memoization (see prediction_cache.h): threads whose
-  /// quantized counters barely moved since last epoch reuse their S/P rows
-  /// instead of re-running the Θ fan-out across all core types. Disabled by
-  /// default — enabling trades bounded (quantization + staleness) row reuse
-  /// error for a large cut in predict-phase time on stable workloads.
-  PredictionCacheConfig prediction_cache;
-
   /// Deterministic sensor/migration fault plan (see fault/fault_plan.h).
   /// Empty (the default) injects nothing and leaves every golden figure
   /// bit-identical.
@@ -79,11 +71,6 @@ struct SmartBalanceConfig {
   /// fig_fault_resilience).
   enum class Defenses { kAuto, kOn, kOff };
   Defenses defenses = Defenses::kAuto;
-  /// Degraded mode: when the fraction of threads with healthy sensors
-  /// (sensing-layer confidence) drops below this, the pass is delegated to
-  /// a vanilla CFS-style balancer — heterogeneity-blind but sensing-free,
-  /// so garbage telemetry cannot steer migrations. 0 disables.
-  double degraded_healthy_threshold = 0.5;
   /// Escalate predictor drift to degraded mode: while the audit recorder's
   /// per-(src,dst)-core-type residual EWMAs sit above their threshold,
   /// delegate passes to the vanilla balancer exactly like a sensing-health
@@ -97,8 +84,7 @@ struct SmartBalanceConfig {
   /// Online predictor adaptation (see core/adapt.h): bias/gain correction
   /// of the Eq. 8 forecasts and/or RLS coefficient updates, driven by the
   /// policy's own forecast→observation joins. Off by default — every
-  /// golden stays bit-identical. While tier 2 (RLS) is active the
-  /// prediction cache is bypassed, since cached rows would embed stale Θ.
+  /// golden stays bit-identical.
   using Adaptation = AdaptationConfig;
   Adaptation adaptation;
   /// Sharded hierarchical balancing (see core/shard.h): partition the
@@ -132,8 +118,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   const RunningStats& objective_gain() const { return objective_gain_; }
   const PredictorModel& model() const { return model_; }
   const SmartBalanceConfig& config() const { return cfg_; }
-  /// Predict-phase cache (hit/miss accounting; empty when disabled).
-  const PredictionCache& prediction_cache() const { return pred_cache_; }
 
   /// The most recent characterization matrices (empty before first pass).
   const CharacterizationMatrices& last_matrices() const { return last_mx_; }
@@ -170,7 +154,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   /// per-core sums, occupancy matrix, allocations) is reused every epoch —
   /// re-seeded per pass, never re-allocated.
   SaOptimizer optimizer_;
-  PredictionCache pred_cache_;
 
   os::BalancePassStats last_;
   std::uint64_t passes_ = 0;

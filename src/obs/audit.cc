@@ -1,25 +1,15 @@
 #include "obs/audit.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sb::obs {
-namespace {
-
-/// Signed relative residual, guarded against tiny observed values (a thread
-/// that retired essentially nothing says nothing about the predictor).
-double relative_residual(double observed, double predicted) {
-  if (!(std::abs(observed) > 1e-12)) return 0.0;
-  return (observed - predicted) / observed;
-}
-
-}  // namespace
 
 AuditRecorder::AuditRecorder(AuditConfig cfg)
     : cfg_(cfg),
       threads_(cfg.capacity),
       epochs_(cfg.capacity),
-      migrations_(cfg.capacity) {}
+      migrations_(cfg.capacity),
+      residuals_(cfg.ewma_alpha, cfg.drift_threshold, cfg.drift_min_joins) {}
 
 std::vector<DriftEvent> AuditRecorder::join(
     std::uint64_t epoch, const std::vector<AuditObservation>& obs,
@@ -37,13 +27,7 @@ std::vector<DriftEvent> AuditRecorder::join(
   if (pending_valid_) {
     if (contiguous) {
       for (const ThreadPrediction& p : pending_preds_) {
-        const AuditObservation* match = nullptr;
-        for (const AuditObservation& o : obs) {
-          if (o.tid == p.tid) {
-            match = &o;
-            break;
-          }
-        }
+        const AuditObservation* match = find_thread(obs, p.tid);
         // Validate only when the thread really ran (and was measured) on
         // the predicted core: sensing serves cached pre-migration rows
         // while caches warm, and those would score the wrong core type.
@@ -69,19 +53,10 @@ std::vector<DriftEvent> AuditRecorder::join(
         threads_.push(rec);
         ++joined_now;
 
-        PairTracker& t = pairs_[{p.src_type, p.dst_type}];
-        ++t.joins;
-        const double a = cfg_.ewma_alpha;
-        t.ewma_gips =
-            (1.0 - a) * t.ewma_gips + a * std::abs(rec.gips_err);
-        t.ewma_power =
-            (1.0 - a) * t.ewma_power + a * std::abs(rec.power_err);
-        t.sewma_gips = (1.0 - a) * t.sewma_gips + a * rec.gips_err;
-        t.sewma_power = (1.0 - a) * t.sewma_power + a * rec.power_err;
-        const bool over = t.ewma_gips > cfg_.drift_threshold ||
-                          t.ewma_power > cfg_.drift_threshold;
-        if (over && !t.active && t.joins >= cfg_.drift_min_joins) {
-          t.active = true;
+        if (residuals_.update(p.src_type, p.dst_type, rec.gips_err,
+                              rec.power_err)) {
+          const ResidualTracker::Pair& t =
+              *residuals_.find(p.src_type, p.dst_type);
           DriftEvent ev;
           ev.epoch = epoch;
           ev.src_type = p.src_type;
@@ -91,8 +66,6 @@ std::vector<DriftEvent> AuditRecorder::join(
           ev.joins = t.joins;
           drift_events_.push_back(ev);
           edges.push_back(ev);
-        } else if (!over && t.active) {
-          t.active = false;  // recovery: re-arm the rising-edge detector
         }
       }
     } else {
@@ -125,13 +98,7 @@ std::vector<DriftEvent> AuditRecorder::join(
   for (auto it = pending_migrations_.begin();
        it != pending_migrations_.end();) {
     const PendingMigration& pm = *it;
-    const AuditObservation* match = nullptr;
-    for (const AuditObservation& o : obs) {
-      if (o.tid == pm.pred.tid) {
-        match = &o;
-        break;
-      }
-    }
+    const AuditObservation* match = find_thread(obs, pm.pred.tid);
     bool done = false;
     if (match != nullptr && match->measured && match->core == pm.pred.dst &&
         match->core_type == pm.pred.dst_type) {
@@ -207,20 +174,13 @@ void AuditRecorder::record_migration(const MigrationPrediction& m) {
   pending_migrations_.push_back(pm);
 }
 
-bool AuditRecorder::drift_active() const {
-  for (const auto& [key, t] : pairs_) {
-    if (t.active) return true;
-  }
-  return false;
-}
-
 AuditSnapshot AuditRecorder::snapshot() const {
   AuditSnapshot snap;
   snap.threads = threads_.drain_copy();
   snap.epochs = epochs_.drain_copy();
   snap.migrations = migrations_.drain_copy();
   snap.drift_events = drift_events_;
-  for (const auto& [key, t] : pairs_) {
+  for (const auto& [key, t] : residuals_.pairs()) {
     DriftState st;
     st.src_type = key.first;
     st.dst_type = key.second;

@@ -15,10 +15,10 @@
 //   migration  per-migration attribution: predicted efficiency gain vs the
 //              first warmed-up measurement on the destination core
 //
-// Online per-(src,dst)-core-type EWMAs of the absolute residuals feed a
-// drift detector; a rising edge above the threshold yields a drift event
-// the caller surfaces as a `predictor.drift` trace instant (and may escalate
-// through the degraded-mode machinery).
+// A per-(src,dst)-core-type ResidualTracker keeps EWMAs of the residuals
+// and a drift detector; a rising edge above the threshold yields a drift
+// event the caller surfaces as a `predictor.drift` trace instant (and may
+// escalate through the degraded-mode machinery).
 //
 // Everything here is sim-time only — epochs, tids, cores, objective values.
 // No host clocks, no RNG, no feedback into the simulation: like the rest of
@@ -27,9 +27,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
+
+#include "obs/residual_tracker.h"
 
 namespace sb::obs {
 
@@ -230,7 +231,7 @@ class AuditRecorder {
   void record_migration(const MigrationPrediction& m);
 
   /// True while any (src,dst) residual EWMA sits above the threshold.
-  bool drift_active() const;
+  bool drift_active() const { return residuals_.any_active(); }
 
   std::uint64_t joined() const { return joined_; }
   std::uint64_t unjoined() const { return unjoined_; }
@@ -290,15 +291,6 @@ class AuditRecorder {
     std::uint64_t seq = 0;    // ring slot of its (open) ledger record
   };
 
-  struct PairTracker {
-    std::uint64_t joins = 0;
-    double ewma_gips = 0;
-    double ewma_power = 0;
-    double sewma_gips = 0;  // signed (drift tracking stays on |residual|)
-    double sewma_power = 0;
-    bool active = false;
-  };
-
   AuditConfig cfg_;
   Ring<ThreadAuditRecord> threads_;
   Ring<EpochAuditRecord> epochs_;
@@ -316,7 +308,7 @@ class AuditRecorder {
   /// Migrations awaiting a warmed-up destination measurement.
   std::vector<PendingMigration> pending_migrations_;
 
-  std::map<std::pair<std::int32_t, std::int32_t>, PairTracker> pairs_;
+  ResidualTracker residuals_;  // on the corrected forecasts' residuals
 
   std::uint64_t joined_ = 0;
   std::uint64_t unjoined_ = 0;

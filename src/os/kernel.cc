@@ -568,24 +568,25 @@ void Kernel::handle_wake(ThreadId tid) {
     }
     if (best < 0) throw std::logic_error("wake: no online core allowed");
   }
-  if (cfg_.wake_idle_select) {
-    const CoreState& resident = core(target);
-    if (resident.running != kInvalidThread || !resident.rq.empty()) {
-      // Busy resident core: prefer an idle core of the same type (the
-      // same-LLC affine choice), else the lowest-id idle core of any type.
-      CoreId idle_any = kInvalidCore;
-      for (CoreId c = 0; c < num_cores(); ++c) {
-        if (c == target || !t.can_run_on(c) || core(c).offline) continue;
-        const CoreState& cs = core(c);
-        if (cs.running != kInvalidThread || !cs.rq.empty()) continue;
-        if (platform_.type_of(c) == platform_.type_of(target)) {
-          idle_any = c;
-          break;
-        }
-        if (idle_any == kInvalidCore) idle_any = c;
+  // select_idle_sibling analogue: a wake whose resident core is busy moves
+  // to a fully idle allowed core instead of queueing, keeping wake-to-run
+  // latency flat; balancing policies re-place the thread next epoch.
+  const CoreState& resident = core(target);
+  if (resident.running != kInvalidThread || !resident.rq.empty()) {
+    // Busy resident core: prefer an idle core of the same type (the
+    // same-LLC affine choice), else the lowest-id idle core of any type.
+    CoreId idle_any = kInvalidCore;
+    for (CoreId c = 0; c < num_cores(); ++c) {
+      if (c == target || !t.can_run_on(c) || core(c).offline) continue;
+      const CoreState& cs = core(c);
+      if (cs.running != kInvalidThread || !cs.rq.empty()) continue;
+      if (platform_.type_of(c) == platform_.type_of(target)) {
+        idle_any = c;
+        break;
       }
-      if (idle_any != kInvalidCore) target = idle_any;
+      if (idle_any == kInvalidCore) idle_any = c;
     }
+    if (idle_any != kInvalidCore) target = idle_any;
   }
   t.cpu = target;
   // Sleeper fairness: don't let a long sleep turn into unbounded credit.
@@ -605,7 +606,7 @@ void Kernel::enqueue_task(Task& t, bool wakeup) {
     dispatch(t.cpu);
     return;
   }
-  if (wakeup && cfg_.wakeup_preemption) {
+  if (wakeup) {
     const Task& cur = task(cs.running);
     // Preempt if the woken task is entitled to run by a clear margin.
     if (cur.vruntime >

@@ -52,13 +52,6 @@ struct KernelConfig {
   TimeNs sched_latency = milliseconds(6);      // CFS period target
   TimeNs min_granularity = microseconds(750);  // minimum timeslice
   TimeNs wakeup_granularity = milliseconds(1); // preemption hysteresis
-  bool wakeup_preemption = true;
-  /// select_idle_sibling analogue: a wake whose resident core is busy while
-  /// an allowed online core sits fully idle moves to the idle core (same
-  /// core type preferred, then lowest id) instead of queueing. Keeps
-  /// wake-to-run latency flat when capacity exists; balancing policies
-  /// re-place the thread at the next epoch as usual.
-  bool wake_idle_select = true;
   std::uint64_t seed = 42;
   arch::CacheWarmupModel warmup{};
   arch::SharedBus::Config bus{};

@@ -97,6 +97,16 @@ TEST(PlatformLoader, Errors) {
   std::stringstream empty("");
   EXPECT_THROW(load_platform(empty), std::logic_error);  // no cores
 
+  // Core counts parse strictly (the whole token, within [1, kMaxCores]);
+  // integer fields reject fractional and out-of-int-range values.
+  for (const char* text :
+       {"core A x2junk\n", "core A x99999999999\n", "core A x1025\n",
+        "core A x-1\n", "core A x1\n  rob_size 3.7\n",
+        "core A x1\n  rob_size 1e12\n", "core A x1\n  rob_size -1e12\n"}) {
+    std::stringstream is(text);
+    EXPECT_THROW(load_platform(is), std::runtime_error) << text;
+  }
+
   // Physically invalid parameters are caught by Platform::validate.
   std::stringstream invalid("core A x1\n  freq_mhz -5\n");
   EXPECT_THROW(load_platform(invalid), std::logic_error);
@@ -106,12 +116,18 @@ TEST(PlatformLoader, Errors) {
 }
 
 TEST(PlatformLoader, ErrorsCarryLineNumbers) {
-  std::stringstream bad("core A x1\n  freq_mhz 100\n  bogus 3\n");
-  try {
-    load_platform(bad);
-    FAIL();
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+  for (const char* text : {"core A x1\n  freq_mhz 100\n  bogus 3\n",
+                           "core A x1\n  freq_mhz 100\ncore B x2junk\n",
+                           "core A x1\n  freq_mhz 100\n  rob_size 3.7\n",
+                           "core A x1\n  freq_mhz 100\n  rob_size 1e12\n"}) {
+    std::stringstream bad(text);
+    try {
+      load_platform(bad);
+      ADD_FAILURE() << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
