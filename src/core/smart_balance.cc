@@ -1,5 +1,6 @@
 #include "core/smart_balance.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/sink.h"
@@ -340,6 +341,14 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   for (CoreId c = 0; c < kernel.num_cores(); ++c) {
     if (kernel.core_online(c)) online.set(static_cast<std::size_t>(c));
   }
+  // A migration stamp older than the cooldown can no longer freeze its
+  // thread. Dropping it keeps the map to recent movers; a service-mode node
+  // would otherwise hold one entry per exited job forever.
+  const auto cooldown = static_cast<std::uint64_t>(
+      std::max(0, cfg_.migration_cooldown_epochs));
+  std::erase_if(migrated_at_pass_, [&](const auto& stamp) {
+    return passes_ - stamp.second > cooldown;
+  });
   for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
     const auto& t = kernel.task(last_mx_.tids[i]);
     initial[i] = t.cpu;
@@ -356,10 +365,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     }
     // Migration cooldown: recently moved threads are frozen in place until
     // re-characterized on the new core type.
-    const auto it = migrated_at_pass_.find(t.tid);
-    if (cfg_.migration_cooldown_epochs > 0 && it != migrated_at_pass_.end() &&
-        passes_ - it->second <=
-            static_cast<std::uint64_t>(cfg_.migration_cooldown_epochs)) {
+    if (migrated_at_pass_.contains(t.tid)) {
       affinity[i].reset();
       affinity[i].set(static_cast<std::size_t>(t.cpu));
     }

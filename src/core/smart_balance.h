@@ -163,6 +163,8 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   RunningStats migrations_;
   RunningStats objective_gain_;
   CharacterizationMatrices last_mx_;
+  /// Pass of each thread's latest migration; entries older than
+  /// migration_cooldown_epochs are pruned every pass.
   std::unordered_map<ThreadId, std::uint64_t> migrated_at_pass_;
 
   /// Online predictor adaptation (null when cfg.adaptation is all-off).

@@ -99,6 +99,9 @@ struct FleetSimulation::Node {
   /// Trained predictor of this node's SmartBalance policy (null for
   /// vanilla nodes — the eff table then uses direct model synthesis).
   const core::PredictorModel* model = nullptr;
+  /// This shape's eff_cache_ entry, resolved at the first dispatch
+  /// (std::map values are pointer-stable).
+  const std::vector<std::vector<double>>* eff = nullptr;
 
   struct Active {
     std::uint64_t job = 0;
@@ -206,8 +209,8 @@ void FleetSimulation::build_nodes(
   }
 }
 
-double FleetSimulation::best_eff_ipj(int node, int job_class) {
-  Node& n = *nodes_[static_cast<std::size_t>(node)];
+const std::vector<std::vector<double>>& FleetSimulation::eff_table(
+    const Node& n) {
   auto it = eff_cache_.find(n.shape_key);
   if (it == eff_cache_.end()) {
     // Build the full per-class x per-type table for this shape in one
@@ -256,13 +259,20 @@ double FleetSimulation::best_eff_ipj(int node, int job_class) {
     }
     it = eff_cache_.emplace(n.shape_key, std::move(effs)).first;
   }
+  return it->second;
+}
+
+double FleetSimulation::best_eff_ipj(int node, int job_class) {
+  Node& n = *nodes_[static_cast<std::size_t>(node)];
+  if (n.eff == nullptr) n.eff = &eff_table(n);
   const auto& per_type =
-      it->second[static_cast<std::size_t>(job_class) % catalog_.size()];
+      (*n.eff)[static_cast<std::size_t>(job_class) % catalog_.size()];
 
   // Availability scan: count the node's cores currently hosting a live
   // fleet thread, per type. A node whose efficient cores are all taken
   // should not keep winning placements on their reputation.
-  std::vector<int> busy(per_type.size(), 0);
+  std::vector<int>& busy = busy_counts_;
+  busy.assign(per_type.size(), 0);
   for (const auto& a : n.active) {
     for (const ThreadId tid : a.tids) {
       const auto& t = n.sim->kernel().task(tid);

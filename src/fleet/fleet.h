@@ -149,6 +149,9 @@ class FleetSimulation {
   /// availability scan reads the node's live thread->core assignment,
   /// which is what makes the dispatcher sensing-driven rather than static.
   double best_eff_ipj(int node, int job_class);
+  /// The per-class x per-type IPJ table of `n`'s platform shape, built on
+  /// first use and cached in eff_cache_.
+  const std::vector<std::vector<double>>& eff_table(const Node& n);
   NodeView view_of(int node, int job_class);
   void pull_arrivals(TimeNs until);
   void dispatch_pending(TimeNs now, std::uint64_t quantum_idx);
@@ -182,6 +185,8 @@ class FleetSimulation {
   /// key — the table is a pure function of (shape, catalog), so permuting
   /// node order or policies cannot change any entry.
   std::map<std::string, std::vector<std::vector<double>>> eff_cache_;
+  /// best_eff_ipj's per-type busy-core counts, reused across calls.
+  std::vector<int> busy_counts_;
   std::uint64_t jobs_deferred_ = 0;
   std::unique_ptr<obs::Sink> obs_;
   /// Telemetry-plane cadence state (cfg.timeseries / cfg.slo).

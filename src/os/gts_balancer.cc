@@ -60,7 +60,6 @@ void GtsBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
   ++passes_;
   for (ThreadId tid : kernel.alive_threads()) {
     const Task& t = kernel.task(tid);
-    if (t.state == TaskState::Exited) continue;
     const bool on_big = kernel.platform().type_of(t.cpu) == cfg_.big_type;
     const double util = kernel.task_util(tid);
 

@@ -92,9 +92,10 @@ void Kernel::set_core_online(CoreId c, bool online) {
     }
     return best;
   };
-  for (const auto& tp : tasks_) {
-    if (tp->alive() && tp->cpu == c && fallback_for(*tp) == kInvalidCore) {
-      throw std::logic_error("set_core_online: task '" + tp->name +
+  for (const ThreadId tid : alive_) {
+    const Task& t = task(tid);
+    if (t.cpu == c && fallback_for(t) == kInvalidCore) {
+      throw std::logic_error("set_core_online: task '" + t.name +
                              "' has no online core in its affinity mask");
     }
   }
@@ -120,10 +121,9 @@ void Kernel::set_core_online(CoreId c, bool online) {
     const ThreadId tid = cs.rq.leftmost();
     migrate(tid, fallback_for(task(tid)));
   }
-  for (auto& tp : tasks_) {
-    if (tp->alive() && tp->state == TaskState::Sleeping && tp->cpu == c) {
-      tp->cpu = fallback_for(*tp);
-    }
+  for (const ThreadId tid : alive_) {
+    Task& t = task_mut(tid);
+    if (t.state == TaskState::Sleeping && t.cpu == c) t.cpu = fallback_for(t);
   }
   if (!cs.asleep) {
     cs.asleep = true;
@@ -185,6 +185,7 @@ ThreadId Kernel::fork(workload::ThreadBehavior behavior) {
   t->state = TaskState::Runnable;
   Task& ref = *t;
   tasks_.push_back(std::move(t));
+  alive_.push_back(ref.tid);
 
   ref.cpu = pick_fork_core(ref);
   ref.vruntime = core(ref.cpu).rq.min_vruntime();
@@ -210,6 +211,7 @@ ThreadId Kernel::fork_on(workload::ThreadBehavior behavior, CoreId c) {
   t->cpu = c;
   Task& ref = *t;
   tasks_.push_back(std::move(t));
+  alive_.push_back(ref.tid);
 
   ref.vruntime = core(c).rq.min_vruntime();
   enqueue_task(ref, /*wakeup=*/false);
@@ -304,13 +306,6 @@ void Kernel::run_until(TimeNs t) {
       account_core_sleep(c);
     }
   }
-}
-
-bool Kernel::all_exited() const {
-  for (const auto& t : tasks_) {
-    if (t->alive()) return false;
-  }
-  return !tasks_.empty();
 }
 
 // --------------------------------------------------------------------------
@@ -480,6 +475,7 @@ void Kernel::account_segment(CoreId c) {
 
   // Workload progress.
   cs.instructions += insts;
+  total_instructions_ += insts;
   t.insts_retired += insts;
   t.lifetime_insts += insts;
   t.insts_since_migration += insts;
@@ -509,6 +505,7 @@ void Kernel::after_task_stops(Task& t) {
       t.insts_retired >= t.behavior.total_instructions) {
     t.state = TaskState::Exited;
     t.exited_at = now_;
+    alive_.erase(std::lower_bound(alive_.begin(), alive_.end(), t.tid));
     return;
   }
   if (t.behavior.interactive() &&
@@ -789,14 +786,6 @@ TimeNs Kernel::draw_sleep(const workload::ThreadBehavior& b) {
   return std::max<TimeNs>(microseconds(1), static_cast<TimeNs>(dur));
 }
 
-std::vector<ThreadId> Kernel::alive_threads() const {
-  std::vector<ThreadId> out;
-  for (const auto& t : tasks_) {
-    if (t->alive() && t->user_thread) out.push_back(t->tid);
-  }
-  return out;
-}
-
 double Kernel::task_util(ThreadId tid) const {
   const Task& t = task(tid);
   const bool active =
@@ -823,9 +812,9 @@ ThreadId Kernel::core_running(CoreId c) const { return core(c).running; }
 
 std::vector<EpochSample> Kernel::drain_epoch_samples() {
   std::vector<EpochSample> out;
-  for (auto& tp : tasks_) {
-    Task& t = *tp;
-    if (!t.alive() || !t.user_thread) continue;
+  out.reserve(alive_.size());
+  for (const ThreadId tid : alive_) {
+    Task& t = task_mut(tid);
     EpochSample s;
     s.tid = t.tid;
     s.core = t.epoch_core != kInvalidCore ? t.epoch_core : t.cpu;
@@ -841,12 +830,6 @@ std::vector<EpochSample> Kernel::drain_epoch_samples() {
     t.reset_epoch_accumulators();
   }
   return out;
-}
-
-std::uint64_t Kernel::total_instructions() const {
-  std::uint64_t total = 0;
-  for (const auto& t : tasks_) total += t->lifetime_insts;
-  return total;
 }
 
 }  // namespace sb::os

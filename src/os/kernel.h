@@ -11,7 +11,12 @@
 //   * CPU-affinity migration (set_cpus_allowed_ptr analogue) with cache
 //     warmup costs charged by the performance model;
 //   * a pluggable LoadBalancer fired on its own interval, replacing
-//     rebalance_domains().
+//     rebalance_domains();
+//   * a live-task index, so the per-epoch scans (balancing, sensing,
+//     sampling) cost O(live threads), not O(threads ever forked): exited
+//     tasks stay queryable via task(), but no per-epoch path walks them. A
+//     service-mode node forks thousands of short jobs while keeping a
+//     handful alive.
 //
 // Execution is discrete-event: a core runs its current task in *segments*
 // bounded by the CFS slice, workload phase/burst boundaries, wakeup
@@ -147,16 +152,20 @@ class Kernel {
   void run_until(TimeNs t);
   void run_for(TimeNs dt) { run_until(now_ + dt); }
   TimeNs now() const { return now_; }
-  bool all_exited() const;
+  /// True once at least one task was forked and none is alive. O(1).
+  bool all_exited() const { return alive_.empty() && !tasks_.empty(); }
 
   // --- Balancer / experiment API -------------------------------------------
   const arch::Platform& platform() const { return platform_; }
   int num_cores() const { return platform_.num_cores(); }
 
+  /// Every task ever forked, exited ones included (tids are dense indices).
   const Task& task(ThreadId tid) const { return *tasks_.at(checked(tid)); }
   std::size_t num_tasks() const { return tasks_.size(); }
-  /// Alive user threads (the set V optimized each epoch).
-  std::vector<ThreadId> alive_threads() const;
+  /// Snapshot of the alive threads, in ascending tid order: the set V
+  /// optimized each epoch (every simulated task is a user thread). Read
+  /// from the live-task index: O(live threads), however many have exited.
+  std::vector<ThreadId> alive_threads() const { return alive_; }
 
   /// PELT utilization advanced to now.
   double task_util(ThreadId tid) const;
@@ -200,7 +209,8 @@ class Kernel {
   void set_cpus_allowed(ThreadId tid, const std::bitset<kMaxCores>& mask);
   void set_nice(ThreadId tid, int nice);
 
-  /// Collects and clears every alive thread's epoch accumulators.
+  /// Collects and clears every alive thread's epoch accumulators, one sample
+  /// per alive thread in ascending tid order. O(live threads).
   std::vector<EpochSample> drain_epoch_samples();
 
   power::PowerSensorBank& sensors() { return sensors_; }
@@ -211,7 +221,9 @@ class Kernel {
   const KernelConfig& config() const { return cfg_; }
 
   // --- Global statistics ----------------------------------------------------
-  std::uint64_t total_instructions() const;
+  /// Σ lifetime_insts over every task ever forked, kept as a running total.
+  /// O(1).
+  std::uint64_t total_instructions() const { return total_instructions_; }
   std::uint64_t core_instructions(CoreId c) const {
     return core(c).instructions;
   }
@@ -286,6 +298,10 @@ class Kernel {
   KernelConfig cfg_;
 
   std::vector<std::unique_ptr<Task>> tasks_;
+  /// Live-task index: alive tids in ascending order. Appended at fork (tids
+  /// grow monotonically) and erased where a task exits (after_task_stops).
+  std::vector<ThreadId> alive_;
+  std::uint64_t total_instructions_ = 0;
   std::vector<CoreState> cores_;
   power::EnergyMeter meter_;
   power::PowerSensorBank sensors_;

@@ -45,10 +45,6 @@ struct Task {
   /// Affinity mask (set_cpus_allowed_ptr analogue); defaults to all cores.
   std::bitset<kMaxCores> cpus_allowed = std::bitset<kMaxCores>().set();
 
-  /// True for user threads; SmartBalance optimizes user threads (the paper
-  /// marks them in sched_fork and focuses on them as the dominant load).
-  bool user_thread = true;
-
   // --- Workload progress ---
   std::size_t phase_idx = 0;
   std::uint64_t insts_into_phase = 0;

@@ -12,6 +12,8 @@ void VanillaBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
   const int n = kernel.num_cores();
   if (n < 2) return;
 
+  // One snapshot per pass: a migration never forks or exits a task.
+  const std::vector<ThreadId> alive = kernel.alive_threads();
   for (int move = 0; move < cfg_.max_moves_per_pass; ++move) {
     // find_busiest_queue / find_idlest_queue over raw CFS load.
     CoreId busiest = kInvalidCore, idlest = kInvalidCore;
@@ -38,7 +40,7 @@ void VanillaBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
 
     // Pull one queued (not running) task whose move reduces the imbalance.
     ThreadId candidate = kInvalidThread;
-    for (ThreadId tid : kernel.alive_threads()) {
+    for (ThreadId tid : alive) {
       const Task& t = kernel.task(tid);
       if (t.state != TaskState::Runnable || t.cpu != busiest) continue;
       if (!t.can_run_on(idlest)) continue;

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "arch/platform.h"
 #include "os/gts_balancer.h"
@@ -132,6 +133,102 @@ TEST_P(KernelStress, InvariantsHoldUnderRandomLoad) {
   EXPECT_EQ(k2.total_instructions(), k.total_instructions());
   EXPECT_DOUBLE_EQ(k2.energy().total_joules(), joules);
   EXPECT_EQ(k2.total_migrations(), k.total_migrations());
+}
+
+// The live-task index against the brute-force scan it replaced: alive tids
+// from task(tid).alive() over every task ever forked, and Σ lifetime_insts.
+void expect_index_matches_scan(Kernel& k) {
+  std::vector<ThreadId> alive;
+  std::uint64_t insts = 0;
+  for (std::size_t i = 0; i < k.num_tasks(); ++i) {
+    const Task& t = k.task(static_cast<ThreadId>(i));
+    if (t.alive()) alive.push_back(t.tid);
+    insts += t.lifetime_insts;
+  }
+  EXPECT_EQ(k.alive_threads(), alive);
+  std::vector<ThreadId> drained;
+  for (const EpochSample& s : k.drain_epoch_samples()) drained.push_back(s.tid);
+  EXPECT_EQ(drained, alive);
+  EXPECT_EQ(k.all_exited(), alive.empty() && k.num_tasks() > 0);
+  EXPECT_EQ(k.total_instructions(), insts);
+}
+
+TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
+  const auto [seed_base, policy, big_little] = GetParam();
+  const std::uint64_t seed = 2000 + static_cast<std::uint64_t>(seed_base);
+  const auto platform = big_little ? arch::Platform::octa_big_little()
+                                   : arch::Platform::quad_heterogeneous();
+  if (policy == 2 && !big_little) GTEST_SKIP() << "GTS needs big.LITTLE";
+
+  perf::PerfModel perf(platform);
+  power::PowerModel power(platform, perf);
+  KernelConfig cfg;
+  cfg.seed = seed;
+  Kernel k(platform, perf, power, cfg);
+  k.set_balancer(make_policy(policy));
+  Rng rng(seed);
+  const char* names[] = {"canneal", "swaptions", "bodytrack", "IMB_HTHI",
+                         "IMB_LTLI", "x264_H_crew", "streamcluster"};
+  const int n = platform.num_cores();
+  auto behavior = [&] {
+    auto threads =
+        workload::BenchmarkLibrary::get(names[rng.randi(0, 7)]).spawn(1, rng);
+    workload::ThreadBehavior t = std::move(threads.front());
+    // Every task is finite, so exits keep coming all run long; about a
+    // third of the tasks sleep between bursts.
+    t.total_instructions =
+        1'000'000 * static_cast<std::uint64_t>(1 + rng.randi(0, 30));
+    if (rng.uniform() < 0.33) {
+      t.burst_instructions =
+          500'000 * static_cast<std::uint64_t>(1 + rng.randi(0, 4));
+      t.sleep_mean_ns = microseconds(200 + 100 * rng.randi(0, 30));
+    }
+    if (rng.uniform() < 0.3) t.nice = static_cast<int>(rng.randi(-5, 6));
+    return t;
+  };
+  auto random_online_core = [&] {
+    CoreId c = static_cast<CoreId>(rng.randi(0, n));
+    while (!k.core_online(c)) c = (c + 1) % n;
+    return c;
+  };
+
+  int evacuations = 0;
+  for (int step = 0; step < 80; ++step) {
+    const double action = rng.uniform();
+    const std::vector<ThreadId> alive = k.alive_threads();
+    auto random_alive = [&] {
+      return alive[static_cast<std::size_t>(
+          rng.randi(0, static_cast<std::int64_t>(alive.size())))];
+    };
+    if (action < 0.35 || alive.empty()) {
+      k.fork(behavior());
+    } else if (action < 0.55) {
+      k.fork_on(behavior(), random_online_core());
+    } else if (action < 0.75) {
+      k.migrate(random_alive(), random_online_core());
+    } else if (action < 0.9) {
+      // Unplug the core of a live (finite) task, evacuating it.
+      const CoreId c = k.task(random_alive()).cpu;
+      if (c != kInvalidCore && k.num_online_cores() > 1) {
+        k.set_core_online(c, false);
+        ++evacuations;
+      }
+    } else {
+      for (CoreId c = 0; c < n; ++c) k.set_core_online(c, true);  // replug
+    }
+    k.run_for(microseconds(500 + 500 * rng.randi(0, 20)));
+    expect_index_matches_scan(k);
+  }
+  // Exits interleaved with forks and unplugs.
+  EXPECT_LT(k.alive_threads().size(), k.num_tasks());
+  EXPECT_GT(evacuations, 0);
+  for (CoreId c = 0; c < n; ++c) k.set_core_online(c, true);
+  // Drain: with no more forks every finite task exits.
+  for (int chunk = 0; chunk < 400 && !k.all_exited(); ++chunk) {
+    k.run_for(milliseconds(5));
+    expect_index_matches_scan(k);
+  }
+  EXPECT_TRUE(k.all_exited());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, KernelStress,
