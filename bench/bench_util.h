@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
 #include "obs/audit_writer.h"
@@ -53,42 +54,52 @@ struct Options {
 
   static Options parse(int argc, char** argv) {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--quick") {
-        o.quick = true;
-        o.duration = milliseconds(240);
-      } else if (a.rfind("--seed=", 0) == 0) {
-        o.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-      } else if (a.rfind("--duration-ms=", 0) == 0) {
-        o.duration = milliseconds(std::strtoll(a.c_str() + 14, nullptr, 10));
-      } else if (a.rfind("--jobs=", 0) == 0) {
-        o.jobs = std::atoi(a.c_str() + 7);
-      } else if (a.rfind("--faults=", 0) == 0) {
-        o.faults = a.substr(9);
-      } else if (a.rfind("--fault-seed=", 0) == 0) {
-        o.fault_seed = std::strtoull(a.c_str() + 13, nullptr, 10);
-      } else if (a == "--no-defense") {
-        o.no_defense = true;
-      } else if (a.rfind("--trace=", 0) == 0) {
-        o.trace = a.substr(8);
-      } else if (a == "--metrics") {
-        o.metrics = true;
-      } else if (a.rfind("--metrics-json=", 0) == 0) {
-        o.metrics_json = a.substr(15);
-        o.metrics = true;
-      } else if (a.rfind("--audit=", 0) == 0) {
-        o.audit = a.substr(8);
-      } else if (a == "--help" || a == "-h") {
-        std::cout << "options: --quick --seed=N --duration-ms=N --jobs=N "
-                     "--faults=SPEC --fault-seed=N --no-defense "
-                     "--trace=FILE --metrics --metrics-json=FILE "
-                     "--audit=FILE\n";
-        std::exit(0);
-      } else {
-        std::cerr << "unknown option: " << a << "\n";
-        std::exit(2);
+    try {
+      for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--quick") {
+          o.quick = true;
+          o.duration = milliseconds(240);
+        } else if (a.rfind("--seed=", 0) == 0) {
+          o.seed =
+              spec::read_uint("--seed", "seed", a.substr(7), 0, UINT64_MAX);
+        } else if (a.rfind("--duration-ms=", 0) == 0) {
+          o.duration = milliseconds(
+              spec::read_uint("--duration-ms", "ms", a.substr(14), 1, 1 << 24));
+        } else if (a.rfind("--jobs=", 0) == 0) {
+          o.jobs = static_cast<int>(
+              spec::read_uint("--jobs", "jobs", a.substr(7), 0, 4096));
+        } else if (a.rfind("--faults=", 0) == 0) {
+          o.faults = a.substr(9);
+        } else if (a.rfind("--fault-seed=", 0) == 0) {
+          o.fault_seed = spec::read_uint("--fault-seed", "seed", a.substr(13),
+                                         0, UINT64_MAX);
+        } else if (a == "--no-defense") {
+          o.no_defense = true;
+        } else if (a.rfind("--trace=", 0) == 0) {
+          o.trace = a.substr(8);
+        } else if (a == "--metrics") {
+          o.metrics = true;
+        } else if (a.rfind("--metrics-json=", 0) == 0) {
+          o.metrics_json = a.substr(15);
+          o.metrics = true;
+        } else if (a.rfind("--audit=", 0) == 0) {
+          o.audit = a.substr(8);
+        } else if (a == "--help" || a == "-h") {
+          std::cout << "options: --quick --seed=N --duration-ms=N --jobs=N "
+                       "--faults=SPEC --fault-seed=N --no-defense "
+                       "--trace=FILE --metrics --metrics-json=FILE "
+                       "--audit=FILE\n";
+          std::exit(0);
+        } else {
+          std::cerr << "unknown option: " << a << "\n";
+          std::exit(2);
+        }
       }
+      (void)o.fault_plan();  // reject a bad --faults spec up front
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\n";
+      std::exit(2);
     }
     if (o.trace.empty()) {
       if (const char* env = std::getenv("SB_TRACE")) o.trace = env;
@@ -108,8 +119,10 @@ struct Options {
   /// FaultPlan::uniform(R); empty/zero-rate specs yield an empty plan).
   fault::FaultPlan fault_plan() const {
     if (faults.rfind("uniform:", 0) == 0) {
-      return fault::FaultPlan::uniform(std::strtod(faults.c_str() + 8, nullptr),
-                                       fault_seed);
+      constexpr spec::Field kRate = {"rate", spec::Kind::kReal, 0, 1};
+      return fault::FaultPlan::uniform(
+          spec::read_field("--faults uniform", kRate, faults.substr(8)),
+          fault_seed);
     }
     return fault::FaultPlan::parse(faults, fault_seed);
   }

@@ -1,183 +1,96 @@
 #include "core/adapt.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/spec.h"
 
 namespace sb::core {
 namespace {
 
-/// std::stod/std::stoi throw std::out_of_range (not std::invalid_argument)
-/// on out-of-range values, so numeric fields go through these wrappers to
-/// keep parse()'s documented contract (mirrors fault_plan.cc).
-double parse_double(const std::string& s, const std::string& entry,
-                    const char* what) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
-}
+// Fields after each entry's key; defaults match AdaptationConfig.
+constexpr spec::Field kBias[] = {
+    {"alpha", spec::Kind::kReal, 0, 1, 0.25, spec::Range::kOpenLow},
+    {"clamp", spec::Kind::kReal, 0, 4, 0.5},
+};
+constexpr spec::Field kRls[] = {
+    {"lambda", spec::Kind::kReal, 0.5, 1, 0.995},
+    {"p0", spec::Kind::kReal, 0, 1e12, 1, spec::Range::kOpenLow},
+    {"reset", spec::Kind::kInt, 0, 1, 1},
+};
+constexpr spec::Field kDrift[] = {
+    {"threshold", spec::Kind::kReal, 0, 100, spec::kRequired,
+     spec::Range::kOpenLow},
+    {"min_joins", spec::Kind::kInt, 1, 1'000'000, 8},
+};
 
-long long parse_ll(const std::string& s, const std::string& entry,
-                   const char* what) {
-  std::size_t pos = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  parts.push_back(cur);
-  return parts;
-}
-
-void parse_entry(const std::string& entry, AdaptationConfig* cfg) {
-  const std::vector<std::string> parts = split(entry, ':');
-  const std::string& key = parts[0];
+/// Applies one entry; fields it omits keep their current value.
+void parse_entry(std::string_view entry, AdaptationConfig* cfg) {
+  const auto tokens = spec::split(entry, ':');
+  const std::string_view key = tokens[0];
+  const std::span<const std::string_view> fields(tokens.begin() + 1,
+                                                 tokens.end());
   if (key == "bias") {
-    if (parts.size() > 3) {
-      throw std::invalid_argument("Adaptation: malformed entry '" + entry +
-                                  "' (want bias[:alpha[:clamp]])");
-    }
+    double v[] = {cfg->bias_alpha, cfg->gain_clamp};
+    spec::read_fields("--adapt bias", kBias, fields, v);
     cfg->bias = true;
-    if (parts.size() >= 2) {
-      cfg->bias_alpha = parse_double(parts[1], entry, "alpha");
-      if (!(cfg->bias_alpha > 0.0) || cfg->bias_alpha > 1.0) {
-        throw std::invalid_argument("Adaptation: bad alpha in '" + entry +
-                                    "'");
-      }
-    }
-    if (parts.size() == 3) {
-      cfg->gain_clamp = parse_double(parts[2], entry, "clamp");
-      if (!(cfg->gain_clamp >= 0.0) || cfg->gain_clamp > 4.0) {
-        throw std::invalid_argument("Adaptation: bad clamp in '" + entry +
-                                    "'");
-      }
-    }
+    cfg->bias_alpha = v[0];
+    cfg->gain_clamp = v[1];
   } else if (key == "rls") {
-    if (parts.size() > 4) {
-      throw std::invalid_argument("Adaptation: malformed entry '" + entry +
-                                  "' (want rls[:lambda[:p0[:reset]]])");
-    }
+    double v[] = {cfg->rls_lambda, cfg->rls_p0,
+                  cfg->rls_reset_on_drift ? 1.0 : 0.0};
+    spec::read_fields("--adapt rls", kRls, fields, v);
     cfg->rls = true;
-    if (parts.size() >= 2) {
-      cfg->rls_lambda = parse_double(parts[1], entry, "lambda");
-      if (!(cfg->rls_lambda >= 0.5) || cfg->rls_lambda > 1.0) {
-        throw std::invalid_argument("Adaptation: bad lambda in '" + entry +
-                                    "'");
-      }
-    }
-    if (parts.size() >= 3) {
-      cfg->rls_p0 = parse_double(parts[2], entry, "p0");
-      if (!(cfg->rls_p0 > 0.0) || cfg->rls_p0 > 1e12) {
-        throw std::invalid_argument("Adaptation: bad p0 in '" + entry + "'");
-      }
-    }
-    if (parts.size() == 4) {
-      const long long reset = parse_ll(parts[3], entry, "reset");
-      if (reset != 0 && reset != 1) {
-        throw std::invalid_argument("Adaptation: bad reset in '" + entry +
-                                    "'");
-      }
-      cfg->rls_reset_on_drift = reset == 1;
-    }
+    cfg->rls_lambda = v[0];
+    cfg->rls_p0 = v[1];
+    cfg->rls_reset_on_drift = v[2] == 1;
   } else if (key == "drift") {
-    if (parts.size() < 2 || parts.size() > 3) {
-      throw std::invalid_argument("Adaptation: malformed entry '" + entry +
-                                  "' (want drift:threshold[:min_joins])");
-    }
-    cfg->drift_threshold = parse_double(parts[1], entry, "threshold");
-    if (!(cfg->drift_threshold > 0.0) || cfg->drift_threshold > 100.0) {
-      throw std::invalid_argument("Adaptation: bad threshold in '" + entry +
-                                  "'");
-    }
-    if (parts.size() == 3) {
-      const long long joins = parse_ll(parts[2], entry, "min_joins");
-      if (joins < 1 || joins > 1000000) {
-        throw std::invalid_argument("Adaptation: bad min_joins in '" + entry +
-                                    "'");
-      }
-      cfg->drift_min_joins = static_cast<std::uint64_t>(joins);
-    }
+    double v[] = {cfg->drift_threshold,
+                  static_cast<double>(cfg->drift_min_joins)};
+    spec::read_fields("--adapt drift", kDrift, fields, v);
+    cfg->drift_threshold = v[0];
+    cfg->drift_min_joins = static_cast<std::uint64_t>(v[1]);
   } else {
-    throw std::invalid_argument("Adaptation: unknown entry '" + entry + "'");
+    throw std::invalid_argument("--adapt: unknown entry '" +
+                                std::string(entry) +
+                                "' (want bias, rls or drift)");
   }
 }
 
-void append_value(std::ostream& os, double v) { os << v; }
+void append_entry(std::string& out, std::string_view key,
+                  std::span<const spec::Field> fields,
+                  std::initializer_list<double> values) {
+  if (!out.empty()) out += ',';
+  out += key;
+  std::string tail;
+  spec::append_fields(tail, fields, values);
+  if (!tail.empty()) (out += ':') += tail;
+}
 
 }  // namespace
 
 AdaptationConfig AdaptationConfig::parse(const std::string& text) {
   AdaptationConfig cfg;
-  std::string entry;
-  std::istringstream is(text);
-  while (std::getline(is, entry, ',')) {
-    if (entry.empty()) continue;
-    parse_entry(entry, &cfg);
+  for (const std::string_view entry : spec::split(text, ',')) {
+    if (!entry.empty()) parse_entry(entry, &cfg);
   }
   return cfg;
 }
 
-std::string AdaptationConfig::to_string() const {
-  std::ostringstream os;
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-  if (bias) {
-    sep();
-    os << "bias:";
-    append_value(os, bias_alpha);
-    os << ':';
-    append_value(os, gain_clamp);
-  }
+std::string AdaptationConfig::canonical() const {
+  std::string out;
+  if (bias) append_entry(out, "bias", kBias, {bias_alpha, gain_clamp});
   if (rls) {
-    sep();
-    os << "rls:";
-    append_value(os, rls_lambda);
-    os << ':';
-    append_value(os, rls_p0);
-    os << ':' << (rls_reset_on_drift ? 1 : 0);
+    append_entry(out, "rls", kRls,
+                 {rls_lambda, rls_p0, rls_reset_on_drift ? 1.0 : 0.0});
   }
   const AdaptationConfig defaults;
   if (drift_threshold != defaults.drift_threshold ||
       drift_min_joins != defaults.drift_min_joins) {
-    sep();
-    os << "drift:";
-    append_value(os, drift_threshold);
-    os << ':' << drift_min_joins;
+    append_entry(out, "drift", kDrift,
+                 {drift_threshold, static_cast<double>(drift_min_joins)});
   }
-  return os.str();
+  return out;
 }
 
 bool AdaptationConfig::operator==(const AdaptationConfig& o) const {

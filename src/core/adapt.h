@@ -46,12 +46,13 @@
 namespace sb::core {
 
 /// `SmartBalanceConfig::Adaptation`. Parsed from the CLI/config grammar
-/// (comma-separated entries, FaultPlan-style):
+/// (comma-separated entries; fields per common/spec.h):
 ///   bias[:alpha[:clamp]]          enable tier 1 (EWMA alpha, gain clamp)
 ///   rls[:lambda[:p0[:reset]]]     enable tier 2 (forgetting, prior, reset)
 ///   drift:threshold[:min_joins]   tune the covariance-reset drift detector
-/// An empty string disables everything. Any malformed entry raises
-/// std::invalid_argument (the only exception parse may throw).
+/// An empty string disables everything; an entry's omitted fields keep
+/// their current value. Any malformed entry raises std::invalid_argument
+/// (the only exception parse may throw).
 struct AdaptationConfig {
   /// Tier 1: per-(src,dst) bias/gain post-multiplier on Eq. 8 forecasts.
   bool bias = false;
@@ -83,7 +84,8 @@ struct AdaptationConfig {
   bool enabled() const { return bias || rls; }
 
   static AdaptationConfig parse(const std::string& text);
-  std::string to_string() const;
+  /// The spec that parse() reads back to this config, bit for bit.
+  std::string canonical() const;
 
   bool operator==(const AdaptationConfig& o) const;
 };

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
 #include "common/parallel.h"
+#include "common/spec.h"
 #include "obs/sink.h"
 
 namespace sb::core {
@@ -21,27 +21,12 @@ using Clock = std::chrono::steady_clock;
 /// annealing trajectory bit for bit.
 constexpr std::uint64_t kShardSeedStride = 0x9e3779b97f4a7c15ULL;
 
-int parse_int_field(const std::string& tok, const char* what, long lo,
-                    long hi) {
-  if (tok.empty()) {
-    throw std::invalid_argument(std::string("ShardingConfig: empty ") + what);
-  }
-  // strtol would skip leading whitespace and accept a '+' sign; the config
-  // grammar is digits only.
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(std::string("ShardingConfig: bad ") + what +
-                                  " '" + tok + "'");
-    }
-  }
-  char* end = nullptr;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size() || v < lo || v > hi) {
-    throw std::invalid_argument(std::string("ShardingConfig: bad ") + what +
-                                " '" + tok + "'");
-  }
-  return static_cast<int>(v);
-}
+// K[:jobs[:moves]]; defaults match ShardingConfig (moves -1 = auto).
+constexpr spec::Field kFields[] = {
+    {"shards", spec::Kind::kInt, 0, kMaxCores},
+    {"jobs", spec::Kind::kInt, 0, 4096, 0},
+    {"moves", spec::Kind::kInt, 0, 1 << 20, -1},
+};
 
 /// Evaluates the merged global objective for an explicit allocation with
 /// the exact occupancy semantics of ObjectiveState::precompute_occupancy
@@ -88,38 +73,22 @@ double merged_objective(const Matrix& s, const Matrix& p,
 
 }  // namespace
 
-ShardingConfig ShardingConfig::parse(const std::string& spec) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = spec.find(':', start);
-    fields.push_back(spec.substr(
-        start, colon == std::string::npos ? std::string::npos : colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  if (fields.size() > 3) {
-    throw std::invalid_argument("ShardingConfig: expected K[:jobs[:moves]], got '" +
-                                spec + "'");
-  }
+ShardingConfig ShardingConfig::parse(const std::string& text) {
   ShardingConfig cfg;
-  cfg.shards = parse_int_field(fields[0], "shard count", 0, kMaxCores);
-  if (fields.size() > 1) {
-    cfg.jobs = parse_int_field(fields[1], "job count", 0, 4096);
-  }
-  if (fields.size() > 2) {
-    cfg.exchange_moves =
-        parse_int_field(fields[2], "exchange move budget", 0, 1 << 20);
-  }
+  double v[] = {0, static_cast<double>(cfg.jobs),
+                static_cast<double>(cfg.exchange_moves)};
+  spec::read_fields("--shards", kFields, spec::split(text, ':'), v);
+  cfg.shards = static_cast<int>(v[0]);
+  cfg.jobs = static_cast<int>(v[1]);
+  cfg.exchange_moves = static_cast<int>(v[2]);
   return cfg;
 }
 
-std::string ShardingConfig::to_string() const {
-  std::string out = std::to_string(shards);
-  if (jobs != 0 || exchange_moves >= 0) {
-    out += ":" + std::to_string(jobs);
-    if (exchange_moves >= 0) out += ":" + std::to_string(exchange_moves);
-  }
+std::string ShardingConfig::canonical() const {
+  std::string out;
+  spec::append_fields(out, kFields,
+                      {static_cast<double>(shards), static_cast<double>(jobs),
+                       static_cast<double>(exchange_moves)});
   return out;
 }
 

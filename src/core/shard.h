@@ -61,13 +61,13 @@ struct ShardingConfig {
 
   bool enabled() const { return shards > 0; }
 
-  /// Parses the sbsim `--shards=` grammar: `K[:jobs[:moves]]`, e.g. "8",
-  /// "8:4", "8:4:16". Throws std::invalid_argument on anything malformed
-  /// (never leaks std::out_of_range from numeric conversion).
-  static ShardingConfig parse(const std::string& spec);
+  /// Parses the sbsim `--shards=` grammar: `K[:jobs[:moves]]` (fields per
+  /// common/spec.h), e.g. "8", "8:4", "8:4:16". Throws
+  /// std::invalid_argument on anything malformed.
+  static ShardingConfig parse(const std::string& text);
 
-  /// Canonical `K[:jobs[:moves]]` form; parse(to_string()) round-trips.
-  std::string to_string() const;
+  /// The spec that parse() reads back to this config, bit for bit.
+  std::string canonical() const;
 };
 
 /// A partition of the platform's cores into shards: every core is in

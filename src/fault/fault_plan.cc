@@ -1,102 +1,39 @@
 #include "fault/fault_plan.h"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/spec.h"
 
 namespace sb::fault {
 namespace {
 
-constexpr const char* kNames[kNumFaultClasses] = {
+constexpr std::string_view kNames[kNumFaultClasses] = {
     "wrap", "sat", "drop", "dup", "stuck", "noise", "delay", "reject",
     "blackout"};
 
-/// std::stod/std::stoi throw std::out_of_range (not std::invalid_argument)
-/// on values outside the representable range ("wrap:1e999",
-/// "wrap:0.1:1:99999999999999999999" — found by the grammar fuzz test), so
-/// numeric fields go through these wrappers to keep parse()'s documented
-/// contract: any unparseable entry raises std::invalid_argument.
-double parse_double(const std::string& s, const std::string& entry,
-                    const char* what) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
-}
+// One entry: class:rate[:magnitude[:duration]]; defaults match FaultSpec.
+constexpr spec::Field kEntry[] = {
+    {.name = "class", .kind = spec::Kind::kEnum, .names = kNames},
+    {"rate", spec::Kind::kReal, 0, 1},
+    {"magnitude", spec::Kind::kReal, 0, spec::kInf, 1.0},
+    {"duration", spec::Kind::kInt, 1, 1024, 1},
+};
 
-int parse_int(const std::string& s, const std::string& entry,
-              const char* what) {
-  std::size_t pos = 0;
-  int v = 0;
-  try {
-    v = std::stoi(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
-}
-
-FaultSpec parse_entry(const std::string& entry) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : entry) {
-    if (c == ':') {
-      parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  parts.push_back(cur);
-  if (parts.size() < 2 || parts.size() > 4) {
-    throw std::invalid_argument("FaultPlan: malformed entry '" + entry +
-                                "' (want class:rate[:magnitude[:duration]])");
-  }
-  FaultSpec spec;
-  if (!fault_class_from_name(parts[0], &spec.cls)) {
-    throw std::invalid_argument("FaultPlan: unknown fault class '" + parts[0] +
-                                "'");
-  }
-  spec.rate = parse_double(parts[1], entry, "rate");
-  if (!(spec.rate >= 0.0) || spec.rate > 1.0) {
-    throw std::invalid_argument("FaultPlan: bad rate in '" + entry + "'");
-  }
-  if (parts.size() >= 3) {
-    spec.magnitude = parse_double(parts[2], entry, "magnitude");
-    if (!std::isfinite(spec.magnitude) || spec.magnitude < 0.0) {
-      throw std::invalid_argument("FaultPlan: bad magnitude in '" + entry +
-                                  "'");
-    }
-  }
-  if (parts.size() == 4) {
-    spec.duration_epochs = parse_int(parts[3], entry, "duration");
-    if (spec.duration_epochs < 1 || spec.duration_epochs > 1024) {
-      throw std::invalid_argument("FaultPlan: bad duration in '" + entry +
-                                  "'");
-    }
-  }
-  return spec;
+FaultSpec parse_entry(std::string_view entry) {
+  FaultSpec s;
+  double v[] = {0, 0, s.magnitude, static_cast<double>(s.duration_epochs)};
+  spec::read_fields("--faults", kEntry, spec::split(entry, ':'), v);
+  s.cls = static_cast<FaultClass>(v[0]);
+  s.rate = v[1];
+  s.magnitude = v[2];
+  s.duration_epochs = static_cast<int>(v[3]);
+  return s;
 }
 
 }  // namespace
 
 const char* fault_class_name(FaultClass cls) {
-  return kNames[static_cast<int>(cls)];
+  return kNames[static_cast<int>(cls)].data();
 }
 
 bool fault_class_from_name(const std::string& name, FaultClass* out) {
@@ -136,41 +73,8 @@ void FaultPlan::set(FaultSpec spec) {
 FaultPlan FaultPlan::parse(const std::string& text, std::uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
-  std::string entry;
-  std::istringstream is(text);
-  while (std::getline(is, entry, ',')) {
-    if (entry.empty()) continue;
-    plan.set(parse_entry(entry));
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::load_csv(const std::string& path, std::uint64_t seed) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("FaultPlan: cannot open " + path);
-  FaultPlan plan;
-  plan.seed = seed;
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("FaultPlan: empty file " + path);
-  }
-  if (line.rfind("fault,rate", 0) != 0) {
-    throw std::runtime_error(
-        "FaultPlan: bad header (want fault,rate,magnitude,duration_epochs) "
-        "in " +
-        path);
-  }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    // Reuse the CLI entry grammar: swap commas for colons.
-    for (auto& c : line) {
-      if (c == ',') c = ':';
-    }
-    try {
-      plan.set(parse_entry(line));
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(std::string(e.what()) + " in " + path);
-    }
+  for (const std::string_view entry : spec::split(text, ',')) {
+    if (!entry.empty()) plan.set(parse_entry(entry));
   }
   return plan;
 }
@@ -192,16 +96,15 @@ FaultPlan FaultPlan::uniform(double rate, std::uint64_t seed) {
   return plan;
 }
 
-std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  bool first = true;
+std::string FaultPlan::canonical() const {
+  std::string out;
   for (const auto& s : specs_) {
-    if (!first) os << ',';
-    first = false;
-    os << fault_class_name(s.cls) << ':' << s.rate << ':' << s.magnitude << ':'
-       << s.duration_epochs;
+    if (!out.empty()) out += ',';
+    spec::append_fields(out, kEntry,
+                        {static_cast<double>(s.cls), s.rate, s.magnitude,
+                         static_cast<double>(s.duration_epochs)});
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace sb::fault

@@ -33,8 +33,8 @@ enum class FaultClass : int {
 
 inline constexpr int kNumFaultClasses = 9;
 
-/// Short stable identifier ("wrap", "sat", "drop", ...) used by CLI specs,
-/// CSV plans and stats reporting.
+/// Short stable identifier ("wrap", "sat", "drop", ...) used by CLI specs
+/// and stats reporting.
 const char* fault_class_name(FaultClass cls);
 
 /// Inverse of fault_class_name; returns false if `name` is unknown.
@@ -71,16 +71,11 @@ class FaultPlan {
   void set(FaultSpec spec);
 
   /// Parses a compact CLI spec: comma-separated
-  /// `class:rate[:magnitude[:duration]]` entries, e.g.
-  /// "wrap:0.05,noise:0.02:3.0,blackout:0.01:1:4". An empty string yields
-  /// an empty plan. Throws std::invalid_argument on malformed input.
+  /// `class:rate[:magnitude[:duration]]` entries (fields per
+  /// common/spec.h), e.g. "wrap:0.05,noise:0.02:3.0,blackout:0.01:1:4". A
+  /// later entry for a class replaces the earlier one. An empty string
+  /// yields an empty plan. Throws std::invalid_argument on malformed input.
   static FaultPlan parse(const std::string& text, std::uint64_t seed = 0xfa517u);
-
-  /// Loads a plan from a CSV file with header
-  /// `fault,rate,magnitude,duration_epochs` (magnitude/duration optional
-  /// per row). Throws std::runtime_error on I/O or format errors.
-  static FaultPlan load_csv(const std::string& path,
-                            std::uint64_t seed = 0xfa517u);
 
   /// Every sensor-facing class (wrap, sat, drop, dup, stuck, noise, delay,
   /// reject) at `rate`, plus blackout at rate/4 with a 3-epoch duration —
@@ -88,8 +83,8 @@ class FaultPlan {
   /// fig_fault_resilience sweep.
   static FaultPlan uniform(double rate, std::uint64_t seed = 0xfa517u);
 
-  /// Round-trips through parse(): "wrap:0.05,noise:0.02:3:1" style.
-  std::string to_string() const;
+  /// The spec that parse() reads back to these specs, bit for bit.
+  std::string canonical() const;
 
  private:
   std::vector<FaultSpec> specs_;

@@ -1,102 +1,58 @@
 #include "fleet/fleet_config.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <vector>
+
+#include "common/spec.h"
 
 namespace sb::fleet {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
+/// Every accepted policy spelling, canonical names first; spelling i names
+/// DispatchPolicy i % kPolicies.
+constexpr int kPolicies = 3;
+constexpr std::string_view kPolicyNames[] = {
+    "rr",          "least",        "energy",
+    "roundrobin",  "leastloaded",  "energyaware",
+    "round-robin", "least-loaded", "energy-aware"};
 
-int parse_nodes(const std::string& tok) {
-  if (tok.empty() || tok.size() > 5) {
-    throw std::invalid_argument("--fleet: bad node count '" + tok + "'");
-  }
-  for (char c : tok) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument("--fleet: bad node count '" + tok + "'");
-    }
-  }
-  const long n = std::strtol(tok.c_str(), nullptr, 10);
-  if (n < 1 || n > 1024) {
-    throw std::invalid_argument("--fleet: node count must be in [1, 1024]");
-  }
-  return static_cast<int>(n);
-}
+// N[:policy[:rate]]; defaults match FleetConfig.
+constexpr spec::Field kFields[] = {
+    {"nodes", spec::Kind::kInt, 1, 1024},
+    {.name = "policy",
+     .kind = spec::Kind::kEnum,
+     .def = static_cast<double>(DispatchPolicy::kEnergyAware),
+     .names = kPolicyNames},
+    {"rate", spec::Kind::kReal, 0, 1e7, 300.0, spec::Range::kOpenLow},
+};
 
-double parse_rate(const std::string& tok) {
-  if (tok.empty()) {
-    throw std::invalid_argument("--fleet: empty rate");
-  }
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size() || !std::isfinite(v)) {
-    throw std::invalid_argument("--fleet: bad rate '" + tok + "'");
-  }
-  if (!(v > 0) || !(v <= 1e7)) {
-    throw std::invalid_argument("--fleet: rate must be in (0, 1e7]");
-  }
-  return v;
+DispatchPolicy policy_of(double spelling) {
+  return static_cast<DispatchPolicy>(static_cast<int>(spelling) % kPolicies);
 }
 
 }  // namespace
 
-const char* to_string(DispatchPolicy p) {
-  switch (p) {
-    case DispatchPolicy::kRoundRobin: return "rr";
-    case DispatchPolicy::kLeastLoaded: return "least";
-    case DispatchPolicy::kEnergyAware: return "energy";
-  }
-  return "?";
-}
-
 DispatchPolicy dispatch_policy_from(const std::string& name) {
-  if (name == "rr" || name == "roundrobin" || name == "round-robin") {
-    return DispatchPolicy::kRoundRobin;
-  }
-  if (name == "least" || name == "least-loaded" || name == "leastloaded") {
-    return DispatchPolicy::kLeastLoaded;
-  }
-  if (name == "energy" || name == "energy-aware" || name == "energyaware") {
-    return DispatchPolicy::kEnergyAware;
-  }
-  throw std::invalid_argument("--fleet: unknown dispatch policy '" + name +
-                              "' (want rr | least | energy)");
+  return policy_of(spec::read_field("--fleet", kFields[1], name));
 }
 
 FleetConfig FleetConfig::parse(const std::string& text) {
-  const auto parts = split(text, ':');
-  if (parts.size() > 3) {
-    throw std::invalid_argument("--fleet: too many fields in '" + text +
-                                "' (grammar: N[:policy[:rate]])");
-  }
   FleetConfig cfg;
-  cfg.nodes = parse_nodes(parts[0]);
-  if (parts.size() >= 2) cfg.policy = dispatch_policy_from(parts[1]);
-  if (parts.size() >= 3) cfg.rate_hz = parse_rate(parts[2]);
+  double v[] = {0, static_cast<double>(cfg.policy), cfg.rate_hz};
+  spec::read_fields("--fleet", kFields, spec::split(text, ':'), v);
+  cfg.nodes = static_cast<int>(v[0]);
+  cfg.policy = policy_of(v[1]);
+  cfg.rate_hz = v[2];
   cfg.validate();
   return cfg;
 }
 
 std::string FleetConfig::canonical() const {
-  std::string rate = std::to_string(rate_hz);
-  // Trim trailing zeros of the default %f formatting (keep "300", "450.5").
-  while (!rate.empty() && rate.back() == '0') rate.pop_back();
-  if (!rate.empty() && rate.back() == '.') rate.pop_back();
-  return std::to_string(nodes) + ":" + to_string(policy) + ":" + rate;
+  std::string out;
+  spec::append_fields(out, kFields,
+                      {static_cast<double>(nodes),
+                       static_cast<double>(policy), rate_hz});
+  return out;
 }
 
 void FleetConfig::validate() const {

@@ -1,11 +1,11 @@
 // Fleet configuration and the sbsim `--fleet=N[:policy[:rate]]` grammar.
 //
-// Parsed FaultPlan-style: a compact colon-separated spec covers the knobs a
-// CLI user reaches for (node count, dispatch policy, mean arrival rate);
+// Fields per common/spec.h: a compact colon-separated spec covers the knobs
+// a CLI user reaches for (node count, dispatch policy, mean arrival rate);
 // everything else — quantum, duration, catalog, consolidation tuning — is
 // an API field the harnesses set directly. parse() throws
 // std::invalid_argument with a message naming the offending token, and
-// canonical() round-trips through parse() for the config fuzz tests.
+// canonical() round-trips through parse() bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +17,6 @@ namespace sb::fleet {
 
 /// Fleet-level job placement policies (see fleet/dispatch.h).
 enum class DispatchPolicy { kRoundRobin, kLeastLoaded, kEnergyAware };
-
-const char* to_string(DispatchPolicy p);
 
 /// Accepts the canonical names ("rr", "least", "energy") plus the common
 /// long spellings; throws std::invalid_argument otherwise.
@@ -79,7 +77,7 @@ struct FleetConfig {
   /// Parses "N[:policy[:rate]]", e.g. "8", "8:rr", "8:energy:450".
   static FleetConfig parse(const std::string& text);
 
-  /// The grammar string that parses back to the grammar fields.
+  /// The spec that parse() reads back to the grammar fields, bit for bit.
   std::string canonical() const;
 
   /// Throws std::invalid_argument on out-of-range fields.

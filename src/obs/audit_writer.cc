@@ -1,13 +1,12 @@
 #include "obs/audit_writer.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "common/spec.h"
 #include "obs/audit.h"
 
 namespace sb::obs {
@@ -28,31 +27,8 @@ constexpr char kStateCols[] =
     "src_type,dst_type,joins,ewma_gips,ewma_power,active,"
     "ewma_gips_signed,ewma_power_signed";
 
-/// Shortest round-trip double: reparsing the text yields the same bits, and
-/// the rendering is locale-independent (unlike iostream/printf paths).
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    // The recorder never produces non-finite values; render defensively so
-    // a future bug corrupts one cell, not the whole export.
-    out += std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf");
-    return;
-  }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
+using spec::append_double;
+using spec::append_int;
 
 void write_run(std::ostream& os, const RunObs& run) {
   const AuditSnapshot& a = run.audit;
@@ -61,13 +37,13 @@ void write_run(std::ostream& os, const RunObs& run) {
      << (run.label.empty() ? "run" : run.label) << '\n';
   for (const EpochAuditRecord& r : a.epochs) {
     line = "epoch,";
-    append_u64(line, r.epoch);
+    append_int(line, r.epoch);
     line += ',';
     append_double(line, r.initial_j);
     line += ',';
     append_double(line, r.final_j);
     line += ',';
-    append_i64(line, r.applied);
+    append_int(line, r.applied);
     line += ',';
     append_double(line, r.pred_dj);
     line += ',';
@@ -75,41 +51,41 @@ void write_run(std::ostream& os, const RunObs& run) {
     line += ',';
     append_double(line, r.realized_dj);
     line += ',';
-    append_i64(line, r.realized_valid);
+    append_int(line, r.realized_valid);
     line += ',';
     append_double(line, r.regret);
     line += ',';
-    append_i64(line, r.migrations);
+    append_int(line, r.migrations);
     line += ',';
-    append_i64(line, r.joined);
+    append_int(line, r.joined);
     line += ',';
-    append_i64(line, r.unjoined);
+    append_int(line, r.unjoined);
     line += ',';
     append_double(line, r.healthy_fraction);
     line += ',';
-    append_i64(line, r.degraded);
+    append_int(line, r.degraded);
     line += ',';
-    append_i64(line, r.sa_iterations);
+    append_int(line, r.sa_iterations);
     line += ',';
-    append_i64(line, r.sa_accepted_worse);
+    append_int(line, r.sa_accepted_worse);
     line += ',';
-    append_i64(line, r.sa_improved);
+    append_int(line, r.sa_improved);
     line += ',';
-    append_i64(line, r.faults_injected);
+    append_int(line, r.faults_injected);
     line += '\n';
     os << line;
   }
   for (const ThreadAuditRecord& r : a.threads) {
     line = "thread,";
-    append_u64(line, r.epoch);
+    append_int(line, r.epoch);
     line += ',';
-    append_i64(line, r.tid);
+    append_int(line, r.tid);
     line += ',';
-    append_i64(line, r.core);
+    append_int(line, r.core);
     line += ',';
-    append_i64(line, r.src_type);
+    append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    append_int(line, r.dst_type);
     line += ',';
     append_double(line, r.pred_gips);
     line += ',';
@@ -131,55 +107,55 @@ void write_run(std::ostream& os, const RunObs& run) {
   }
   for (const MigrationAuditRecord& r : a.migrations) {
     line = "migration,";
-    append_u64(line, r.epoch);
+    append_int(line, r.epoch);
     line += ',';
-    append_i64(line, r.tid);
+    append_int(line, r.tid);
     line += ',';
-    append_i64(line, r.src);
+    append_int(line, r.src);
     line += ',';
-    append_i64(line, r.dst);
+    append_int(line, r.dst);
     line += ',';
-    append_i64(line, r.src_type);
+    append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    append_int(line, r.dst_type);
     line += ',';
     append_double(line, r.pred_gain);
     line += ',';
     append_double(line, r.realized_gain);
     line += ',';
-    append_i64(line, r.realized_valid);
+    append_int(line, r.realized_valid);
     line += '\n';
     os << line;
   }
   for (const DriftEvent& r : a.drift_events) {
     line = "drift,";
-    append_u64(line, r.epoch);
+    append_int(line, r.epoch);
     line += ',';
-    append_i64(line, r.src_type);
+    append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    append_int(line, r.dst_type);
     line += ',';
-    append_i64(line, r.metric);
+    append_int(line, r.metric);
     line += ',';
     append_double(line, r.ewma);
     line += ',';
-    append_u64(line, r.joins);
+    append_int(line, r.joins);
     line += '\n';
     os << line;
   }
   for (const DriftState& r : a.drift_states) {
     line = "state,";
-    append_i64(line, r.src_type);
+    append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    append_int(line, r.dst_type);
     line += ',';
-    append_u64(line, r.joins);
+    append_int(line, r.joins);
     line += ',';
     append_double(line, r.ewma_gips);
     line += ',';
     append_double(line, r.ewma_power);
     line += ',';
-    append_i64(line, r.active);
+    append_int(line, r.active);
     line += ',';
     append_double(line, r.ewma_gips_signed);
     line += ',';

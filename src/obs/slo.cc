@@ -1,12 +1,13 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "common/spec.h"
 #include "obs/trace.h"
 
 namespace sb::obs {
@@ -15,22 +16,15 @@ namespace {
 
 constexpr double kBurnEpsilon = 1e-12;
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
+constexpr char kGrammar[] = "--slo";
 
-double parse_double(std::string_view token, std::string_view what) {
-  double v = 0;
-  const auto res = std::from_chars(token.data(), token.data() + token.size(), v);
-  if (res.ec != std::errc() || res.ptr != token.data() + token.size() ||
-      !std::isfinite(v)) {
-    throw std::invalid_argument("slo config: bad " + std::string(what) + " '" +
-                                std::string(token) + "'");
-  }
-  return v;
-}
+constexpr spec::Field kThreshold = {"threshold", spec::Kind::kReal,
+                                    -spec::kInf, spec::kInf};
+// ":name=value" options; defaults match SloObjective.
+constexpr spec::Field kOptions[] = {
+    {"burn", spec::Kind::kReal, 0, 1, 0, spec::Range::kOpenHigh},
+    {"window", spec::Kind::kInt, 1, 600'000, 200},
+};
 
 bool valid_signal(std::string_view s) {
   if (s.empty()) return false;
@@ -48,50 +42,32 @@ SloObjective parse_objective(std::string_view token) {
   SloObjective o;
   const std::size_t op = token.find_first_of("<>");
   if (op == std::string_view::npos) {
-    throw std::invalid_argument("slo config: objective '" +
+    throw std::invalid_argument("--slo: objective '" +
                                 std::string(token) +
                                 "' needs '<' or '>' after the signal name");
   }
   o.signal = std::string(token.substr(0, op));
   if (!valid_signal(o.signal)) {
-    throw std::invalid_argument("slo config: bad signal name '" + o.signal +
+    throw std::invalid_argument("--slo: bad signal name '" + o.signal +
                                 "'");
   }
   o.upper = token[op] == '<';
-  const std::string_view rest = token.substr(op + 1);
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= rest.size(); ++i) {
-    if (i == rest.size() || rest[i] == ':') {
-      fields.push_back(rest.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  o.threshold = parse_double(fields.front(), "threshold");
+  const auto fields = spec::split(token.substr(op + 1), ':');
+  o.threshold = spec::read_field(kGrammar, kThreshold, fields[0]);
+  double v[] = {o.burn, static_cast<double>(o.window / milliseconds(1))};
   for (std::size_t f = 1; f < fields.size(); ++f) {
-    const std::string_view opt = fields[f];
-    if (opt.rfind("burn=", 0) == 0) {
-      o.burn = parse_double(opt.substr(5), "burn fraction");
-      if (o.burn < 0 || o.burn >= 1) {
-        throw std::invalid_argument("slo config: burn fraction " +
-                                    std::string(opt.substr(5)) +
-                                    " out of [0, 1)");
-      }
-    } else if (opt.rfind("window=", 0) == 0) {
-      const std::string_view ms = opt.substr(7);
-      std::int64_t v = 0;
-      const auto res = std::from_chars(ms.data(), ms.data() + ms.size(), v);
-      if (res.ec != std::errc() || res.ptr != ms.data() + ms.size() ||
-          v < 1 || v > 600'000) {
-        throw std::invalid_argument("slo config: window ms '" +
-                                    std::string(ms) + "' out of [1, 600000]");
-      }
-      o.window = milliseconds(v);
-    } else {
-      throw std::invalid_argument("slo config: unknown option '" +
-                                  std::string(opt) + "'");
+    const auto kv = spec::split(fields[f], '=');
+    const auto it = std::find_if(
+        std::begin(kOptions), std::end(kOptions),
+        [&](const spec::Field& opt) { return opt.name == kv[0]; });
+    if (kv.size() != 2 || it == std::end(kOptions)) {
+      throw std::invalid_argument("--slo: unknown option '" +
+                                  std::string(fields[f]) + "'");
     }
+    v[it - std::begin(kOptions)] = spec::read_field(kGrammar, *it, kv[1]);
   }
+  o.burn = v[0];
+  o.window = milliseconds(static_cast<std::int64_t>(v[1]));
   return o;
 }
 
@@ -100,28 +76,25 @@ SloObjective parse_objective(std::string_view token) {
 std::string SloObjective::canonical() const {
   std::string out = signal;
   out += upper ? '<' : '>';
-  append_double(out, threshold);
-  out += ":burn=";
-  append_double(out, burn);
-  // Integer print: append_double would render e.g. 100000 as "1e+05",
-  // which the integer window parser rightly rejects on round-trip.
-  out += ":window=";
-  out += std::to_string(window / milliseconds(1));
+  spec::append_field(out, kThreshold, threshold);
+  const double values[] = {burn,
+                           static_cast<double>(window / milliseconds(1))};
+  for (std::size_t i = 0; i < std::size(kOptions); ++i) {
+    out += ':';
+    out += kOptions[i].name;
+    out += '=';
+    spec::append_field(out, kOptions[i], values[i]);
+  }
   return out;
 }
 
 SloConfig SloConfig::parse(const std::string& text) {
   if (text.empty()) {
-    throw std::invalid_argument("slo config: empty spec");
+    throw std::invalid_argument("--slo: empty spec");
   }
   SloConfig cfg;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == ',') {
-      cfg.objectives.push_back(
-          parse_objective(std::string_view(text).substr(start, i - start)));
-      start = i + 1;
-    }
+  for (const std::string_view objective : spec::split(text, ',')) {
+    cfg.objectives.push_back(parse_objective(objective));
   }
   return cfg;
 }

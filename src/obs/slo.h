@@ -12,8 +12,8 @@
 // `slo.breached.<signal>` rows back into the timeseries so dashboards
 // (sbtop) can render burn gauges next to the raw signals.
 //
-// Grammar (FaultPlan-style; parse throws std::invalid_argument and
-// canonical() round-trips — fuzzed in tests/obs/):
+// Grammar (fields per common/spec.h; parse throws std::invalid_argument
+// and canonical() round-trips bit for bit):
 //   spec      := objective ("," objective)*
 //   objective := signal ("<" | ">") threshold (":" option)*
 //   option    := "burn=" fraction | "window=" ms

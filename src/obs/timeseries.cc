@@ -1,12 +1,12 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "common/spec.h"
 #include "obs/trace.h"
 
 namespace sb::obs {
@@ -15,39 +15,14 @@ namespace {
 
 constexpr char kSampleCols[] = "t_ns,signal,value";
 
-/// Shortest round-trip double (see obs/audit_writer.cc for rationale).
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf");
-    return;
-  }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
+using spec::append_double;
+using spec::append_int;
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-std::uint64_t parse_u64(std::string_view token, std::string_view what,
-                        std::uint64_t lo, std::uint64_t hi) {
-  std::uint64_t v = 0;
-  const auto res = std::from_chars(token.data(), token.data() + token.size(), v);
-  if (res.ec != std::errc() || res.ptr != token.data() + token.size()) {
-    throw std::invalid_argument("timeseries config: bad " + std::string(what) +
-                                " '" + std::string(token) + "'");
-  }
-  if (v < lo || v > hi) {
-    throw std::invalid_argument("timeseries config: " + std::string(what) +
-                                " " + std::string(token) + " out of [" +
-                                std::to_string(lo) + ", " + std::to_string(hi) +
-                                "]");
-  }
-  return v;
-}
+// <window_ms>[:<capacity>]; the capacity default matches TimeseriesConfig.
+constexpr spec::Field kFields[] = {
+    {"window_ms", spec::Kind::kInt, 1, 60'000},
+    {"capacity", spec::Kind::kInt, 64, 1 << 24, 1 << 16},
+};
 
 /// Ordered, deduped run list for the exporters: stamped run index is the
 /// merge key, exactly like the audit writer.
@@ -70,35 +45,21 @@ std::vector<const RunObs*> ordered_runs(const std::vector<const RunObs*>& runs,
 }  // namespace
 
 TimeseriesConfig TimeseriesConfig::parse(const std::string& text) {
-  if (text.empty()) {
-    throw std::invalid_argument("timeseries config: empty spec");
-  }
   TimeseriesConfig cfg;
   cfg.enabled = true;
-  const std::size_t colon = text.find(':');
-  const std::string_view window_tok =
-      std::string_view(text).substr(0, colon);
+  double v[] = {0, static_cast<double>(cfg.capacity)};
+  spec::read_fields("--obs-window", kFields, spec::split(text, ':'), v);
   // Integer milliseconds round-trip exactly (no float ms -> ns drift).
-  cfg.window = milliseconds(static_cast<std::int64_t>(
-      parse_u64(window_tok, "window ms", 1, 60'000)));
-  if (colon != std::string::npos) {
-    const std::string_view cap_tok = std::string_view(text).substr(colon + 1);
-    cfg.capacity = static_cast<std::size_t>(
-        parse_u64(cap_tok, "capacity", 64, std::size_t{1} << 24));
-    if (text.find(':', colon + 1) != std::string::npos) {
-      throw std::invalid_argument(
-          "timeseries config: want <window_ms>[:<capacity>], got '" + text +
-          "'");
-    }
-  }
+  cfg.window = milliseconds(static_cast<std::int64_t>(v[0]));
+  cfg.capacity = static_cast<std::size_t>(v[1]);
   return cfg;
 }
 
 std::string TimeseriesConfig::canonical() const {
   std::string out;
-  append_u64(out, static_cast<std::uint64_t>(window / milliseconds(1)));
-  out += ':';
-  append_u64(out, capacity);
+  spec::append_fields(out, kFields,
+                      {static_cast<double>(window / milliseconds(1)),
+                       static_cast<double>(capacity)});
   return out;
 }
 
@@ -186,7 +147,7 @@ void write_timeseries(std::ostream& os,
     os << "#meta " << r->run << " window_ns=" << ts.window << '\n';
     for (const TimeseriesSample& s : ts.samples) {
       line = "sample,";
-      append_u64(line, s.t_ns);
+      append_int(line, s.t_ns);
       line += ',';
       line += ts.name_of(s.signal);
       line += ',';

@@ -42,8 +42,8 @@ struct RunObs;  // obs/trace.h
 inline constexpr int kTimeseriesSchemaVersion = 1;
 
 /// Sampler configuration; also the `--obs-window=<ms>[:capacity]` grammar
-/// (FaultPlan-style: parse throws std::invalid_argument, canonical()
-/// round-trips — see the config fuzz tests).
+/// (fields per common/spec.h: parse throws std::invalid_argument,
+/// canonical() round-trips bit for bit).
 struct TimeseriesConfig {
   bool enabled = false;
   /// Sampling cadence in simulated time (one frame per window).
@@ -54,7 +54,7 @@ struct TimeseriesConfig {
   /// Parses "<window_ms>[:<capacity>]", e.g. "10" or "5:8192". Enables the
   /// sampler. Throws std::invalid_argument naming the offending token.
   static TimeseriesConfig parse(const std::string& text);
-  /// The grammar string that parses back to this config.
+  /// The spec that parse() reads back to this config, bit for bit.
   std::string canonical() const;
 };
 

@@ -1,134 +1,18 @@
-// Grammar fuzz for AdaptationConfig::parse: ~10k seeded, deterministic
-// mutations of valid adaptation specs plus raw garbage (the same harness
-// shape as fault_plan_fuzz_test.cc). The contract under test: parse()
-// either returns a config or throws std::invalid_argument — never any
-// other exception type, never UB (the suite also runs under ASan/UBSan
-// in CI). The parse_double/parse_ll wrappers in adapt.cc exist precisely
-// so over-range numerics ("rls:1e999") can't leak std::out_of_range.
+// Edge cases of the --adapt grammar. The 10k-mutation fuzz of
+// AdaptationConfig::parse is a row of tests/common/spec_fuzz_test.cc; these
+// pin over-range numerics ("rls:1e999") to std::invalid_argument, never
+// std::out_of_range.
 #include "core/adapt.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <typeinfo>
-#include <vector>
+
+#include "spec_fuzz.h"
 
 namespace sb::core {
 namespace {
-
-/// SplitMix64: deterministic mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    // Biased toward grammar-relevant bytes so mutations stay interesting.
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \tinfnanbiasrlsdriftresetlambdaclamp\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:  // flip one byte
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:  // insert
-          s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                                   below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:  // delete
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:  // truncate
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:  // duplicate a slice onto the end
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-const std::vector<std::string>& corpus() {
-  static const std::vector<std::string> kCorpus = {
-      "bias",
-      "rls",
-      "bias,rls",
-      "bias:0.25",
-      "bias:0.25:0.5",
-      "rls:0.995",
-      "rls:0.995:1:1",
-      "rls:1:1000000:0",
-      "bias:0.1,rls:0.9:10:1,drift:0.25:8",
-      "drift:0.5:4,bias",
-      "",
-  };
-  return kCorpus;
-}
-
-/// parse() must return or throw std::invalid_argument; nothing else.
-void expect_contract(const std::string& input) {
-  try {
-    const AdaptationConfig cfg = AdaptationConfig::parse(input);
-    // Success: the canonical form must be a fixed point of parse∘to_string
-    // (full config equality would spuriously fail when a fuzzed literal has
-    // more precision than to_string() prints).
-    const std::string canon = cfg.to_string();
-    const AdaptationConfig again = AdaptationConfig::parse(canon);
-    EXPECT_EQ(again.to_string(), canon)
-        << "unstable round-trip for input '" << input << "'";
-    EXPECT_EQ(again.enabled(), cfg.enabled());
-  } catch (const std::invalid_argument&) {
-    // Documented rejection path.
-  } catch (const std::exception& e) {
-    FAIL() << "parse('" << input << "') leaked " << typeid(e).name() << ": "
-           << e.what();
-  }
-}
-
-TEST(AdaptationConfigFuzz, TenThousandSeededMutations) {
-  Mutator m(0xada9f00dULL);
-  int parsed = 0, rejected = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::string& base = corpus()[m.below(corpus().size())];
-    const std::string input =
-        m.below(10) == 0
-            ? std::string(m.below(32), static_cast<char>(m.next() & 0xff))
-            : m.mutate(base);
-    try {
-      (void)AdaptationConfig::parse(input);
-      ++parsed;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    }
-    expect_contract(input);
-  }
-  // The mutation stream must exercise both sides of the grammar.
-  EXPECT_GT(parsed, 100) << "mutations never produced a valid spec";
-  EXPECT_GT(rejected, 1000) << "mutations never produced an invalid spec";
-}
 
 TEST(AdaptationConfigFuzz, OverRangeNumericsAreInvalidArgumentNotOutOfRange) {
   for (const char* input :
@@ -141,14 +25,16 @@ TEST(AdaptationConfigFuzz, OverRangeNumericsAreInvalidArgumentNotOutOfRange) {
 }
 
 TEST(AdaptationConfigFuzz, ValidCorpusStillParses) {
-  for (const std::string& input : corpus()) {
+  for (const std::string& input : fuzz::spec_corpus("AdaptationConfigFuzz")) {
     EXPECT_NO_THROW((void)AdaptationConfig::parse(input)) << input;
   }
 }
 
 TEST(AdaptationConfigFuzz, GrammarEdgeCases) {
-  // Accepted: empty entries between commas are skipped.
+  // Accepted: empty entries between commas are skipped; subnormal values
+  // are finite (std::stod rejected them with ERANGE).
   EXPECT_NO_THROW((void)AdaptationConfig::parse(",,bias,,"));
+  EXPECT_EQ(AdaptationConfig::parse("bias:4e-320").bias_alpha, 4e-320);
   // Rejected: bad key, bare drift, too many fields, embedded NUL, bad
   // numerics, out-of-range knobs.
   EXPECT_THROW((void)AdaptationConfig::parse("bais"), std::invalid_argument);
@@ -169,6 +55,13 @@ TEST(AdaptationConfigFuzz, GrammarEdgeCases) {
                std::invalid_argument);
   EXPECT_THROW((void)AdaptationConfig::parse("drift:0.5:0"),
                std::invalid_argument);
+  // Rejected: number syntax beyond std::from_chars (std::stod took these).
+  for (const char* input :
+       {"bias: 0.25", "bias:+0.25", "bias:0x1p-2", "rls:0.9:1: 1",
+        "rls:0.9:1:+1", "rls:0.9:1:-0", "drift:0.5:+8", "drift:0.5: 8"}) {
+    EXPECT_THROW((void)AdaptationConfig::parse(input), std::invalid_argument)
+        << input;
+  }
 }
 
 }  // namespace

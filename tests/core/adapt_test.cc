@@ -333,7 +333,7 @@ TEST(OnlineAdapter, RlsUpdatesThetaAndDriftResetsCovariance) {
 TEST(AdaptationConfig, DefaultsAreDisabledAndEmptyStringParses) {
   const AdaptationConfig off;
   EXPECT_FALSE(off.enabled());
-  EXPECT_EQ(off.to_string(), "");
+  EXPECT_EQ(off.canonical(), "");
   EXPECT_EQ(AdaptationConfig::parse(""), off);
   EXPECT_EQ(AdaptationConfig::parse(",,"), off);
 }
@@ -342,10 +342,12 @@ TEST(AdaptationConfig, ParsesAndRoundTrips) {
   for (const char* spec :
        {"bias", "rls", "bias,rls", "bias:0.1", "bias:0.25:2",
         "rls:0.99", "rls:0.99:100", "rls:1:1000000:0",
-        "bias:0.5:1,rls:0.9:10:1,drift:0.1:4"}) {
+        "bias:0.5:1,rls:0.9:10:1,drift:0.1:4",
+        // Once lost to a 6-significant-digit printer.
+        "bias:0.1234567,rls:0.9999999:123456.789"}) {
     const AdaptationConfig cfg = AdaptationConfig::parse(spec);
     EXPECT_TRUE(cfg.enabled()) << spec;
-    EXPECT_EQ(AdaptationConfig::parse(cfg.to_string()), cfg)
+    EXPECT_EQ(AdaptationConfig::parse(cfg.canonical()), cfg)
         << "round-trip failed for '" << spec << "'";
   }
   const AdaptationConfig cfg = AdaptationConfig::parse("bias:0.25:2,rls:0.9");

@@ -1,132 +1,18 @@
-// Grammar fuzz for FaultPlan::parse: ~10k seeded, deterministic mutations
-// of valid specs plus raw garbage. The contract under test: parse() either
-// returns a plan or throws std::invalid_argument — never any other
-// exception type, never UB (the suite also runs under ASan/UBSan in CI).
-//
-// This harness caught the std::out_of_range leak from std::stod/std::stoi
-// on over-range numerics ("wrap:1e999", duration fields past INT_MAX),
-// fixed in fault_plan.cc by the parse_double/parse_int wrappers.
+// Edge cases of the --faults grammar, including the over-range numerics
+// ("wrap:1e999", duration fields past INT_MAX) on which std::stod/std::stoi
+// once leaked std::out_of_range. The 10k-mutation fuzz of FaultPlan::parse
+// is a row of tests/common/spec_fuzz_test.cc.
 #include "fault/fault_plan.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <typeinfo>
-#include <vector>
+
+#include "spec_fuzz.h"
 
 namespace sb::fault {
 namespace {
-
-/// SplitMix64: deterministic mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    // Biased toward grammar-relevant bytes so mutations stay interesting.
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \tinfnanwrapsatdropdupstucknoisedelayreject"
-        "blackout\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:  // flip one byte
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:  // insert
-          s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                                   below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:  // delete
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:  // truncate
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:  // duplicate a slice onto the end
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-const std::vector<std::string>& corpus() {
-  static const std::vector<std::string> kCorpus = {
-      "wrap:0.05",
-      "wrap:0.05,noise:0.02:3",
-      "sat:0.1:2.5",
-      "drop:0.01,dup:0.01,stuck:0.02:1:4",
-      "blackout:0.0125:1:3",
-      "delay:0.5,reject:0.25",
-      "noise:1:0:1024",
-      "wrap:1e-3:0.5:7",
-      "",
-  };
-  return kCorpus;
-}
-
-/// parse() must return or throw std::invalid_argument; nothing else.
-void expect_contract(const std::string& input) {
-  try {
-    const FaultPlan plan = FaultPlan::parse(input, 0xfa517u);
-    // Success: the plan must round-trip through its own to_string().
-    const std::string canon = plan.to_string();
-    const FaultPlan again = FaultPlan::parse(canon, 0xfa517u);
-    EXPECT_EQ(again.to_string(), canon)
-        << "unstable round-trip for input '" << input << "'";
-    EXPECT_EQ(plan.empty(), again.empty());
-  } catch (const std::invalid_argument&) {
-    // Documented rejection path.
-  } catch (const std::exception& e) {
-    FAIL() << "parse('" << input << "') leaked "
-           << typeid(e).name() << ": " << e.what();
-  }
-}
-
-TEST(FaultPlanFuzz, TenThousandSeededMutations) {
-  Mutator m(0x5eedf00dULL);
-  int parsed = 0, rejected = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::string& base = corpus()[m.below(corpus().size())];
-    const std::string input =
-        m.below(10) == 0
-            ? std::string(m.below(32), static_cast<char>(m.next() & 0xff))
-            : m.mutate(base);
-    try {
-      (void)FaultPlan::parse(input, 1);
-      ++parsed;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    }
-    expect_contract(input);
-  }
-  // The mutation stream must exercise both sides of the grammar.
-  EXPECT_GT(parsed, 100) << "mutations never produced a valid spec";
-  EXPECT_GT(rejected, 1000) << "mutations never produced an invalid spec";
-}
 
 TEST(FaultPlanFuzz, OverRangeNumericsAreInvalidArgumentNotOutOfRange) {
   // Regression for the fuzz finding: stod/stoi throw std::out_of_range on
@@ -141,14 +27,16 @@ TEST(FaultPlanFuzz, OverRangeNumericsAreInvalidArgumentNotOutOfRange) {
 }
 
 TEST(FaultPlanFuzz, ValidCorpusStillParses) {
-  for (const std::string& input : corpus()) {
+  for (const std::string& input : fuzz::spec_corpus("FaultPlanFuzz")) {
     EXPECT_NO_THROW((void)FaultPlan::parse(input, 1)) << input;
   }
 }
 
 TEST(FaultPlanFuzz, GrammarEdgeCases) {
-  // Accepted: empty entries between commas are skipped.
+  // Accepted: empty entries between commas are skipped; subnormal values
+  // are finite (std::stod rejected them with ERANGE).
   EXPECT_NO_THROW((void)FaultPlan::parse(",,wrap:0.1,,", 1));
+  EXPECT_EQ(FaultPlan::parse("wrap:4e-320", 1).specs()[0].rate, 4e-320);
   // Rejected: bad class, missing rate, too many fields, embedded NUL.
   EXPECT_THROW((void)FaultPlan::parse("warp:0.1", 1), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("wrap", 1), std::invalid_argument);
@@ -166,6 +54,13 @@ TEST(FaultPlanFuzz, GrammarEdgeCases) {
                std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("wrap:0.1:1:1025", 1),
                std::invalid_argument);
+  // Rejected: number syntax beyond std::from_chars (std::stod took these).
+  for (const char* input :
+       {"wrap: 0.25", "wrap:+0.25", "wrap:0x1p-2", "wrap:0.1: 1",
+        "wrap:0.1:+1", "wrap:0.1:1:+4", "wrap:0.1:1: 4"}) {
+    EXPECT_THROW((void)FaultPlan::parse(input, 1), std::invalid_argument)
+        << input;
+  }
 }
 
 }  // namespace

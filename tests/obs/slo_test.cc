@@ -1,5 +1,5 @@
-// SloEngine tests: the burn-rate grammar (parse/canonical + 10k seeded
-// fuzz, same contract as the FaultPlan fuzz harness) and the rolling-window
+// SloEngine tests: the burn-rate grammar (parse/canonical; its 10k-mutation
+// fuzz is a row of tests/common/spec_fuzz_test.cc) and the rolling-window
 // breach semantics — an objective breaches when the violating count of its
 // full window exceeds burn * window_frames, breach and recovery are edge
 // events with trace instants, and every scored frame appends slo.burn.* /
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <typeinfo>
 #include <vector>
 
 #include "obs/trace.h"
@@ -207,109 +206,6 @@ TEST(SloEngine, WindowShorterThanSamplerStillScoresEveryFrame) {
   EXPECT_EQ(eng.recoveries(), 1u);
   feed(eng, rec, m, nullptr, 2, 150.0);
   EXPECT_EQ(eng.breaches(), 2u);
-}
-
-// --------------------------------------------------------------------------
-// Grammar fuzz: 10k seeded mutations (FaultPlan-fuzz contract)
-// --------------------------------------------------------------------------
-
-/// SplitMix64 mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \tburn=window=<>_jep99wakeusw\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:
-          s.insert(s.begin() +
-                       static_cast<std::ptrdiff_t>(below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-/// parse() must return or throw std::invalid_argument; nothing else. An
-/// accepted spec must round-trip through canonical().
-void expect_contract(const std::string& input) {
-  try {
-    const SloConfig cfg = SloConfig::parse(input);
-    const std::string canon = cfg.canonical();
-    const SloConfig again = SloConfig::parse(canon);
-    EXPECT_EQ(again.canonical(), canon)
-        << "unstable round-trip for input '" << input << "'";
-    EXPECT_EQ(again.objectives.size(), cfg.objectives.size());
-  } catch (const std::invalid_argument&) {
-    // Documented rejection path.
-  } catch (const std::exception& e) {
-    FAIL() << "parse('" << input << "') leaked " << typeid(e).name() << ": "
-           << e.what();
-  }
-}
-
-TEST(SloConfigFuzz, TenThousandSeededMutations) {
-  const std::vector<std::string> corpus = {
-      "p99_wake_us<2000:burn=0.02",
-      "je>55e6:window=200",
-      "je_w>1e9:burn=0.3:window=200,p99_wake_us<20000:burn=0.3:window=200",
-      "a<1",
-      "sig_1.x>0:burn=0.5:window=1",
-      "x>0:window=600000",
-      "",
-  };
-  Mutator m(0x510f00dULL);
-  int parsed = 0, rejected = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::string input =
-        m.below(10) == 0
-            ? std::string(m.below(32), static_cast<char>(m.next() & 0xff))
-            : m.mutate(corpus[m.below(corpus.size())]);
-    try {
-      (void)SloConfig::parse(input);
-      ++parsed;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    }
-    expect_contract(input);
-  }
-  EXPECT_GT(parsed, 100) << "mutations never produced a valid spec";
-  EXPECT_GT(rejected, 1000) << "mutations never produced an invalid spec";
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 // TimeseriesRecorder + exporter tests: the `#sb-tsdb v1` contract the
 // validators (tools/check_timeseries.py) and the dashboard (tools/sbtop)
-// parse, plus the --obs-window grammar with its seeded fuzz harness (the
-// same contract the FaultPlan fuzz enforces: parse() returns or throws
-// std::invalid_argument, and every accepted spec round-trips through
-// canonical()).
+// parse, plus the --obs-window grammar (its 10k-mutation fuzz is a row of
+// tests/common/spec_fuzz_test.cc).
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <typeinfo>
 #include <vector>
 
 #include "obs/trace.h"
@@ -270,104 +267,6 @@ TEST(PrometheusWriter, LabelsNodesAndRendersAllThreeKinds) {
             std::string::npos);
   EXPECT_NE(out.find("sb_wake_ns_sum{node=\"0\"} 300\n"), std::string::npos);
   EXPECT_NE(out.find("sb_wake_ns_count{node=\"0\"} 2\n"), std::string::npos);
-}
-
-// --------------------------------------------------------------------------
-// Grammar fuzz: 10k seeded mutations (FaultPlan-fuzz contract)
-// --------------------------------------------------------------------------
-
-/// SplitMix64 mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \twindowburncapacity<>=_janp99\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:
-          s.insert(s.begin() +
-                       static_cast<std::ptrdiff_t>(below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-/// parse() must return or throw std::invalid_argument; nothing else. An
-/// accepted spec must round-trip through canonical().
-void expect_contract(const std::string& input) {
-  try {
-    const TimeseriesConfig cfg = TimeseriesConfig::parse(input);
-    const std::string canon = cfg.canonical();
-    const TimeseriesConfig again = TimeseriesConfig::parse(canon);
-    EXPECT_EQ(again.canonical(), canon)
-        << "unstable round-trip for input '" << input << "'";
-    EXPECT_EQ(again.window, cfg.window);
-    EXPECT_EQ(again.capacity, cfg.capacity);
-  } catch (const std::invalid_argument&) {
-    // Documented rejection path.
-  } catch (const std::exception& e) {
-    FAIL() << "parse('" << input << "') leaked " << typeid(e).name() << ": "
-           << e.what();
-  }
-}
-
-TEST(TimeseriesConfigFuzz, TenThousandSeededMutations) {
-  const std::vector<std::string> corpus = {"10",        "5:8192", "1:64",
-                                           "60000:64",  "25",     "10:16777216",
-                                           ""};
-  Mutator m(0x75dbULL);
-  int parsed = 0, rejected = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::string input =
-        m.below(10) == 0
-            ? std::string(m.below(24), static_cast<char>(m.next() & 0xff))
-            : m.mutate(corpus[m.below(corpus.size())]);
-    try {
-      (void)TimeseriesConfig::parse(input);
-      ++parsed;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    }
-    expect_contract(input);
-  }
-  EXPECT_GT(parsed, 100) << "mutations never produced a valid spec";
-  EXPECT_GT(rejected, 1000) << "mutations never produced an invalid spec";
 }
 
 }  // namespace

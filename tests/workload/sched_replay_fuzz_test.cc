@@ -2,8 +2,8 @@
 // of valid traces plus raw garbage. The contract under test: the parser
 // either returns a trace or throws std::runtime_error with a line number —
 // never any other exception type, never UB (the suite also runs under
-// ASan/UBSan in CI). Same harness shape as fault_plan_fuzz_test.cc, which
-// caught the std::out_of_range leak from std::stod on over-range numerics.
+// ASan/UBSan in CI). The mutation stream is the one the spec grammar fuzz
+// suite (tests/common/spec_fuzz_test.cc) uses.
 #include "workload/sched_replay.h"
 
 #include <gtest/gtest.h>
@@ -16,62 +16,17 @@
 #include <typeinfo>
 #include <vector>
 
+#include "spec_fuzz.h"
+
 namespace sb::workload {
 namespace {
 
-/// SplitMix64: deterministic mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
+using namespace std::string_view_literals;
 
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    // Biased toward grammar-relevant bytes so mutations stay interesting.
-    static const char kAlphabet[] =
-        "0123456789.,-+eE \t\nspawnwakesleepexit"
-        "event,t_us,task,refbuiltin:cannealIMB_MTHI\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:  // flip one byte
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:  // insert
-          s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                                   below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:  // delete
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:  // truncate
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:  // duplicate a slice onto the end
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
+// Biased toward trace-grammar bytes so mutations stay interesting.
+constexpr std::string_view kAlphabet =
+    "0123456789.,-+eE \t\nspawnwakesleepexit"
+    "event,t_us,task,refbuiltin:cannealIMB_MTHI\0\x7f"sv;
 
 const std::vector<std::string>& corpus() {
   static const std::vector<std::string> kCorpus = {
@@ -144,14 +99,10 @@ void expect_contract(const std::string& input) {
 }
 
 TEST(SchedReplayFuzz, TenThousandSeededMutations) {
-  Mutator m(0x5eedcafeULL);
+  fuzz::Mutator m(0x5eedcafeULL, kAlphabet);
   int parsed = 0, rejected = 0;
   for (int i = 0; i < 10'000; ++i) {
-    const std::string& base = corpus()[m.below(corpus().size())];
-    const std::string input =
-        m.below(10) == 0
-            ? std::string(m.below(32), static_cast<char>(m.next() & 0xff))
-            : m.mutate(base);
+    const std::string input = m.input(corpus());
     try {
       std::istringstream in(input);
       (void)parse_replay_trace(in);

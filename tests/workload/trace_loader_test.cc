@@ -106,7 +106,7 @@ TEST(TraceLoader, ErrorsCarryLineNumbers) {
 TEST(TraceLoader, OverRangeNumericsAreRuntimeErrorNotOutOfRange) {
   // Regression for the stod/stoi leak class: over-range numerics used to
   // escape as std::out_of_range instead of the documented runtime_error
-  // (with a line number). Same bug family fault_plan_fuzz_test.cc caught.
+  // (with a line number). Same bug family the grammar fuzz suite caught.
   const std::string tail = ",2.5,0.3,0.12,0.04,24,512,1.1,0.006,0.07,0.4,1.8,1.0";
   for (const char* insts : {"1e999", "9e18", "1e309", "-5", "nan", "inf",
                             "99999999999999999999"}) {

@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -214,18 +216,6 @@ struct Export {
   std::vector<std::string> errors;  // populated in check mode
 };
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 bool parse_double(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -257,7 +247,8 @@ void parse_file(const std::string& path, Export& ex, bool check) {
         std::istringstream is(line.substr(std::strlen("#columns ")));
         std::string kind, cols;
         is >> kind >> cols;
-        ex.columns[kind] = split(cols, ',');
+        const auto names = sb::spec::split(cols, ',');
+        ex.columns[kind].assign(names.begin(), names.end());
       } else if (line.rfind("#run ", 0) == 0) {
         ++ex.runs;
       } else if (line.rfind("#summary runs=", 0) == 0) {
@@ -270,7 +261,8 @@ void parse_file(const std::string& path, Export& ex, bool check) {
       }
       continue;
     }
-    const auto f = split(line, ',');
+    const auto views = sb::spec::split(line, ',');
+    const std::vector<std::string> f(views.begin(), views.end());
     const std::string& kind = f[0];
     const auto it = ex.columns.find(kind);
     if (it == ex.columns.end()) {

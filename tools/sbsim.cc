@@ -22,6 +22,7 @@
 
 #include "arch/platform.h"
 #include "arch/platform_loader.h"
+#include "common/spec.h"
 #include "core/predictor.h"
 #include "fleet/fleet.h"
 #include "obs/audit_writer.h"
@@ -35,6 +36,7 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
+#include "workload/mixes.h"
 #include "workload/trace_loader.h"
 
 namespace {
@@ -171,24 +173,24 @@ struct Args {
   bool quiet = false;
 };
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
+[[noreturn]] void bad_flag(const std::invalid_argument& e) {
+  std::cerr << "sbsim: " << e.what() << "\n";
+  std::exit(2);
 }
 
-Args parse(int argc, char** argv) {
+/// Numeric fields read the common/spec.h syntax and throw
+/// std::invalid_argument naming their flag; parse() exits 2 on one.
+Args parse_flags(int argc, char** argv) {
   Args a;
+  const auto threads = [](std::string_view flag, std::string_view token) {
+    return static_cast<int>(
+        spec::read_uint(flag, "threads", token, 1, 1 << 16));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
+    // A view into arg, which outlives every split() of it.
+    auto value = [&](std::string_view prefix) {
+      return std::string_view(arg).substr(prefix.size());
     };
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg.rfind("--platform=", 0) == 0) a.platform = value("--platform=");
@@ -198,35 +200,43 @@ Args parse(int argc, char** argv) {
     else if (arg.rfind("--fleet=", 0) == 0) a.fleet = value("--fleet=");
     else if (arg == "--compare") a.compare = true;
     else if (arg.rfind("--bench=", 0) == 0) {
-      const auto parts = split(value("--bench="), ':');
+      const auto parts = spec::split(value("--bench="), ':');
       if (parts.size() != 2) usage(2);
-      a.benches.emplace_back(parts[0], std::atoi(parts[1].c_str()));
+      a.benches.emplace_back(parts[0], threads("--bench", parts[1]));
     } else if (arg.rfind("--bench-at=", 0) == 0) {
-      const auto parts = split(value("--bench-at="), ':');
+      const auto parts = spec::split(value("--bench-at="), ':');
       if (parts.size() != 3) usage(2);
-      a.arrivals.emplace_back(milliseconds(std::atoll(parts[0].c_str())),
-                              parts[1], std::atoi(parts[2].c_str()));
+      a.arrivals.emplace_back(
+          milliseconds(
+              spec::read_uint("--bench-at", "ms", parts[0], 0, 1 << 24)),
+          parts[1], threads("--bench-at", parts[2]));
     } else if (arg.rfind("--mix=", 0) == 0) {
-      const auto parts = split(value("--mix="), ':');
+      const auto parts = spec::split(value("--mix="), ':');
       if (parts.size() != 2) usage(2);
-      a.mixes.emplace_back(std::atoi(parts[0].c_str()),
-                           std::atoi(parts[1].c_str()));
+      a.mixes.emplace_back(
+          spec::read_uint("--mix", "mix", parts[0], 1, workload::num_mixes()),
+          threads("--mix", parts[1]));
     } else if (arg.rfind("--duration-ms=", 0) == 0) {
-      a.duration = milliseconds(std::atoll(value("--duration-ms=").c_str()));
+      a.duration = milliseconds(spec::read_uint(
+          "--duration-ms", "ms", value("--duration-ms="), 1, 1 << 24));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      a.seed = std::strtoull(value("--seed=").c_str(), nullptr, 10);
+      a.seed = spec::read_uint("--seed", "seed", value("--seed="), 0,
+                               UINT64_MAX);
     } else if (arg == "--dvfs") a.dvfs = true;
     else if (arg.rfind("--governor=", 0) == 0) a.governor = value("--governor=");
     else if (arg == "--thermal") a.thermal = true;
     else if (arg.rfind("--thread-trace=", 0) == 0) {
-      const auto parts = split(value("--thread-trace="), ':');
+      const auto parts = spec::split(value("--thread-trace="), ':');
       if (parts.size() != 3) usage(2);
       a.thread_traces.emplace_back(parts[0], parts[1],
-                                   std::atoi(parts[2].c_str()));
+                                   threads("--thread-trace", parts[2]));
     } else if (arg.rfind("--replay=", 0) == 0) {
       a.replay = value("--replay=");
     } else if (arg.rfind("--replay-ips=", 0) == 0) {
-      a.replay_ips = std::atof(value("--replay-ips=").c_str());
+      constexpr spec::Field kIps = {"ips", spec::Kind::kReal, 0, 1e3,
+                                    spec::kRequired, spec::Range::kOpenLow};
+      a.replay_ips =
+          spec::read_field("--replay-ips", kIps, value("--replay-ips="));
     } else if (arg.rfind("--fleet-arrivals=", 0) == 0) {
       a.fleet_arrivals = value("--fleet-arrivals=");
     } else if (arg.rfind("--save-model=", 0) == 0) {
@@ -239,7 +249,7 @@ Args parse(int argc, char** argv) {
     else if (arg.rfind("--trace=", 0) == 0) {
       // One flag, two formats: .json selects the epoch tracer's Chrome
       // trace-event output, anything else the legacy per-core CSV series.
-      const std::string path = value("--trace=");
+      const std::string path(value("--trace="));
       if (path.ends_with(".json")) a.chrome_trace = path;
       else a.trace = path;
     }
@@ -305,21 +315,35 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-arch::Platform make_platform(const std::string& spec) {
-  if (spec == "quad") return arch::Platform::quad_heterogeneous();
-  if (spec == "biglittle") return arch::Platform::octa_big_little();
-  if (spec.rfind("gen:", 0) == 0) {
-    return arch::generate_platform(spec.substr(4));
+Args parse(int argc, char** argv) {
+  try {
+    return parse_flags(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    bad_flag(e);
   }
-  const auto parts = split(spec, ':');
-  if (parts.size() == 2 && parts[0] == "scaled") {
-    return arch::Platform::scaled_heterogeneous(std::atoi(parts[1].c_str()));
+}
+
+arch::Platform make_platform(const std::string& desc) {
+  if (desc == "quad") return arch::Platform::quad_heterogeneous();
+  if (desc == "biglittle") return arch::Platform::octa_big_little();
+  if (desc.rfind("gen:", 0) == 0) {
+    return arch::generate_platform(desc.substr(4));
   }
-  if (parts.size() == 2 && parts[0] == "homogeneous") {
-    return arch::Platform::homogeneous(arch::medium_core(),
-                                       std::atoi(parts[1].c_str()));
+  const auto parts = spec::split(desc, ':');
+  if (parts.size() == 2 &&
+      (parts[0] == "scaled" || parts[0] == "homogeneous")) {
+    int n = 0;
+    try {
+      n = static_cast<int>(
+          spec::read_uint("--platform", "count", parts[1], 1, kMaxCores));
+    } catch (const std::invalid_argument& e) {
+      bad_flag(e);
+    }
+    return parts[0] == "scaled"
+               ? arch::Platform::scaled_heterogeneous(n)
+               : arch::Platform::homogeneous(arch::medium_core(), n);
   }
-  std::cerr << "unknown platform: " << spec << "\n";
+  std::cerr << "unknown platform: " << desc << "\n";
   usage(2);
 }
 
