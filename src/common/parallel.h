@@ -26,10 +26,11 @@ int resolve_jobs(int requested);
 /// inline on the calling thread — no spawn. fn receives (task_index,
 /// worker_index); worker_index is stable within a worker and < the actual
 /// worker count, letting callers keep per-worker accounting without
-/// locks. Exceptions must not escape fn: workers run detached loops and a
-/// throw would terminate the process, so callers contain errors per-task
-/// (the runner stores them in ExperimentResult::error; the sharded
-/// balancer's tasks are noexcept by construction).
+/// locks. Workers are joined before parallel_for returns. Exceptions must
+/// not escape fn: one escaping a worker std::thread's entry function calls
+/// std::terminate, so callers contain errors per-task (the runner stores
+/// them in ExperimentResult::error; the sharded balancer's tasks are
+/// noexcept by construction).
 void parallel_for(std::size_t n, int threads,
                   const std::function<void(std::size_t task, int worker)>& fn);
 

@@ -226,7 +226,8 @@ const std::vector<std::vector<double>>& FleetSimulation::eff_table(
         std::vector<double>(static_cast<std::size_t>(n.platform.num_types()),
                             0.0));
     for (std::size_t c = 0; c < catalog_.size(); ++c) {
-      const auto bench = workload::BenchmarkLibrary::get(catalog_[c].benchmark);
+      const auto& bench =
+          workload::BenchmarkLibrary::get(catalog_[c].benchmark);
       const workload::WorkloadProfile& profile = bench.phases.front().profile;
       if (n.model != nullptr) {
         // SmartBalance node: score with *its* trained predictor — the same
@@ -273,11 +274,13 @@ double FleetSimulation::best_eff_ipj(int node, int job_class) {
   // should not keep winning placements on their reputation.
   std::vector<int>& busy = busy_counts_;
   busy.assign(per_type.size(), 0);
+  const os::Kernel& kernel = n.sim->kernel();
   for (const auto& a : n.active) {
     for (const ThreadId tid : a.tids) {
-      const auto& t = n.sim->kernel().task(tid);
-      if (t.alive() && t.cpu != kInvalidCore) {
-        ++busy[static_cast<std::size_t>(n.platform.type_of(t.cpu))];
+      if (!kernel.alive(tid)) continue;
+      const CoreId cpu = kernel.task(tid).cpu;
+      if (cpu != kInvalidCore) {
+        ++busy[static_cast<std::size_t>(n.platform.type_of(cpu))];
       }
     }
   }
@@ -410,8 +413,8 @@ void FleetSimulation::dispatch_pending(TimeNs now, std::uint64_t quantum_idx) {
 
 void FleetSimulation::step_nodes(TimeNs dt) {
   const int workers = common::resolve_jobs(cfg_.step_jobs);
-  // parallel_for workers run detached: an escaping exception would
-  // terminate the process, so contain per-node failures and rethrow the
+  // An exception escaping a parallel_for worker's std::thread would call
+  // std::terminate, so contain per-node failures and rethrow the
   // lowest-indexed one after the join.
   std::vector<std::exception_ptr> errors(nodes_.size());
   common::parallel_for(nodes_.size(), workers,
@@ -486,15 +489,15 @@ void FleetSimulation::scan_completions() {
       TimeNs latest_exit = 0;
       TimeNs earliest_run = kTimeNever;
       for (ThreadId tid : it->tids) {
-        const os::Task& t = n.sim->kernel().task(tid);
+        const os::TaskRecord t = n.sim->kernel().record(tid);
         if (t.first_dispatched_at != kTimeNever) {
           earliest_run = std::min(earliest_run, t.first_dispatched_at);
         }
-        if (t.alive()) {
+        if (t.exited()) {
+          latest_exit = std::max(latest_exit, t.exited_at);
+        } else {
           all_exited = false;
           ++live;
-        } else {
-          latest_exit = std::max(latest_exit, t.exited_at);
         }
       }
       if (rec.first_run == kTimeNever && earliest_run != kTimeNever) {

@@ -107,16 +107,7 @@ void Kernel::set_core_online(CoreId c, bool online) {
   const bool prev_bypass = bypass_migration_filter_;
   bypass_migration_filter_ = true;
   const ThreadId running = stop_current(c);
-  if (running != kInvalidThread) {
-    Task& t = task_mut(running);
-    after_task_stops(t);
-    if (t.state == TaskState::Runnable) {
-      if (t.runnable_since == kTimeNever) t.runnable_since = now_;
-      cs.rq.enqueue(running, t.vruntime, t.weight);
-    } else {
-      advance_util(t, /*active=*/false);
-    }
-  }
+  if (running != kInvalidThread) after_task_stops(running);
   while (!cs.rq.empty()) {
     const ThreadId tid = cs.rq.leftmost();
     migrate(tid, fallback_for(task(tid)));
@@ -155,6 +146,20 @@ std::size_t Kernel::checked(ThreadId tid) const {
   return static_cast<std::size_t>(tid);
 }
 
+Task* Kernel::live(ThreadId tid) const {
+  Task* t = tasks_[checked(tid)].get();
+  if (t == nullptr) {
+    throw std::logic_error("Kernel: task " + std::to_string(tid) +
+                           " has exited");
+  }
+  return t;
+}
+
+TaskRecord Kernel::record(ThreadId tid) const {
+  const std::size_t i = checked(tid);
+  return tasks_[i] ? tasks_[i]->record(kTimeNever) : records_[i];
+}
+
 Kernel::CoreState& Kernel::core(CoreId c) {
   if (c < 0 || static_cast<std::size_t>(c) >= cores_.size()) {
     throw std::out_of_range("Kernel: bad CoreId");
@@ -185,6 +190,7 @@ ThreadId Kernel::fork(workload::ThreadBehavior behavior) {
   t->state = TaskState::Runnable;
   Task& ref = *t;
   tasks_.push_back(std::move(t));
+  records_.emplace_back();
   alive_.push_back(ref.tid);
 
   ref.cpu = pick_fork_core(ref);
@@ -211,6 +217,7 @@ ThreadId Kernel::fork_on(workload::ThreadBehavior behavior, CoreId c) {
   t->cpu = c;
   Task& ref = *t;
   tasks_.push_back(std::move(t));
+  records_.emplace_back();
   alive_.push_back(ref.tid);
 
   ref.vruntime = core(c).rq.min_vruntime();
@@ -500,22 +507,28 @@ ThreadId Kernel::stop_current(CoreId c) {
   return tid;
 }
 
-void Kernel::after_task_stops(Task& t) {
+void Kernel::after_task_stops(ThreadId tid) {
+  Task& t = task_mut(tid);
   if (t.behavior.total_instructions > 0 &&
       t.insts_retired >= t.behavior.total_instructions) {
-    t.state = TaskState::Exited;
-    t.exited_at = now_;
-    alive_.erase(std::lower_bound(alive_.begin(), alive_.end(), t.tid));
+    // Reap: keep the record, free the Task with its behavior and counters.
+    alive_.erase(std::lower_bound(alive_.begin(), alive_.end(), tid));
+    const auto i = static_cast<std::size_t>(tid);
+    records_[i] = t.record(now_);
+    tasks_[i].reset();
     return;
   }
   if (t.behavior.interactive() &&
       t.insts_into_burst >= t.behavior.burst_instructions) {
     t.state = TaskState::Sleeping;
     t.insts_into_burst = 0;
-    push_event(now_ + draw_sleep(t.behavior), EventType::Wake, t.tid, 0);
+    push_event(now_ + draw_sleep(t.behavior), EventType::Wake, tid, 0);
+    advance_util(t, /*active=*/false);
     return;
   }
   t.state = TaskState::Runnable;
+  if (t.runnable_since == kTimeNever) t.runnable_since = now_;
+  core(t.cpu).rq.enqueue(tid, t.vruntime, t.weight);
 }
 
 void Kernel::handle_segment_end(CoreId c, std::uint64_t seq) {
@@ -526,21 +539,14 @@ void Kernel::handle_segment_end(CoreId c, std::uint64_t seq) {
   cs.running = kInvalidThread;
   ++cs.dispatch_seq;
   ++context_switches_;
-
-  Task& t = task_mut(tid);
-  after_task_stops(t);
-  if (t.state == TaskState::Runnable) {
-    if (t.runnable_since == kTimeNever) t.runnable_since = now_;
-    cs.rq.enqueue(tid, t.vruntime, t.weight);
-  } else {
-    advance_util(t, /*active=*/false);
-  }
+  after_task_stops(tid);
   dispatch(c);
 }
 
 void Kernel::handle_wake(ThreadId tid) {
+  if (!alive(tid)) return;  // stale: the task has exited
   Task& t = task_mut(tid);
-  if (t.state != TaskState::Sleeping) return;  // stale (exited or migrated+woken)
+  if (t.state != TaskState::Sleeping) return;  // stale: migrated and woken
   advance_util(t, /*active=*/false);
   t.state = TaskState::Runnable;
   t.last_wake_at = now_;
@@ -625,16 +631,7 @@ void Kernel::handle_balance() {
   // coincides with a timer-driven reschedule).
   for (CoreId c = 0; c < num_cores(); ++c) {
     const ThreadId tid = stop_current(c);
-    if (tid != kInvalidThread) {
-      Task& t = task_mut(tid);
-      after_task_stops(t);
-      if (t.state == TaskState::Runnable) {
-        if (t.runnable_since == kTimeNever) t.runnable_since = now_;
-        core(c).rq.enqueue(tid, t.vruntime, t.weight);
-      } else {
-        advance_util(t, /*active=*/false);
-      }
-    }
+    if (tid != kInvalidThread) after_task_stops(tid);
   }
   // Replay migrations a fault filter deferred at the previous pass: the
   // "late" set_cpus_allowed_ptr finally lands, if it is still legal (the
@@ -644,9 +641,9 @@ void Kernel::handle_balance() {
     deferred_migrations_.clear();
     bypass_migration_filter_ = true;
     for (const auto& d : pending) {
+      if (!alive(d.tid)) continue;
       const Task& t = task(d.tid);
-      if (!t.alive() || !t.can_run_on(d.dest) || core(d.dest).offline ||
-          t.cpu == d.dest) {
+      if (!t.can_run_on(d.dest) || core(d.dest).offline || t.cpu == d.dest) {
         continue;
       }
       migrate(d.tid, d.dest);
@@ -672,8 +669,7 @@ void Kernel::migrate(ThreadId tid, CoreId dest) {
   if (core(dest).offline) {
     throw std::invalid_argument("migrate: destination core is offline");
   }
-  Task& t = task_mut(tid);
-  if (!t.alive()) throw std::logic_error("migrate: task exited");
+  Task& t = task_mut(tid);  // throws std::logic_error once the task exited
   if (!t.can_run_on(dest)) {
     throw std::invalid_argument("migrate: destination not in affinity mask");
   }
@@ -723,8 +719,6 @@ void Kernel::migrate(ThreadId tid, CoreId dest) {
       ++total_migrations_;
       return;
     }
-    case TaskState::Exited:
-      return;  // unreachable (guarded above)
   }
 
   // Re-base vruntime into the destination queue's frame.
@@ -743,7 +737,7 @@ void Kernel::set_cpus_allowed(ThreadId tid,
   Task& t = task_mut(tid);
   if (mask.none()) throw std::invalid_argument("set_cpus_allowed: empty mask");
   t.cpus_allowed = mask;
-  if (t.alive() && !t.can_run_on(t.cpu)) {
+  if (!t.can_run_on(t.cpu)) {
     // Kick it to the first allowed core.
     for (CoreId c = 0; c < num_cores(); ++c) {
       if (t.can_run_on(c)) {

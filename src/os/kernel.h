@@ -13,10 +13,12 @@
 //   * a pluggable LoadBalancer fired on its own interval, replacing
 //     rebalance_domains();
 //   * a live-task index, so the per-epoch scans (balancing, sensing,
-//     sampling) cost O(live threads), not O(threads ever forked): exited
-//     tasks stay queryable via task(), but no per-epoch path walks them. A
+//     sampling) cost O(live threads), not O(threads ever forked). A
 //     service-mode node forks thousands of short jobs while keeping a
-//     handful alive.
+//     handful alive;
+//   * task reaping: as Linux frees an exited task_struct, the kernel frees
+//     a Task when it exits and keeps only its TaskRecord, so memory grows
+//     with the live threads plus a fixed-size record per exited one.
 //
 // Execution is discrete-event: a core runs its current task in *segments*
 // bounded by the CFS slice, workload phase/burst boundaries, wakeup
@@ -159,8 +161,18 @@ class Kernel {
   const arch::Platform& platform() const { return platform_; }
   int num_cores() const { return platform_.num_cores(); }
 
-  /// Every task ever forked, exited ones included (tids are dense indices).
-  const Task& task(ThreadId tid) const { return *tasks_.at(checked(tid)); }
+  /// A live task (forked and not yet exited). Throws std::out_of_range for
+  /// a tid never forked and std::logic_error for one that has exited: its
+  /// Task is gone, and record() serves what is left of it.
+  const Task& task(ThreadId tid) const { return *live(tid); }
+  /// True while the kernel holds tid's Task: forked and not yet exited.
+  /// Throws std::out_of_range for a tid never forked.
+  bool alive(ThreadId tid) const { return tasks_[checked(tid)] != nullptr; }
+  /// Lifetime summary of any tid ever forked: the record kept at exit, or
+  /// for a live task one built now by the same Task::record(). Throws
+  /// std::out_of_range for a tid never forked.
+  TaskRecord record(ThreadId tid) const;
+  /// Tids ever forked, exited ones included (tids are dense indices).
   std::size_t num_tasks() const { return tasks_.size(); }
   /// Snapshot of the alive threads, in ascending tid order: the set V
   /// optimized each epoch (every simulated task is a user thread). Read
@@ -264,7 +276,9 @@ class Kernel {
   };
 
   std::size_t checked(ThreadId tid) const;
-  Task& task_mut(ThreadId tid) { return *tasks_.at(checked(tid)); }
+  /// tid's Task; throws like task() for an exited or unknown tid.
+  Task* live(ThreadId tid) const;
+  Task& task_mut(ThreadId tid) { return *live(tid); }
   CoreState& core(CoreId c);
   const CoreState& core(CoreId c) const;
 
@@ -290,14 +304,24 @@ class Kernel {
   void advance_util(Task& t, bool active);
   TimeNs draw_sleep(const workload::ThreadBehavior& b);
   CoreId pick_fork_core(const Task& t);
-  void after_task_stops(Task& t);
+  /// Settles a task whose segment just stopped: exits it (keeping its
+  /// record and freeing the Task), puts it to sleep, or requeues it.
+  void after_task_stops(ThreadId tid);
 
   const arch::Platform& platform_;
   const perf::PerfModel& perf_;
   const power::PowerModel& power_;
   KernelConfig cfg_;
 
+  /// One slot per tid ever forked: the Task while it lives, null once it
+  /// has exited.
   std::vector<std::unique_ptr<Task>> tasks_;
+  /// Exit records, one per tid; a slot is filled when its task exits.
+  std::vector<TaskRecord> records_;
+  // What an exited task costs: its record plus its null tasks_ slot. A
+  // name too long for std::string's inline buffer adds one heap block.
+  static_assert(sizeof(TaskRecord) + sizeof(std::unique_ptr<Task>) <= 128,
+                "exited-task budget is 128 B");
   /// Live-task index: alive tids in ascending order. Appended at fork (tids
   /// grow monotonically) and erased where a task exits (after_task_stops).
   std::vector<ThreadId> alive_;

@@ -13,10 +13,22 @@ const char* to_string(TaskState s) {
       return "Running";
     case TaskState::Sleeping:
       return "Sleeping";
-    case TaskState::Exited:
-      return "Exited";
   }
   return "?";
+}
+
+TaskRecord Task::record(TimeNs exited_at) const {
+  return {.name = name,
+          .lifetime_insts = lifetime_insts,
+          .lifetime_energy_j = lifetime_energy_j,
+          .lifetime_runtime = lifetime_runtime,
+          .migrations = migrations,
+          .arrived_at = arrived_at,
+          .first_dispatched_at = first_dispatched_at,
+          .exited_at = exited_at,
+          .total_wait = total_wait,
+          .max_wait = max_wait,
+          .dispatches = dispatches};
 }
 
 std::uint32_t nice_to_weight(int nice) {

@@ -17,7 +17,9 @@
 
 namespace sb::os {
 
-enum class TaskState { Runnable, Running, Sleeping, Exited };
+/// A task's scheduling state. There is no exited state: the kernel frees a
+/// Task when it exits and keeps only its TaskRecord.
+enum class TaskState { Runnable, Running, Sleeping };
 
 const char* to_string(TaskState s);
 
@@ -27,6 +29,26 @@ std::uint32_t nice_to_weight(int nice);
 
 /// Weight of nice 0; vruntime advances at wall rate for this weight.
 inline constexpr std::uint32_t kNice0Weight = 1024;
+
+/// A task's lifetime summary: every field a reader needs once the task has
+/// exited. The kernel frees a Task at exit and keeps only this record; for
+/// a live task Kernel::record() builds it with the same Task::record(), so
+/// both report one definition of each field.
+struct TaskRecord {
+  std::string name;
+  std::uint64_t lifetime_insts = 0;
+  double lifetime_energy_j = 0.0;
+  TimeNs lifetime_runtime = 0;
+  std::uint64_t migrations = 0;
+  TimeNs arrived_at = 0;
+  TimeNs first_dispatched_at = kTimeNever;
+  TimeNs exited_at = kTimeNever;  // kTimeNever while the task is alive
+  TimeNs total_wait = 0;
+  TimeNs max_wait = 0;
+  std::uint64_t dispatches = 0;
+
+  bool exited() const { return exited_at != kTimeNever; }
+};
 
 struct Task {
   ThreadId tid = kInvalidThread;
@@ -72,7 +94,6 @@ struct Task {
   double lifetime_energy_j = 0.0;
   TimeNs lifetime_runtime = 0;
   TimeNs arrived_at = 0;
-  TimeNs exited_at = kTimeNever;
 
   // --- Scheduling latency (runnable → running) ---
   TimeNs runnable_since = kTimeNever;  // set at enqueue, cleared at dispatch
@@ -86,7 +107,6 @@ struct Task {
   /// dispatch after it (wake-to-run latency = dispatch time - this).
   TimeNs last_wake_at = kTimeNever;
 
-  bool alive() const { return state != TaskState::Exited; }
   bool can_run_on(CoreId c) const {
     return c >= 0 && c < kMaxCores &&
            cpus_allowed.test(static_cast<std::size_t>(c));
@@ -98,6 +118,10 @@ struct Task {
   std::uint64_t current_phase_length() const {
     return behavior.phases[phase_idx % behavior.phases.size()].instructions;
   }
+
+  /// Folds the lifetime statistics into a TaskRecord: at exit with the exit
+  /// time, or on demand for a live task with kTimeNever.
+  TaskRecord record(TimeNs exited_at) const;
 
   /// Drains the per-epoch accumulators (counters, energy, runtime).
   void reset_epoch_accumulators() {

@@ -33,13 +33,13 @@ void Simulation::add_benchmark(const std::string& name, int threads) {
 std::vector<ThreadId> Simulation::admit_benchmark(
     const std::string& name, int threads,
     std::uint64_t per_thread_instructions) {
-  auto bench = workload::BenchmarkLibrary::get(name);
-  if (per_thread_instructions > 0) {
-    bench.per_thread_instructions = per_thread_instructions;
-  }
   std::vector<ThreadId> tids;
   tids.reserve(static_cast<std::size_t>(threads));
-  for (auto& tb : bench.spawn(threads, spawn_rng_)) {
+  for (auto& tb :
+       workload::BenchmarkLibrary::get(name).spawn(threads, spawn_rng_)) {
+    if (per_thread_instructions > 0) {
+      tb.total_instructions = per_thread_instructions;
+    }
     tids.push_back(kernel_->fork(std::move(tb)));
   }
   return tids;
@@ -265,38 +265,33 @@ SimulationResult Simulation::snapshot() const {
     r.cores.push_back(cm);
   }
 
+  double wait_sum = 0;
+  std::uint64_t dispatches = 0;
+  r.threads.reserve(kernel_->num_tasks());
   for (std::size_t i = 0; i < kernel_->num_tasks(); ++i) {
-    const auto& t = kernel_->task(static_cast<ThreadId>(i));
+    const auto tid = static_cast<ThreadId>(i);
+    os::TaskRecord t = kernel_->record(tid);
     ThreadMetrics tm;
-    tm.tid = t.tid;
-    tm.name = t.name;
+    tm.tid = tid;
+    tm.name = std::move(t.name);
     tm.instructions = t.lifetime_insts;
     tm.energy_j = t.lifetime_energy_j;
     tm.runtime = t.lifetime_runtime;
     tm.migrations = t.migrations;
-    tm.completed = t.state == os::TaskState::Exited;
+    tm.completed = t.exited();
     tm.completion_time = t.exited_at;
     if (t.dispatches > 0) {
       tm.avg_wait_us = static_cast<double>(t.total_wait) /
                        static_cast<double>(t.dispatches) / 1e3;
     }
     tm.max_wait_us = static_cast<double>(t.max_wait) / 1e3;
-    r.threads.push_back(tm);
+    r.max_sched_latency_us = std::max(r.max_sched_latency_us, tm.max_wait_us);
+    wait_sum += static_cast<double>(t.total_wait);
+    dispatches += t.dispatches;
+    r.threads.push_back(std::move(tm));
   }
-  {
-    double wait_sum = 0;
-    std::uint64_t dispatches = 0;
-    for (const auto& tm : r.threads) {
-      r.max_sched_latency_us = std::max(r.max_sched_latency_us, tm.max_wait_us);
-    }
-    for (std::size_t i = 0; i < kernel_->num_tasks(); ++i) {
-      const auto& t = kernel_->task(static_cast<ThreadId>(i));
-      wait_sum += static_cast<double>(t.total_wait);
-      dispatches += t.dispatches;
-    }
-    if (dispatches > 0) {
-      r.avg_sched_latency_us = wait_sum / static_cast<double>(dispatches) / 1e3;
-    }
+  if (dispatches > 0) {
+    r.avg_sched_latency_us = wait_sum / static_cast<double>(dispatches) / 1e3;
   }
 
   {

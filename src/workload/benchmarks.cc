@@ -1,6 +1,7 @@
 #include "workload/benchmarks.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 
 namespace sb::workload {
@@ -370,26 +371,30 @@ Benchmark BenchmarkLibrary::imb(Level throughput, Level interactivity) {
   return b;
 }
 
-Benchmark BenchmarkLibrary::get(const std::string& name) {
-  if (name == "blackscholes") return blackscholes();
-  if (name == "bodytrack") return bodytrack();
-  if (name == "canneal") return canneal();
-  if (name == "dedup") return dedup();
-  if (name == "ferret") return ferret();
-  if (name == "fluidanimate") return fluidanimate();
-  if (name == "freqmine") return freqmine();
-  if (name == "streamcluster") return streamcluster();
-  if (name == "swaptions") return swaptions();
-  if (name == "vips") return vips();
-  if (name == "x264_H_crew") return x264(true, true);
-  if (name == "x264_H_bow") return x264(true, false);
-  if (name == "x264_L_crew") return x264(false, true);
-  if (name == "x264_L_bow") return x264(false, false);
-  if (name.rfind("IMB_", 0) == 0 && name.size() == 8 && name[5] == 'T' &&
-      name[7] == 'I') {
-    return imb(level_from_letter(name[4]), level_from_letter(name[6]));
+const Benchmark& BenchmarkLibrary::get(const std::string& name) {
+  // Built on first use (thread-safe static init); later lookups share it.
+  static const std::map<std::string, Benchmark> kLibrary = [] {
+    std::map<std::string, Benchmark> lib;
+    for (const Benchmark& b :
+         {blackscholes(), bodytrack(), canneal(), dedup(), ferret(),
+          fluidanimate(), freqmine(), streamcluster(), swaptions(), vips(),
+          x264(true, true), x264(true, false), x264(false, true),
+          x264(false, false)}) {
+      lib.emplace(b.name, b);
+    }
+    for (const Level t : {Level::High, Level::Medium, Level::Low}) {
+      for (const Level i : {Level::High, Level::Medium, Level::Low}) {
+        const Benchmark b = imb(t, i);
+        lib.emplace(b.name, b);
+      }
+    }
+    return lib;
+  }();
+  const auto it = kLibrary.find(name);
+  if (it == kLibrary.end()) {
+    throw std::out_of_range("unknown benchmark: " + name);
   }
-  throw std::out_of_range("unknown benchmark: " + name);
+  return it->second;
 }
 
 }  // namespace sb::workload

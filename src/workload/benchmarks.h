@@ -53,9 +53,10 @@ class BenchmarkLibrary {
   /// All nine IMB configurations: IMB_{H,M,L}T{H,M,L}I.
   static std::vector<std::string> imb_names();
 
-  /// Looks up any benchmark by name (PARSEC, x264 variant, or IMB).
-  /// Throws std::out_of_range for unknown names.
-  static Benchmark get(const std::string& name);
+  /// Looks up any benchmark by name (PARSEC, x264 variant, or IMB) in a
+  /// library built once, on first use. Throws std::out_of_range for
+  /// unknown names.
+  static const Benchmark& get(const std::string& name);
 
   /// The interactive microbenchmark with the given knobs (paper §6):
   /// throughput controls load and burst size, interactivity controls the

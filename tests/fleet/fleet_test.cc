@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,6 +121,45 @@ TEST(FleetSimulation, JobLifecycleOrderingHolds) {
   EXPECT_GT(r.energy_j, 0.0);
   EXPECT_NEAR(r.je_inst_per_joule,
               static_cast<double>(r.instructions) / r.energy_j, 1e-6);
+}
+
+// Nodes free each job thread's Task when it exits, yet every forked thread
+// keeps its result row, and a completed job's rows agree with its record.
+TEST(FleetSimulation, CompletedJobsKeepPerThreadRows) {
+  FleetSimulation fleet(small_cfg(), quads(2));
+  const FleetResult r = fleet.run();
+  const std::vector<JobClass>& catalog = fleet.catalog();
+  // Nodes admit jobs in id order (the fleet queue is FIFO) and fork each
+  // job's threads as consecutive tids.
+  std::vector<std::size_t> forked(r.node_results.size(), 0);
+  int completed = 0;
+  for (const JobRecord& j : r.jobs) {
+    if (j.node < 0) continue;
+    const auto node = static_cast<std::size_t>(j.node);
+    const JobClass& jc =
+        catalog[static_cast<std::size_t>(j.job_class) % catalog.size()];
+    const std::size_t first = forked[node];
+    forked[node] += static_cast<std::size_t>(jc.threads);
+    const auto& rows = r.node_results[node].threads;
+    ASSERT_LE(forked[node], rows.size());
+    if (j.completed == kTimeNever) continue;
+    ++completed;
+    TimeNs last_exit = 0;
+    for (std::size_t i = first; i < forked[node]; ++i) {
+      const sim::ThreadMetrics& row = rows[i];
+      EXPECT_EQ(row.tid, static_cast<ThreadId>(i));
+      EXPECT_EQ(row.name.rfind(jc.benchmark + "/", 0), 0u) << row.name;
+      EXPECT_TRUE(row.completed) << row.name;
+      EXPECT_EQ(row.instructions, jc.per_thread_instructions) << row.name;
+      last_exit = std::max(last_exit, row.completion_time);
+    }
+    EXPECT_EQ(last_exit, j.completed) << "job " << j.id;
+  }
+  EXPECT_GT(completed, 10);
+  // One row per forked thread, exited or not.
+  for (std::size_t n = 0; n < r.node_results.size(); ++n) {
+    EXPECT_EQ(r.node_results[n].threads.size(), forked[n]) << "node " << n;
+  }
 }
 
 TEST(FleetSimulation, HeterogeneousShapesAndReplication) {

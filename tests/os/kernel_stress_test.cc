@@ -1,12 +1,16 @@
 // Randomized kernel stress: for a sweep of seeds, run mixed workloads under
 // every policy and assert the global invariants that must hold regardless
 // of scheduling decisions — exact time accounting, instruction conservation
-// between per-thread and per-core views, affinity, counter sanity, and
-// bit-exact determinism.
+// between per-thread and per-core views, affinity, counter sanity, exit
+// records against a shadow model of every forked task, and bit-exact
+// determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/platform.h"
@@ -41,10 +45,13 @@ std::unique_ptr<LoadBalancer> make_policy(int id) {
   }
 }
 
-void populate(Kernel& k, Rng& rng) {
+/// Forks a random mix into a fresh kernel; returns each tid's instruction
+/// budget (0 = runs forever), since an exited task's behavior is freed.
+std::vector<std::uint64_t> populate(Kernel& k, Rng& rng) {
   const char* names[] = {"canneal", "swaptions",  "bodytrack",
                          "IMB_HTHI", "IMB_LTLI",  "x264_H_crew",
                          "streamcluster"};
+  std::vector<std::uint64_t> budgets;
   const int kinds = 2 + static_cast<int>(rng.randi(0, 3));
   for (int i = 0; i < kinds; ++i) {
     const auto& name = names[rng.randi(0, 7)];
@@ -54,9 +61,11 @@ void populate(Kernel& k, Rng& rng) {
       // Some tasks are finite, some pinned, some reniced.
       if (rng.uniform() < 0.3) t.total_instructions = 5'000'000;
       if (rng.uniform() < 0.3) t.nice = static_cast<int>(rng.randi(-5, 6));
+      budgets.push_back(t.total_instructions);
       k.fork(std::move(t));
     }
   }
+  return budgets;
 }
 
 TEST_P(KernelStress, InvariantsHoldUnderRandomLoad) {
@@ -73,7 +82,7 @@ TEST_P(KernelStress, InvariantsHoldUnderRandomLoad) {
   Kernel k(platform, perf, power, cfg);
   k.set_balancer(make_policy(policy));
   Rng rng(seed);
-  populate(k, rng);
+  const std::vector<std::uint64_t> budgets = populate(k, rng);
 
   // Pin one task to a random core as an affinity probe.
   const ThreadId pinned = 0;
@@ -99,22 +108,33 @@ TEST_P(KernelStress, InvariantsHoldUnderRandomLoad) {
   EXPECT_EQ(core_insts, k.total_instructions());
 
   // --- Invariant 3: affinity respected ---
-  EXPECT_EQ(k.task(pinned).cpu, pin_core);
+  // The probe moved only at the affinity kick, off core 0 where fork put
+  // it; its core is checked while it lives (an exited task has none).
+  EXPECT_EQ(k.record(pinned).migrations, pin_core != 0 ? 1u : 0u);
+  if (k.alive(pinned)) {
+    EXPECT_EQ(k.task(pinned).cpu, pin_core);
+  }
 
   // --- Invariant 4: counter and energy sanity for every task ---
+  // Epoch counters exist only on live tasks; an exited task keeps its
+  // record, whose instructions must equal the budget it was forked with.
+  ASSERT_EQ(k.num_tasks(), budgets.size());
   for (std::size_t i = 0; i < k.num_tasks(); ++i) {
-    const Task& t = k.task(static_cast<ThreadId>(i));
-    const auto& c = t.epoch_counters;
-    EXPECT_LE(c.inst_mem, c.inst_total) << t.name;
-    EXPECT_LE(c.inst_branch, c.inst_total) << t.name;
-    EXPECT_LE(c.branch_mispred, c.inst_branch + 1) << t.name;
-    EXPECT_LE(c.l1d_miss, c.l1d_access + 1) << t.name;
-    EXPECT_GE(t.lifetime_energy_j, 0.0) << t.name;
-    EXPECT_FALSE(std::isnan(t.lifetime_energy_j)) << t.name;
-    if (t.behavior.total_instructions > 0 && t.state == TaskState::Exited) {
-      EXPECT_NEAR(static_cast<double>(t.lifetime_insts),
-                  static_cast<double>(t.behavior.total_instructions), 2.0)
-          << t.name;
+    const auto tid = static_cast<ThreadId>(i);
+    const TaskRecord r = k.record(tid);
+    EXPECT_GE(r.lifetime_energy_j, 0.0) << r.name;
+    EXPECT_FALSE(std::isnan(r.lifetime_energy_j)) << r.name;
+    if (k.alive(tid)) {
+      const auto& c = k.task(tid).epoch_counters;
+      EXPECT_LE(c.inst_mem, c.inst_total) << r.name;
+      EXPECT_LE(c.inst_branch, c.inst_total) << r.name;
+      EXPECT_LE(c.branch_mispred, c.inst_branch + 1) << r.name;
+      EXPECT_LE(c.l1d_miss, c.l1d_access + 1) << r.name;
+    } else {
+      EXPECT_GT(budgets[i], 0u) << r.name << " exited without a budget";
+      EXPECT_NEAR(static_cast<double>(r.lifetime_insts),
+                  static_cast<double>(budgets[i]), 2.0)
+          << r.name;
     }
   }
 
@@ -135,22 +155,94 @@ TEST_P(KernelStress, InvariantsHoldUnderRandomLoad) {
   EXPECT_EQ(k2.total_migrations(), k.total_migrations());
 }
 
-// The live-task index against the brute-force scan it replaced: alive tids
-// from task(tid).alive() over every task ever forked, and Σ lifetime_insts.
-void expect_index_matches_scan(Kernel& k) {
-  std::vector<ThreadId> alive;
+// The test's own model of each task it forked: what it was forked with and
+// its record at the last check it was still alive.
+struct Shadow {
+  std::string name;
+  std::uint64_t budget = 0;
+  TimeNs forked_at = 0;
+  TaskRecord last;  // last live reading
+  bool exited = false;
+};
+
+// Checks the kernel against the brute-force scan the live-task index
+// replaced, and every record against the shadow model. A task that left
+// the live index since the previous check, at simulated time `since`, must
+// have exited inside [since, now].
+void expect_kernel_matches_shadow(Kernel& k, std::vector<Shadow>& shadow,
+                                  TimeNs since) {
+  ASSERT_EQ(k.num_tasks(), shadow.size());
+  std::vector<ThreadId> held;  // tids whose Task the kernel still holds
   std::uint64_t insts = 0;
-  for (std::size_t i = 0; i < k.num_tasks(); ++i) {
-    const Task& t = k.task(static_cast<ThreadId>(i));
-    if (t.alive()) alive.push_back(t.tid);
-    insts += t.lifetime_insts;
+  std::uint64_t migrations = 0;
+  std::uint64_t dispatches = 0;
+  for (std::size_t i = 0; i < shadow.size(); ++i) {
+    const auto tid = static_cast<ThreadId>(i);
+    Shadow& sh = shadow[i];
+    const TaskRecord r = k.record(tid);
+    insts += r.lifetime_insts;
+    migrations += r.migrations;
+    dispatches += r.dispatches;
+    EXPECT_EQ(r.name, sh.name);
+    EXPECT_EQ(r.arrived_at, sh.forked_at) << r.name;
+    if (k.alive(tid)) {
+      // A live task's record is built from its Task, field for field.
+      held.push_back(tid);
+      const Task& t = k.task(tid);
+      EXPECT_FALSE(r.exited()) << r.name;
+      EXPECT_EQ(r.lifetime_insts, t.lifetime_insts) << r.name;
+      EXPECT_EQ(r.lifetime_energy_j, t.lifetime_energy_j) << r.name;
+      EXPECT_EQ(r.lifetime_runtime, t.lifetime_runtime) << r.name;
+      EXPECT_EQ(r.migrations, t.migrations) << r.name;
+      EXPECT_EQ(r.first_dispatched_at, t.first_dispatched_at) << r.name;
+      EXPECT_EQ(r.total_wait, t.total_wait) << r.name;
+      EXPECT_EQ(r.max_wait, t.max_wait) << r.name;
+      EXPECT_EQ(r.dispatches, t.dispatches) << r.name;
+      sh.last = r;
+      continue;
+    }
+    EXPECT_THROW(k.task(tid), std::logic_error) << r.name;
+    ASSERT_TRUE(r.exited()) << r.name;
+    if (!sh.exited) {
+      EXPECT_GE(r.exited_at, since) << r.name;
+      EXPECT_LE(r.exited_at, k.now()) << r.name;
+      sh.exited = true;
+    }
+    EXPECT_NEAR(static_cast<double>(r.lifetime_insts),
+                static_cast<double>(sh.budget), 2.0)
+        << r.name;
+    // Lifetime counters only grow: the record holds at least the last live
+    // reading, and the first dispatch is the one seen while alive.
+    EXPECT_GE(r.lifetime_energy_j, sh.last.lifetime_energy_j) << r.name;
+    EXPECT_GE(r.lifetime_runtime, sh.last.lifetime_runtime) << r.name;
+    EXPECT_GE(r.migrations, sh.last.migrations) << r.name;
+    EXPECT_GE(r.dispatches, std::max<std::uint64_t>(sh.last.dispatches, 1))
+        << r.name;
+    EXPECT_GE(r.total_wait, sh.last.total_wait) << r.name;
+    EXPECT_GE(r.max_wait, sh.last.max_wait) << r.name;
+    EXPECT_LE(r.max_wait, r.total_wait) << r.name;
+    if (sh.last.first_dispatched_at != kTimeNever) {
+      EXPECT_EQ(r.first_dispatched_at, sh.last.first_dispatched_at) << r.name;
+    }
+    EXPECT_GE(r.first_dispatched_at, r.arrived_at) << r.name;
+    EXPECT_LE(r.first_dispatched_at, r.exited_at) << r.name;
   }
-  EXPECT_EQ(k.alive_threads(), alive);
+  // The kernel holds a Task for exactly the indexed live tids.
+  EXPECT_EQ(k.alive_threads(), held);
   std::vector<ThreadId> drained;
   for (const EpochSample& s : k.drain_epoch_samples()) drained.push_back(s.tid);
-  EXPECT_EQ(drained, alive);
-  EXPECT_EQ(k.all_exited(), alive.empty() && k.num_tasks() > 0);
+  EXPECT_EQ(drained, held);
+  EXPECT_EQ(k.all_exited(), held.empty() && k.num_tasks() > 0);
+  // Conservation across live tasks and exit records: instructions and
+  // migrations sum to the kernel totals; every dispatch ended in a context
+  // switch unless its task is still running.
   EXPECT_EQ(k.total_instructions(), insts);
+  EXPECT_EQ(k.total_migrations(), migrations);
+  std::uint64_t running = 0;
+  for (CoreId c = 0; c < k.num_cores(); ++c) {
+    if (k.core_running(c) != kInvalidThread) ++running;
+  }
+  EXPECT_EQ(k.context_switches() + running, dispatches);
 }
 
 TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
@@ -170,6 +262,7 @@ TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
   const char* names[] = {"canneal", "swaptions", "bodytrack", "IMB_HTHI",
                          "IMB_LTLI", "x264_H_crew", "streamcluster"};
   const int n = platform.num_cores();
+  std::vector<Shadow> shadow;
   auto behavior = [&] {
     auto threads =
         workload::BenchmarkLibrary::get(names[rng.randi(0, 7)]).spawn(1, rng);
@@ -184,6 +277,10 @@ TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
       t.sleep_mean_ns = microseconds(200 + 100 * rng.randi(0, 30));
     }
     if (rng.uniform() < 0.3) t.nice = static_cast<int>(rng.randi(-5, 6));
+    Shadow& sh = shadow.emplace_back();
+    sh.name = t.name;
+    sh.budget = t.total_instructions;
+    sh.forked_at = k.now();
     return t;
   };
   auto random_online_core = [&] {
@@ -194,6 +291,7 @@ TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
 
   int evacuations = 0;
   for (int step = 0; step < 80; ++step) {
+    const TimeNs since = k.now();
     const double action = rng.uniform();
     const std::vector<ThreadId> alive = k.alive_threads();
     auto random_alive = [&] {
@@ -217,7 +315,7 @@ TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
       for (CoreId c = 0; c < n; ++c) k.set_core_online(c, true);  // replug
     }
     k.run_for(microseconds(500 + 500 * rng.randi(0, 20)));
-    expect_index_matches_scan(k);
+    expect_kernel_matches_shadow(k, shadow, since);
   }
   // Exits interleaved with forks and unplugs.
   EXPECT_LT(k.alive_threads().size(), k.num_tasks());
@@ -225,8 +323,9 @@ TEST_P(KernelStress, LiveIndexMatchesBruteForceScan) {
   for (CoreId c = 0; c < n; ++c) k.set_core_online(c, true);
   // Drain: with no more forks every finite task exits.
   for (int chunk = 0; chunk < 400 && !k.all_exited(); ++chunk) {
+    const TimeNs since = k.now();
     k.run_for(milliseconds(5));
-    expect_index_matches_scan(k);
+    expect_kernel_matches_shadow(k, shadow, since);
   }
   EXPECT_TRUE(k.all_exited());
 }

@@ -113,9 +113,13 @@ TEST_F(KernelTest, TaskExitsAfterTotalInstructions) {
   Kernel k = make_kernel();
   const ThreadId a = k.fork(cpu_bound("a", 5'000'000));
   k.run_for(milliseconds(100));
-  EXPECT_EQ(k.task(a).state, TaskState::Exited);
-  EXPECT_NEAR(static_cast<double>(k.task(a).lifetime_insts), 5e6, 2.0);
-  EXPECT_LT(k.task(a).exited_at, milliseconds(100));
+  // The exited Task is freed; only its record remains.
+  EXPECT_FALSE(k.alive(a));
+  EXPECT_THROW(k.task(a), std::logic_error);
+  const TaskRecord r = k.record(a);
+  EXPECT_TRUE(r.exited());
+  EXPECT_NEAR(static_cast<double>(r.lifetime_insts), 5e6, 2.0);
+  EXPECT_LT(r.exited_at, milliseconds(100));
   EXPECT_TRUE(k.all_exited());
 }
 

@@ -55,7 +55,6 @@ TEST(Task, StateNames) {
   EXPECT_STREQ(to_string(TaskState::Runnable), "Runnable");
   EXPECT_STREQ(to_string(TaskState::Running), "Running");
   EXPECT_STREQ(to_string(TaskState::Sleeping), "Sleeping");
-  EXPECT_STREQ(to_string(TaskState::Exited), "Exited");
 }
 
 TEST(Task, PhaseAccessorsCycle) {
@@ -83,14 +82,6 @@ TEST(Task, EpochAccumulatorReset) {
   EXPECT_TRUE(t.epoch_counters.empty());
   EXPECT_EQ(t.epoch_energy_j, 0.0);
   EXPECT_EQ(t.epoch_runtime, 0);
-}
-
-TEST(Task, AliveStates) {
-  Task t;
-  t.state = TaskState::Sleeping;
-  EXPECT_TRUE(t.alive());
-  t.state = TaskState::Exited;
-  EXPECT_FALSE(t.alive());
 }
 
 }  // namespace

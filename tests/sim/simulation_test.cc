@@ -187,9 +187,10 @@ TEST(Simulation, AdmitBenchmarkMidServiceForksAndCapsInstructions) {
   const auto r = s.finish_service();
   // The per-thread budget override makes service jobs terminate.
   for (const ThreadId tid : tids) {
-    const auto& t = s.kernel().task(tid);
-    EXPECT_FALSE(t.alive());
-    EXPECT_EQ(t.insts_retired, 1'000'000u);
+    EXPECT_FALSE(s.kernel().alive(tid));
+    const os::TaskRecord t = s.kernel().record(tid);
+    EXPECT_TRUE(t.exited());
+    EXPECT_EQ(t.lifetime_insts, 1'000'000u);
   }
   EXPECT_EQ(r.simulated, milliseconds(120));
 }
