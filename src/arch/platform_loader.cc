@@ -29,6 +29,10 @@ bool parse_count(const std::string& tok, long lo, long hi, int* out) {
   return true;
 }
 
+/// Core-type names keep to characters no export format has to quote.
+constexpr char kTypeNameChars[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-";
+
 /// Field accessors keyed by name (shared by the loader and the writer).
 struct Field {
   double CoreParams::* dmember = nullptr;
@@ -87,6 +91,9 @@ Platform load_platform(std::istream& is) {
       if (!(ls >> name >> count_tok) || count_tok.size() < 2 ||
           count_tok[0] != 'x') {
         fail(lineno, "expected 'core <name> x<count>'");
+      }
+      if (name.find_first_not_of(kTypeNameChars) != std::string::npos) {
+        fail(lineno, "core type name must use only [A-Za-z0-9_.-]: " + name);
       }
       if (!parse_count(count_tok.substr(1), 1, kMaxCores, &count)) {
         fail(lineno, "core count must be an integer in [1, " +

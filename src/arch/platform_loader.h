@@ -4,7 +4,8 @@
 // (sbsim --platform-file=...). Format: '#' comments, blank lines ignored;
 // each core type is a block started by `core <name> x<count>` followed by
 // `key value` lines; unspecified keys keep the defaults of a Medium-class
-// core. Example:
+// core. Names use only [A-Za-z0-9_.-]: they become CSV cells and signal
+// names in the exports. Example:
 //
 //   # 2 prime + 4 efficiency cores
 //   core Prime x2

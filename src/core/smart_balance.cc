@@ -268,10 +268,10 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
       // A delegated pass still gets a ledger entry (degraded = 1, nothing
       // applied): next epoch's realized ΔJ then measures how J moves under
       // the fallback, and the forecast gap stays visible in the export.
-      obs::EpochDecision d;
+      obs::EpochAuditRecord d;
       d.epoch = passes_;
       d.healthy_fraction = sensing_.health().healthy_fraction;
-      d.degraded = true;
+      d.degraded = 1;
       d.faults_injected = audit_fault_delta;
       audit->record_decision(d);
     }
@@ -404,11 +404,11 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // Prediction audit (Phase B): open this pass's ledger entry before the
   // apply loop so per-migration attribution can be registered against it.
   if (audit != nullptr) {
-    obs::EpochDecision d;
+    obs::EpochAuditRecord d;
     d.epoch = passes_;
     d.initial_j = result.initial_objective;
     d.final_j = result.objective;
-    d.applied = applied;
+    d.applied = applied ? 1 : 0;
     d.pred_dj = applied ? result.objective - result.initial_objective : 0.0;
     if (applied) {
       for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
@@ -492,15 +492,14 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
             const double sp = last_mx_.p.at(i, static_cast<std::size_t>(src));
             if (sp > 0) src_eff = ss / sp;
           }
-          obs::MigrationPrediction mp;
-          mp.tid = last_mx_.tids[i];
-          mp.src = src;
-          mp.dst = dst;
-          mp.src_type = src >= 0 ? platform_.type_of(src) : -1;
-          mp.dst_type = platform_.type_of(dst);
-          mp.pred_gain = (pp > 0 ? ps / pp : 0.0) - src_eff;
-          mp.src_eff = src_eff;
-          audit->record_migration(mp);
+          obs::MigrationAuditRecord mr;
+          mr.tid = last_mx_.tids[i];
+          mr.src = src;
+          mr.dst = dst;
+          mr.src_type = src >= 0 ? platform_.type_of(src) : -1;
+          mr.dst_type = platform_.type_of(dst);
+          mr.pred_gain = (pp > 0 ? ps / pp : 0.0) - src_eff;
+          audit->record_migration(mr, src_eff);
         }
         if (obs != nullptr) {
           obs->metrics().counter("balance.migrations").add();

@@ -98,19 +98,19 @@ std::vector<DriftEvent> AuditRecorder::join(
   for (auto it = pending_migrations_.begin();
        it != pending_migrations_.end();) {
     const PendingMigration& pm = *it;
-    const AuditObservation* match = find_thread(obs, pm.pred.tid);
+    const AuditObservation* match = find_thread(obs, pm.rec.tid);
     bool done = false;
-    if (match != nullptr && match->measured && match->core == pm.pred.dst &&
-        match->core_type == pm.pred.dst_type) {
+    if (match != nullptr && match->measured && match->core == pm.rec.dst &&
+        match->core_type == pm.rec.dst_type) {
       if (MigrationAuditRecord* rec = migrations_.find(pm.seq)) {
         const double obs_eff =
             match->watts > 0 ? match->gips / match->watts : 0.0;
-        rec->realized_gain = obs_eff - pm.pred.src_eff;
+        rec->realized_gain = obs_eff - pm.src_eff;
         rec->realized_valid = 1;
       }
       done = true;
     } else if (match == nullptr ||
-               epoch - pm.epoch >= cfg_.migration_join_max_age) {
+               epoch - pm.rec.epoch >= cfg_.migration_join_max_age) {
       // Thread exited or the window expired (sensing keeps serving the
       // cached pre-migration row while caches warm, so an observation on
       // the source core does NOT mean the thread moved back).
@@ -123,24 +123,11 @@ std::vector<DriftEvent> AuditRecorder::join(
   return edges;
 }
 
-void AuditRecorder::record_decision(const EpochDecision& d) {
-  EpochAuditRecord rec;
-  rec.epoch = d.epoch;
-  rec.initial_j = d.initial_j;
-  rec.final_j = d.final_j;
-  rec.applied = d.applied ? 1 : 0;
-  rec.pred_dj = d.pred_dj;
+void AuditRecorder::record_decision(EpochAuditRecord rec) {
   rec.realized_j = open_epoch_realized_j_;
-  rec.migrations = d.migrations;
-  rec.healthy_fraction = d.healthy_fraction;
-  rec.degraded = d.degraded ? 1 : 0;
-  rec.sa_iterations = d.sa_iterations;
-  rec.sa_accepted_worse = d.sa_accepted_worse;
-  rec.sa_improved = d.sa_improved;
-  rec.faults_injected = d.faults_injected;
   open_epoch_seq_ = epochs_.push(rec);
   open_epoch_valid_ = true;
-  pending_epoch_ = d.epoch;
+  pending_epoch_ = rec.epoch;
   pending_valid_ = true;
   pending_preds_.clear();
 }
@@ -157,28 +144,18 @@ void AuditRecorder::record_prediction(const ThreadPrediction& p) {
   ++predictions_;
 }
 
-void AuditRecorder::record_migration(const MigrationPrediction& m) {
+void AuditRecorder::record_migration(MigrationAuditRecord rec,
+                                     double src_eff) {
   if (!pending_valid_) return;
-  MigrationAuditRecord rec;
   rec.epoch = pending_epoch_;
-  rec.tid = m.tid;
-  rec.src = m.src;
-  rec.dst = m.dst;
-  rec.src_type = m.src_type;
-  rec.dst_type = m.dst_type;
-  rec.pred_gain = m.pred_gain;
-  PendingMigration pm;
-  pm.pred = m;
-  pm.epoch = pending_epoch_;
-  pm.seq = migrations_.push(rec);
-  pending_migrations_.push_back(pm);
+  pending_migrations_.push_back({rec, src_eff, migrations_.push(rec)});
 }
 
 AuditSnapshot AuditRecorder::snapshot() const {
   AuditSnapshot snap;
-  snap.threads = threads_.drain_copy();
-  snap.epochs = epochs_.drain_copy();
-  snap.migrations = migrations_.drain_copy();
+  snap.threads = threads_.snapshot();
+  snap.epochs = epochs_.snapshot();
+  snap.migrations = migrations_.snapshot();
   snap.drift_events = drift_events_;
   for (const auto& [key, t] : residuals_.pairs()) {
     DriftState st;

@@ -27,15 +27,16 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "obs/residual_tracker.h"
+#include "obs/store.h"
 
 namespace sb::obs {
 
 struct AuditConfig {
-  /// Per-ledger ring capacity (records); oldest records drop on overflow.
+  /// Per-ledger ring capacity (records, clamped to >= 1); oldest records
+  /// drop on overflow.
   std::size_t capacity = 4096;
   /// EWMA smoothing for the per-(src,dst) residual trackers.
   double ewma_alpha = 0.25;
@@ -163,34 +164,6 @@ struct ThreadPrediction {
   double raw_pred_w = 0;
 };
 
-/// Decision summary registered after a balance pass (epoch ledger input).
-struct EpochDecision {
-  std::uint64_t epoch = 0;
-  double initial_j = 0;
-  double final_j = 0;
-  bool applied = false;
-  double pred_dj = 0;
-  int migrations = 0;
-  double healthy_fraction = 1.0;
-  bool degraded = false;
-  int sa_iterations = 0;
-  int sa_accepted_worse = 0;
-  int sa_improved = 0;
-  std::int64_t faults_injected = 0;
-};
-
-/// Migration registered at apply time; `src_eff` is the thread's measured
-/// GIPS/W on the source core, the baseline the realized gain is against.
-struct MigrationPrediction {
-  std::int64_t tid = 0;
-  std::int32_t src = -1;
-  std::int32_t dst = -1;
-  std::int32_t src_type = -1;
-  std::int32_t dst_type = -1;
-  double pred_gain = 0;
-  double src_eff = 0;
-};
-
 /// Everything the recorder produced for one run, detached and mergeable —
 /// carried alongside the metrics registry and trace snapshot in RunObs.
 struct AuditSnapshot {
@@ -223,12 +196,16 @@ class AuditRecorder {
                                const std::vector<AuditObservation>& obs,
                                double realized_j);
 
-  /// Phase B: the pass's decision summary (opens the epoch ledger entry).
-  void record_decision(const EpochDecision& d);
+  /// Phase B: opens the pass's epoch ledger entry. The recorder sets only
+  /// `realized_j`, the objective this pass sensed; join() fills in the
+  /// realized ΔJ, regret and join counts one epoch later.
+  void record_decision(EpochAuditRecord rec);
   /// Phase B: one forecast per balanced thread.
   void record_prediction(const ThreadPrediction& p);
-  /// Phase B: one entry per applied migration.
-  void record_migration(const MigrationPrediction& m);
+  /// Phase B: one entry per applied migration, stamped with the open
+  /// decision's epoch. `src_eff` is the thread's measured GIPS/W on the
+  /// source core, the baseline the realized gain is scored against.
+  void record_migration(MigrationAuditRecord rec, double src_eff);
 
   /// True while any (src,dst) residual EWMA sits above the threshold.
   bool drift_active() const { return residuals_.any_active(); }
@@ -240,55 +217,10 @@ class AuditRecorder {
   AuditSnapshot snapshot() const;
 
  private:
-  /// Drop-oldest ring with stable sequence numbers, so a pending entry can
-  /// be finalized in place later if (and only if) it is still retained.
-  template <class T>
-  class Ring {
-   public:
-    explicit Ring(std::size_t capacity) : capacity_(capacity) {}
-
-    /// Returns the pushed record's sequence number.
-    std::uint64_t push(T rec) {
-      if (buf_.size() < capacity_) {
-        buf_.push_back(std::move(rec));
-      } else {
-        buf_[head_] = std::move(rec);
-        head_ = (head_ + 1) % capacity_;
-        ++dropped_;
-      }
-      return seq_++;
-    }
-
-    /// Still-retained record by sequence number, else nullptr.
-    T* find(std::uint64_t seq) {
-      if (seq >= seq_ || seq < dropped_) return nullptr;
-      const std::size_t idx = (head_ + (seq - dropped_)) % buf_.size();
-      return &buf_[idx];
-    }
-
-    std::uint64_t dropped() const { return dropped_; }
-
-    std::vector<T> drain_copy() const {
-      std::vector<T> out;
-      out.reserve(buf_.size());
-      for (std::size_t i = 0; i < buf_.size(); ++i) {
-        out.push_back(buf_[(head_ + i) % buf_.size()]);
-      }
-      return out;
-    }
-
-   private:
-    std::size_t capacity_;
-    std::vector<T> buf_;
-    std::size_t head_ = 0;     // index of the oldest retained record
-    std::uint64_t seq_ = 0;    // total records ever pushed
-    std::uint64_t dropped_ = 0;
-  };
-
   struct PendingMigration {
-    MigrationPrediction pred;
-    std::uint64_t epoch = 0;  // pass that migrated
-    std::uint64_t seq = 0;    // ring slot of its (open) ledger record
+    MigrationAuditRecord rec;  // as registered; epoch = pass that migrated
+    double src_eff = 0;
+    std::uint64_t seq = 0;  // ring slot of its (open) ledger record
   };
 
   AuditConfig cfg_;

@@ -1,10 +1,11 @@
 #include "obs/audit_writer.h"
 
-#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "common/spec.h"
 #include "obs/audit.h"
@@ -12,157 +13,135 @@
 namespace sb::obs {
 namespace {
 
-constexpr char kThreadCols[] =
-    "epoch,tid,core,src_type,dst_type,pred_gips,obs_gips,pred_w,obs_w,"
-    "gips_err,power_err,raw_gips_err,raw_power_err";
-constexpr char kEpochCols[] =
-    "epoch,initial_j,final_j,applied,pred_dj,realized_j,realized_dj,"
-    "realized_valid,regret,migrations,joined,unjoined,healthy_fraction,"
-    "degraded,sa_iterations,sa_accepted_worse,sa_improved,faults_injected";
-constexpr char kMigrationCols[] =
-    "epoch,tid,src,dst,src_type,dst_type,pred_gain,realized_gain,"
-    "realized_valid";
-constexpr char kDriftCols[] = "epoch,src_type,dst_type,metric,ewma,joins";
-constexpr char kStateCols[] =
-    "src_type,dst_type,joins,ewma_gips,ewma_power,active,"
-    "ewma_gips_signed,ewma_power_signed";
+/// One export column: its header name and the record member it prints.
+template <class R>
+struct Column {
+  std::string_view name;
+  void (*append)(std::string& line, const R& rec);
+};
 
-using spec::append_double;
-using spec::append_int;
+/// Prints one record member: integers exactly, doubles in shortest
+/// round-trip form.
+template <auto Member, class R>
+void field(std::string& line, const R& rec) {
+  const auto value = rec.*Member;
+  if constexpr (std::is_floating_point_v<decltype(value)>) {
+    spec::append_double(line, value);
+  } else {
+    spec::append_int(line, value);
+  }
+}
+
+// Each ledger kind's columns, in export order: a new column is one row.
+using T = ThreadAuditRecord;
+constexpr Column<T> kThread[] = {
+    {"epoch", field<&T::epoch>},
+    {"tid", field<&T::tid>},
+    {"core", field<&T::core>},
+    {"src_type", field<&T::src_type>},
+    {"dst_type", field<&T::dst_type>},
+    {"pred_gips", field<&T::pred_gips>},
+    {"obs_gips", field<&T::obs_gips>},
+    {"pred_w", field<&T::pred_w>},
+    {"obs_w", field<&T::obs_w>},
+    {"gips_err", field<&T::gips_err>},
+    {"power_err", field<&T::power_err>},
+    {"raw_gips_err", field<&T::raw_gips_err>},
+    {"raw_power_err", field<&T::raw_power_err>},
+};
+using E = EpochAuditRecord;
+constexpr Column<E> kEpoch[] = {
+    {"epoch", field<&E::epoch>},
+    {"initial_j", field<&E::initial_j>},
+    {"final_j", field<&E::final_j>},
+    {"applied", field<&E::applied>},
+    {"pred_dj", field<&E::pred_dj>},
+    {"realized_j", field<&E::realized_j>},
+    {"realized_dj", field<&E::realized_dj>},
+    {"realized_valid", field<&E::realized_valid>},
+    {"regret", field<&E::regret>},
+    {"migrations", field<&E::migrations>},
+    {"joined", field<&E::joined>},
+    {"unjoined", field<&E::unjoined>},
+    {"healthy_fraction", field<&E::healthy_fraction>},
+    {"degraded", field<&E::degraded>},
+    {"sa_iterations", field<&E::sa_iterations>},
+    {"sa_accepted_worse", field<&E::sa_accepted_worse>},
+    {"sa_improved", field<&E::sa_improved>},
+    {"faults_injected", field<&E::faults_injected>},
+};
+using M = MigrationAuditRecord;
+constexpr Column<M> kMigration[] = {
+    {"epoch", field<&M::epoch>},
+    {"tid", field<&M::tid>},
+    {"src", field<&M::src>},
+    {"dst", field<&M::dst>},
+    {"src_type", field<&M::src_type>},
+    {"dst_type", field<&M::dst_type>},
+    {"pred_gain", field<&M::pred_gain>},
+    {"realized_gain", field<&M::realized_gain>},
+    {"realized_valid", field<&M::realized_valid>},
+};
+using D = DriftEvent;
+constexpr Column<D> kDrift[] = {
+    {"epoch", field<&D::epoch>},
+    {"src_type", field<&D::src_type>},
+    {"dst_type", field<&D::dst_type>},
+    {"metric", field<&D::metric>},
+    {"ewma", field<&D::ewma>},
+    {"joins", field<&D::joins>},
+};
+using S = DriftState;
+constexpr Column<S> kState[] = {
+    {"src_type", field<&S::src_type>},
+    {"dst_type", field<&S::dst_type>},
+    {"joins", field<&S::joins>},
+    {"ewma_gips", field<&S::ewma_gips>},
+    {"ewma_power", field<&S::ewma_power>},
+    {"active", field<&S::active>},
+    {"ewma_gips_signed", field<&S::ewma_gips_signed>},
+    {"ewma_power_signed", field<&S::ewma_power_signed>},
+};
+
+/// A column table's comma-joined header names, joined once.
+template <const auto& kCols>
+const char* header() {
+  static const std::string joined = [] {
+    std::string out;
+    for (const auto& c : kCols) {
+      if (!out.empty()) out += ',';
+      out += c.name;
+    }
+    return out;
+  }();
+  return joined.c_str();
+}
+
+/// One `<kind>,<field>,...` row per record.
+template <class R, std::size_t N>
+void write_rows(std::ostream& os, std::string& line, const char* kind,
+                const Column<R> (&cols)[N], const std::vector<R>& records) {
+  for (const R& rec : records) {
+    line = kind;
+    for (const Column<R>& c : cols) {
+      line += ',';
+      c.append(line, rec);
+    }
+    line += '\n';
+    os << line;
+  }
+}
 
 void write_run(std::ostream& os, const RunObs& run) {
   const AuditSnapshot& a = run.audit;
   std::string line;
   os << "#run " << run.run << ' '
      << (run.label.empty() ? "run" : run.label) << '\n';
-  for (const EpochAuditRecord& r : a.epochs) {
-    line = "epoch,";
-    append_int(line, r.epoch);
-    line += ',';
-    append_double(line, r.initial_j);
-    line += ',';
-    append_double(line, r.final_j);
-    line += ',';
-    append_int(line, r.applied);
-    line += ',';
-    append_double(line, r.pred_dj);
-    line += ',';
-    append_double(line, r.realized_j);
-    line += ',';
-    append_double(line, r.realized_dj);
-    line += ',';
-    append_int(line, r.realized_valid);
-    line += ',';
-    append_double(line, r.regret);
-    line += ',';
-    append_int(line, r.migrations);
-    line += ',';
-    append_int(line, r.joined);
-    line += ',';
-    append_int(line, r.unjoined);
-    line += ',';
-    append_double(line, r.healthy_fraction);
-    line += ',';
-    append_int(line, r.degraded);
-    line += ',';
-    append_int(line, r.sa_iterations);
-    line += ',';
-    append_int(line, r.sa_accepted_worse);
-    line += ',';
-    append_int(line, r.sa_improved);
-    line += ',';
-    append_int(line, r.faults_injected);
-    line += '\n';
-    os << line;
-  }
-  for (const ThreadAuditRecord& r : a.threads) {
-    line = "thread,";
-    append_int(line, r.epoch);
-    line += ',';
-    append_int(line, r.tid);
-    line += ',';
-    append_int(line, r.core);
-    line += ',';
-    append_int(line, r.src_type);
-    line += ',';
-    append_int(line, r.dst_type);
-    line += ',';
-    append_double(line, r.pred_gips);
-    line += ',';
-    append_double(line, r.obs_gips);
-    line += ',';
-    append_double(line, r.pred_w);
-    line += ',';
-    append_double(line, r.obs_w);
-    line += ',';
-    append_double(line, r.gips_err);
-    line += ',';
-    append_double(line, r.power_err);
-    line += ',';
-    append_double(line, r.raw_gips_err);
-    line += ',';
-    append_double(line, r.raw_power_err);
-    line += '\n';
-    os << line;
-  }
-  for (const MigrationAuditRecord& r : a.migrations) {
-    line = "migration,";
-    append_int(line, r.epoch);
-    line += ',';
-    append_int(line, r.tid);
-    line += ',';
-    append_int(line, r.src);
-    line += ',';
-    append_int(line, r.dst);
-    line += ',';
-    append_int(line, r.src_type);
-    line += ',';
-    append_int(line, r.dst_type);
-    line += ',';
-    append_double(line, r.pred_gain);
-    line += ',';
-    append_double(line, r.realized_gain);
-    line += ',';
-    append_int(line, r.realized_valid);
-    line += '\n';
-    os << line;
-  }
-  for (const DriftEvent& r : a.drift_events) {
-    line = "drift,";
-    append_int(line, r.epoch);
-    line += ',';
-    append_int(line, r.src_type);
-    line += ',';
-    append_int(line, r.dst_type);
-    line += ',';
-    append_int(line, r.metric);
-    line += ',';
-    append_double(line, r.ewma);
-    line += ',';
-    append_int(line, r.joins);
-    line += '\n';
-    os << line;
-  }
-  for (const DriftState& r : a.drift_states) {
-    line = "state,";
-    append_int(line, r.src_type);
-    line += ',';
-    append_int(line, r.dst_type);
-    line += ',';
-    append_int(line, r.joins);
-    line += ',';
-    append_double(line, r.ewma_gips);
-    line += ',';
-    append_double(line, r.ewma_power);
-    line += ',';
-    append_int(line, r.active);
-    line += ',';
-    append_double(line, r.ewma_gips_signed);
-    line += ',';
-    append_double(line, r.ewma_power_signed);
-    line += '\n';
-    os << line;
-  }
+  write_rows(os, line, "epoch", kEpoch, a.epochs);
+  write_rows(os, line, "thread", kThread, a.threads);
+  write_rows(os, line, "migration", kMigration, a.migrations);
+  write_rows(os, line, "drift", kDrift, a.drift_events);
+  write_rows(os, line, "state", kState, a.drift_states);
   os << "#counters " << run.run << " joined=" << a.joined
      << " unjoined=" << a.unjoined << " predictions=" << a.predictions
      << " dropped="
@@ -172,34 +151,22 @@ void write_run(std::ostream& os, const RunObs& run) {
 
 }  // namespace
 
-const char* audit_thread_columns() { return kThreadCols; }
-const char* audit_epoch_columns() { return kEpochCols; }
-const char* audit_migration_columns() { return kMigrationCols; }
-const char* audit_drift_columns() { return kDriftCols; }
-const char* audit_state_columns() { return kStateCols; }
+const char* audit_thread_columns() { return header<kThread>(); }
+const char* audit_epoch_columns() { return header<kEpoch>(); }
+const char* audit_migration_columns() { return header<kMigration>(); }
+const char* audit_drift_columns() { return header<kDrift>(); }
+const char* audit_state_columns() { return header<kState>(); }
 
 void write_audit(std::ostream& os, const std::vector<const RunObs*>& runs) {
   os << "#sb-audit v" << kAuditSchemaVersion << '\n';
-  os << "#columns thread " << kThreadCols << '\n';
-  os << "#columns epoch " << kEpochCols << '\n';
-  os << "#columns migration " << kMigrationCols << '\n';
-  os << "#columns drift " << kDriftCols << '\n';
-  os << "#columns state " << kStateCols << '\n';
-  std::vector<const RunObs*> ordered;
-  ordered.reserve(runs.size());
-  for (const RunObs* r : runs) {
-    if (r != nullptr && r->audit_enabled) ordered.push_back(r);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const RunObs* a, const RunObs* b) {
-                     return a->run < b->run;
-                   });
-  int exported = 0;
-  for (const RunObs* r : ordered) {
-    write_run(os, *r);
-    ++exported;
-  }
-  os << "#summary runs=" << exported << '\n';
+  os << "#columns thread " << audit_thread_columns() << '\n';
+  os << "#columns epoch " << audit_epoch_columns() << '\n';
+  os << "#columns migration " << audit_migration_columns() << '\n';
+  os << "#columns drift " << audit_drift_columns() << '\n';
+  os << "#columns state " << audit_state_columns() << '\n';
+  const auto ordered = ordered_runs(runs, &RunObs::audit_enabled);
+  for (const RunObs* r : ordered) write_run(os, *r);
+  os << "#summary runs=" << ordered.size() << '\n';
 }
 
 void write_audit_file(const std::string& path,

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/store.h"
+
 namespace sb::obs {
 
 int Histogram::bucket_index(std::uint64_t v) {
@@ -117,40 +119,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other,
   }
   for (const auto& [name, h] : other.histograms_) histogram(name).merge(h);
 }
-
-namespace {
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
-
-}  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   os << "{\"counters\":{";

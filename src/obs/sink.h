@@ -26,12 +26,10 @@ namespace sb::obs {
 
 struct ObsConfig {
   bool metrics = false;
+  /// Epoch tracer, keeping the newest 65,536 events (see obs/trace.h).
   bool trace = false;
-  /// Ring capacity (events) for the tracer; oldest events drop on overflow.
-  std::size_t trace_capacity = std::size_t{1} << 16;
   /// Prediction-audit flight recorder (see obs/audit.h).
   bool audit = false;
-  AuditConfig audit_config;
   /// Windowed time-series sampler (see obs/timeseries.h).
   TimeseriesConfig timeseries;
   /// Burn-rate objectives over the sampled signals (see obs/slo.h);

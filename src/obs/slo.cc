@@ -123,9 +123,9 @@ void SloEngine::on_frame(TimeseriesRecorder& rec, MetricsRegistry& metrics,
       st.signal_id = rec.intern(o.signal);
       st.burn_id = rec.intern("slo.burn." + o.signal);
       st.breached_id = rec.intern("slo.breached." + o.signal);
-      st.window_frames = static_cast<std::size_t>(
+      const auto frames = static_cast<std::size_t>(
           std::max<TimeNs>(1, o.window / sample_window_));
-      st.ring.assign(st.window_frames, 0);
+      st.window = Ring<unsigned char>(frames, frames);
     }
     resolved_ = true;
   }
@@ -137,14 +137,13 @@ void SloEngine::on_frame(TimeseriesRecorder& rec, MetricsRegistry& metrics,
         rec.frame_value(st.signal_id, std::numeric_limits<double>::quiet_NaN());
     if (std::isnan(v)) continue;  // signal absent from this frame
     const bool violation = o.upper ? v >= o.threshold : v <= o.threshold;
-    if (st.filled == st.window_frames) {
-      st.violating -= st.ring[st.head];
-    } else {
-      ++st.filled;
+    const std::size_t frames = st.window.capacity();
+    if (st.window.size() == frames) {
+      // The oldest flag, about to be overwritten, leaves the window.
+      st.violating -= *st.window.find(st.window.dropped());
     }
-    st.ring[st.head] = violation ? 1 : 0;
+    st.window.push(violation ? 1 : 0);
     st.violating += violation ? 1 : 0;
-    st.head = (st.head + 1) % st.window_frames;
 
     metrics.counter("slo.samples").add();
     if (violation) metrics.counter("slo.violations").add();
@@ -152,11 +151,10 @@ void SloEngine::on_frame(TimeseriesRecorder& rec, MetricsRegistry& metrics,
     // Burn rate is the violating fraction of the *full* window, so the
     // budget means the same thing while the window is still filling.
     const double burn =
-        static_cast<double>(st.violating) /
-        static_cast<double>(st.window_frames);
+        static_cast<double>(st.violating) / static_cast<double>(frames);
     const bool over =
         static_cast<double>(st.violating) >
-        o.burn * static_cast<double>(st.window_frames) + kBurnEpsilon;
+        o.burn * static_cast<double>(frames) + kBurnEpsilon;
     if (over && !st.breached) {
       st.breached = true;
       ++breaches_;

@@ -31,6 +31,7 @@
 
 #include "common/types.h"
 #include "obs/metrics.h"
+#include "obs/store.h"
 #include "obs/timeseries.h"
 
 namespace sb::obs {
@@ -90,11 +91,9 @@ class SloEngine {
     std::uint32_t signal_id = 0;    // resolved against rec on first frame
     std::uint32_t burn_id = 0;      // slo.burn.<signal>
     std::uint32_t breached_id = 0;  // slo.breached.<signal>
-    std::size_t window_frames = 1;
-    /// Rolling ring of violation flags for the last window_frames samples.
-    std::vector<unsigned char> ring;
-    std::size_t head = 0;
-    std::size_t filled = 0;
+    /// Violation flags of the objective's window (window / sample_window
+    /// frames), oldest overwritten first.
+    Ring<unsigned char> window{1};
     std::size_t violating = 0;
     bool breached = false;
   };

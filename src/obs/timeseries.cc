@@ -1,8 +1,8 @@
 #include "obs/timeseries.h"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -23,24 +23,6 @@ constexpr spec::Field kFields[] = {
     {"window_ms", spec::Kind::kInt, 1, 60'000},
     {"capacity", spec::Kind::kInt, 64, 1 << 24, 1 << 16},
 };
-
-/// Ordered, deduped run list for the exporters: stamped run index is the
-/// merge key, exactly like the audit writer.
-std::vector<const RunObs*> ordered_runs(const std::vector<const RunObs*>& runs,
-                                        bool timeseries_only) {
-  std::vector<const RunObs*> ordered;
-  ordered.reserve(runs.size());
-  for (const RunObs* r : runs) {
-    if (r == nullptr) continue;
-    if (timeseries_only && !r->timeseries_enabled) continue;
-    ordered.push_back(r);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const RunObs* a, const RunObs* b) {
-                     return a->run < b->run;
-                   });
-  return ordered;
-}
 
 }  // namespace
 
@@ -63,23 +45,13 @@ std::string TimeseriesConfig::canonical() const {
   return out;
 }
 
+// Pre-grow everything the record path touches: sampling must stay
+// allocation-free so the tsdb-on epoch-pass alloc gate is exact.
 TimeseriesRecorder::TimeseriesRecorder(TimeseriesConfig cfg)
-    : cfg_(cfg) {
-  cfg_.capacity = std::max<std::size_t>(cfg_.capacity, 1);
+    : cfg_(cfg), ring_(cfg.capacity, std::size_t{1} << 16) {
+  cfg_.capacity = ring_.capacity();
   if (cfg_.window <= 0) cfg_.window = milliseconds(10);
-  // Pre-grow everything the record path touches: sampling must stay
-  // allocation-free so the tsdb-on epoch-pass alloc gate is exact.
-  ring_.reserve(std::min<std::size_t>(cfg_.capacity, std::size_t{1} << 16));
   frame_.reserve(64);
-}
-
-std::uint32_t TimeseriesRecorder::intern(std::string_view name) {
-  const auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(std::string(name), id);
-  return id;
 }
 
 void TimeseriesRecorder::begin_frame(std::uint64_t t_ns) {
@@ -89,19 +61,7 @@ void TimeseriesRecorder::begin_frame(std::uint64_t t_ns) {
 }
 
 void TimeseriesRecorder::record(std::uint32_t signal, double value) {
-  TimeseriesSample s;
-  s.t_ns = frame_t_ns_;
-  s.signal = signal;
-  s.value = value;
-  if (ring_.size() < cfg_.capacity) {
-    ring_.push_back(s);
-  } else {
-    // Sample k lives at slot k % capacity, so the slot of the oldest held
-    // sample (seq_ - capacity) is exactly seq_ % capacity.
-    ring_[static_cast<std::size_t>(seq_ % cfg_.capacity)] = s;
-    ++dropped_;
-  }
-  ++seq_;
+  ring_.push({frame_t_ns_, signal, value});
   frame_.emplace_back(signal, value);
 }
 
@@ -115,18 +75,11 @@ double TimeseriesRecorder::frame_value(std::uint32_t signal,
 
 TimeseriesRecorder::Snapshot TimeseriesRecorder::snapshot() const {
   Snapshot out;
+  out.samples = ring_.snapshot();
   out.names = names_;
-  out.dropped = dropped_;
+  out.dropped = ring_.dropped();
   out.frames = frames_;
   out.window = cfg_.window;
-  out.samples.reserve(ring_.size());
-  if (ring_.size() < cfg_.capacity) {
-    out.samples = ring_;
-  } else {
-    const std::size_t head = static_cast<std::size_t>(seq_ % cfg_.capacity);
-    out.samples.insert(out.samples.end(), ring_.begin() + head, ring_.end());
-    out.samples.insert(out.samples.end(), ring_.begin(), ring_.begin() + head);
-  }
   return out;
 }
 
@@ -138,7 +91,7 @@ void write_timeseries(std::ostream& os,
                       const std::vector<const RunObs*>& runs) {
   os << "#sb-tsdb v" << kTimeseriesSchemaVersion << '\n';
   os << "#columns sample " << kSampleCols << '\n';
-  const auto ordered = ordered_runs(runs, /*timeseries_only=*/true);
+  const auto ordered = ordered_runs(runs, &RunObs::timeseries_enabled);
   std::string line;
   for (const RunObs* r : ordered) {
     const auto& ts = r->timeseries;
@@ -163,7 +116,7 @@ void write_timeseries(std::ostream& os,
 
 void write_timeseries_json(std::ostream& os,
                            const std::vector<const RunObs*>& runs) {
-  const auto ordered = ordered_runs(runs, /*timeseries_only=*/true);
+  const auto ordered = ordered_runs(runs, &RunObs::timeseries_enabled);
   os << "{\"schema\":\"sb-tsdb\",\"version\":" << kTimeseriesSchemaVersion
      << ",\"runs\":[";
   bool first_run = true;
@@ -172,15 +125,17 @@ void write_timeseries_json(std::ostream& os,
     const auto& ts = r->timeseries;
     if (!first_run) os << ',';
     first_run = false;
-    os << "{\"run\":" << r->run << ",\"label\":\""
-       << (r->label.empty() ? "run" : r->label) << "\",\"window_ns\":"
-       << ts.window << ",\"frames\":" << ts.frames << ",\"dropped\":"
-       << ts.dropped << ",\"samples\":[";
+    os << "{\"run\":" << r->run << ",\"label\":";
+    json_string(os, r->label.empty() ? "run" : r->label);
+    os << ",\"window_ns\":" << ts.window << ",\"frames\":" << ts.frames
+       << ",\"dropped\":" << ts.dropped << ",\"samples\":[";
     bool first = true;
     for (const TimeseriesSample& s : ts.samples) {
       if (!first) os << ',';
       first = false;
-      os << "[" << s.t_ns << ",\"" << ts.name_of(s.signal) << "\",";
+      os << '[' << s.t_ns << ',';
+      json_string(os, ts.name_of(s.signal));
+      os << ',';
       num.clear();
       append_double(num, s.value);
       // JSON has no inf/nan literals; the recorder never produces them,
@@ -245,7 +200,7 @@ void prom_value(std::ostream& os, double v) {
 
 void write_prometheus(std::ostream& os,
                       const std::vector<const RunObs*>& runs) {
-  const auto ordered = ordered_runs(runs, /*timeseries_only=*/false);
+  const auto ordered = ordered_runs(runs);
   // One HELP/TYPE block per metric name, then one sample line per run that
   // carries the metric — the exposition-format shape scrapers expect.
   std::map<std::string, char> kinds;  // name -> 'c' | 'g' | 'h'

@@ -10,9 +10,9 @@
 // enter a row, so the export is a deterministic function of the run and
 // stays byte-identical across --jobs worker counts.
 //
-// Signal names are interned once into a per-recorder string table (exactly
+// Signal names are interned once into a per-recorder obs::NameTable (exactly
 // like the EpochTracer); a sample is a 24-byte POD and recording one is two
-// stores into a pre-grown ring — no allocation on the record path after
+// stores into a pre-grown obs::Ring — no allocation on the record path after
 // construction. Overflow keeps the newest `capacity` samples; overwritten
 // rows are counted in dropped() and surfaced in the export, so a truncated
 // series is never mistaken for a complete one.
@@ -27,13 +27,13 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "obs/store.h"
 
 namespace sb::obs {
 
@@ -73,8 +73,8 @@ class TimeseriesRecorder {
   TimeNs window() const { return cfg_.window; }
 
   /// Interns a signal name, returning a stable id (idempotent per string).
-  std::uint32_t intern(std::string_view name);
-  const std::vector<std::string>& names() const { return names_; }
+  std::uint32_t intern(std::string_view name) { return names_.intern(name); }
+  const std::vector<std::string>& names() const { return names_.names(); }
 
   /// Starts a frame at simulated time t_ns; subsequent record() calls are
   /// stamped with it and collected for same-frame consumers (SLO engine).
@@ -93,41 +93,37 @@ class TimeseriesRecorder {
   /// Latest value of `signal` in the current frame; `fallback` when absent.
   double frame_value(std::uint32_t signal, double fallback) const;
 
-  std::size_t capacity() const { return cfg_.capacity; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Samples currently held (<= capacity).
   std::size_t size() const { return ring_.size(); }
   /// Total samples ever recorded.
-  std::uint64_t recorded() const { return seq_; }
+  std::uint64_t recorded() const { return ring_.recorded(); }
   /// Samples overwritten by ring overflow (oldest-first).
-  std::uint64_t dropped() const { return dropped_; }
+  std::uint64_t dropped() const { return ring_.dropped(); }
   /// Frames started (sampler ticks).
   std::uint64_t frames() const { return frames_; }
 
   /// Drained copy of the ring in record (oldest -> newest) order plus the
-  /// string table — everything an exporter needs, detached.
+  /// name table — everything an exporter needs, detached.
   struct Snapshot {
     std::vector<TimeseriesSample> samples;
-    std::vector<std::string> names;
+    NameTable names;
     std::uint64_t dropped = 0;
     std::uint64_t frames = 0;
     TimeNs window = 0;
 
     std::string_view name_of(std::uint32_t id) const {
-      return id < names.size() ? std::string_view(names[id])
-                               : std::string_view("?");
+      return names.name_of(id);
     }
   };
   Snapshot snapshot() const;
 
  private:
   TimeseriesConfig cfg_;
-  std::vector<TimeseriesSample> ring_;
-  std::vector<std::string> names_;
-  std::map<std::string, std::uint32_t, std::less<>> ids_;
+  Ring<TimeseriesSample> ring_;
+  NameTable names_;
   std::vector<std::pair<std::uint32_t, double>> frame_;
   std::uint64_t frame_t_ns_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t frames_ = 0;
 };
 

@@ -1,43 +1,22 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <iostream>
 #include <ostream>
 #include <stdexcept>
 
 namespace sb::obs {
 
-EpochTracer::EpochTracer(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  ring_.reserve(std::min<std::size_t>(capacity_, 1 << 12));
-}
-
-std::uint32_t EpochTracer::intern(std::string_view name) {
-  const auto it = name_ids_.find(name);
-  if (it != name_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(name);
-  name_ids_.emplace(std::string(name), id);
-  return id;
-}
+// The ring pre-grows 4096 slots; a longer run grows it on the record path.
+EpochTracer::EpochTracer(std::size_t capacity) : ring_(capacity, 1 << 12) {}
 
 void EpochTracer::push(TraceEvent ev, TraceArgs args) {
   for (const auto& [key, value] : args) {
     if (ev.nargs >= ev.args.size()) break;
     ev.args[ev.nargs++] = TraceArg{intern(key), value};
   }
-  ev.seq = seq_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(ev);
-  } else {
-    // Overwrite the oldest event: record k lives at slot k % capacity, so
-    // the slot of seq_ - capacity is exactly seq_ % capacity.
-    ring_[static_cast<std::size_t>(seq_ % capacity_)] = ev;
-    ++dropped_;
-  }
-  ++seq_;
+  ev.seq = ring_.recorded();
+  ring_.push(ev);
 }
 
 void EpochTracer::span(std::string_view name, std::uint64_t ts_ns,
@@ -65,51 +44,28 @@ void EpochTracer::instant(std::string_view name, std::uint64_t ts_ns,
 
 EpochTracer::Snapshot EpochTracer::snapshot() const {
   Snapshot snap;
+  snap.events = ring_.snapshot();
   snap.names = names_;
-  snap.dropped = dropped_;
-  snap.events.reserve(ring_.size());
-  if (dropped_ == 0) {
-    snap.events = ring_;
-  } else {
-    // The ring has wrapped: oldest surviving event sits at seq_ % capacity.
-    const auto start = static_cast<std::size_t>(seq_ % capacity_);
-    snap.events.insert(snap.events.end(), ring_.begin() + start, ring_.end());
-    snap.events.insert(snap.events.end(), ring_.begin(), ring_.begin() + start);
-  }
+  snap.dropped = ring_.dropped();
   return snap;
 }
 
+std::vector<const RunObs*> ordered_runs(const std::vector<const RunObs*>& runs,
+                                        bool RunObs::*keep) {
+  std::vector<const RunObs*> ordered;
+  ordered.reserve(runs.size());
+  for (const RunObs* r : runs) {
+    if (r != nullptr && (keep == nullptr || r->*keep)) ordered.push_back(r);
+  }
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const RunObs* a, const RunObs* b) {
+                     return a->run != b->run ? a->run < b->run
+                                             : a->label < b->label;
+                   });
+  return ordered;
+}
+
 namespace {
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
 
 /// Chrome trace timestamps are microseconds; keep nanosecond precision.
 void json_us(std::ostream& os, std::uint64_t ns) {
@@ -143,19 +99,10 @@ void write_event(std::ostream& os, const RunObs& run, const TraceEvent& ev) {
 
 void write_chrome_trace(std::ostream& os,
                         const std::vector<const RunObs*>& runs) {
-  // Deterministic merge: order runs by their submission index, then events
-  // by (run, epoch, seq). Per-run snapshots are already seq-sorted, but a
-  // stable explicit sort makes the contract independent of that detail.
-  std::vector<const RunObs*> ordered;
-  ordered.reserve(runs.size());
-  for (const RunObs* r : runs) {
-    if (r != nullptr) ordered.push_back(r);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const RunObs* a, const RunObs* b) {
-                     return a->run != b->run ? a->run < b->run
-                                             : a->label < b->label;
-                   });
+  // Deterministic merge: runs in ordered_runs() order, then events by
+  // (epoch, seq). Per-run snapshots are already seq-sorted, but a stable
+  // explicit sort makes the contract independent of that detail.
+  const auto ordered = ordered_runs(runs);
 
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -196,17 +143,10 @@ void write_chrome_trace_file(const std::string& path,
 }
 
 MetricsRegistry merge_metrics(const std::vector<const RunObs*>& runs) {
-  std::vector<const RunObs*> ordered;
-  ordered.reserve(runs.size());
-  for (const RunObs* r : runs) {
-    if (r != nullptr) ordered.push_back(r);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const RunObs* a, const RunObs* b) {
-                     return a->run < b->run;
-                   });
   MetricsRegistry merged;
-  for (const RunObs* run : ordered) merged.merge(run->metrics, run->run);
+  for (const RunObs* run : ordered_runs(runs)) {
+    merged.merge(run->metrics, run->run);
+  }
   return merged;
 }
 

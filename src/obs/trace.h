@@ -5,10 +5,10 @@
 // The timeline is *simulated* time (one process row per run, epochs every
 // T_Epoch); span durations are host wall-clock, so each epoch boundary
 // shows the real sense → predict → balance cost laid out sequentially.
-// Event names and argument keys are interned once into a per-tracer string
+// Event names and argument keys are interned once into a per-tracer name
 // table; an event itself is a small POD, and recording one is a couple of
-// stores into a pre-grown ring — no allocation, no locks (the tracer is
-// single-producer by construction: one Simulation, one tracer).
+// stores into a pre-grown obs::Ring — no allocation, no locks (the tracer
+// is single-producer by construction: one Simulation, one tracer).
 //
 // Overflow policy: the ring keeps the newest `capacity` events; the oldest
 // are overwritten and counted in dropped(), which is also surfaced in the
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +26,7 @@
 
 #include "obs/audit.h"
 #include "obs/metrics.h"
+#include "obs/store.h"
 #include "obs/timeseries.h"
 
 namespace sb::obs {
@@ -55,32 +55,31 @@ class EpochTracer {
   explicit EpochTracer(std::size_t capacity);
 
   /// Interns a name, returning a stable id (idempotent per string).
-  std::uint32_t intern(std::string_view name);
-  const std::vector<std::string>& names() const { return names_; }
+  std::uint32_t intern(std::string_view name) { return names_.intern(name); }
+  const std::vector<std::string>& names() const { return names_.names(); }
 
   void span(std::string_view name, std::uint64_t ts_ns, std::uint64_t dur_ns,
             std::uint64_t epoch, TraceArgs args = {});
   void instant(std::string_view name, std::uint64_t ts_ns, std::uint64_t epoch,
                TraceArgs args = {});
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Events currently held (<= capacity).
   std::size_t size() const { return ring_.size(); }
   /// Total events ever recorded.
-  std::uint64_t recorded() const { return seq_; }
+  std::uint64_t recorded() const { return ring_.recorded(); }
   /// Events overwritten by ring overflow (oldest-first).
-  std::uint64_t dropped() const { return dropped_; }
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
   /// Drained copy of the ring in seq (oldest → newest) order plus the
-  /// string table — everything an exporter needs, detached from the tracer.
+  /// name table — everything an exporter needs, detached from the tracer.
   struct Snapshot {
     std::vector<TraceEvent> events;
-    std::vector<std::string> names;
+    NameTable names;
     std::uint64_t dropped = 0;
 
     std::string_view name_of(std::uint32_t id) const {
-      return id < names.size() ? std::string_view(names[id])
-                               : std::string_view("?");
+      return names.name_of(id);
     }
   };
   Snapshot snapshot() const;
@@ -88,12 +87,8 @@ class EpochTracer {
  private:
   void push(TraceEvent ev, TraceArgs args);
 
-  std::size_t capacity_;
-  std::vector<TraceEvent> ring_;
-  std::vector<std::string> names_;
-  std::map<std::string, std::uint32_t, std::less<>> name_ids_;
-  std::uint64_t seq_ = 0;
-  std::uint64_t dropped_ = 0;
+  Ring<TraceEvent> ring_;
+  NameTable names_;
 };
 
 /// Everything observability produced for one simulation run: the metrics
@@ -112,6 +107,14 @@ struct RunObs {
   AuditSnapshot audit;
   TimeseriesRecorder::Snapshot timeseries;
 };
+
+/// The non-null runs (only those with `keep` set, when given) in stamped
+/// run-index order, ties broken by label: the one merge order every
+/// exporter uses, so an export is a deterministic function of the run set —
+/// independent of the order runs are passed in and of the --jobs worker
+/// count that produced them.
+std::vector<const RunObs*> ordered_runs(const std::vector<const RunObs*>& runs,
+                                        bool RunObs::*keep = nullptr);
 
 /// Merges per-run traces into one Chrome trace-event JSON document:
 /// `{"traceEvents":[...],"smartbalance":{...}}`. Each run becomes one

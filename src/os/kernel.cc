@@ -58,12 +58,7 @@ void Kernel::set_core_opp(CoreId c, std::size_t opp_index) {
   const ThreadId running = stop_current(c);
   cs.opp_idx = opp_index;
   ++dvfs_transitions_;
-  if (running != kInvalidThread) {
-    Task& t = task_mut(running);
-    t.state = TaskState::Runnable;
-    if (t.runnable_since == kTimeNever) t.runnable_since = now_;
-    cs.rq.enqueue(running, t.vruntime, t.weight);
-  }
+  if (running != kInvalidThread) requeue(task_mut(running));
   if (!in_balance_pass_ && cs.running == kInvalidThread) dispatch(c);
 }
 
@@ -303,11 +298,7 @@ void Kernel::run_until(TimeNs t) {
   for (CoreId c = 0; c < num_cores(); ++c) {
     CoreState& cs = core(c);
     if (cs.running != kInvalidThread) {
-      const ThreadId tid = stop_current(c);
-      Task& tk = task_mut(tid);
-      tk.state = TaskState::Runnable;
-      if (tk.runnable_since == kTimeNever) tk.runnable_since = now_;
-      cs.rq.enqueue(tid, tk.vruntime, tk.weight);
+      requeue(task_mut(stop_current(c)));
       dispatch(c);
     } else if (cs.asleep) {
       account_core_sleep(c);
@@ -526,9 +517,7 @@ void Kernel::after_task_stops(ThreadId tid) {
     advance_util(t, /*active=*/false);
     return;
   }
-  t.state = TaskState::Runnable;
-  if (t.runnable_since == kTimeNever) t.runnable_since = now_;
-  core(t.cpu).rq.enqueue(tid, t.vruntime, t.weight);
+  requeue(t);
 }
 
 void Kernel::handle_segment_end(CoreId c, std::uint64_t seq) {
@@ -599,10 +588,15 @@ void Kernel::handle_wake(ThreadId tid) {
   enqueue_task(t, /*wakeup=*/true);
 }
 
+void Kernel::requeue(Task& t) {
+  t.state = TaskState::Runnable;
+  if (t.runnable_since == kTimeNever) t.runnable_since = now_;
+  core(t.cpu).rq.enqueue(t.tid, t.vruntime, t.weight);
+}
+
 void Kernel::enqueue_task(Task& t, bool wakeup) {
   CoreState& cs = core(t.cpu);
-  if (t.runnable_since == kTimeNever) t.runnable_since = now_;
-  cs.rq.enqueue(t.tid, t.vruntime, t.weight);
+  requeue(t);
   if (in_balance_pass_) return;  // dispatch happens after the pass
 
   if (cs.running == kInvalidThread) {
@@ -614,10 +608,7 @@ void Kernel::enqueue_task(Task& t, bool wakeup) {
     // Preempt if the woken task is entitled to run by a clear margin.
     if (cur.vruntime >
         t.vruntime + static_cast<double>(cfg_.wakeup_granularity)) {
-      const ThreadId stopped = stop_current(t.cpu);
-      Task& st = task_mut(stopped);
-      st.state = TaskState::Runnable;
-      cs.rq.enqueue(stopped, st.vruntime, st.weight);
+      requeue(task_mut(stop_current(t.cpu)));
       dispatch(t.cpu);
     }
   }

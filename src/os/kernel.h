@@ -299,6 +299,9 @@ class Kernel {
   void account_segment(CoreId c);
   /// Charges sleep power for a quiescent core up to now_.
   void account_core_sleep(CoreId c);
+  /// Marks t Runnable on its core's runqueue; its wait starts now unless
+  /// it is already waiting. Every enqueue goes through here.
+  void requeue(Task& t);
   /// Places a runnable task on its core's runqueue (+wakeup preemption).
   void enqueue_task(Task& t, bool wakeup);
   void advance_util(Task& t, bool active);

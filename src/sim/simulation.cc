@@ -147,6 +147,7 @@ SimulationResult Simulation::run() {
   if (ran_) throw std::logic_error("Simulation::run called twice");
   ran_ = true;
   prepare_run();
+  apply_arrivals();  // arrivals due at the start fork before the first step
 
   if (cfg_.run_to_completion || sampled_ || ts_sampler_ != nullptr ||
       !arrivals_.empty()) {
@@ -178,6 +179,7 @@ void Simulation::begin_service() {
   ran_ = true;
   service_ = true;
   prepare_run();
+  apply_arrivals();
 }
 
 void Simulation::advance_service(TimeNs dt) {

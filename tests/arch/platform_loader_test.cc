@@ -102,7 +102,8 @@ TEST(PlatformLoader, Errors) {
   for (const char* text :
        {"core A x2junk\n", "core A x99999999999\n", "core A x1025\n",
         "core A x-1\n", "core A x1\n  rob_size 3.7\n",
-        "core A x1\n  rob_size 1e12\n", "core A x1\n  rob_size -1e12\n"}) {
+        "core A x1\n  rob_size 1e12\n", "core A x1\n  rob_size -1e12\n",
+        "core Pr\"ime x2\n", "core Pr,ime x2\n"}) {
     std::stringstream is(text);
     EXPECT_THROW(load_platform(is), std::runtime_error) << text;
   }
@@ -119,7 +120,9 @@ TEST(PlatformLoader, ErrorsCarryLineNumbers) {
   for (const char* text : {"core A x1\n  freq_mhz 100\n  bogus 3\n",
                            "core A x1\n  freq_mhz 100\ncore B x2junk\n",
                            "core A x1\n  freq_mhz 100\n  rob_size 3.7\n",
-                           "core A x1\n  freq_mhz 100\n  rob_size 1e12\n"}) {
+                           "core A x1\n  freq_mhz 100\n  rob_size 1e12\n",
+                           "core A x1\n  freq_mhz 100\ncore Pr\"ime x2\n",
+                           "core A x1\n  freq_mhz 100\ncore Pr,ime x2\n"}) {
     std::stringstream bad(text);
     try {
       load_platform(bad);

@@ -41,11 +41,11 @@ ThreadPrediction make_pred(std::int64_t tid, std::int32_t core,
   return p;
 }
 
-EpochDecision make_decision(std::uint64_t epoch, double pred_dj = 0,
-                            bool applied = true) {
-  EpochDecision d;
+EpochAuditRecord make_decision(std::uint64_t epoch, double pred_dj = 0,
+                               bool applied = true) {
+  EpochAuditRecord d;
   d.epoch = epoch;
-  d.applied = applied;
+  d.applied = applied ? 1 : 0;
   d.pred_dj = pred_dj;
   return d;
 }
@@ -148,7 +148,7 @@ TEST(AuditRecorder, EpochGapDiscardsPendingForecasts) {
 TEST(AuditRecorder, PredictionsWithoutDecisionAreIgnored) {
   AuditRecorder r(AuditConfig{});
   r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
-  r.record_migration(MigrationPrediction{});
+  r.record_migration(MigrationAuditRecord{}, /*src_eff=*/0.0);
   EXPECT_EQ(r.predictions(), 0u);
   const AuditSnapshot snap = r.snapshot();
   EXPECT_TRUE(snap.migrations.empty());
@@ -229,19 +229,38 @@ TEST(AuditRecorder, RingOverflowDropsOldestAndKeepsCounts) {
   EXPECT_EQ(r.joined(), 3u);
 }
 
+TEST(AuditRecorder, ZeroCapacityKeepsTheNewestRecord) {
+  // Capacity clamps to one record per ledger, as it does for the tracer's
+  // and the timeseries recorder's rings.
+  AuditConfig cfg;
+  cfg.capacity = 0;
+  AuditRecorder r(cfg);
+  for (std::uint64_t e = 1; e <= 3; ++e) {
+    r.join(e, {make_obs(7, 2, 1, 2.0, 1.0)}, 0.0);
+    r.record_decision(make_decision(e));
+    r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
+  }
+  const AuditSnapshot snap = r.snapshot();
+  ASSERT_EQ(snap.epochs.size(), 1u);
+  EXPECT_EQ(snap.epochs[0].epoch, 3u);
+  EXPECT_EQ(snap.dropped_epochs, 2u);
+  ASSERT_EQ(snap.threads.size(), 1u);
+  EXPECT_EQ(snap.threads[0].epoch, 3u);
+  EXPECT_EQ(snap.dropped_threads, 1u);
+}
+
 TEST(AuditRecorder, MigrationValidatedByFirstWarmedDestinationMeasurement) {
   AuditRecorder r(AuditConfig{});
   r.join(1, {}, 0.0);
   r.record_decision(make_decision(1));
-  MigrationPrediction m;
+  MigrationAuditRecord m;
   m.tid = 5;
   m.src = 0;
   m.dst = 3;
   m.src_type = 0;
   m.dst_type = 2;
   m.pred_gain = 0.4;
-  m.src_eff = 1.0;
-  r.record_migration(m);
+  r.record_migration(m, /*src_eff=*/1.0);
 
   // Epoch 2 still serves the cached pre-migration row (source core): the
   // entry must stay pending, not be closed out as "thread moved away".
@@ -272,12 +291,12 @@ TEST(AuditRecorder, MigrationWindowExpiryLeavesRecordUnvalidated) {
   AuditRecorder r(cfg);
   r.join(1, {}, 0.0);
   r.record_decision(make_decision(1));
-  MigrationPrediction m;
+  MigrationAuditRecord m;
   m.tid = 5;
   m.src = 0;
   m.dst = 3;
   m.dst_type = 2;
-  r.record_migration(m);
+  r.record_migration(m, /*src_eff=*/0.0);
 
   // The destination measurement never warms up within the window.
   r.join(2, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);
@@ -293,11 +312,11 @@ TEST(AuditRecorder, MigrationOfExitedThreadIsClosedImmediately) {
   AuditRecorder r(AuditConfig{});
   r.join(1, {}, 0.0);
   r.record_decision(make_decision(1));
-  MigrationPrediction m;
+  MigrationAuditRecord m;
   m.tid = 5;
   m.dst = 3;
   m.dst_type = 2;
-  r.record_migration(m);
+  r.record_migration(m, /*src_eff=*/0.0);
   r.join(2, {}, 0.0);  // thread gone
   r.join(3, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);  // reappearance: ignored
   EXPECT_EQ(r.snapshot().migrations[0].realized_valid, 0);
@@ -312,14 +331,13 @@ RunObs audited_run(int run, const std::string& label, double obs_gips) {
   r.join(1, {}, 1.0);
   r.record_decision(make_decision(1, 0.25));
   r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
-  MigrationPrediction m;
+  MigrationAuditRecord m;
   m.tid = 7;
   m.src = 0;
   m.dst = 2;
   m.src_type = 0;
   m.dst_type = 1;
-  m.src_eff = 0.5;
-  r.record_migration(m);
+  r.record_migration(m, /*src_eff=*/0.5);
   r.join(2, {make_obs(7, 2, 1, obs_gips, 1.0)}, 1.5);
   RunObs o;
   o.run = run;
@@ -376,6 +394,118 @@ TEST(AuditWriter, RendersIdenticalSnapshotsIdentically) {
   const RunObs a1 = audited_run(0, "alpha", 2.0);
   const RunObs a2 = audited_run(0, "alpha", 2.0);
   EXPECT_EQ(render({&a1}), render({&a2}));
+}
+
+TEST(AuditWriter, GoldenRowsPinEveryField) {
+  // A distinct value in every field of every record kind: a field table
+  // that swapped, dropped or retyped one member changes these bytes.
+  // Negative ints, uint64s above 2^53 and non-integral doubles all appear.
+  RunObs o;
+  o.run = 3;
+  o.label = "golden";
+  o.audit_enabled = true;
+  AuditSnapshot& a = o.audit;
+
+  EpochAuditRecord e;
+  e.epoch = 18446744073709551615ull;
+  e.initial_j = 12.5;
+  e.final_j = -0.75;
+  e.applied = -1;
+  e.pred_dj = 2.25;
+  e.realized_j = 3.3;
+  e.realized_dj = -4.4;
+  e.realized_valid = 7;
+  e.regret = 6.6;
+  e.migrations = -8;
+  e.joined = 9;
+  e.unjoined = -10;
+  e.healthy_fraction = 0.55;
+  e.degraded = -11;
+  e.sa_iterations = 12;
+  e.sa_accepted_worse = -13;
+  e.sa_improved = 14;
+  e.faults_injected = -9223372036854775807ll;
+  a.epochs.push_back(e);
+
+  ThreadAuditRecord t;
+  t.epoch = 9007199254740993ull;  // 2^53 + 1: not representable as double
+  t.tid = -4242;
+  t.core = -3;
+  t.src_type = -2;
+  t.dst_type = 5;
+  t.pred_gips = 1.25;
+  t.obs_gips = -2.5;
+  t.pred_w = 0.1;
+  t.obs_w = 3.75;
+  t.gips_err = -0.125;
+  t.power_err = 1e-300;
+  t.raw_gips_err = 0.3;
+  t.raw_power_err = -1.5e-7;
+  a.threads.push_back(t);
+
+  MigrationAuditRecord m;
+  m.epoch = 9007199254740995ull;
+  m.tid = -15;
+  m.src = -16;
+  m.dst = 17;
+  m.src_type = -18;
+  m.dst_type = 19;
+  m.pred_gain = -0.0625;
+  m.realized_gain = 12345678.875;
+  m.realized_valid = -20;
+  a.migrations.push_back(m);
+
+  DriftEvent d;
+  d.epoch = 9007199254740997ull;
+  d.src_type = -21;
+  d.dst_type = 22;
+  d.metric = -23;
+  d.ewma = 0.0001;
+  d.joins = 18014398509481985ull;
+  a.drift_events.push_back(d);
+
+  DriftState s;
+  s.src_type = -24;
+  s.dst_type = 25;
+  s.joins = 9007199254740999ull;
+  s.ewma_gips = 0.7;
+  s.ewma_power = -0.9;
+  s.active = -26;
+  s.ewma_gips_signed = 1.1;
+  s.ewma_power_signed = -1.3;
+  a.drift_states.push_back(s);
+
+  a.joined = 101;
+  a.unjoined = 102;
+  a.predictions = 103;
+  a.dropped_threads = 1;
+  a.dropped_epochs = 2;
+  a.dropped_migrations = 4;
+
+  EXPECT_EQ(
+      render({&o}),
+      "#sb-audit v2\n"
+      "#columns thread epoch,tid,core,src_type,dst_type,pred_gips,obs_gips,"
+      "pred_w,obs_w,gips_err,power_err,raw_gips_err,raw_power_err\n"
+      "#columns epoch epoch,initial_j,final_j,applied,pred_dj,realized_j,"
+      "realized_dj,realized_valid,regret,migrations,joined,unjoined,"
+      "healthy_fraction,degraded,sa_iterations,sa_accepted_worse,sa_improved,"
+      "faults_injected\n"
+      "#columns migration epoch,tid,src,dst,src_type,dst_type,pred_gain,"
+      "realized_gain,realized_valid\n"
+      "#columns drift epoch,src_type,dst_type,metric,ewma,joins\n"
+      "#columns state src_type,dst_type,joins,ewma_gips,ewma_power,active,"
+      "ewma_gips_signed,ewma_power_signed\n"
+      "#run 3 golden\n"
+      "epoch,18446744073709551615,12.5,-0.75,-1,2.25,3.3,-4.4,7,6.6,-8,9,-10,"
+      "0.55,-11,12,-13,14,-9223372036854775807\n"
+      "thread,9007199254740993,-4242,-3,-2,5,1.25,-2.5,0.1,3.75,-0.125,1e-300,"
+      "0.3,-1.5e-07\n"
+      "migration,9007199254740995,-15,-16,17,-18,19,-0.0625,12345678.875,-20\n"
+      "drift,9007199254740997,-21,22,-23,1e-04,18014398509481985\n"
+      "state,-24,25,9007199254740999,0.7,-0.9,-26,1.1,-1.3\n"
+      "#counters 3 joined=101 unjoined=102 predictions=103 dropped=7\n"
+      "#summary runs=1\n");
 }
 
 }  // namespace

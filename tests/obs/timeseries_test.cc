@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "mini_json.h"
 #include "obs/trace.h"
 
 namespace sb::obs {
@@ -221,6 +222,30 @@ TEST(TimeseriesWriter, JsonRendersSameDataWithNullForNonFinite) {
             "{\"run\":0,\"label\":\"n\",\"window_ns\":10000000,"
             "\"frames\":1,\"dropped\":0,\"samples\":["
             "[5,\"a\",1.25],[5,\"a\",null]]}]}\n");
+}
+
+TEST(TimeseriesWriter, JsonEscapesLabelsAndSignalNames) {
+  // Run labels and signal names come from user input (platform files name
+  // the per-core-type signals); quotes and backslashes must not break the
+  // document.
+  const std::string label = "node \"a\\b\"";
+  const std::string signal = "gips.Pr\"ime\\x";
+  TimeseriesRecorder rec(small_config(16));
+  rec.begin_frame(5);
+  rec.record(rec.intern(signal), 1.5);
+  RunObs r;
+  r.run = 0;
+  r.label = label;
+  r.timeseries_enabled = true;
+  r.timeseries = rec.snapshot();
+  std::ostringstream os;
+  write_timeseries_json(os, {&r});
+  const auto doc = testjson::parse(os.str());
+  const auto& run = doc.at("runs").at(0);
+  EXPECT_EQ(run.at("label").str(), label);
+  ASSERT_EQ(run.at("samples").size(), 1u);
+  EXPECT_EQ(run.at("samples").at(0).at(1).str(), signal);
+  EXPECT_EQ(run.at("samples").at(0).at(2).num(), 1.5);
 }
 
 TEST(TimeseriesWriter, EmptyRunSetStillEmitsValidDocuments) {

@@ -360,6 +360,29 @@ TEST_F(KernelTest, SchedulingLatencyTracked) {
   EXPECT_NEAR(frac, 2.0 / 3.0, 0.1);
 }
 
+class SingleCoreKernelTest : public KernelTest {
+ protected:
+  SingleCoreKernelTest()
+      : KernelTest(arch::Platform::homogeneous(arch::medium_core(), 1)) {}
+};
+
+TEST_F(SingleCoreKernelTest, PreemptedTaskWaitIsCounted) {
+  // One core, never idle: whenever the hog is off the core the waker runs
+  // on it, so the hog's runqueue wait is exactly the waker's runtime. The
+  // waker's wakeup preemptions requeue the hog, and that wait must count.
+  Kernel k = make_kernel();
+  const ThreadId hog = k.fork(cpu_bound("hog"));
+  const ThreadId waker =
+      k.fork(interactive("waker", 200'000, microseconds(700)));
+  k.run_for(milliseconds(300));
+  const Task& h = k.task(hog);
+  // The hog's last wait is still open if the waker holds the core at the end.
+  const TimeNs open_wait =
+      h.runnable_since == kTimeNever ? 0 : k.now() - h.runnable_since;
+  EXPECT_GT(k.task(waker).lifetime_runtime, milliseconds(10));
+  EXPECT_EQ(h.total_wait + open_wait, k.task(waker).lifetime_runtime);
+}
+
 TEST_F(KernelTest, FirstDispatchedAtStampedOnceAtFirstRun) {
   Kernel k = make_kernel();
   k.fork_on(cpu_bound("busy"), 0);

@@ -78,6 +78,28 @@ TEST(Arrivals, DeferredBenchmarkForksAtTime) {
   EXPECT_EQ(s.kernel().task(2).arrived_at, milliseconds(60));
 }
 
+TEST(Arrivals, ArrivalDueAtStartForksBeforeTheFirstStep) {
+  // An arrival at t = 0 forks at 0 and runs for the whole window, like
+  // add_benchmark, both through run() and in service mode.
+  const TimeNs window = quick_cfg().duration;
+  for (const bool service : {false, true}) {
+    Simulation s(arch::Platform::quad_heterogeneous(), quick_cfg());
+    s.set_balancer(std::make_unique<os::VanillaBalancer>());
+    s.add_benchmark_at(0, "vips", 1);
+    SimulationResult r;
+    if (service) {
+      s.begin_service();
+      s.advance_service(window);
+      r = s.finish_service();
+    } else {
+      r = s.run();
+    }
+    ASSERT_EQ(r.threads.size(), 1u) << "service=" << service;
+    EXPECT_EQ(s.kernel().record(0).arrived_at, 0) << "service=" << service;
+    EXPECT_EQ(r.threads[0].runtime, window) << "service=" << service;
+  }
+}
+
 TEST(Arrivals, ValidatesNameEagerly) {
   Simulation s(arch::Platform::quad_heterogeneous(), quick_cfg());
   EXPECT_THROW(s.add_benchmark_at(milliseconds(10), "bogus", 2),

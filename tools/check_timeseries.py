@@ -32,7 +32,7 @@ import math
 import sys
 from pathlib import Path
 
-MAX_ERRORS = 50
+from schema_subset import MAX_ERRORS, validate
 
 
 def load_schema(path: Path) -> dict:
@@ -41,52 +41,6 @@ def load_schema(path: Path) -> dict:
     if schema.get("schema") != "sb-tsdb":
         raise SystemExit(f"{path}: not a sb-tsdb schema document")
     return schema
-
-
-# ---------------------------------------------------------------------------
-# Minimal JSON-schema subset interpreter (same dialect as check_trace.py):
-# type / required / properties / items / enum / minimum.
-# ---------------------------------------------------------------------------
-
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "number": (int, float),
-    "integer": int,
-    "boolean": bool,
-}
-
-
-def validate(value, schema, path, errors):
-    if len(errors) >= MAX_ERRORS:
-        return
-    t = schema.get("type")
-    if t is not None:
-        expected = _TYPES[t]
-        ok = isinstance(value, expected)
-        if t in ("number", "integer") and isinstance(value, bool):
-            ok = False
-        if t == "number" and isinstance(value, int):
-            ok = True
-        if not ok:
-            errors.append(f"{path}: expected {t}, got {type(value).__name__}")
-            return
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in {schema['enum']}")
-    if "minimum" in schema and isinstance(value, (int, float)) \
-            and not isinstance(value, bool) and value < schema["minimum"]:
-        errors.append(f"{path}: {value} < minimum {schema['minimum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            if key not in value:
-                errors.append(f"{path}: missing required key '{key}'")
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                validate(value[key], sub, f"{path}.{key}", errors)
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            validate(item, schema["items"], f"{path}[{i}]", errors)
 
 
 # ---------------------------------------------------------------------------

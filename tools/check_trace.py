@@ -6,7 +6,7 @@ Two layers of checking, both stdlib-only (CI has no jsonschema package):
 1. Structural: the file validates against the checked-in minimal schema
    (tools/trace_schema.json) -- a small subset of JSON Schema draft-07
    (type / required / properties / items / enum / minimum) interpreted
-   by this script.
+   by tools/schema_subset.py.
 2. Semantic (beyond what a schema can say): 'X' events carry ts+dur,
    'i' events carry ts+s, every event's args include the epoch number,
    and the summary block's event count matches the payload.
@@ -38,38 +38,7 @@ import json
 import os
 import sys
 
-TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-}
-
-
-def validate(value, schema, path, errors):
-    """Checks `value` against the schema subset; appends messages to errors."""
-    expected = schema.get("type")
-    if expected is not None and not TYPE_CHECKS[expected](value):
-        errors.append(f"{path}: expected {expected}, got {type(value).__name__}")
-        return
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not one of {schema['enum']}")
-    if "minimum" in schema and isinstance(value, (int, float)) \
-            and not isinstance(value, bool) and value < schema["minimum"]:
-        errors.append(f"{path}: {value} below minimum {schema['minimum']}")
-    if isinstance(value, dict):
-        for req in schema.get("required", ()):
-            if req not in value:
-                errors.append(f"{path}: missing required key '{req}'")
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                validate(value[key], sub, f"{path}.{key}", errors)
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            validate(item, schema["items"], f"{path}[{i}]", errors)
-
+from schema_subset import validate
 
 def semantic_checks(doc, errors):
     """Constraints the schema subset can't express."""
