@@ -24,6 +24,7 @@
 #include "bench_json.h"
 #include "common/fixed_math.h"
 #include "common/rng.h"
+#include "core/char_matrix.h"
 #include "core/objective.h"
 #include "core/sa_optimizer.h"
 #include "core/smart_balance.h"
@@ -119,6 +120,33 @@ void BM_PredictIpc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictIpc);
+
+void BM_BuildCharacterization(benchmark::State& state) {
+  // The predict phase at manycore_fig7's shape: 256 measured threads on
+  // scaled:32 (128 cores, four types), one model trained outside the loop.
+  const auto platform = arch::Platform::scaled_heterogeneous(32);
+  const perf::PerfModel perf(platform);
+  const power::PowerModel power(platform, perf);
+  const auto model = sim::train_default_model(perf, power, false);
+  const core::PredictorTrainer trainer(perf, power);
+  const auto profiles = core::PredictorTrainer::default_training_profiles();
+  Rng rng(5);
+  std::vector<core::ThreadObservation> observations;
+  for (int i = 0; i < 256; ++i) {
+    const auto c = static_cast<CoreId>(i % platform.num_cores());
+    auto o = trainer.synthesize_observation(
+        profiles[static_cast<std::size_t>(i) % profiles.size()],
+        platform.type_of(c), rng);
+    o.tid = i;
+    o.core = c;
+    observations.push_back(o);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::build_characterization(observations, model, platform));
+  }
+}
+BENCHMARK(BM_BuildCharacterization)->Unit(benchmark::kMicrosecond);
 
 void BM_IntervalModelEvaluate(benchmark::State& state) {
   const perf::IntervalModel m;

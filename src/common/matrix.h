@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
+#include <stdexcept>
 #include <vector>
 
 namespace sb {
@@ -27,8 +28,16 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
 
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
+  // Defined here so the O(m·n) fills in predict and the SA set-up inline
+  // the bounds check instead of paying a call per cell.
+  double& at(std::size_t r, std::size_t c) {
+    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
+    return data_[r * cols_ + c];
+  }
+  double at(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
+    return data_[r * cols_ + c];
+  }
   double& operator()(std::size_t r, std::size_t c) { return at(r, c); }
   double operator()(std::size_t r, std::size_t c) const { return at(r, c); }
 

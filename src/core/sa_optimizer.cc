@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -54,9 +55,10 @@ void SaOptimizer::ensure_radius_schedule(int iters) {
 
 int sa_auto_iterations(int num_cores, int num_threads) {
   // ~12 proposals per (thread, core) pair, saturating where the measured
-  // per-iteration cost (~0.1 us, see bench/micro_benchmarks) would push a
-  // pass beyond a few milliseconds of the 60 ms epoch (Fig. 8a: "for larger
-  // configurations we limit the number of iterations").
+  // per-iteration cost (21 ns on the quad, 29 ns at 128×256 in Release;
+  // BENCH_sa.json) would push a pass beyond a few milliseconds of the 60 ms
+  // epoch (Fig. 8a: "for larger configurations we limit the number of
+  // iterations").
   const long nm = static_cast<long>(num_cores) * num_threads;
   return static_cast<int>(std::min<long>(100 + 12 * nm, 60000));
 }
@@ -67,6 +69,11 @@ double evaluate_allocation(const Matrix& s, const Matrix& p,
   if (s.rows() != allocation.size() || p.rows() != allocation.size() ||
       s.cols() != p.cols()) {
     throw std::invalid_argument("evaluate_allocation: shape mismatch");
+  }
+  for (const CoreId c : allocation) {
+    if (c < 0 || static_cast<std::size_t>(c) >= s.cols()) {
+      throw std::invalid_argument("evaluate_allocation: bad core id");
+    }
   }
   ObjectiveScratch scratch;
   ObjectiveState<BalanceObjective> state(scratch, s, p, objective, allocation);
@@ -125,6 +132,7 @@ SaResult SaOptimizer::run_annealing(
   double accept =
       std::max(1e-9, cfg_.initial_accept_rel * std::abs(state.total()));
   const double daccept = cfg_.accept_decay;
+  bool accept_frozen = false;
 
   std::vector<CoreId>& current = scratch_.current;
   current = initial;
@@ -167,7 +175,19 @@ SaResult SaOptimizer::run_annealing(
 
     // The acceptance schedule advances every iteration regardless of move
     // validity (the perturb schedule advances inside the memoized radii).
-    accept *= daccept;
+    // At the default decay `accept` sinks into the subnormals after ~14k
+    // iterations and then sticks at 4.9e-324 (x·0.95 rounds back to x), so
+    // every further multiply would take the slow subnormal path. Once a
+    // product equals its input bit for bit, every later product is that
+    // same value, so skipping them leaves each `accept` — and with it every
+    // diff/accept, RNG draw and acceptance — unchanged. The comparison is
+    // on bits, not ==, so that ±0 under a negative decay keeps alternating.
+    if (!accept_frozen) {
+      const double next = accept * daccept;
+      accept_frozen = std::bit_cast<std::uint64_t>(next) ==
+                      std::bit_cast<std::uint64_t>(accept);
+      accept = next;
+    }
 
     if (pos == pos_new || ca == cb) continue;          // no-op
     if (ta < 0 && tb < 0) continue;                    // empty↔empty
@@ -272,6 +292,9 @@ SaResult SaOptimizer::optimize(
   }
   if (demand_gips && demand_gips->size() != m) {
     throw std::invalid_argument("SaOptimizer: demand size mismatch");
+  }
+  if (affinity && affinity->size() != m) {
+    throw std::invalid_argument("SaOptimizer: affinity size mismatch");
   }
   for (std::size_t i = 0; i < m; ++i) {
     if (initial[i] < 0 || initial[i] >= n) {

@@ -28,7 +28,12 @@
 //    batched;
 //  - the perturbation-radius schedule sqrt(perturb_it) is memoized across
 //    calls (it depends only on the config, not the RNG), hoisting the
-//    fixed-point sqrt out of the loop entirely.
+//    fixed-point sqrt out of the loop entirely;
+//  - the acceptance temperature stops being multiplied once a multiply
+//    returns its input bit for bit. At the default decay it sticks at the
+//    smallest subnormal after ~14k iterations, where each multiply costs
+//    more than a whole skipped iteration. Since x·Δ == x implies every
+//    later product is x too, every iteration still sees the same `accept`.
 // None of this changes the RNG draw sequence or the floating-point
 // arithmetic, so results are bit-identical to the straightforward
 // implementation.

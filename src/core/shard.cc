@@ -170,6 +170,9 @@ SaResult ShardedBalancer::balance(
     const std::vector<double>& demand, obs::Sink* obs, TimeNs ts_offset_ns) {
   const int k = partition_.num_shards();
   const std::size_t m = initial.size();
+  if (affinity.size() != m || demand.size() != m) {
+    throw std::invalid_argument("ShardedBalancer: per-thread vector size");
+  }
   last_ = ShardPassStats{};
 
   // Kind-preserving per-shard objective restrictions (stable per policy

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <bitset>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -47,6 +49,11 @@ TEST(EvaluateAllocation, ShapeChecked) {
   EXPECT_THROW(evaluate_allocation(Matrix(2, 2), Matrix(2, 3), obj, {0, 0}),
                std::invalid_argument);
   EXPECT_THROW(evaluate_allocation(Matrix(2, 2), Matrix(2, 2), obj, {0}),
+               std::invalid_argument);
+  // Core ids outside [0, n) would index past the per-core sums.
+  EXPECT_THROW(evaluate_allocation(Matrix(2, 2), Matrix(2, 2), obj, {0, 5}),
+               std::invalid_argument);
+  EXPECT_THROW(evaluate_allocation(Matrix(2, 2), Matrix(2, 2), obj, {-1, 0}),
                std::invalid_argument);
 }
 
@@ -214,6 +221,12 @@ TEST(SaOptimizer, ValidatesInput) {
   EXPECT_THROW(
       opt.optimize(Matrix(2, 2), Matrix(2, 2), obj, {0, 0}, nullptr, &utils),
       std::invalid_argument);
+  // One mask for four threads: rows 1-3 have none to read.
+  std::vector<std::bitset<kMaxCores>> masks(1);
+  masks[0].set();
+  EXPECT_THROW(opt.optimize(Matrix(4, 2, 1.0), Matrix(4, 2, 1.0), obj,
+                            {0, 1, 0, 1}, &masks),
+               std::invalid_argument);
 }
 
 TEST(ExhaustiveOptimum, RefusesHugeInstances) {
@@ -334,6 +347,87 @@ TEST(SaOptimizer, DriftResyncKeepsObjectiveConsistent) {
   EXPECT_GE(r.resyncs, 0);
   EXPECT_NEAR(evaluate_allocation(inst.s, inst.p, obj, r.allocation),
               r.objective, 1e-9 * std::max(1.0, r.objective));
+}
+
+/// A long anneal pinned bit for bit: 16 threads, alternately CPU-bound and
+/// duty-cycled, on two core types of four identical cores each, under the
+/// global objective for 30000 iterations.
+struct LongAnneal {
+  std::uint64_t seed;
+  bool fixed_point_acceptance;
+  double accept_decay;
+  std::vector<CoreId> allocation;
+  std::uint64_t objective_bits;
+  int improved;
+  int accepted_worse;
+  int resyncs;
+};
+
+SaResult run_long_anneal(const LongAnneal& c) {
+  constexpr std::size_t m = 16, n = 8, per_type = 4;
+  Rng rng(c.seed);
+  // Columns repeat within a core type, as build_characterization() fills
+  // them, so some moves leave the objective exactly unchanged.
+  Matrix s(m, n), p(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; j += per_type) {
+      const double gips = rng.uniform(0.1, 4.0);
+      const double watts = rng.uniform(0.05, 3.0);
+      for (std::size_t k = j; k < j + per_type; ++k) {
+        s.at(i, k) = gips;
+        p.at(i, k) = watts;
+      }
+    }
+  }
+  std::vector<double> demand(m);
+  std::vector<CoreId> initial(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    demand[i] = i % 2 == 0 ? -1.0 : rng.uniform(0.05, 1.0);
+    initial[i] = static_cast<CoreId>(i % n);
+  }
+  const GlobalEfficiencyObjective obj(
+      {0.08, 0.08, 0.08, 0.08, 0.02, 0.02, 0.02, 0.02});
+  SaConfig cfg;
+  cfg.seed = c.seed;
+  cfg.max_iterations = 30000;
+  cfg.accept_decay = c.accept_decay;
+  cfg.fixed_point_acceptance = c.fixed_point_acceptance;
+  return SaOptimizer(cfg).optimize(s, p, obj, initial, nullptr, &demand);
+}
+
+TEST(SaOptimizer, LongAnnealTrajectoriesArePinned) {
+  // At the default decay the temperature leaves the normal range after
+  // ~14k iterations and sticks at the smallest subnormal; at decay 0.3 it
+  // reaches +0 after ~620. The diff == 0 moves past that point are taken
+  // (0 / subnormal == 0) or refused (0 / +0 is NaN) by IEEE rules alone,
+  // so flushing subnormals, clamping the temperature or any other inexact
+  // change to its schedule moves the trajectory. At decay -0.3 it ends up
+  // alternating between -0 and +0, which an == test would take for a
+  // fixed point. Expected values were recorded with the temperature
+  // multiplied on every iteration.
+  const std::vector<LongAnneal> cases = {
+      {201, true, 0.95, {4, 5, 3, 5, 0, 3, 5, 3, 6, 5, 7, 3, 3, 3, 5, 5},
+       0x400b5554af3bf762ULL, 55, 61, 0},
+      {202, false, 0.95, {7, 4, 4, 6, 4, 0, 4, 4, 4, 3, 2, 4, 4, 4, 4, 4},
+       0x4012251f25499f47ULL, 92, 248, 0},
+      {203, true, 0.3, {7, 0, 1, 7, 3, 7, 7, 7, 7, 4, 7, 4, 7, 7, 2, 7},
+       0x4013f2d811b047ccULL, 56, 3, 0},
+      {204, false, 0.3, {5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 6, 3, 0, 3},
+       0x400d345eafcf31b1ULL, 118, 2, 0},
+      {205, true, -0.3, {7, 4, 0, 6, 5, 5, 5, 7, 7, 4, 6, 7, 5, 4, 5, 2},
+       0x4002ec69f9e8ba06ULL, 2336, 1860, 1},
+  };
+  for (const LongAnneal& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << c.seed << " decay " << c.accept_decay
+                 << (c.fixed_point_acceptance ? " fixed-point" : " float"));
+    const SaResult r = run_long_anneal(c);
+    EXPECT_EQ(r.allocation, c.allocation);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.objective), c.objective_bits);
+    EXPECT_EQ(r.improved, c.improved);
+    EXPECT_EQ(r.accepted_worse, c.accepted_worse);
+    EXPECT_EQ(r.resyncs, c.resyncs);
+  }
 }
 
 TEST(SaOptimizer, HostTimeRecorded) {

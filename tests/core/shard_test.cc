@@ -353,5 +353,24 @@ TEST(ShardedBalancer, RespectsAffinityMasks) {
   EXPECT_EQ(b.last_pass().exchange_moves, 0);
 }
 
+TEST(ShardedBalancer, RejectsShortPerThreadVectors) {
+  // Every thread row needs a mask and a demand entry; a short vector must
+  // be refused up front, not read past its end.
+  const auto platform = arch::Platform::scaled_heterogeneous(2);
+  const auto inst = random_instance(platform, 12, 3);
+  EnergyEfficiencyObjective obj;
+  ShardingConfig cfg;
+  cfg.shards = 2;
+  ShardedBalancer b(platform, cfg, SaConfig{});
+  const std::vector<std::bitset<kMaxCores>> one_mask(1, inst.affinity[0]);
+  EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial, one_mask,
+                         inst.demand, nullptr, 0),
+               std::invalid_argument);
+  const std::vector<double> one_demand(1, -1.0);
+  EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
+                         inst.affinity, one_demand, nullptr, 0),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace sb::core
