@@ -7,7 +7,8 @@
 // on the Fig. 7 scalability extremes and writes BENCH_sa.json — the
 // machine-readable perf-trajectory point this repo commits per PR (see
 // EXPERIMENTS.md "Hot-path performance") — then measures the observability
-// hooks' epoch-pass overhead and writes BENCH_obs.json. Pass
+// hooks' epoch-pass overhead and writes BENCH_obs.json, and the kernel's
+// per-context-switch cost and writes BENCH_kernel.json. Pass
 // --benchmark_filter=NONE to skip the google-benchmark suite and only emit
 // the JSON files.
 #include <benchmark/benchmark.h>
@@ -18,6 +19,8 @@
 #include <ctime>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "alloc_hook.h"
 #include "arch/platform.h"
@@ -546,6 +549,106 @@ void emit_bench_obs_json() {
   j.write("BENCH_obs.json");
 }
 
+// ---------------------------------------------------------------------------
+// BENCH_kernel.json: the kernel's per-context-switch cost. A fresh os::Kernel
+// under the vanilla balancer runs a fixed simulated window, and only
+// run_until() is timed, in thread CPU time. Every dispatch evaluates the
+// interval model and every segment end synthesizes counters, so the run
+// time follows the per-switch path. Two shapes: quad HMP with canneal:2 +
+// swaptions:2 + IMB_HTHI:2, and scaled:32 (128 cores) with 256 threads
+// round-robin over fig7's mix. As in BENCH_obs, the gated pass_cost_index
+// divides the minimum run time by the minimum yardstick time, both taken
+// over the same interleaved rounds.
+// ---------------------------------------------------------------------------
+
+struct KernelShape {
+  const char* key;
+  arch::Platform platform;
+  std::vector<std::pair<const char*, int>> threads;  // (benchmark, count)
+  TimeNs window;
+};
+
+struct KernelPoint {
+  double min_run_ns = std::numeric_limits<double>::infinity();
+  std::uint64_t context_switches = 0;
+};
+
+void measure_kernel_round(const KernelShape& shape, KernelPoint& point) {
+  const perf::PerfModel perf(shape.platform);
+  const power::PowerModel power(shape.platform, perf);
+  os::Kernel k(shape.platform, perf, power);
+  k.set_balancer(std::make_unique<os::VanillaBalancer>());
+  Rng rng(7);
+  for (const auto& [name, n] : shape.threads) {
+    for (auto& tb : workload::BenchmarkLibrary::get(name).spawn(n, rng)) {
+      k.fork(std::move(tb));
+    }
+  }
+  const double t0 = thread_cpu_ns();
+  k.run_until(shape.window);
+  const double t1 = thread_cpu_ns();
+  point.min_run_ns = std::min(point.min_run_ns, t1 - t0);
+  point.context_switches = k.context_switches();
+}
+
+void emit_bench_kernel_json() {
+  std::vector<std::pair<const char*, int>> fig7_mix;
+  const char* fig7_names[] = {"swaptions", "canneal", "bodytrack",
+                              "x264_H_crew"};
+  for (int i = 0; i < 256; ++i) fig7_mix.emplace_back(fig7_names[i % 4], 1);
+  const KernelShape shapes[] = {
+      {"quad",
+       arch::Platform::quad_heterogeneous(),
+       {{"canneal", 2}, {"swaptions", 2}, {"IMB_HTHI", 2}},
+       milliseconds(60'000)},
+      {"scaled32", arch::Platform::scaled_heterogeneous(32), fig7_mix,
+       milliseconds(3'000)},
+  };
+
+  constexpr int kRounds = 6;
+  KernelPoint points[std::size(shapes)];
+  double yard_ns = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < kRounds; ++round) {
+    yard_ns = std::min(yard_ns, yardstick_round());
+    for (std::size_t i = 0; i < std::size(shapes); ++i) {
+      measure_kernel_round(shapes[i], points[i]);
+    }
+  }
+
+  bench::Json j;
+  j.begin_object()
+      .field("bench", "BENCH_kernel")
+      .field("description",
+             "os::Kernel run_until() over a fixed simulated window under the "
+             "vanilla balancer: quad HMP with canneal:2+swaptions:2+"
+             "IMB_HTHI:2, and scaled:32 with 256 threads round-robin over "
+             "swaptions/canneal/bodytrack/x264_H_crew; pass_cost_index = min "
+             "run CPU time / min yardstick CPU time over 6 interleaved rounds")
+      .field("build", "-O2 -DNDEBUG")
+      .field("baseline_note",
+             "pass_cost_index is gated at check_bench.py's default budget; "
+             "ns_per_switch = min run CPU time / context switches")
+      .field("yardstick_ns", yard_ns);
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    const KernelShape& shape = shapes[i];
+    const KernelPoint& pt = points[i];
+    int threads = 0;
+    for (const auto& entry : shape.threads) threads += entry.second;
+    j.begin_object(shape.key)
+        .field("num_cores", shape.platform.num_cores())
+        .field("num_threads", threads)
+        .field("sim_ms", static_cast<double>(shape.window) / 1e6)
+        .field("context_switches", pt.context_switches)
+        .field("min_run_ns", pt.min_run_ns)
+        .field("ns_per_switch",
+               pt.min_run_ns / static_cast<double>(pt.context_switches))
+        .field("pass_cost_index", pt.min_run_ns / yard_ns)
+        .end_object();
+  }
+  j.end_object();
+  j.write("BENCH_kernel.json");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -555,5 +658,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   emit_bench_sa_json();
   emit_bench_obs_json();
+  emit_bench_kernel_json();
   return 0;
 }

@@ -9,7 +9,17 @@ namespace sb::arch {
 SharedBus::SharedBus(int num_cores, Config config)
     : config_(config), core_bw_gbps_(static_cast<std::size_t>(num_cores), 0.0) {
   if (num_cores <= 0) throw std::invalid_argument("SharedBus: no cores");
-  if (config_.bandwidth_gbps <= 0 || config_.base_latency_ns <= 0) {
+  const Config& c = config_;
+  for (const double v : {c.base_latency_ns, c.bandwidth_gbps,
+                         c.contention_exponent, c.max_inflation,
+                         c.line_bytes}) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("SharedBus: non-finite config field");
+    }
+  }
+  if (c.bandwidth_gbps <= 0 || c.base_latency_ns <= 0 ||
+      c.contention_exponent <= 0 || c.line_bytes <= 0 ||
+      c.max_inflation < 1.0) {
     throw std::invalid_argument("SharedBus: bad config");
   }
 }
@@ -17,6 +27,10 @@ SharedBus::SharedBus(int num_cores, Config config)
 void SharedBus::record_traffic(CoreId c, double misses, TimeNs window) {
   if (c < 0 || static_cast<std::size_t>(c) >= core_bw_gbps_.size()) {
     throw std::out_of_range("SharedBus: bad core");
+  }
+  if (!std::isfinite(misses) || misses < 0) {
+    throw std::invalid_argument(
+        "SharedBus: misses must be finite and non-negative");
   }
   if (window <= 0) return;
   const double bytes = misses * config_.line_bytes;

@@ -25,10 +25,14 @@ class SharedBus {
   };
 
   explicit SharedBus(int num_cores) : SharedBus(num_cores, Config()) {}
+  /// Throws std::invalid_argument unless every Config field is finite,
+  /// the latency, bandwidth, exponent and line size are positive and
+  /// max_inflation >= 1.
   SharedBus(int num_cores, Config config);
 
   /// Records that core `c` generated `misses` memory transactions over the
-  /// last `window` of simulated time (a scheduling segment).
+  /// last `window` of simulated time (a scheduling segment). Throws
+  /// std::invalid_argument for negative or non-finite `misses`.
   void record_traffic(CoreId c, double misses, TimeNs window);
 
   /// Utilization in [0,1]: total demanded bandwidth / capacity (clamped).

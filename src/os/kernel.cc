@@ -134,36 +134,18 @@ void Kernel::set_governor(std::unique_ptr<DvfsGovernor> governor) {
   governor_scheduled_ = false;
 }
 
-std::size_t Kernel::checked(ThreadId tid) const {
-  if (tid < 0 || static_cast<std::size_t>(tid) >= tasks_.size()) {
-    throw std::out_of_range("Kernel: bad ThreadId");
-  }
-  return static_cast<std::size_t>(tid);
+void Kernel::throw_out_of_range(const char* what) {
+  throw std::out_of_range(what);
 }
 
-Task* Kernel::live(ThreadId tid) const {
-  Task* t = tasks_[checked(tid)].get();
-  if (t == nullptr) {
-    throw std::logic_error("Kernel: task " + std::to_string(tid) +
-                           " has exited");
-  }
-  return t;
+void Kernel::throw_exited(ThreadId tid) {
+  throw std::logic_error("Kernel: task " + std::to_string(tid) +
+                         " has exited");
 }
 
 TaskRecord Kernel::record(ThreadId tid) const {
   const std::size_t i = checked(tid);
   return tasks_[i] ? tasks_[i]->record(kTimeNever) : records_[i];
-}
-
-Kernel::CoreState& Kernel::core(CoreId c) {
-  if (c < 0 || static_cast<std::size_t>(c) >= cores_.size()) {
-    throw std::out_of_range("Kernel: bad CoreId");
-  }
-  return cores_[static_cast<std::size_t>(c)];
-}
-
-const Kernel::CoreState& Kernel::core(CoreId c) const {
-  return const_cast<Kernel*>(this)->core(c);
 }
 
 // --------------------------------------------------------------------------
@@ -378,17 +360,24 @@ void Kernel::dispatch(CoreId c) {
 
   // Freeze the per-segment model evaluation (bus latency, cache warmth and
   // the DVFS operating point change slowly relative to a sub-millisecond
-  // segment).
+  // segment). Only those three inputs vary between dispatches; the terms
+  // that depend on the phase's profile and the core type come from the
+  // task's memo (Task::model_terms).
   const workload::WorkloadProfile& profile = t.current_profile();
   const arch::OperatingPoint& opp = core_opp(c);
-  cs.seg_breakdown = perf_.evaluate(profile, c, bus_.effective_latency_ns(),
-                                    cfg_.warmup.miss_factor(
-                                        t.insts_since_migration),
-                                    opp.freq_mhz);
+  const perf::IntervalModel& model = perf_.interval_model();
+  const auto types = static_cast<std::size_t>(platform_.num_types());
+  const std::size_t phases = t.behavior.phases.size();
+  if (t.model_terms.empty()) t.model_terms.resize(phases * types);
+  auto& terms = t.model_terms[(t.phase_idx % phases) * types +
+                              static_cast<std::size_t>(platform_.type_of(c))];
+  if (!terms) terms = model.precompute(profile, params);
+  cs.seg_breakdown = model.evaluate(
+      *terms, profile, params, bus_.effective_latency_ns(),
+      cfg_.warmup.miss_factor(t.insts_since_migration), opp.freq_mhz);
   cs.seg_activity = profile.activity;
 
   // Bound the segment by the nearest workload boundary.
-  (void)params;
   const double ips = cs.seg_breakdown.ipc * opp.freq_mhz / 1000.0;
   std::uint64_t bound = current_segment_bound(t);
   TimeNs seg = slice;
@@ -445,7 +434,7 @@ void Kernel::account_segment(CoreId c) {
                                                  t.insts_retired));
     insts_d = std::min(insts_d, total_rem);
   }
-  const auto insts = static_cast<std::uint64_t>(std::llround(insts_d));
+  const std::uint64_t insts = perf::round_count(insts_d);
 
   // Ground-truth counters for the sensing subsystem.
   const workload::WorkloadProfile& profile = t.current_profile();

@@ -275,12 +275,33 @@ class Kernel {
     bool offline = false;            // hot-unplugged
   };
 
-  std::size_t checked(ThreadId tid) const;
+  // The bounds-checked accessors run several times per context switch, so
+  // they are inline; the throws stay out of line.
+  [[noreturn]] static void throw_out_of_range(const char* what);
+  [[noreturn]] static void throw_exited(ThreadId tid);
+
+  std::size_t checked(ThreadId tid) const {
+    if (tid < 0 || static_cast<std::size_t>(tid) >= tasks_.size()) {
+      throw_out_of_range("Kernel: bad ThreadId");
+    }
+    return static_cast<std::size_t>(tid);
+  }
   /// tid's Task; throws like task() for an exited or unknown tid.
-  Task* live(ThreadId tid) const;
+  Task* live(ThreadId tid) const {
+    Task* t = tasks_[checked(tid)].get();
+    if (t == nullptr) throw_exited(tid);
+    return t;
+  }
   Task& task_mut(ThreadId tid) { return *live(tid); }
-  CoreState& core(CoreId c);
-  const CoreState& core(CoreId c) const;
+  CoreState& core(CoreId c) {
+    if (c < 0 || static_cast<std::size_t>(c) >= cores_.size()) {
+      throw_out_of_range("Kernel: bad CoreId");
+    }
+    return cores_[static_cast<std::size_t>(c)];
+  }
+  const CoreState& core(CoreId c) const {
+    return const_cast<Kernel*>(this)->core(c);
+  }
 
   void push_event(TimeNs time, EventType type, std::int64_t a,
                   std::uint64_t seq);

@@ -9,10 +9,13 @@
 
 #include <bitset>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "perf/counters.h"
+#include "perf/interval_model.h"
 #include "workload/profile.h"
 
 namespace sb::os {
@@ -76,6 +79,16 @@ struct Task {
   // --- Migration / cache-warmup state ---
   std::uint64_t insts_since_migration = 0;
   std::uint64_t migrations = 0;
+
+  /// The interval model's (profile, core type) terms, memoized by the
+  /// kernel's dispatch: entry (phase_idx % phases) * num_types + type_of(c)
+  /// holds precompute(that phase's profile, that type's params). The
+  /// kernel sizes the table at the task's first dispatch, so a task that
+  /// never runs costs nothing, and fills each entry on first use, so no
+  /// task evaluates more terms than it dispatches. The key is exact: the
+  /// phases are fixed at fork, the platform and model config are const.
+  /// The table dies with the Task; TaskRecord does not carry it.
+  std::vector<std::optional<perf::IntervalModel::ProfileTerms>> model_terms;
 
   // --- Per-epoch sensing accumulators (drained by the balancer) ---
   perf::HpcCounters epoch_counters;

@@ -9,9 +9,23 @@
 //   I_msh, I_bsh, mr_b, mr_$i, mr_$d, mr_itlb, mr_dtlb.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace sb::perf {
+
+/// A modelled event count rounded to an integer: equal to
+/// std::llround(std::max(0.0, v)) for every double, without the
+/// out-of-line libm call. NaN and v <= 0 give 0. Below 2^52 the fraction
+/// v - trunc(v) is exact, so rounding half away from zero is one compare;
+/// from 2^52 up every double is an integer and std::llround takes over.
+inline std::uint64_t round_count(double v) {
+  if (!(v > 0.0)) return 0;
+  if (v >= 0x1p52) return static_cast<std::uint64_t>(std::llround(v));
+  const auto whole = static_cast<std::int64_t>(v);
+  return static_cast<std::uint64_t>(whole) +
+         (v - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+}
 
 struct HpcCounters {
   // --- Cycle counters ---

@@ -32,13 +32,15 @@ PerfBreakdown IntervalModel::evaluate(const workload::WorkloadProfile& wp,
                                       double mem_latency_ns,
                                       double warmup_factor,
                                       double freq_mhz_override) const {
-  if (mem_latency_ns <= 0) {
-    throw std::invalid_argument("IntervalModel: non-positive memory latency");
-  }
-  warmup_factor = std::max(1.0, warmup_factor);
+  return evaluate(precompute(wp, core), wp, core, mem_latency_ns,
+                  warmup_factor, freq_mhz_override);
+}
 
-  PerfBreakdown out;
+IntervalModel::ProfileTerms IntervalModel::precompute(
+    const workload::WorkloadProfile& wp, const arch::CoreParams& core) const {
+  ProfileTerms out;
   const double width = core.issue_width;
+  out.width = width;
 
   // --- Dispatch-limited base throughput -------------------------------
   // A wide core only sustains its width if the ROB and IQ can hold enough
@@ -53,36 +55,53 @@ PerfBreakdown IntervalModel::evaluate(const workload::WorkloadProfile& wp,
   const double base_ipc = std::min(sustain_width, wp.ilp);
   out.cpi_base = 1.0 / base_ipc;
 
-  // --- Effective event rates on this core -----------------------------
-  out.mr_l1i = std::min(1.0, arch::cache_miss_rate(wp.mr_l1i_ref,
-                                                   wp.footprint_i_kb,
-                                                   core.l1i_kb,
-                                                   wp.locality_alpha) *
-                                 warmup_factor);
-  out.mr_l1d = std::min(1.0, arch::cache_miss_rate(wp.mr_l1d_ref,
-                                                   wp.footprint_d_kb,
-                                                   core.l1d_kb,
-                                                   wp.locality_alpha) *
-                                 warmup_factor);
+  // --- Event rates on this core, before the warmup multiply -------------
+  out.mr_l1i = arch::cache_miss_rate(wp.mr_l1i_ref, wp.footprint_i_kb,
+                                     core.l1i_kb, wp.locality_alpha);
+  out.mr_l1d = arch::cache_miss_rate(wp.mr_l1d_ref, wp.footprint_d_kb,
+                                     core.l1d_kb, wp.locality_alpha);
   out.mr_itlb =
-      std::min(1.0, arch::tlb_miss_rate(wp.mr_itlb_ref, wp.footprint_i_kb,
-                                        core.tlb_entries) *
-                        warmup_factor);
+      arch::tlb_miss_rate(wp.mr_itlb_ref, wp.footprint_i_kb, core.tlb_entries);
   out.mr_dtlb =
-      std::min(1.0, arch::tlb_miss_rate(wp.mr_dtlb_ref, wp.footprint_d_kb,
-                                        core.tlb_entries) *
-                        warmup_factor);
+      arch::tlb_miss_rate(wp.mr_dtlb_ref, wp.footprint_d_kb, core.tlb_entries);
   out.mr_branch = std::min(0.5, wp.mispredict_rate * core.predictor_quality);
+
+  // Memory-level parallelism is bounded by the load-queue capacity: small
+  // in-order cores cannot overlap misses the way a Huge core can.
+  const double mlp_cap = 1.0 + static_cast<double>(core.lq_size) / 16.0;
+  out.mlp_eff = std::clamp(wp.mlp, 1.0, mlp_cap);
+
+  // Branch misprediction: pipeline flush plus front-end refill.
+  out.cpi_branch = wp.branch_share * out.mr_branch *
+                   (static_cast<double>(core.pipeline_depth) +
+                    cfg_.refill_penalty * width);
+  return out;
+}
+
+PerfBreakdown IntervalModel::evaluate(const ProfileTerms& terms,
+                                      const workload::WorkloadProfile& wp,
+                                      const arch::CoreParams& core,
+                                      double mem_latency_ns,
+                                      double warmup_factor,
+                                      double freq_mhz_override) const {
+  if (!std::isfinite(mem_latency_ns) || mem_latency_ns <= 0) {
+    throw std::invalid_argument(
+        "IntervalModel: memory latency must be finite and positive");
+  }
+  warmup_factor = std::max(1.0, warmup_factor);
+
+  PerfBreakdown out;
+  out.cpi_base = terms.cpi_base;
+  out.mr_l1i = std::min(1.0, terms.mr_l1i * warmup_factor);
+  out.mr_l1d = std::min(1.0, terms.mr_l1d * warmup_factor);
+  out.mr_itlb = std::min(1.0, terms.mr_itlb * warmup_factor);
+  out.mr_dtlb = std::min(1.0, terms.mr_dtlb * warmup_factor);
+  out.mr_branch = terms.mr_branch;
 
   // --- Penalty components ----------------------------------------------
   const double freq_ghz =
       freq_mhz_override > 0 ? freq_mhz_override / 1000.0 : core.freq_ghz();
   const double mem_latency_cyc = mem_latency_ns * freq_ghz;
-
-  // Memory-level parallelism is bounded by the load-queue capacity: small
-  // in-order cores cannot overlap misses the way a Huge core can.
-  const double mlp_cap = 1.0 + static_cast<double>(core.lq_size) / 16.0;
-  const double mlp_eff = std::clamp(wp.mlp, 1.0, mlp_cap);
 
   // Instruction-side misses stall the front end; mostly unhidden.
   out.cpi_l1i = out.mr_l1i * cfg_.l2_latency_cyc;
@@ -90,19 +109,16 @@ PerfBreakdown IntervalModel::evaluate(const workload::WorkloadProfile& wp,
   // Data-side: L2 hits partially hidden by OoO issue; memory misses hidden
   // by MLP overlap.
   out.cpi_l1d = wp.mem_share * out.mr_l1d *
-                (cfg_.l2_latency_cyc / mlp_eff +
-                 wp.l2_miss_ratio * mem_latency_cyc / mlp_eff);
+                (cfg_.l2_latency_cyc / terms.mlp_eff +
+                 wp.l2_miss_ratio * mem_latency_cyc / terms.mlp_eff);
 
-  // Branch misprediction: pipeline flush plus front-end refill.
-  out.cpi_branch = wp.branch_share * out.mr_branch *
-                   (static_cast<double>(core.pipeline_depth) +
-                    cfg_.refill_penalty * width);
+  out.cpi_branch = terms.cpi_branch;
 
   // TLB walks on both sides.
   out.cpi_tlb =
       (out.mr_itlb + wp.mem_share * out.mr_dtlb) * cfg_.tlb_walk_cyc;
 
-  out.ipc = std::min(width, 1.0 / out.total_cpi());
+  out.ipc = std::min(terms.width, 1.0 / out.total_cpi());
 
   out.mem_misses_per_inst =
       wp.mem_share * out.mr_l1d * wp.l2_miss_ratio + 0.3 * out.mr_l1i;

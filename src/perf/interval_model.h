@@ -57,6 +57,28 @@ class IntervalModel {
                                     // multiples of issue width
   };
 
+  /// The terms of evaluate() that depend only on (profile, core type):
+  /// window pressure and the base CPI, the miss rates before the warmup
+  /// multiply, the branch term and the MLP clamp. The rest depend on the
+  /// memory latency, the warmup factor and the frequency, which change
+  /// from one dispatch to the next; evaluate(terms, ...) applies them.
+  /// The split is exact: every expression keeps its operations and operand
+  /// order (e.g. std::min(1.0, mr_l1i * warmup)) and each intermediate is
+  /// an IEEE double either way, with no -ffast-math and no FMA contraction
+  /// in the build. A caller that memoizes these terms per (profile, core
+  /// type) therefore gets the same bits as the one-shot evaluate().
+  struct ProfileTerms {
+    double width = 0;       // issue width
+    double cpi_base = 0;    // dispatch-limited CPI
+    double mr_l1i = 0;      // miss rates on this core before the warmup
+    double mr_l1d = 0;      //   multiply
+    double mr_itlb = 0;
+    double mr_dtlb = 0;
+    double mr_branch = 0;   // per branch, after predictor quality
+    double cpi_branch = 0;  // misprediction flush component
+    double mlp_eff = 0;     // MLP clamped to the load-queue capacity
+  };
+
   IntervalModel() = default;
   explicit IntervalModel(Config cfg) : cfg_(cfg) {}
 
@@ -64,12 +86,26 @@ class IntervalModel {
   /// (shared-bus inflated) and cache-warmup multiplier (>= 1 right after a
   /// migration). `freq_mhz_override` > 0 evaluates the core at a DVFS
   /// operating point other than nominal (memory latency in *cycles* shrinks
-  /// with the clock, so IPC rises slightly at lower frequencies).
+  /// with the clock, so IPC rises slightly at lower frequencies). Throws
+  /// std::invalid_argument unless the latency is finite and positive.
+  /// Same as evaluate(precompute(profile, core), profile, core, ...).
   PerfBreakdown evaluate(const workload::WorkloadProfile& profile,
                          const arch::CoreParams& core,
                          double mem_latency_ns = 80.0,
                          double warmup_factor = 1.0,
                          double freq_mhz_override = 0.0) const;
+
+  /// The (profile, core type) terms of evaluate().
+  ProfileTerms precompute(const workload::WorkloadProfile& profile,
+                          const arch::CoreParams& core) const;
+
+  /// Completes `terms`, which precompute() returned for the same `profile`
+  /// and `core`, with the latency, warmup and frequency terms.
+  PerfBreakdown evaluate(const ProfileTerms& terms,
+                         const workload::WorkloadProfile& profile,
+                         const arch::CoreParams& core, double mem_latency_ns,
+                         double warmup_factor,
+                         double freq_mhz_override) const;
 
   /// Peak sustainable IPC of a core type: the model evaluated on the
   /// high-ILP, cache-resident probe workload (Table 2's "Peak Throughput"

@@ -1,7 +1,6 @@
 #include "perf/perf_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sb::perf {
 
@@ -38,27 +37,24 @@ void PerfModel::accumulate_counters(HpcCounters& c, const PerfBreakdown& b,
                                     const workload::WorkloadProfile& profile,
                                     double insts, double cycles) {
   if (insts <= 0 || cycles <= 0) return;
-  auto u = [](double v) {
-    return static_cast<std::uint64_t>(std::llround(std::max(0.0, v)));
-  };
   const double busy = std::min(cycles, insts * b.cpi_base);
-  c.cy_busy += u(busy);
-  c.cy_idle += u(cycles - busy);
+  c.cy_busy += round_count(busy);
+  c.cy_idle += round_count(cycles - busy);
 
   const double mem = insts * profile.mem_share;
   const double br = insts * profile.branch_share;
-  c.inst_total += u(insts);
-  c.inst_mem += u(mem);
-  c.inst_branch += u(br);
-  c.branch_mispred += u(br * b.mr_branch);
-  c.l1i_access += u(insts);
-  c.l1i_miss += u(insts * b.mr_l1i);
-  c.l1d_access += u(mem);
-  c.l1d_miss += u(mem * b.mr_l1d);
-  c.itlb_access += u(insts);
-  c.itlb_miss += u(insts * b.mr_itlb);
-  c.dtlb_access += u(mem);
-  c.dtlb_miss += u(mem * b.mr_dtlb);
+  c.inst_total += round_count(insts);
+  c.inst_mem += round_count(mem);
+  c.inst_branch += round_count(br);
+  c.branch_mispred += round_count(br * b.mr_branch);
+  c.l1i_access += round_count(insts);
+  c.l1i_miss += round_count(insts * b.mr_l1i);
+  c.l1d_access += round_count(mem);
+  c.l1d_miss += round_count(mem * b.mr_l1d);
+  c.itlb_access += round_count(insts);
+  c.itlb_miss += round_count(insts * b.mr_itlb);
+  c.dtlb_access += round_count(mem);
+  c.dtlb_miss += round_count(mem * b.mr_dtlb);
 }
 
 }  // namespace sb::perf

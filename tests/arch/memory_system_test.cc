@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace sb::arch {
@@ -59,6 +60,9 @@ TEST(SharedBus, ZeroWindowIgnored) {
   EXPECT_DOUBLE_EQ(bus.utilization(), 0.0);
 }
 
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(SharedBus, Validation) {
   EXPECT_THROW(SharedBus(0), std::invalid_argument);
   SharedBus::Config bad;
@@ -66,6 +70,38 @@ TEST(SharedBus, Validation) {
   EXPECT_THROW(SharedBus(2, bad), std::invalid_argument);
   SharedBus bus(2);
   EXPECT_THROW(bus.record_traffic(5, 1, 1), std::out_of_range);
+  // max_inflation < 1 would report a latency below the base.
+  bad = SharedBus::Config();
+  bad.max_inflation = 0.5;
+  EXPECT_THROW(SharedBus(2, bad), std::invalid_argument);
+  bad = SharedBus::Config();
+  bad.contention_exponent = 0.0;
+  EXPECT_THROW(SharedBus(2, bad), std::invalid_argument);
+  bad = SharedBus::Config();
+  bad.line_bytes = 0.0;
+  EXPECT_THROW(SharedBus(2, bad), std::invalid_argument);
+  for (double SharedBus::Config::*field :
+       {&SharedBus::Config::base_latency_ns, &SharedBus::Config::bandwidth_gbps,
+        &SharedBus::Config::contention_exponent,
+        &SharedBus::Config::max_inflation, &SharedBus::Config::line_bytes}) {
+    for (const double v : {kNan, kInf}) {
+      bad = SharedBus::Config();
+      bad.*field = v;
+      EXPECT_THROW(SharedBus(2, bad), std::invalid_argument);
+    }
+  }
+}
+
+TEST(SharedBus, RejectsNonFiniteOrNegativeMisses) {
+  // One NaN report would make every later effective latency NaN.
+  SharedBus bus(2);
+  EXPECT_THROW(bus.record_traffic(0, kNan, milliseconds(1)),
+               std::invalid_argument);
+  EXPECT_THROW(bus.record_traffic(0, kInf, milliseconds(1)),
+               std::invalid_argument);
+  EXPECT_THROW(bus.record_traffic(0, -1.0, milliseconds(1)),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(bus.utilization(), 0.0);
 }
 
 TEST(SharedBus, InflationMonotoneInUtilization) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "common/rng.h"
+
 namespace sb::perf {
 namespace {
 
@@ -67,6 +74,55 @@ TEST(HpcCounters, Reset) {
   c.reset();
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.dtlb_miss, 0u);
+}
+
+// The libm expression round_count() replaces.
+std::uint64_t reference_round(double v) {
+  return static_cast<std::uint64_t>(std::llround(std::max(0.0, v)));
+}
+
+TEST(RoundCount, MatchesLlroundOnEdgeCases) {
+  const double two52 = 0x1p52;
+  const double cases[] = {
+      0.0, -0.0, 0.49999999999999994, 0.5, 0.5000000000000001, 1.0, 1.5,
+      2.5, 3.4999999999999996, 1e-300, std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(), two52 - 0.5, two52 - 1.5,
+      two52 - 1.0, two52, two52 + 0.5, two52 + 1.0, 0x1p53, 0x1p53 + 2.0,
+      0x1p62, std::nextafter(0x1p63, 0.0), -0.5, -1.0, -two52,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::infinity()};
+  for (const double v : cases) {
+    EXPECT_EQ(round_count(v), reference_round(v)) << std::hexfloat << v;
+  }
+  EXPECT_EQ(round_count(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(round_count(-0.5), 0u);
+  EXPECT_EQ(round_count(0.49999999999999994), 0u);
+  EXPECT_EQ(round_count(2.5), 3u);
+}
+
+TEST(RoundCount, MatchesLlroundOnSeededRandomInputs) {
+  // Values across binary exponents 0-60 (below 2^63, where std::llround is
+  // defined), each with its x.5 neighbour and the double just below that.
+  Rng rng(19);
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 400'000; ++i) {
+    const int exponent = static_cast<int>(rng.randi(0, 61));
+    const double v = std::ldexp(rng.uniform(1.0, 2.0), exponent);
+    const double half = std::floor(v) + 0.5;
+    const double below_half = std::nextafter(half, 0.0);
+    for (const double x : {v, half, below_half, -v}) {
+      ++checked;
+      if (round_count(x) != reference_round(x)) {
+        ++mismatches;
+        ADD_FAILURE() << std::hexfloat << x;
+        if (mismatches > 10) return;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 1'600'000u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 """Perf-regression gate over the machine-readable bench trajectories.
 
 Compares freshly generated BENCH_*.json files (micro_benchmarks emits
-BENCH_sa.json and BENCH_obs.json, fig7_overhead_scalability emits
-BENCH_epoch.json, fig_shard_scaling emits BENCH_shard.json) against the
-baselines committed at the repo root.
+BENCH_sa.json, BENCH_obs.json and BENCH_kernel.json,
+fig7_overhead_scalability emits BENCH_epoch.json, fig_shard_scaling emits
+BENCH_shard.json, fig_fleet, fig_latency and fig_slo emit BENCH_fleet.json,
+BENCH_latency.json and BENCH_slo.json) against the baselines committed at
+the repo root.
 Fails when a hot-path time metric regresses by more than --max-regress
 (default 25%), or when the allocation count per optimizer call / epoch
 pass increases at all -- the zero-alloc inner loop is a hard invariant,
@@ -19,6 +21,8 @@ the minimum pass CPU time divided by the minimum CPU time of a fixed
 integer yardstick loop measured interleaved in the same run. Machine
 speed cancels in the ratio, so a 1% budget is meaningful even when the
 fresh run executes on different hardware than the committed baseline.
+BENCH_kernel.json uses the same index for the kernel's run time over a
+fixed simulated window, at the default budget.
 
 Usage:
     check_bench.py [--max-regress 0.25] [--step-summary "$GITHUB_STEP_SUMMARY"]

@@ -17,8 +17,9 @@
 #
 # Envelope rules (matching tools/check_bench.py's gates):
 #   min over reps   ns_per_iteration, ns_per_call, total_us, min_pass_ns,
-#                   pass_cost_index, allocs_per_call, allocs_per_pass,
-#                   sense_us, predict_us, optimize_us, migrate_us
+#                   min_run_ns, ns_per_switch, pass_cost_index,
+#                   allocs_per_call, allocs_per_pass, sense_us, predict_us,
+#                   optimize_us, migrate_us
 #   max over reps   iterations_per_sec
 #   first rep       everything else (descriptions, counts, derived
 #                   percentages — informational, not gated)
@@ -35,7 +36,7 @@ set -euo pipefail
 # "binary;extra args;BENCH files written" — ';'-separated because benchmark
 # filters contain '|'. The run order below is the interleave order.
 HARNESSES=(
-  "micro_benchmarks;--benchmark_filter=BM_SaOptimize|BM_BuildCharacterization --benchmark_min_time=0.05;BENCH_sa.json BENCH_obs.json"
+  "micro_benchmarks;--benchmark_filter=BM_SaOptimize|BM_BuildCharacterization --benchmark_min_time=0.05;BENCH_sa.json BENCH_obs.json BENCH_kernel.json"
   "fig7_overhead_scalability;;BENCH_epoch.json"
   "fig_shard_scaling;;BENCH_shard.json"
   "fig_fleet;;BENCH_fleet.json"
@@ -105,8 +106,9 @@ import sys
 
 work, reps = sys.argv[1], int(sys.argv[2])
 MIN_KEYS = {"ns_per_iteration", "ns_per_call", "total_us", "min_pass_ns",
-            "pass_cost_index", "allocs_per_call", "allocs_per_pass",
-            "sense_us", "predict_us", "optimize_us", "migrate_us",
+            "min_run_ns", "ns_per_switch", "pass_cost_index",
+            "allocs_per_call", "allocs_per_pass", "sense_us", "predict_us",
+            "optimize_us", "migrate_us",
             "opt_exchange_us_per_core", "sa_cpu_us_per_pass",
             "exchange_us_per_pass", "sublinear_violations",
             "advantage_lost_pct"}
