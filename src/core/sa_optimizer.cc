@@ -214,12 +214,21 @@ SaResult SaOptimizer::run_annealing(
       if (cfg_.fixed_point_acceptance) {
         // probability = e^(diff/accept) computed in Q16.16; accepted when
         // randi() mod round(1/probability) == 0, as in the paper's listing.
-        const double ratio = std::max(-15.9, diff / accept);
-        const Fixed prob = fixed_exp_neg(Fixed::saturating_from_double(ratio));
-        if (prob.raw() > 0) {
-          const std::uint32_t inv = static_cast<std::uint32_t>(
-              std::max<std::int64_t>(1, Fixed::kOne / prob.raw()));
-          take = (rng.randi() % inv) == 0;
+        // Below a ratio of -12 the probability is exactly 0 and no number
+        // is drawn: every Q16.16 magnitude in [12, 15.9] sets the e^-8 and
+        // e^-4 bits, and 22·1202 >> 16 == 0. So such a move is rejected
+        // without the division and the exp. accept must be strictly
+        // positive: at accept == -0.0 the ratio is +inf and the move wins.
+        const bool certain_reject = accept > 0.0 && diff < -12.0 * accept;
+        if (!certain_reject) {
+          const double ratio = std::max(-15.9, diff / accept);
+          const Fixed prob =
+              fixed_exp_neg(Fixed::saturating_from_double(ratio));
+          if (prob.raw() > 0) {
+            const std::uint32_t inv = static_cast<std::uint32_t>(
+                std::max<std::int64_t>(1, Fixed::kOne / prob.raw()));
+            take = (rng.randi() % inv) == 0;
+          }
         }
       } else {
         take = rng.uniform() < std::exp(diff / accept);

@@ -5,18 +5,30 @@
 
 namespace sb::os {
 
+std::vector<CfsRunqueue::Entry>::iterator CfsRunqueue::position(
+    const Entry& e) {
+  return std::lower_bound(
+      queue_.begin(), queue_.end(), e,
+      [](const Entry& queued, const Entry& key) { return key < queued; });
+}
+
 void CfsRunqueue::enqueue(ThreadId tid, double vruntime, std::uint32_t weight) {
-  const auto [it, inserted] = queue_.insert(Entry{vruntime, tid, weight});
-  if (!inserted) throw std::logic_error("CfsRunqueue: duplicate enqueue");
+  const Entry e{vruntime, tid, weight};
+  const auto it = position(e);
+  if (it != queue_.end() && !(*it < e)) {
+    throw std::logic_error("CfsRunqueue: duplicate enqueue");
+  }
+  queue_.insert(it, e);
   total_weight_ += weight;
-  update_min_vruntime(queue_.begin()->vruntime);
+  update_min_vruntime(queue_.back().vruntime);
 }
 
 bool CfsRunqueue::remove(ThreadId tid, double vruntime) {
   // Entries are keyed by (vruntime, tid); vruntime is immutable while queued
-  // so direct erase works.
-  const auto it = queue_.find(Entry{vruntime, tid, 0});
-  if (it == queue_.end() || it->tid != tid) return false;
+  // so the key finds the entry directly.
+  const Entry key{vruntime, tid, 0};
+  const auto it = position(key);
+  if (it == queue_.end() || *it < key) return false;
   total_weight_ -= it->weight;
   queue_.erase(it);
   return true;
@@ -24,21 +36,21 @@ bool CfsRunqueue::remove(ThreadId tid, double vruntime) {
 
 ThreadId CfsRunqueue::pop_leftmost() {
   if (queue_.empty()) return kInvalidThread;
-  const auto it = queue_.begin();
-  const ThreadId tid = it->tid;
-  update_min_vruntime(it->vruntime);
-  total_weight_ -= it->weight;
-  queue_.erase(it);
+  const Entry& e = queue_.back();
+  const ThreadId tid = e.tid;
+  update_min_vruntime(e.vruntime);
+  total_weight_ -= e.weight;
+  queue_.pop_back();
   return tid;
 }
 
 double CfsRunqueue::leftmost_vruntime() const {
   if (queue_.empty()) throw std::logic_error("CfsRunqueue: empty");
-  return queue_.begin()->vruntime;
+  return queue_.back().vruntime;
 }
 
 ThreadId CfsRunqueue::leftmost() const {
-  return queue_.empty() ? kInvalidThread : queue_.begin()->tid;
+  return queue_.empty() ? kInvalidThread : queue_.back().tid;
 }
 
 void CfsRunqueue::update_min_vruntime(double v) {
@@ -48,7 +60,9 @@ void CfsRunqueue::update_min_vruntime(double v) {
 std::vector<ThreadId> CfsRunqueue::queued() const {
   std::vector<ThreadId> out;
   out.reserve(queue_.size());
-  for (const auto& e : queue_) out.push_back(e.tid);
+  for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
+    out.push_back(it->tid);
+  }
   return out;
 }
 

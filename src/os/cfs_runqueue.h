@@ -1,13 +1,17 @@
 // Completely Fair Scheduler runqueue.
 //
-// Orders runnable tasks by virtual runtime (the kernel uses a red-black
-// tree; std::set of (vruntime, tid) pairs gives the same O(log n) ops and
-// leftmost-pick semantics). Tracks min_vruntime monotonically so newly
-// woken or newly forked tasks can be placed without starving the queue.
+// Orders runnable tasks by virtual runtime, ties broken by tid (the kernel
+// uses a red-black tree). A per-core queue holds a handful of tasks, so the
+// entries live in one flat vector sorted descending by (vruntime, tid): the
+// leftmost task is the last element, a pop is pop_back, and an enqueue or
+// remove is a binary search plus one insert or erase. Nothing allocates
+// once the vector has grown to the queue's peak length. Tracks min_vruntime
+// monotonically so newly woken or newly forked tasks can be placed without
+// starving the queue.
 #pragma once
 
 #include <cstddef>
-#include <set>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -16,7 +20,8 @@ namespace sb::os {
 
 class CfsRunqueue {
  public:
-  /// Inserts a runnable task. Caller must ensure it is not already queued.
+  /// Inserts a runnable task. Throws std::logic_error, leaving the queue
+  /// unchanged, if an entry with the same (vruntime, tid) is queued.
   void enqueue(ThreadId tid, double vruntime, std::uint32_t weight);
 
   /// Removes a specific task; returns false if it was not queued.
@@ -55,7 +60,10 @@ class CfsRunqueue {
     }
   };
 
-  std::set<Entry> queue_;
+  // The position of `e` in descending order: the first entry not above it.
+  std::vector<Entry>::iterator position(const Entry& e);
+
+  std::vector<Entry> queue_;  // sorted descending; leftmost at back()
   double min_vruntime_ = 0.0;
   std::uint64_t total_weight_ = 0;
 };

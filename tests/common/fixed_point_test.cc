@@ -74,6 +74,17 @@ TEST(FixedMath, ExpNegBasics) {
   EXPECT_EQ(fixed_exp_neg(Fixed::from_int(-20)).raw(), 0);
 }
 
+TEST(FixedMath, ExpNegIsZeroFromMinus15_9ToMinus12) {
+  // The annealer rejects a move whose diff/accept is below -12 without
+  // calling fixed_exp_neg; that is exact only if every Q16.16 input the
+  // full path can form there, round(max(-15.9, ratio) · 2^16), gives 0.
+  for (std::int32_t r = -1042022; r <= -786432; ++r) {
+    ASSERT_EQ(fixed_exp_neg(Fixed::from_raw(r)).raw(), 0) << "raw " << r;
+  }
+  EXPECT_EQ(Fixed::saturating_from_double(-15.9).raw(), -1042022);
+  EXPECT_EQ(Fixed::saturating_from_double(-12.0).raw(), -786432);
+}
+
 class FixedExpSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(FixedExpSweep, MatchesLibm) {
