@@ -79,7 +79,7 @@ ScaleRow measure(int cores, int shards, sb::TimeNs duration,
   cfg.seed = seed;
   sim::Simulation s(platform, cfg);
   core::SmartBalanceConfig sb_cfg;
-  if (shards > 0) sb_cfg.sharding.shards = shards;
+  sb_cfg.sharding.shards = shards;
   s.set_balancer(sim::smartbalance_factory(sb_cfg)(s));
   const int threads = 2 * cores;
   add_workload(s, threads);
@@ -94,18 +94,18 @@ ScaleRow measure(int cores, int shards, sb::TimeNs duration,
   row.mips_per_watt = r.ips_per_watt / 1e6;
   if (const auto* policy = dynamic_cast<const core::SmartBalancePolicy*>(
           s.kernel().balancer())) {
-    if (const auto* sharded = policy->sharded()) {
-      row.shard_passes = sharded->shard_passes_total();
-      row.exchange_moves = sharded->exchange_moves_total();
-      const auto passes = static_cast<double>(
-          r.balance_passes > 0 ? r.balance_passes : 1);
-      row.sa_cpu_us_per_pass =
-          static_cast<double>(sharded->shard_cpu_ns_total()) / 1e3 / passes;
-      row.exchange_us_per_pass =
-          static_cast<double>(sharded->exchange_ns_total()) / 1e3 / passes;
-      row.opt_exchange_us_per_core =
-          (row.sa_cpu_us_per_pass + row.exchange_us_per_pass) / cores;
-    }
+    // One shard keeps no shard accounting: its row reads zeros.
+    const core::ShardedBalancer& sharded = policy->sharded();
+    row.shard_passes = sharded.shard_passes_total();
+    row.exchange_moves = sharded.exchange_moves_total();
+    const auto passes =
+        static_cast<double>(r.balance_passes > 0 ? r.balance_passes : 1);
+    row.sa_cpu_us_per_pass =
+        static_cast<double>(sharded.shard_cpu_ns_total()) / 1e3 / passes;
+    row.exchange_us_per_pass =
+        static_cast<double>(sharded.exchange_ns_total()) / 1e3 / passes;
+    row.opt_exchange_us_per_core =
+        (row.sa_cpu_us_per_pass + row.exchange_us_per_pass) / cores;
   }
   return row;
 }

@@ -10,6 +10,7 @@
 // goal into SmartBalance (see examples/custom_objective.cpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
@@ -19,6 +20,15 @@
 
 namespace sb::core {
 
+/// Occupancy u_ij of a thread on a core: CPU-bound threads (negative
+/// demand) and cores with no predicted capacity take a full share; a
+/// duty-cycled thread occupies the fraction of the core needed to serve
+/// its demanded GIPS at the core's predicted speed `cap`, kept in
+/// [0.02, 1].
+inline double occupancy(double demand, double cap) {
+  return demand >= 0 && cap > 0 ? std::clamp(demand / cap, 0.02, 1.0) : 1.0;
+}
+
 /// The per-core inputs an objective sees: occupancy-weighted sums over the
 /// threads assigned to the core.
 struct CoreSums {
@@ -26,6 +36,21 @@ struct CoreSums {
   double watts = 0;   // Σ u_ij · p_ij  (predicted busy power)
   double load = 0;    // Σ u_ij         (core occupancy; >1 = oversubscribed)
   int nthreads = 0;
+
+  /// Adds (removes) a thread with occupancy `u`, throughput `s` and power
+  /// `p` on this core.
+  void add(double u, double s, double p) {
+    gips += u * s;
+    watts += u * p;
+    load += u;
+    ++nthreads;
+  }
+  void remove(double u, double s, double p) {
+    gips -= u * s;
+    watts -= u * p;
+    load -= u;
+    --nthreads;
+  }
 };
 
 /// Identifies the built-in objectives so the optimizer can dispatch its
@@ -61,6 +86,11 @@ class BalanceObjective {
   }
 
   virtual std::string name() const = 0;
+
+  /// J of a whole allocation from its per-core sums (entry j is core j):
+  /// Σ core_term, or Σnum / Σden for fractional objectives, summed in core
+  /// order.
+  double evaluate(const std::vector<CoreSums>& sums) const;
 
   /// Returns an objective equivalent to this one evaluated on the
   /// sub-platform formed by `cores`: column j of the sub-problem is physical

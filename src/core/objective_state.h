@@ -14,7 +14,6 @@
 // scratch vectors have grown to the problem size.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
@@ -72,9 +71,8 @@ class ObjectiveState {
 
   double total() const { return total_; }
 
-  /// Occupancy of thread `row` on core column `j`: CPU-bound threads
-  /// (negative demand) take a full share; duty-cycled threads occupy the
-  /// fraction needed to serve their wall-clock demand on this core's speed.
+  /// Occupancy of thread `row` on core column `j` (core::occupancy of its
+  /// demand; 1 without a demand vector).
   double occupancy(std::size_t row, std::size_t j) const {
     return sc_.wspo[3 * (row * n_ + j) + 2];
   }
@@ -133,12 +131,10 @@ class ObjectiveState {
     for (std::size_t i = 0; i < m_; ++i) {
       for (std::size_t j = 0; j < n_; ++j) {
         double* cell = &sc_.wspo[3 * (i * n_ + j)];
-        double u = 1.0;
-        if (demand) {
-          const double d = (*demand)[i];
-          const double cap = s.at(i, j);
-          if (d >= 0 && cap > 0) u = std::clamp(d / cap, 0.02, 1.0);
-        }
+        // Qualified: the member occupancy(row, j) would otherwise bind
+        // through an implicit double -> size_t conversion.
+        const double u =
+            demand ? core::occupancy((*demand)[i], s.at(i, j)) : 1.0;
         cell[0] = u * s.at(i, j);
         cell[1] = u * p.at(i, j);
         cell[2] = u;

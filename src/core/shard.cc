@@ -17,9 +17,11 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Per-shard seed stride (2^64 / φ): shard 0 keeps the policy's per-pass
-/// seed unchanged, which is what makes --shards=1 replay the unsharded
-/// annealing trajectory bit for bit.
+/// seed unchanged.
 constexpr std::uint64_t kShardSeedStride = 0x9e3779b97f4a7c15ULL;
+
+/// Minimum relative per-thread efficiency gain for an exchange candidate.
+constexpr double kExchangeMinGain = 0.02;
 
 // K[:jobs[:moves]]; defaults match ShardingConfig (moves -1 = auto).
 constexpr spec::Field kFields[] = {
@@ -28,47 +30,21 @@ constexpr spec::Field kFields[] = {
     {"moves", spec::Kind::kInt, 0, 1 << 20, -1},
 };
 
-/// Evaluates the merged global objective for an explicit allocation with
-/// the exact occupancy semantics of ObjectiveState::precompute_occupancy
-/// (duty-cycled threads occupy clamp(d/cap, 0.02, 1) of their core) — in
-/// O(m + n) with no per-cell cache, since it runs a handful of times per
-/// epoch instead of inside the annealing loop.
-double merged_objective(const Matrix& s, const Matrix& p,
-                        const BalanceObjective& objective,
-                        const std::vector<CoreId>& allocation,
-                        const std::vector<double>& demand,
-                        std::vector<CoreSums>& sums_scratch) {
+/// Per-core sums of an explicit allocation, with the occupancy rule the
+/// annealer uses — O(m + n) with no per-cell cache, since it runs a
+/// handful of times per epoch instead of inside the annealing loop.
+void fill_sums(const Matrix& s, const Matrix& p,
+               const std::vector<CoreId>& allocation,
+               const std::vector<double>& demand,
+               std::vector<CoreSums>& sums) {
   const std::size_t n = s.cols();
-  sums_scratch.assign(n, CoreSums{});
+  sums.assign(n, CoreSums{});
   for (std::size_t i = 0; i < allocation.size(); ++i) {
     const CoreId c = allocation[i];
     if (c < 0 || static_cast<std::size_t>(c) >= n) continue;
     const auto j = static_cast<std::size_t>(c);
-    double u = 1.0;
-    const double d = demand[i];
-    const double cap = s.at(i, j);
-    if (d >= 0 && cap > 0) u = std::clamp(d / cap, 0.02, 1.0);
-    CoreSums& cs = sums_scratch[j];
-    cs.gips += u * s.at(i, j);
-    cs.watts += u * p.at(i, j);
-    cs.load += u;
-    ++cs.nthreads;
+    sums[j].add(occupancy(demand[i], s.at(i, j)), s.at(i, j), p.at(i, j));
   }
-  if (objective.fractional()) {
-    double num = 0, den = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto f =
-          objective.core_fraction(sums_scratch[j], static_cast<CoreId>(j));
-      num += f[0];
-      den += f[1];
-    }
-    return den > 0 ? num / den : 0.0;
-  }
-  double total = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    total += objective.core_term(sums_scratch[j], static_cast<CoreId>(j));
-  }
-  return total;
 }
 
 }  // namespace
@@ -149,7 +125,11 @@ ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
     : platform_(platform),
       cfg_(cfg),
       sa_(sa),
-      partition_(make_shard_partition(platform, cfg.shards)) {
+      partition_(make_shard_partition(platform, std::max(1, cfg.shards))) {
+  const int k = partition_.num_shards();
+  if (k > 1) {
+    jobs_ = cfg_.jobs > 0 ? cfg_.jobs : std::min(k, common::resolve_jobs(0));
+  }
   col_of_core_.assign(static_cast<std::size_t>(platform.num_cores()), -1);
   for (const auto& cores : partition_.cores) {
     for (std::size_t j = 0; j < cores.size(); ++j) {
@@ -157,7 +137,7 @@ ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
     }
   }
   optimizers_.reserve(partition_.cores.size());
-  for (std::size_t k = 0; k < partition_.cores.size(); ++k) {
+  for (std::size_t ki = 0; ki < partition_.cores.size(); ++ki) {
     optimizers_.push_back(std::make_unique<SaOptimizer>(sa_));
   }
 }
@@ -172,6 +152,13 @@ SaResult ShardedBalancer::balance(
   const std::size_t m = initial.size();
   if (affinity.size() != m || demand.size() != m) {
     throw std::invalid_argument("ShardedBalancer: per-thread vector size");
+  }
+  if (k == 1) {
+    // One shard: the whole problem, annealed in place.
+    SaOptimizer& opt = *optimizers_[0];
+    opt.set_seed(base_seed);
+    opt.set_obs(obs);
+    return opt.optimize(s, p, objective, initial, &affinity, &demand);
   }
   last_ = ShardPassStats{};
 
@@ -204,14 +191,10 @@ SaResult ShardedBalancer::balance(
           ? sa_.max_iterations
           : sa_auto_iterations(static_cast<int>(s.cols()),
                                static_cast<int>(m));
-  const int shard_budget =
-      k == 1 ? total_budget : std::max(100, total_budget / k);
+  const int shard_budget = std::max(100, total_budget / k);
 
-  const int jobs = cfg_.jobs > 0
-                       ? cfg_.jobs
-                       : std::min(k, common::resolve_jobs(0));
   common::parallel_for(
-      static_cast<std::size_t>(k), jobs, [&](std::size_t ki, int worker) {
+      static_cast<std::size_t>(k), jobs_, [&](std::size_t ki, int worker) {
         ShardTask& t = tasks[ki];
         t.worker = worker;
         if (t.rows.empty()) return;
@@ -252,49 +235,34 @@ SaResult ShardedBalancer::balance(
   }
 
   SaResult merged;
-  int moves = 0;
-  TimeNs exchange_ns = 0;
-  if (k == 1) {
-    // Single shard: the sub-problem is the whole problem (value-identical
-    // matrices, identity column order, the unsharded per-pass seed), so the
-    // sub-result IS the global result — returned directly, skipping the
-    // merged re-evaluation whose last bits could differ from SA's
-    // incremental objective accounting.
-    merged = tasks[0].result;
-    const std::vector<CoreId>& cores = partition_.cores[0];
-    for (CoreId& c : merged.allocation) {
-      c = cores[static_cast<std::size_t>(c)];
+  merged.allocation = initial;
+  for (std::size_t ki = 0; ki < tasks.size(); ++ki) {
+    const ShardTask& t = tasks[ki];
+    if (!t.ran) continue;
+    const std::vector<CoreId>& cores = partition_.cores[ki];
+    for (std::size_t r = 0; r < t.rows.size(); ++r) {
+      merged.allocation[t.rows[r]] =
+          cores[static_cast<std::size_t>(t.result.allocation[r])];
     }
-  } else {
-    merged.allocation = initial;
-    for (std::size_t ki = 0; ki < tasks.size(); ++ki) {
-      const ShardTask& t = tasks[ki];
-      if (!t.ran) continue;
-      const std::vector<CoreId>& cores = partition_.cores[ki];
-      for (std::size_t r = 0; r < t.rows.size(); ++r) {
-        merged.allocation[t.rows[r]] =
-            cores[static_cast<std::size_t>(t.result.allocation[r])];
-      }
-      merged.iterations += t.result.iterations;
-      merged.accepted_worse += t.result.accepted_worse;
-      merged.improved += t.result.improved;
-      merged.resyncs += t.result.resyncs;
-      merged.host_ns += t.result.host_ns;
-    }
-    std::vector<CoreSums> sums;
-    merged.initial_objective =
-        merged_objective(s, p, objective, initial, demand, sums);
-    merged.objective =
-        merged_objective(s, p, objective, merged.allocation, demand, sums);
-
-    const auto x0 = Clock::now();
-    moves = exchange(s, p, objective, affinity, demand, merged.allocation,
-                     merged.objective);
-    exchange_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - x0)
-                      .count();
-    merged.host_ns += exchange_ns;
+    merged.iterations += t.result.iterations;
+    merged.accepted_worse += t.result.accepted_worse;
+    merged.improved += t.result.improved;
+    merged.resyncs += t.result.resyncs;
+    merged.host_ns += t.result.host_ns;
   }
+  std::vector<CoreSums> sums;
+  fill_sums(s, p, initial, demand, sums);
+  merged.initial_objective = objective.evaluate(sums);
+  fill_sums(s, p, merged.allocation, demand, sums);
+  merged.objective = objective.evaluate(sums);
+
+  const auto x0 = Clock::now();
+  const int moves = exchange(s, p, objective, affinity, demand,
+                             merged.allocation, sums, merged.objective);
+  const TimeNs exchange_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - x0)
+          .count();
+  merged.host_ns += exchange_ns;
 
   // Accounting + observability, after the join, in shard order — workers
   // never touch the sink, so --jobs=1/8 emit identical deterministic
@@ -313,7 +281,7 @@ SaResult ShardedBalancer::balance(
   exchange_moves_total_ += static_cast<std::uint64_t>(moves);
   shard_cpu_ns_total_ += static_cast<std::uint64_t>(last_.shard_ns_total);
   exchange_ns_total_ += static_cast<std::uint64_t>(exchange_ns);
-  if (k > 1) exchange_ns_.add(static_cast<double>(exchange_ns));
+  exchange_ns_.add(static_cast<double>(exchange_ns));
 
   if (obs != nullptr) {
     auto& metrics = obs->metrics();
@@ -352,11 +320,9 @@ SaResult ShardedBalancer::balance(
         worker_off[w] += dur;
         chain_end = std::max(chain_end, worker_off[w]);
       }
-      if (k > 1) {
-        tracer->span("shard.exchange", base + chain_end,
-                     static_cast<std::uint64_t>(exchange_ns), pass,
-                     {{"moves", static_cast<double>(moves)}});
-      }
+      tracer->span("shard.exchange", base + chain_end,
+                   static_cast<std::uint64_t>(exchange_ns), pass,
+                   {{"moves", static_cast<double>(moves)}});
     }
   }
   return merged;
@@ -366,14 +332,14 @@ int ShardedBalancer::exchange(
     const Matrix& s, const Matrix& p, const BalanceObjective& objective,
     const std::vector<std::bitset<kMaxCores>>& affinity,
     const std::vector<double>& demand, std::vector<CoreId>& allocation,
-    double& merged_j) {
+    std::vector<CoreSums>& sums, double& merged_j) {
   const int k = partition_.num_shards();
   const std::size_t m = allocation.size();
   const int budget =
       cfg_.exchange_moves >= 0
           ? cfg_.exchange_moves
           : std::max(1, std::min(static_cast<int>(m) / 16, 4 * k));
-  if (budget <= 0 || k < 2) return 0;
+  if (budget <= 0) return 0;
 
   // Shard membership masks for the apply loop, plus a per-(shard, type)
   // reachability table for the scan. The scan must not pay bitset
@@ -445,7 +411,7 @@ int ShardedBalancer::exchange(
                                      : (eff > 0 ? 1.0 : 0.0);
       if (rel > best.gain) best = Cand{rel, i, t};
     }
-    if (best.type >= 0 && best.gain > cfg_.exchange_min_gain) {
+    if (best.type >= 0 && best.gain > kExchangeMinGain) {
       cands.push_back(best);
     }
   }
@@ -461,36 +427,14 @@ int ShardedBalancer::exchange(
   // (shard, type), keeping the move only if the merged objective actually
   // improves — the per-thread regret is a forecast heuristic; the merged J
   // is the contract. A move touches exactly two cores, so the merged J is
-  // maintained incrementally: one O(m + n) occupancy pass up front, then
-  // two per-core term re-derivations per candidate. That keeps the whole
-  // apply loop O(E) — re-evaluating the full objective per move would put
-  // an O(E·(m + n)) ~ n² tail on the pass and sink the sublinearity gate.
+  // maintained incrementally from the caller's per-core sums: two per-core
+  // term re-derivations per candidate. That keeps the whole apply loop
+  // O(E) — re-evaluating the full objective per move would put an
+  // O(E·(m + n)) ~ n² tail on the pass and sink the sublinearity gate.
   const std::size_t n = s.cols();
-  const auto occupancy = [&](std::size_t i, std::size_t j) {
-    double u = 1.0;
-    const double d = demand[i];
-    const double cap = s.at(i, j);
-    if (d >= 0 && cap > 0) u = std::clamp(d / cap, 0.02, 1.0);
-    return u;
-  };
-  const auto add_thread = [&](CoreSums& cs, std::size_t i, std::size_t j,
-                              double sign) {
-    const double u = sign * occupancy(i, j);
-    cs.gips += u * s.at(i, j);
-    cs.watts += u * p.at(i, j);
-    cs.load += u;
-    cs.nthreads += sign > 0 ? 1 : -1;
-  };
-  std::vector<CoreSums> sums(n, CoreSums{});
-  for (std::size_t i = 0; i < m; ++i) {
-    const CoreId c = allocation[i];
-    if (c < 0 || static_cast<std::size_t>(c) >= n) continue;
-    add_thread(sums[static_cast<std::size_t>(c)], i,
-               static_cast<std::size_t>(c), 1.0);
-  }
   // Per-core cached terms plus their aggregates; the initial aggregate is
   // arithmetically identical (same accumulation order) to what
-  // merged_objective computed for the caller.
+  // BalanceObjective::evaluate computed for the caller.
   const bool fractional = objective.fractional();
   std::vector<std::array<double, 2>> frac;
   std::vector<double> term;
@@ -548,8 +492,10 @@ int ShardedBalancer::exchange(
     const auto b = static_cast<std::size_t>(dest);
     CoreSums sum_a = sums[a];
     CoreSums sum_b = sums[b];
-    add_thread(sum_a, c.row, a, -1.0);
-    add_thread(sum_b, c.row, b, 1.0);
+    sum_a.remove(occupancy(demand[c.row], s.at(c.row, a)), s.at(c.row, a),
+                 p.at(c.row, a));
+    sum_b.add(occupancy(demand[c.row], s.at(c.row, b)), s.at(c.row, b),
+              p.at(c.row, b));
     double j = 0, new_num = 0, new_den = 0;
     std::array<double, 2> fa{}, fb{};
     double ta = 0, tb = 0;

@@ -16,10 +16,11 @@
 //
 // Determinism contract (same as every prior layer):
 //  - shard partitioning is a pure function of (platform, K);
-//  - shard k's anneal seeds from base_seed ^ (k · golden-ratio), where
-//    base_seed is the policy's per-pass seed — so shard 0 of a K=1 run
-//    replays the unsharded trajectory exactly, and `--shards=1` is
-//    bit-identical to the unsharded policy;
+//  - one shard (K = 0 or 1, or a one-core platform) anneals the caller's
+//    own problem with the policy's per-pass seed: no sub-problem, no shard
+//    accounting, and the optimizer records the sa.* metrics itself;
+//  - with K > 1, shard k's anneal seeds from base_seed ^ (k · golden-ratio),
+//    where base_seed is the policy's per-pass seed;
 //  - every shard writes only its own result slot and observability is
 //    emitted after the join in shard order, so results are independent of
 //    worker count and completion order (`--jobs=1/8` byte-identical).
@@ -44,11 +45,11 @@ class Sink;
 
 namespace sb::core {
 
-/// Sharded-balancing knobs (SmartBalanceConfig::Sharding). Default off:
-/// every golden figure stays bit-identical.
+/// Sharded-balancing knobs (SmartBalanceConfig::Sharding). The default, one
+/// shard, anneals the whole platform as a single problem.
 struct ShardingConfig {
-  /// Number of shards; 0 disables sharding entirely (the unsharded SA path
-  /// runs). Clamped to the platform's core count at policy construction.
+  /// Number of shards; 0 and 1 both mean one shard. Clamped to the
+  /// platform's core count.
   int shards = 0;
   /// Worker threads for the intra-epoch shard passes; 0 = auto
   /// (min(shards, SB_JOBS / hardware concurrency)).
@@ -56,10 +57,6 @@ struct ShardingConfig {
   /// Max threads traded by the global exchange phase per epoch; -1 = auto
   /// (max(1, min(m/16, 4·shards))), 0 disables the exchange phase.
   int exchange_moves = -1;
-  /// Minimum relative per-thread efficiency gain for an exchange candidate.
-  double exchange_min_gain = 0.02;
-
-  bool enabled() const { return shards > 0; }
 
   /// Parses the sbsim `--shards=` grammar: `K[:jobs[:moves]]` (fields per
   /// common/spec.h), e.g. "8", "8:4", "8:4:16". Throws
@@ -103,25 +100,26 @@ struct ShardPassStats {
   int iterations_total = 0;
 };
 
-/// Drives the sharded BALANCE phase for SmartBalancePolicy. Owns one
-/// SaOptimizer (and thus one ObjectiveScratch arena) per shard, reused
-/// across epochs exactly like the unsharded policy's single optimizer.
+/// Drives SmartBalancePolicy's BALANCE phase: one anneal of the whole
+/// problem with one shard; K cluster-local anneals plus the global exchange
+/// otherwise. Owns one SaOptimizer (and thus one ObjectiveScratch arena) per
+/// shard, re-seeded every pass and never re-allocated.
 class ShardedBalancer {
  public:
   /// `sa` is the policy's SaConfig (its max_iterations — or the auto rule —
-  /// is the *global* budget split across shards each pass).
+  /// is the *global* budget split across shards each pass). With K > 1 the
+  /// worker count is resolved here, once.
   ShardedBalancer(const arch::Platform& platform, ShardingConfig cfg,
                   SaConfig sa);
 
-  /// Runs the sharded balance phase for one epoch. `base_seed` is the
-  /// policy's per-pass seed (shard k re-seeds with
-  /// base_seed ^ (k · 0x9e3779b97f4a7c15)); `ts_offset_ns` positions the
-  /// shard.pass spans after the sense+predict phases inside the epoch span.
-  /// Returns a merged global SaResult: allocation over physical core ids,
+  /// Runs the balance phase for one epoch. With one shard this is
+  /// SaOptimizer::optimize on the caller's inputs, seeded with `base_seed`
+  /// and recording into `obs`. With K > 1, shard k re-seeds with
+  /// base_seed ^ (k · 0x9e3779b97f4a7c15) and `ts_offset_ns` positions the
+  /// shard.pass spans after the sense+predict phases inside the epoch span;
+  /// the result is merged: allocation over physical core ids,
   /// objective/initial_objective of the merged allocation, summed SA
-  /// counters, host_ns = summed per-shard SA CPU + exchange time. With one
-  /// shard the single sub-result is returned directly (bit-identical to the
-  /// unsharded optimizer on the same inputs).
+  /// counters, host_ns = summed per-shard SA CPU + exchange time.
   SaResult balance(std::uint64_t pass, std::uint64_t base_seed,
                    const Matrix& s, const Matrix& p,
                    const BalanceObjective& objective,
@@ -149,17 +147,21 @@ class ShardedBalancer {
 
   /// Applies the bounded exchange phase to `allocation` in place; returns
   /// the number of moves kept (each move is re-scored against the merged
-  /// objective and reverted if it does not improve it).
+  /// objective and reverted if it does not improve it). `sums` holds the
+  /// per-core sums of `allocation` and is kept up to date.
   int exchange(const Matrix& s, const Matrix& p,
                const BalanceObjective& objective,
                const std::vector<std::bitset<kMaxCores>>& affinity,
                const std::vector<double>& demand,
-               std::vector<CoreId>& allocation, double& merged_j);
+               std::vector<CoreId>& allocation, std::vector<CoreSums>& sums,
+               double& merged_j);
 
   const arch::Platform& platform_;
   ShardingConfig cfg_;
   SaConfig sa_;
   ShardPartition partition_;
+  /// Workers for the shard passes (1 with one shard).
+  int jobs_ = 1;
   /// Column remap: core id -> its column inside its shard's sub-problem.
   std::vector<int> col_of_core_;
   /// One persistent optimizer (scratch arena) per shard.

@@ -36,20 +36,7 @@ double realized_objective(const std::vector<ThreadObservation>& observations,
     s.load += o.util;
     ++s.nthreads;
   }
-  if (objective.fractional()) {
-    double num = 0, den = 0;
-    for (CoreId c = 0; c < num_cores; ++c) {
-      const auto f = objective.core_fraction(sums[static_cast<std::size_t>(c)], c);
-      num += f[0];
-      den += f[1];
-    }
-    return den > 0 ? num / den : 0.0;
-  }
-  double j = 0;
-  for (CoreId c = 0; c < num_cores; ++c) {
-    j += objective.core_term(sums[static_cast<std::size_t>(c)], c);
-  }
-  return j;
+  return objective.evaluate(sums);
 }
 
 }  // namespace
@@ -80,7 +67,7 @@ SmartBalancePolicy::SmartBalancePolicy(
       objective_(objective ? std::move(objective)
                            : make_energy_efficiency_objective()),
       sensing_(platform, resolve_sensing(cfg), Rng(cfg.seed ^ 0x5e25ULL)),
-      optimizer_([&] {
+      sharded_(platform, cfg.sharding, [&] {
         SaConfig sa = cfg.sa;
         sa.seed = cfg.seed ^ 0x0a0aULL;
         return sa;
@@ -91,23 +78,17 @@ SmartBalancePolicy::SmartBalancePolicy(
   if (cfg_.adaptation.enabled()) {
     adapter_ = std::make_unique<OnlineAdapter>(cfg_.adaptation, &model_);
   }
-  if (cfg_.sharding.enabled()) {
-    SaConfig sa = cfg_.sa;
-    sa.seed = cfg_.seed ^ 0x0a0aULL;
-    sharded_ = std::make_unique<ShardedBalancer>(platform_, cfg_.sharding, sa);
-  }
 }
 
 void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   ++passes_;
-  last_ = os::BalancePassStats{};
 
   // Observability: propagate the kernel's sink (usually installed once by
   // Simulation; trivial pointer stores per pass) and anchor this pass on
   // the simulated timeline. Null sink = everything below is one branch.
   obs::Sink* const obs = kernel.obs();
+  obs::EpochTracer* const tracer = obs != nullptr ? obs->tracer() : nullptr;
   sensing_.set_obs(obs);
-  optimizer_.set_obs(obs);
   if (injector_) injector_->set_obs(obs);
   if (obs != nullptr) {
     obs->begin_epoch(passes_, static_cast<std::uint64_t>(now));
@@ -141,13 +122,11 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   auto observations = sensing_.observe(samples);
   if (sensing_.config().defense.enabled) {
     const SensingHealthStats& h = sensing_.health();
-    last_.faults_detected = (h.implausible_rejected + h.outliers_rejected) -
-                            (pre_health.implausible_rejected +
-                             pre_health.outliers_rejected);
-    last_.faults_absorbed = (h.stale_served + h.neutral_served) -
-                            (pre_health.stale_served + pre_health.neutral_served);
-    faults_detected_ += last_.faults_detected;
-    faults_absorbed_ += last_.faults_absorbed;
+    faults_detected_ += (h.implausible_rejected + h.outliers_rejected) -
+                        (pre_health.implausible_rejected +
+                         pre_health.outliers_rejected);
+    faults_absorbed_ += (h.stale_served + h.neutral_served) -
+                        (pre_health.stale_served + pre_health.neutral_served);
   }
   // Sparse virtual sensing (§6.4): cores without a physical power sensor
   // fall back to the Eq. 9 interpolation as a virtual sensor.
@@ -160,23 +139,27 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     }
   }
   const auto t1 = Clock::now();
+  const auto sense_ns = static_cast<std::uint64_t>(elapsed_ns(t0, t1));
+  sense_ns_.add(static_cast<double>(sense_ns));
+  if (obs != nullptr) {
+    obs->metrics().histogram("epoch.sense_ns").record(sense_ns);
+  }
+  // The sense span follows the pass's instants on the trace.
+  const auto trace_sense = [&] {
+    if (tracer != nullptr) {
+      tracer->span("sense", obs->now_ns(), sense_ns, passes_);
+    }
+  };
 
   if (observations.empty()) {
-    last_.sense_host_ns = elapsed_ns(t0, t1);
-    sense_ns_.add(static_cast<double>(last_.sense_host_ns));
-    if (obs != nullptr) {
-      const auto sns = static_cast<std::uint64_t>(last_.sense_host_ns);
-      obs->metrics().histogram("epoch.sense_ns").record(sns);
-      if (auto* tracer = obs->tracer()) {
-        tracer->span("sense", obs->now_ns(), sns, passes_);
-      }
-    }
+    trace_sense();
     return;
   }
 
   // Prediction audit (Phase A): join last pass's forecasts against what was
   // actually sensed, score the previous decision's realized ΔJ, and advance
-  // the drift detector. Strictly read-only unless degrade_on_drift opts in.
+  // the drift detector. Strictly read-only: nothing here feeds back into
+  // the balancing decision.
   obs::AuditRecorder* const audit = obs != nullptr ? obs->audit() : nullptr;
   std::int64_t audit_fault_delta = 0;
   if (audit != nullptr) {
@@ -202,7 +185,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     const auto edges = audit->join(passes_, aobs, realized_j);
     for (const obs::DriftEvent& ev : edges) {
       obs->metrics().counter("predictor.drift").add();
-      if (auto* tracer = obs->tracer()) {
+      if (tracer != nullptr) {
         tracer->instant("predictor.drift", obs->now_ns(), passes_,
                         {{"src_type", static_cast<double>(ev.src_type)},
                          {"dst_type", static_cast<double>(ev.dst_type)},
@@ -232,7 +215,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
       if (astats.cov_resets > 0) {
         m.counter("predictor.adapt.cov_resets")
             .add(static_cast<std::uint64_t>(astats.cov_resets));
-        if (auto* tracer = obs->tracer()) {
+        if (tracer != nullptr) {
           tracer->instant(
               "predictor.adapt.reset", obs->now_ns(), passes_,
               {{"resets", static_cast<double>(astats.cov_resets)}});
@@ -244,20 +227,13 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // Degraded mode: when too few threads have trustworthy sensors, predicted
   // S/P matrices are mostly fiction — migrating on them is worse than not
   // using them at all. Delegate the pass to the heterogeneity-blind (but
-  // sensing-free) vanilla balancer until health recovers. Predictor drift
-  // (audit EWMAs above threshold) escalates the same way when opted in —
-  // unless online adaptation is active, which repairs the predictor in
-  // place (covariance reset) instead of retreating to the fallback.
-  const bool drift_degraded = cfg_.degrade_on_drift && !adapter_ &&
-                              audit != nullptr && audit->drift_active();
-  if (drift_degraded ||
-      (sensing_.config().defense.enabled &&
-       sensing_.health().healthy_fraction < kDegradedHealthyThreshold)) {
+  // sensing-free) vanilla balancer until health recovers.
+  if (sensing_.config().defense.enabled &&
+      sensing_.health().healthy_fraction < kDegradedHealthyThreshold) {
     ++degraded_passes_;
-    last_.degraded = true;
     if (obs != nullptr) {
       obs->metrics().counter("epoch.degraded_passes").add();
-      if (auto* tracer = obs->tracer(); tracer != nullptr && !degraded_prev_) {
+      if (tracer != nullptr && !degraded_prev_) {
         tracer->instant(
             "degraded_enter", obs->now_ns(), passes_,
             {{"healthy_fraction", sensing_.health().healthy_fraction}});
@@ -276,24 +252,14 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
       audit->record_decision(d);
     }
     fallback_.on_balance(kernel, now);
-    last_.sense_host_ns = elapsed_ns(t0, t1);
-    sense_ns_.add(static_cast<double>(last_.sense_host_ns));
-    if (obs != nullptr) {
-      const auto sns = static_cast<std::uint64_t>(last_.sense_host_ns);
-      obs->metrics().histogram("epoch.sense_ns").record(sns);
-      if (auto* tracer = obs->tracer()) {
-        tracer->span("sense", obs->now_ns(), sns, passes_);
-      }
-    }
+    trace_sense();
     return;
   }
   if (degraded_prev_) {
-    if (obs != nullptr) {
-      if (auto* tracer = obs->tracer()) {
-        tracer->instant(
-            "degraded_exit", obs->now_ns(), passes_,
-            {{"healthy_fraction", sensing_.health().healthy_fraction}});
-      }
+    if (tracer != nullptr) {
+      tracer->instant(
+          "degraded_exit", obs->now_ns(), passes_,
+          {{"healthy_fraction", sensing_.health().healthy_fraction}});
     }
     degraded_prev_ = false;
   }
@@ -372,21 +338,12 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   }
   // Fresh annealing trajectory each epoch (deterministic per pass index),
   // reusing persistent optimizer scratch arenas — re-seeded, never
-  // re-allocated. Sharded mode swaps only this call: K cluster-local
-  // anneals in parallel plus the bounded global exchange, same inputs,
-  // same merged-result contract.
+  // re-allocated.
   const std::uint64_t pass_seed =
       cfg_.seed ^ (0x0a0aULL + passes_ * 0x9e3779b9ULL);
-  SaResult result;
-  if (sharded_) {
-    result = sharded_->balance(passes_, pass_seed, last_mx_.s, last_mx_.p,
-                               *objective_, initial, affinity, demand, obs,
-                               elapsed_ns(t0, t2));
-  } else {
-    optimizer_.set_seed(pass_seed);
-    result = optimizer_.optimize(last_mx_.s, last_mx_.p, *objective_, initial,
-                                 &affinity, &demand);
-  }
+  const SaResult result =
+      sharded_.balance(passes_, pass_seed, last_mx_.s, last_mx_.p, *objective_,
+                       initial, affinity, demand, obs, elapsed_ns(t0, t2));
   const auto t3 = Clock::now();
 
   // Apply the new allocation (set_cpus_allowed_ptr / migrate analogue).
@@ -503,7 +460,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
         }
         if (obs != nullptr) {
           obs->metrics().counter("balance.migrations").add();
-          if (auto* tracer = obs->tracer()) {
+          if (tracer != nullptr) {
             tracer->instant(
                 "migration", obs->now_ns() + mig_offset, passes_,
                 {{"tid", static_cast<double>(last_mx_.tids[i])},
@@ -516,40 +473,30 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     }
   }
 
-  last_.sense_host_ns = elapsed_ns(t0, t1);
-  last_.predict_host_ns = elapsed_ns(t1, t2);
-  last_.optimize_host_ns = elapsed_ns(t2, t3);
-  last_.migrations = migrations;
-  sense_ns_.add(static_cast<double>(last_.sense_host_ns));
-  predict_ns_.add(static_cast<double>(last_.predict_host_ns));
-  optimize_ns_.add(static_cast<double>(last_.optimize_host_ns));
+  const auto pns = static_cast<std::uint64_t>(elapsed_ns(t1, t2));
+  const auto ons = static_cast<std::uint64_t>(elapsed_ns(t2, t3));
+  predict_ns_.add(static_cast<double>(pns));
+  optimize_ns_.add(static_cast<double>(ons));
   migrations_.add(static_cast<double>(migrations));
-  if (result.initial_objective > 0) {
-    objective_gain_.add(result.objective / result.initial_objective - 1.0);
-  }
 
   if (obs != nullptr) {
-    const auto sns = static_cast<std::uint64_t>(last_.sense_host_ns);
-    const auto pns = static_cast<std::uint64_t>(last_.predict_host_ns);
-    const auto ons = static_cast<std::uint64_t>(last_.optimize_host_ns);
     auto& m = obs->metrics();
-    m.histogram("epoch.sense_ns").record(sns);
     m.histogram("epoch.predict_ns").record(pns);
     m.histogram("epoch.optimize_ns").record(ons);
-    if (auto* tracer = obs->tracer()) {
-      // Phases laid out sequentially from the epoch boundary: simulated
-      // position, host-measured durations (the Fig. 7 overhead, visible
-      // per pass instead of as an end-of-run mean).
-      const std::uint64_t base = obs->now_ns();
-      tracer->span("sense", base, sns, passes_);
-      tracer->span("predict", base + sns, pns, passes_);
-      tracer->span("balance", base + sns + pns, ons, passes_,
-                   {{"iterations", static_cast<double>(result.iterations)},
-                    {"accepted_worse",
-                     static_cast<double>(result.accepted_worse)},
-                    {"resyncs", static_cast<double>(result.resyncs)},
-                    {"migrations", static_cast<double>(migrations)}});
-    }
+  }
+  // Phases laid out sequentially from the epoch boundary: simulated
+  // position, host-measured durations (the Fig. 7 overhead, visible per
+  // pass instead of as an end-of-run mean).
+  trace_sense();
+  if (tracer != nullptr) {
+    const std::uint64_t base = obs->now_ns();
+    tracer->span("predict", base + sense_ns, pns, passes_);
+    tracer->span("balance", base + sense_ns + pns, ons, passes_,
+                 {{"iterations", static_cast<double>(result.iterations)},
+                  {"accepted_worse",
+                   static_cast<double>(result.accepted_worse)},
+                  {"resyncs", static_cast<double>(result.resyncs)},
+                  {"migrations", static_cast<double>(migrations)}});
   }
 }
 

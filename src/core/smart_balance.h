@@ -71,28 +71,16 @@ struct SmartBalanceConfig {
   /// fig_fault_resilience).
   enum class Defenses { kAuto, kOn, kOff };
   Defenses defenses = Defenses::kAuto;
-  /// Escalate predictor drift to degraded mode: while the audit recorder's
-  /// per-(src,dst)-core-type residual EWMAs sit above their threshold,
-  /// delegate passes to the vanilla balancer exactly like a sensing-health
-  /// degradation. Off by default; requires the observability audit recorder
-  /// (ObsConfig::audit) — without it the flag is inert, and with it the
-  /// schedule depends on the audit verdicts, so goldens only stay
-  /// bit-identical while this is off. When online adaptation is enabled it
-  /// takes precedence: drift triggers a covariance reset (repair the
-  /// predictor) instead of retreating to the vanilla balancer.
-  bool degrade_on_drift = false;
   /// Online predictor adaptation (see core/adapt.h): bias/gain correction
   /// of the Eq. 8 forecasts and/or RLS coefficient updates, driven by the
   /// policy's own forecast→observation joins. Off by default — every
   /// golden stays bit-identical.
   using Adaptation = AdaptationConfig;
   Adaptation adaptation;
-  /// Sharded hierarchical balancing (see core/shard.h): partition the
-  /// platform into clusters, anneal each shard in parallel on the shared
-  /// fork-join pool, then run a bounded global exchange phase. Off by
-  /// default — the unsharded SA path runs and every golden stays
-  /// bit-identical; `shards = 1` routes through the shard machinery but
-  /// replays the unsharded trajectory exactly.
+  /// Sharded hierarchical balancing (see core/shard.h). The default, one
+  /// shard (`shards` 0 or 1), anneals the whole platform as one problem;
+  /// K > 1 partitions it into clusters, anneals each shard in parallel on
+  /// the shared fork-join pool, then runs a bounded global exchange phase.
   using Sharding = ShardingConfig;
   Sharding sharding;
 };
@@ -107,7 +95,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   TimeNs interval() const override { return cfg_.epoch; }
   void on_balance(os::Kernel& kernel, TimeNs now) override;
   std::string name() const override { return "smartbalance"; }
-  os::BalancePassStats last_pass_stats() const override { return last_; }
   std::uint64_t passes() const override { return passes_; }
 
   // --- Introspection for experiments ---
@@ -115,7 +102,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   const RunningStats& predict_ns() const { return predict_ns_; }
   const RunningStats& optimize_ns() const { return optimize_ns_; }
   const RunningStats& migrations_per_pass() const { return migrations_; }
-  const RunningStats& objective_gain() const { return objective_gain_; }
   const PredictorModel& model() const { return model_; }
   const SmartBalanceConfig& config() const { return cfg_; }
 
@@ -125,8 +111,8 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   /// Online adaptation layer (null unless cfg.adaptation enables a tier).
   const OnlineAdapter* adapter() const { return adapter_.get(); }
 
-  /// Sharded balancing layer (null unless cfg.sharding.enabled()).
-  const ShardedBalancer* sharded() const { return sharded_.get(); }
+  /// The balance phase's annealer (one shard unless cfg.sharding says K).
+  const ShardedBalancer& sharded() const { return sharded_; }
 
   /// Fault-resilience introspection.
   const fault::FaultInjector* injector() const { return injector_.get(); }
@@ -150,18 +136,16 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   SmartBalanceConfig cfg_;
   std::unique_ptr<BalanceObjective> objective_;
   SensingSubsystem sensing_;
-  /// One optimizer for the policy's lifetime: its scratch arena (Ψ slots,
-  /// per-core sums, occupancy matrix, allocations) is reused every epoch —
+  /// The annealer, for the policy's lifetime: its scratch arenas (Ψ slots,
+  /// per-core sums, occupancy matrix, allocations) are reused every epoch —
   /// re-seeded per pass, never re-allocated.
-  SaOptimizer optimizer_;
+  ShardedBalancer sharded_;
 
-  os::BalancePassStats last_;
   std::uint64_t passes_ = 0;
   RunningStats sense_ns_;
   RunningStats predict_ns_;
   RunningStats optimize_ns_;
   RunningStats migrations_;
-  RunningStats objective_gain_;
   CharacterizationMatrices last_mx_;
   /// Pass of each thread's latest migration; entries older than
   /// migration_cooldown_epochs are pruned every pass.
@@ -169,9 +153,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
 
   /// Online predictor adaptation (null when cfg.adaptation is all-off).
   std::unique_ptr<OnlineAdapter> adapter_;
-
-  /// Sharded balancing (null when cfg.sharding is off).
-  std::unique_ptr<ShardedBalancer> sharded_;
 
   /// Fault injection (null when the plan is empty) and graceful degradation.
   std::unique_ptr<fault::FaultInjector> injector_;

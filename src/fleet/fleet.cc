@@ -120,7 +120,8 @@ FleetSimulation::FleetSimulation(FleetConfig cfg,
     : cfg_((cfg.validate(), cfg)),
       catalog_(validated_catalog(std::move(catalog))),
       dispatcher_(make_dispatcher(cfg_)),
-      arrivals_(make_arrival_config(cfg_, static_cast<int>(catalog_.size()))) {
+      arrivals_(make_arrival_config(cfg_, static_cast<int>(catalog_.size()))),
+      step_workers_(common::resolve_jobs(cfg_.step_jobs)) {
   if (node_platforms.empty()) {
     throw std::invalid_argument("FleetSimulation: no node platforms");
   }
@@ -412,12 +413,11 @@ void FleetSimulation::dispatch_pending(TimeNs now, std::uint64_t quantum_idx) {
 }
 
 void FleetSimulation::step_nodes(TimeNs dt) {
-  const int workers = common::resolve_jobs(cfg_.step_jobs);
   // An exception escaping a parallel_for worker's std::thread would call
   // std::terminate, so contain per-node failures and rethrow the
   // lowest-indexed one after the join.
   std::vector<std::exception_ptr> errors(nodes_.size());
-  common::parallel_for(nodes_.size(), workers,
+  common::parallel_for(nodes_.size(), step_workers_,
                        [&](std::size_t i, int /*worker*/) {
                          try {
                            nodes_[i]->sim->advance_service(dt);

@@ -167,6 +167,8 @@ class FleetSimulation {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<Dispatcher> dispatcher_;
   workload::ArrivalProcess arrivals_;
+  /// Workers for the per-quantum node stepping, resolved once.
+  int step_workers_;
   bool arrivals_done_ = false;
   workload::JobArrival next_arrival_{};
   bool have_next_arrival_ = false;

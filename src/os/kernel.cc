@@ -153,32 +153,16 @@ TaskRecord Kernel::record(ThreadId tid) const {
 // --------------------------------------------------------------------------
 
 ThreadId Kernel::fork(workload::ThreadBehavior behavior) {
-  behavior.validate();
-  auto t = std::make_unique<Task>();
-  t->tid = static_cast<ThreadId>(tasks_.size());
-  t->name = behavior.name.empty()
-                ? ("task" + std::to_string(t->tid))
-                : behavior.name;
-  t->nice = behavior.nice;
-  t->weight = nice_to_weight(behavior.nice);
-  t->behavior = std::move(behavior);
-  t->arrived_at = now_;
-  t->util_updated_at = now_;
-  t->state = TaskState::Runnable;
-  Task& ref = *t;
-  tasks_.push_back(std::move(t));
-  records_.emplace_back();
-  alive_.push_back(ref.tid);
-
-  ref.cpu = pick_fork_core(ref);
-  ref.vruntime = core(ref.cpu).rq.min_vruntime();
-  enqueue_task(ref, /*wakeup=*/false);
-  return ref.tid;
+  return spawn(std::move(behavior), kInvalidCore);
 }
 
 ThreadId Kernel::fork_on(workload::ThreadBehavior behavior, CoreId c) {
   if (c < 0 || c >= num_cores()) throw std::out_of_range("fork_on: bad core");
   if (core(c).offline) throw std::logic_error("fork_on: core is offline");
+  return spawn(std::move(behavior), c);
+}
+
+ThreadId Kernel::spawn(workload::ThreadBehavior behavior, CoreId c) {
   behavior.validate();
   auto t = std::make_unique<Task>();
   t->tid = static_cast<ThreadId>(tasks_.size());
@@ -191,13 +175,13 @@ ThreadId Kernel::fork_on(workload::ThreadBehavior behavior, CoreId c) {
   t->arrived_at = now_;
   t->util_updated_at = now_;
   t->state = TaskState::Runnable;
-  t->cpu = c;
   Task& ref = *t;
   tasks_.push_back(std::move(t));
   records_.emplace_back();
   alive_.push_back(ref.tid);
 
-  ref.vruntime = core(c).rq.min_vruntime();
+  ref.cpu = c != kInvalidCore ? c : pick_fork_core(ref);
+  ref.vruntime = core(ref.cpu).rq.min_vruntime();
   enqueue_task(ref, /*wakeup=*/false);
   return ref.tid;
 }
@@ -512,12 +496,7 @@ void Kernel::after_task_stops(ThreadId tid) {
 void Kernel::handle_segment_end(CoreId c, std::uint64_t seq) {
   CoreState& cs = core(c);
   if (seq != cs.dispatch_seq || cs.running == kInvalidThread) return;  // stale
-  const ThreadId tid = cs.running;
-  account_segment(c);
-  cs.running = kInvalidThread;
-  ++cs.dispatch_seq;
-  ++context_switches_;
-  after_task_stops(tid);
+  after_task_stops(stop_current(c));
   dispatch(c);
 }
 
@@ -685,29 +664,23 @@ void Kernel::migrate(ThreadId tid, CoreId dest) {
         throw std::logic_error("migrate: runnable task not on runqueue");
       }
       break;
-    case TaskState::Sleeping: {
-      // Retarget only; it enqueues at `dest` on wake. The vruntime still
-      // has to be re-based into the destination queue's frame here: queues
-      // advance min_vruntime independently, so keeping the source-frame
-      // value can leave the sleeper so far "ahead" of the destination queue
-      // that its wakes lose preemption for whole scheduling periods (the
-      // wake-to-run p99 gate in bench/fig_latency.cc catches exactly this).
-      const double rel = std::max(0.0, t.vruntime - core(src).rq.min_vruntime());
-      t.vruntime = core(dest).rq.min_vruntime() + rel;
-      t.cpu = dest;
-      ++t.migrations;
-      ++total_migrations_;
-      return;
-    }
+    case TaskState::Sleeping:
+      // Retarget only; it enqueues at `dest` on wake.
+      break;
   }
 
-  // Re-base vruntime into the destination queue's frame.
+  // Re-base vruntime into the destination queue's frame — a sleeper's too:
+  // queues advance min_vruntime independently, so keeping the source-frame
+  // value can leave the sleeper so far "ahead" of the destination queue
+  // that its wakes lose preemption for whole scheduling periods (the
+  // wake-to-run p99 gate in bench/fig_latency.cc catches exactly this).
   const double rel = std::max(0.0, t.vruntime - core(src).rq.min_vruntime());
   t.vruntime = core(dest).rq.min_vruntime() + rel;
   t.cpu = dest;
-  t.insts_since_migration = 0;  // cold caches on the new core
   ++t.migrations;
   ++total_migrations_;
+  if (t.state == TaskState::Sleeping) return;
+  t.insts_since_migration = 0;  // cold caches on the new core
   enqueue_task(t, /*wakeup=*/false);
   if (!in_balance_pass_ && core(src).running == kInvalidThread) dispatch(src);
 }

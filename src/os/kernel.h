@@ -328,6 +328,9 @@ class Kernel {
   void advance_util(Task& t, bool active);
   TimeNs draw_sleep(const workload::ThreadBehavior& b);
   CoreId pick_fork_core(const Task& t);
+  /// Builds and enqueues a task on core `c` (kInvalidCore: the round-robin
+  /// fork core); fork and fork_on differ only in that choice.
+  ThreadId spawn(workload::ThreadBehavior behavior, CoreId c);
   /// Settles a task whose segment just stopped: exits it (keeping its
   /// record and freeing the Task), puts it to sleep, or requeues it.
   void after_task_stops(ThreadId tid);

@@ -18,23 +18,6 @@ namespace sb::os {
 
 class Kernel;
 
-/// Per-invocation cost accounting, aggregated for the Fig. 7 overhead study.
-struct BalancePassStats {
-  TimeNs sense_host_ns = 0;     // wall-clock spent in sensing/collection
-  TimeNs predict_host_ns = 0;   // estimation + prediction
-  TimeNs optimize_host_ns = 0;  // allocation search
-  int migrations = 0;
-  /// Fault-resilience accounting (SmartBalance with defenses enabled; zero
-  /// everywhere else). Detected = measurements rejected by the plausibility
-  /// or outlier screens this pass; absorbed = observations served from the
-  /// stale cache or the neutral prior in their place.
-  std::uint64_t faults_detected = 0;
-  std::uint64_t faults_absorbed = 0;
-  /// True when the pass was delegated to the vanilla fallback because too
-  /// few threads had healthy sensors.
-  bool degraded = false;
-};
-
 class LoadBalancer {
  public:
   virtual ~LoadBalancer() = default;
@@ -48,8 +31,7 @@ class LoadBalancer {
 
   virtual std::string name() const = 0;
 
-  /// Aggregate stats over all passes so far (default: none collected).
-  virtual BalancePassStats last_pass_stats() const { return {}; }
+  /// Balancing passes run so far (default: none counted).
   virtual std::uint64_t passes() const { return 0; }
 };
 

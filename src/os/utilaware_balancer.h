@@ -23,8 +23,6 @@ class UtilAwareBalancer final : public LoadBalancer {
     /// Per-little-core utilization budget before spilling to big.
     double little_capacity = 0.85;
     CoreTypeId big_type = 0;
-    /// Minimum utilization change that justifies a migration (hysteresis).
-    double rebalance_margin = 0.10;
   };
 
   UtilAwareBalancer() : UtilAwareBalancer(Config()) {}

@@ -24,6 +24,19 @@ std::string platform_key(const arch::Platform& p) {
   return key;
 }
 
+/// The policy objective: null for the paper's Eq. 11 (the policy's
+/// default), else global efficiency charging each core's sleep power.
+std::unique_ptr<core::BalanceObjective> make_objective(
+    const Simulation& sim, bool paper_eq11_objective) {
+  if (paper_eq11_objective) return nullptr;
+  std::vector<double> sleep_w;
+  for (CoreId c = 0; c < sim.platform().num_cores(); ++c) {
+    sleep_w.push_back(
+        sim.power_model().sleep_power_w(sim.platform().type_of(c)));
+  }
+  return std::make_unique<core::GlobalEfficiencyObjective>(std::move(sleep_w));
+}
+
 }  // namespace
 
 core::PredictorModel train_default_model(const perf::PerfModel& perf,
@@ -71,18 +84,9 @@ BalancerFactory smartbalance_factory(core::SmartBalanceConfig cfg,
                                                   sim.power_model(), dvfs))
                .first;
     }
-    std::unique_ptr<core::BalanceObjective> objective;
-    if (!paper_eq11_objective) {
-      std::vector<double> sleep_w;
-      for (CoreId c = 0; c < sim.platform().num_cores(); ++c) {
-        sleep_w.push_back(
-            sim.power_model().sleep_power_w(sim.platform().type_of(c)));
-      }
-      objective =
-          std::make_unique<core::GlobalEfficiencyObjective>(std::move(sleep_w));
-    }
     return std::make_unique<core::SmartBalancePolicy>(
-        sim.platform(), it->second, cfg, std::move(objective));
+        sim.platform(), it->second, cfg,
+        make_objective(sim, paper_eq11_objective));
   };
 }
 
@@ -91,18 +95,9 @@ BalancerFactory smartbalance_factory_with_model(core::PredictorModel model,
                                                 bool paper_eq11_objective) {
   auto shared = std::make_shared<core::PredictorModel>(std::move(model));
   return [shared, cfg, paper_eq11_objective](const Simulation& sim) {
-    std::unique_ptr<core::BalanceObjective> objective;
-    if (!paper_eq11_objective) {
-      std::vector<double> sleep_w;
-      for (CoreId c = 0; c < sim.platform().num_cores(); ++c) {
-        sleep_w.push_back(
-            sim.power_model().sleep_power_w(sim.platform().type_of(c)));
-      }
-      objective =
-          std::make_unique<core::GlobalEfficiencyObjective>(std::move(sleep_w));
-    }
     return std::make_unique<core::SmartBalancePolicy>(
-        sim.platform(), *shared, cfg, std::move(objective));
+        sim.platform(), *shared, cfg,
+        make_objective(sim, paper_eq11_objective));
   };
 }
 

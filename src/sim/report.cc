@@ -123,8 +123,8 @@ void write_json(std::ostream& os, const SimulationResult& r) {
     os << "}";
   }
 
-  // Shards block only when sharded balancing ran — the unsharded path
-  // keeps byte-identical reports.
+  // Shards block only when K > 1 shards ran — one shard keeps no shard
+  // accounting, so default reports keep their bytes.
   if (r.shards > 0) {
     os << ",\"shards\":{\"count\":" << r.shards
        << ",\"passes\":" << r.shard_passes

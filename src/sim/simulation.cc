@@ -151,27 +151,32 @@ SimulationResult Simulation::run() {
 
   if (cfg_.run_to_completion || sampled_ || ts_sampler_ != nullptr ||
       !arrivals_.empty()) {
-    // Advance in steps: fine-grained when sampling, epoch-sized otherwise.
-    const TimeNs step = sampled_ ? cfg_.sample_interval : milliseconds(20);
-    while (kernel_->now() < cfg_.duration &&
-           !(cfg_.run_to_completion && kernel_->all_exited() &&
-             arrivals_.empty())) {
-      TimeNs chunk = std::min<TimeNs>(step, cfg_.duration - kernel_->now());
-      if (ts_sampler_) chunk = std::min(chunk, ts_next_ - kernel_->now());
-      for (const Arrival& a : arrivals_) {
-        if (a.at > kernel_->now()) {
-          chunk = std::min(chunk, a.at - kernel_->now());
-        }
-      }
-      kernel_->run_for(chunk);
-      apply_arrivals();
-      if (sampled_) sample_tick(chunk);
-      ts_tick();
-    }
+    // Epoch-sized steps unless sampling asks for finer ones.
+    step_until(cfg_.duration, milliseconds(20), cfg_.run_to_completion);
   } else {
     kernel_->run_until(cfg_.duration);
   }
   return finalize_run();
+}
+
+void Simulation::step_until(TimeNs until, TimeNs max_step,
+                            bool stop_when_done) {
+  const TimeNs cap = sampled_ ? cfg_.sample_interval : max_step;
+  while (kernel_->now() < until &&
+         !(stop_when_done && kernel_->all_exited() && arrivals_.empty())) {
+    TimeNs chunk = until - kernel_->now();
+    if (cap > 0) chunk = std::min(chunk, cap);
+    if (ts_sampler_) chunk = std::min(chunk, ts_next_ - kernel_->now());
+    for (const Arrival& a : arrivals_) {
+      if (a.at > kernel_->now()) {
+        chunk = std::min(chunk, a.at - kernel_->now());
+      }
+    }
+    kernel_->run_for(chunk);
+    apply_arrivals();
+    if (sampled_) sample_tick(chunk);
+    ts_tick();
+  }
 }
 
 void Simulation::begin_service() {
@@ -184,21 +189,7 @@ void Simulation::begin_service() {
 
 void Simulation::advance_service(TimeNs dt) {
   if (!service_) throw std::logic_error("advance_service: not in service mode");
-  const TimeNs until = kernel_->now() + dt;
-  while (kernel_->now() < until) {
-    TimeNs chunk = until - kernel_->now();
-    if (sampled_) chunk = std::min(chunk, cfg_.sample_interval);
-    if (ts_sampler_) chunk = std::min(chunk, ts_next_ - kernel_->now());
-    for (const Arrival& a : arrivals_) {
-      if (a.at > kernel_->now()) {
-        chunk = std::min(chunk, a.at - kernel_->now());
-      }
-    }
-    kernel_->run_for(chunk);
-    apply_arrivals();
-    if (sampled_) sample_tick(chunk);
-    ts_tick();
-  }
+  step_until(kernel_->now() + dt, /*max_step=*/0, /*stop_when_done=*/false);
 }
 
 SimulationResult Simulation::finish_service() {
@@ -330,11 +321,12 @@ SimulationResult Simulation::snapshot() const {
       r.adapt_rls_updates = adapter->rls_updates();
       r.adapt_cov_resets = adapter->cov_resets();
     }
-    if (const auto* sharded = sb->sharded()) {
-      r.shards = sharded->partition().num_shards();
-      r.shard_passes = sharded->shard_passes_total();
-      r.shard_exchange_moves = sharded->exchange_moves_total();
-      r.avg_exchange_us = sharded->exchange_ns().mean() / 1e3;
+    if (const auto& sharded = sb->sharded();
+        sharded.partition().num_shards() > 1) {
+      r.shards = sharded.partition().num_shards();
+      r.shard_passes = sharded.shard_passes_total();
+      r.shard_exchange_moves = sharded.exchange_moves_total();
+      r.avg_exchange_us = sharded.exchange_ns().mean() / 1e3;
     }
   }
   r.migrations_rejected = kernel_->migrations_rejected();

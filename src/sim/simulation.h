@@ -133,6 +133,12 @@ class Simulation {
 
  private:
   void prepare_run();
+  /// Runs the kernel to `until` in chunks cut at the sample interval (when
+  /// sampling; else at `max_step`, 0 = no cap), timeseries windows and
+  /// arrivals, applying arrivals and samplers after each chunk. With
+  /// `stop_when_done`, stops early once every task has exited and no
+  /// arrival is pending.
+  void step_until(TimeNs until, TimeNs max_step, bool stop_when_done);
   SimulationResult finalize_run();
   void sample_tick(TimeNs window);
   void ts_tick();

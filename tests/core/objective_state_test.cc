@@ -2,12 +2,15 @@
 // sequence of single-thread moves, the running total must match a fresh
 // full recompute (rebuild) and the reference evaluate_allocation — for all
 // built-in objectives, additive and fractional, with and without demand
-// weighting.
+// weighting. BalanceObjective::evaluate, the one-shot fold, must agree with
+// both bit for bit.
 #include "core/objective_state.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.h"
@@ -157,6 +160,62 @@ TEST(ObjectiveState, ScratchReuseAcrossProblemSizesIsClean) {
   EXPECT_DOUBLE_EQ(
       state.total(),
       evaluate_allocation(small.s, small.p, obj, small.alloc));
+}
+
+/// Per-core sums of the instance's allocation, one thread at a time.
+std::vector<CoreSums> sums_of(const Instance& inst, bool with_demand) {
+  std::vector<CoreSums> sums(inst.s.cols());
+  for (std::size_t i = 0; i < inst.alloc.size(); ++i) {
+    const auto j = static_cast<std::size_t>(inst.alloc[i]);
+    const double u =
+        with_demand ? occupancy(inst.demand[i], inst.s.at(i, j)) : 1.0;
+    sums[j].add(u, inst.s.at(i, j), inst.p.at(i, j));
+  }
+  return sums;
+}
+
+template <class Obj>
+void expect_evaluate_matches(const Obj& objective) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const bool with_demand : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const auto inst = random_instance(9, 4, seed, with_demand);
+      const double j = objective.evaluate(sums_of(inst, with_demand));
+      ObjectiveScratch scratch;
+      const ObjectiveState<Obj> state(scratch, inst.s, inst.p, objective,
+                                      inst.alloc,
+                                      with_demand ? &inst.demand : nullptr);
+      EXPECT_EQ(bits(j), bits(state.total()))
+          << objective.name() << " seed " << seed << " demand "
+          << with_demand;
+      if (!with_demand) {
+        EXPECT_EQ(bits(j), bits(evaluate_allocation(inst.s, inst.p, objective,
+                                                    inst.alloc)))
+            << objective.name() << " seed " << seed;
+      }
+    }
+  }
+}
+
+/// Custom objective with per-core weights, run through the generic
+/// virtual-dispatch instantiation.
+class WeightedThroughputObjective final : public BalanceObjective {
+ public:
+  double core_term(const CoreSums& s, CoreId core) const override {
+    return static_cast<double>(core + 1) * s.gips / (1.0 + s.watts);
+  }
+  std::string name() const override { return "weighted_throughput"; }
+};
+
+TEST(BalanceObjective, EvaluateMatchesObjectiveStateBitForBit) {
+  expect_evaluate_matches(EnergyEfficiencyObjective());
+  expect_evaluate_matches(
+      EnergyEfficiencyObjective(std::vector<double>{1.0, 1.5, 0.5, 2.0}));
+  expect_evaluate_matches(ThroughputObjective());
+  expect_evaluate_matches(EdpObjective());
+  expect_evaluate_matches(
+      GlobalEfficiencyObjective(std::vector<double>{0.1, 0.2, 0.15, 0.05}));
+  expect_evaluate_matches<BalanceObjective>(WeightedThroughputObjective());
 }
 
 }  // namespace

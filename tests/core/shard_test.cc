@@ -2,14 +2,16 @@
 // (core/shard.h): the --shards= grammar, the partition function's
 // true-partition invariants under fuzzed platforms, the kind-preserving
 // objective restrictions, and the ShardedBalancer determinism contract —
-// worker-count independence and the K=1 bit-identity with the unsharded
-// optimizer that anchors the --shards=1 golden equivalence.
+// worker-count independence, the K=1 bit-identity with the plain
+// optimizer, and a pinned K=4 result.
 #include "core/shard.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <bitset>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -39,9 +41,8 @@ TEST(ShardingConfig, ParsesGrammar) {
   EXPECT_EQ(kjm.jobs, 4);
   EXPECT_EQ(kjm.exchange_moves, 16);
 
-  // "0" parses (sharding disabled), and moves=0 disables the exchange.
-  EXPECT_FALSE(ShardingConfig::parse("0").enabled());
-  EXPECT_TRUE(ShardingConfig::parse("1").enabled());
+  // "0" parses (one shard, like "1"), and moves=0 disables the exchange.
+  EXPECT_EQ(ShardingConfig::parse("0").shards, 0);
   EXPECT_EQ(ShardingConfig::parse("4:0:0").exchange_moves, 0);
 }
 
@@ -370,6 +371,135 @@ TEST(ShardedBalancer, RejectsShortPerThreadVectors) {
   EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
                          inst.affinity, one_demand, nullptr, 0),
                std::invalid_argument);
+}
+
+/// The K=4 golden problem: 48 threads on scaled:4's 16 cores, every third
+/// CPU-bound and the rest duty-cycled, free to run anywhere.
+Instance golden_instance(const arch::Platform& platform) {
+  constexpr std::size_t kThreads = 48;
+  Rng rng(2015);
+  const auto n = static_cast<std::size_t>(platform.num_cores());
+  Instance inst{Matrix(kThreads, n), Matrix(kThreads, n), {}, {}, {}};
+  std::bitset<kMaxCores> all;
+  for (std::size_t j = 0; j < n; ++j) all.set(j);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      inst.s.at(i, j) = rng.uniform(0.1, 4.0);
+      inst.p.at(i, j) = rng.uniform(0.05, 3.0);
+    }
+    inst.initial.push_back(
+        static_cast<CoreId>(rng.randi(0, static_cast<std::int64_t>(n))));
+    inst.affinity.push_back(all);
+    inst.demand.push_back(i % 3 == 0 ? -1.0 : rng.uniform(0.05, 1.5));
+  }
+  return inst;
+}
+
+struct GoldenResult {
+  std::vector<CoreId> allocation;
+  std::uint64_t objective_bits;
+  std::uint64_t initial_objective_bits;
+  int iterations;
+  int exchange_moves;
+};
+
+void expect_golden(const BalanceObjective& objective,
+                   const GoldenResult& want) {
+  const auto platform = arch::Platform::scaled_heterogeneous(4);
+  const auto inst = golden_instance(platform);
+  ShardingConfig cfg;
+  cfg.shards = 4;
+  cfg.jobs = 2;
+  ShardedBalancer b(platform, cfg, SaConfig{});
+  const SaResult r =
+      b.balance(0, 0x5eedULL, inst.s, inst.p, objective, inst.initial,
+                inst.affinity, inst.demand, nullptr, 0);
+  EXPECT_EQ(r.allocation, want.allocation);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.objective), want.objective_bits)
+      << r.objective;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.initial_objective),
+            want.initial_objective_bits)
+      << r.initial_objective;
+  EXPECT_EQ(r.iterations, want.iterations);
+  EXPECT_EQ(b.last_pass().exchange_moves, want.exchange_moves);
+}
+
+TEST(ShardedBalancer, FourShardResultsArePinned) {
+  // Values recorded from the library before the balance path was unified:
+  // the shard anneals, the merge and the exchange must keep every bit.
+  const auto platform = arch::Platform::scaled_heterogeneous(4);
+  std::vector<double> sleep_w;
+  std::vector<double> weights;
+  for (CoreId c = 0; c < platform.num_cores(); ++c) {
+    sleep_w.push_back(0.02 + 0.01 * platform.type_of(c));
+    weights.push_back(1.0 + 0.25 * (c % 3));
+  }
+  expect_golden(GlobalEfficiencyObjective(sleep_w),
+                {{15, 0, 4,  2, 10, 1, 5,  4, 10, 4,  1,  4,  9, 8, 13, 15,
+                  14, 8, 15, 15, 10, 3, 14, 15, 10, 2,  3,  9, 4, 13, 4, 4,
+                  9,  7, 0,  9,  9,  0, 8,  11, 8,  14, 9,  6, 10, 12, 2, 15},
+                 0x401066f29be7229bULL,  // 4.1005348548721043
+                 0x3ff517d52e2f5439ULL,  // 1.3183185390564758
+                 9316,
+                 1});
+  expect_golden(EnergyEfficiencyObjective(weights),
+                {{15, 12, 4,  2,  10, 5,  5,  12, 10, 12, 1,  12, 5,  12, 5, 15,
+                  14, 12, 15, 15, 10, 15, 10, 15, 10, 10, 3,  5,  12, 13, 12, 12,
+                  5,  7,  0,  5,  5,  0,  8,  11, 12, 10, 9,  6,  10, 12, 10, 15},
+                 0x406b4e35453a0030ULL,  // 218.4440027363612
+                 0x40408b3ca484fce6ULL,  // 33.087788166938296
+                 9316,
+                 1});
+}
+
+/// Sets SB_JOBS for one scope and restores the previous value after.
+class ScopedSbJobs {
+ public:
+  explicit ScopedSbJobs(const char* value) {
+    if (const char* old = std::getenv("SB_JOBS")) old_ = old;
+    ::setenv("SB_JOBS", value, 1);
+  }
+  ~ScopedSbJobs() {
+    if (old_.empty()) {
+      ::unsetenv("SB_JOBS");
+    } else {
+      ::setenv("SB_JOBS", old_.c_str(), 1);
+    }
+  }
+  ScopedSbJobs(const ScopedSbJobs&) = delete;
+  ScopedSbJobs& operator=(const ScopedSbJobs&) = delete;
+
+ private:
+  std::string old_;
+};
+
+int count_of(const std::string& text, const std::string& needle) {
+  int n = 0;
+  for (auto pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ShardedBalancer, MalformedSbJobsWarnsOncePerBalancer) {
+  // The worker count is resolved when the balancer is built, not per pass:
+  // a malformed SB_JOBS is reported once, however many epochs run.
+  const ScopedSbJobs env("abc");
+  const auto platform = arch::Platform::scaled_heterogeneous(2);
+  const auto inst = random_instance(platform, 16, 11);
+  EnergyEfficiencyObjective obj;
+  SaConfig sa;
+  sa.max_iterations = 400;
+  ShardingConfig cfg;
+  cfg.shards = 2;
+  testing::internal::CaptureStderr();
+  ShardedBalancer b(platform, cfg, sa);
+  for (std::uint64_t pass = 0; pass < 5; ++pass) {
+    b.balance(pass, pass, inst.s, inst.p, obj, inst.initial, inst.affinity,
+              inst.demand, nullptr, 0);
+  }
+  EXPECT_EQ(count_of(testing::internal::GetCapturedStderr(), "SB_JOBS"), 1);
 }
 
 }  // namespace

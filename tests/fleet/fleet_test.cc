@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,6 +76,30 @@ TEST(FleetSimulation, BitIdenticalAcrossWorkerCounts) {
   const std::string j1 = run_with(1);
   EXPECT_EQ(j1, run_with(4));
   EXPECT_EQ(j1, run_with(0));  // 0 = auto (SB_JOBS / hardware concurrency)
+}
+
+TEST(FleetSimulation, MalformedSbJobsWarnsOnce) {
+  // The stepping worker count is resolved when the fleet is built, not per
+  // 5 ms quantum: a malformed SB_JOBS is reported once per fleet.
+  const char* old = std::getenv("SB_JOBS");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("SB_JOBS", "abc", 1);
+  FleetConfig cfg = small_cfg();
+  cfg.step_jobs = 0;
+  testing::internal::CaptureStderr();
+  FleetSimulation(cfg, quads(2)).run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  if (old != nullptr) {
+    ::setenv("SB_JOBS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SB_JOBS");
+  }
+  int warnings = 0;
+  for (auto pos = err.find("SB_JOBS"); pos != std::string::npos;
+       pos = err.find("SB_JOBS", pos + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1) << err;
 }
 
 TEST(FleetSimulation, ArrivalStreamIdenticalAcrossPolicies) {

@@ -186,31 +186,5 @@ TEST(AuditIntegration, DriftDetectorFiresUnderNoisyPowerFaults) {
   EXPECT_FALSE(r.obs->audit.drift_events.empty());
 }
 
-TEST(AuditIntegration, DegradeOnDriftEscalatesOnlyWithTheRecorder) {
-  core::SmartBalanceConfig sc;
-  sc.fault_plan = fault::FaultPlan::parse("noise:0.8:8", 0xfa517u);
-  sc.defenses = core::SmartBalanceConfig::Defenses::kOff;
-  sc.degrade_on_drift = true;
-
-  SimulationConfig long_cfg = base_cfg();
-  long_cfg.duration = milliseconds(3000);
-
-  // Without the recorder there is no drift signal: the knob is inert and
-  // the undefended run never degrades.
-  const SimulationResult inert = run_smart(long_cfg, sc);
-  EXPECT_EQ(inert.degraded_passes, 0u);
-
-  SimulationConfig cfg = long_cfg;
-  cfg.obs.audit = true;
-  const SimulationResult escalated = run_smart(cfg, sc);
-  EXPECT_GT(escalated.degraded_passes, 0u);
-  ASSERT_NE(escalated.obs, nullptr);
-  int degraded_epochs = 0;
-  for (const auto& e : escalated.obs->audit.epochs) {
-    degraded_epochs += e.degraded;
-  }
-  EXPECT_GT(degraded_epochs, 0);
-}
-
 }  // namespace
 }  // namespace sb::sim

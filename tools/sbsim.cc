@@ -107,8 +107,8 @@ using namespace sb;
                             policies (see core/shard.h): K cluster-local SA
                             passes in parallel on <jobs> workers (0 = auto)
                             plus a global exchange of up to <moves> threads
-                            per epoch (default auto). --shards=1 replays
-                            the unsharded trajectory bit for bit
+                            per epoch (default auto). 0 and 1 both mean
+                            one shard, the default path
   --faults=<spec>           deterministic sensor-fault plan (fault/
                             fault_plan.h), e.g. "noise:0.8:8,wrap:0.05"
   --defenses=auto|on|off    sensing-defense activation (default auto:
