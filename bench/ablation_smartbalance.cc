@@ -1,8 +1,8 @@
 // Ablation study over SmartBalance's design choices (DESIGN.md §5):
-//   1. fixed-point vs floating-point SA acceptance (paper §4.3);
-//   2. utilization weighting of the characterization sums (Algorithm 1's U);
-//   3. observation smoothing across epochs;
-//   4. post-migration measurement masking + cooldown;
+//   1. the balancing objective (paper's Eq. 11 vs global IPS/W);
+//   2. observation smoothing across epochs;
+//   3. post-migration cooldown and the hysteresis threshold;
+//   4. sensor noise;
 //   5. SA iteration budget sweep.
 // Each variant runs the same diverse workload on the quad-core HMP; the
 // score is global energy efficiency (MIPS/W) and migration count.
@@ -61,11 +61,6 @@ int main(int argc, char** argv) {
 
   add("Eq. 11 objective (paper-faithful)",
       run_variant(opt, def, /*eq11_objective=*/true));
-  {
-    auto cfg = def;
-    cfg.sa.fixed_point_acceptance = false;
-    add("float-point SA acceptance", run_variant(opt, cfg));
-  }
   {
     auto cfg = def;
     cfg.sensing.smoothing = 0.0;

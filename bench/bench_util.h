@@ -178,12 +178,11 @@ inline GainRow make_gain_row(const std::string& label,
 }
 }  // namespace detail
 
-/// Batched variant of run_gain: queue every figure bar of a sweep up front,
-/// execute the whole batch through one ExperimentRunner (3 simulations per
-/// bar — baseline, SmartBalance Eq. 11, SmartBalance global), and read the
-/// rows back in submission order. Parallelism spans the entire sweep, so
-/// wall-clock approaches cpu_time / threads even when single bars are
-/// imbalanced.
+/// A figure sweep: queue every bar up front, execute the whole batch
+/// through one ExperimentRunner (3 simulations per bar — baseline,
+/// SmartBalance Eq. 11, SmartBalance global), and read the rows back in
+/// submission order. Parallelism spans the entire sweep, so wall-clock
+/// approaches cpu_time / threads even when single bars are imbalanced.
 class GainSweep {
  public:
   GainSweep(const arch::Platform& platform, const sim::SimulationConfig& cfg,
@@ -249,12 +248,6 @@ class GainSweep {
   /// Batch accounting of the last run() (threads, wall/cpu ms, speedup).
   const sim::BatchSummary& summary() const { return summary_; }
 
-  /// Per-run observability snapshots of the last run() (empty unless the
-  /// sweep ran with tracing/metrics enabled). Submission order.
-  const std::vector<std::shared_ptr<obs::RunObs>>& observability() const {
-    return obs_;
-  }
-
   /// Writes the last run()'s merged Chrome trace-event JSON. Returns false
   /// (and writes nothing) if no run carried a trace.
   bool write_trace(const std::string& path) const {
@@ -299,25 +292,6 @@ class GainSweep {
   sim::BatchSummary summary_;
   std::vector<std::shared_ptr<obs::RunObs>> obs_;
 };
-
-/// Runs `workload` under `baseline` and both SmartBalance variants on
-/// `platform`, returning the normalized-efficiency row (the unit of
-/// Figs. 4 and 5).
-inline GainRow run_gain(const std::string& label,
-                        const arch::Platform& platform,
-                        const sim::SimulationConfig& cfg,
-                        const sim::WorkloadBuilder& workload,
-                        const sim::BalancerFactory& baseline) {
-  const auto runs = sim::compare_policies(
-      platform, cfg, workload,
-      {{"baseline", baseline},
-       {"smartbalance-eq11",
-        sim::smartbalance_factory(core::SmartBalanceConfig(),
-                                  /*paper_eq11_objective=*/true)},
-       {"smartbalance", sim::smartbalance_factory()}});
-  return detail::make_gain_row(label, runs[0].result, runs[1].result,
-                               runs[2].result);
-}
 
 inline void header(const std::string& title, const std::string& paper_claim) {
   std::cout << "==============================================================\n"

@@ -4,8 +4,8 @@
 // an equally important operational view is energy-to-solution: give every
 // policy the *same finite job set* and compare the joules and wall-clock
 // it takes to finish. Energy efficiency gains must show up as real joule
-// savings here — and the throughput objective's makespan cost becomes
-// visible.
+// savings here — and the makespan the efficiency objectives trade for them
+// becomes visible.
 #include <iostream>
 #include <memory>
 

@@ -112,13 +112,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "(a) iteration budget & solution quality:\n" << t << "\n";
 
-  core::SaConfig def;
   TextTable tb({"parameter", "value"});
-  tb.add_row({"Opt_perturb (initial)", TextTable::fmt(def.initial_perturb, 2)});
-  tb.add_row({"Opt_dperturb (decay/iter)", TextTable::fmt(def.perturb_decay, 3)});
+  tb.add_row({"Opt_perturb (initial)",
+              TextTable::fmt(core::kSaInitialPerturb, 2)});
+  tb.add_row({"Opt_dperturb (decay/iter)",
+              TextTable::fmt(core::kSaPerturbDecay, 3)});
   tb.add_row({"Opt_accept (initial, relative to |J0|)",
-              TextTable::fmt(def.initial_accept_rel, 3)});
-  tb.add_row({"Opt_daccept (decay/iter)", TextTable::fmt(def.accept_decay, 3)});
+              TextTable::fmt(core::kSaInitialAcceptRel, 3)});
+  tb.add_row({"Opt_daccept (decay/iter)",
+              TextTable::fmt(core::kSaAcceptDecay, 3)});
   tb.add_row({"acceptance arithmetic", "Q16.16 fixed-point e^x + randi mod"});
   std::cout << "(b) optimization parameters:\n" << tb
             << "\nSeries written to fig8_sa_quality.csv\n";

@@ -213,9 +213,9 @@ BENCHMARK(BM_SimulatedEpoch)->Unit(benchmark::kMillisecond);
 // comparable run-to-run and against the committed baseline.
 // ---------------------------------------------------------------------------
 
-/// Energy-efficiency formula expressed as a *custom* objective (kind()
-/// stays kCustom): exercises the generic virtual-dispatch annealing kernel
-/// so the JSON also tracks the escape-hatch cost relative to the
+/// Energy-efficiency formula expressed as a *custom* objective (not one of
+/// the built-in classes): exercises the generic virtual-dispatch annealing
+/// kernel so the JSON also tracks the escape-hatch cost relative to the
 /// devirtualized built-in path.
 class VirtualEfficiencyObjective : public core::BalanceObjective {
  public:

@@ -29,8 +29,9 @@ int resolve_jobs(int requested);
 /// locks. Workers are joined before parallel_for returns. Exceptions must
 /// not escape fn: one escaping a worker std::thread's entry function calls
 /// std::terminate, so callers contain errors per-task (the runner stores
-/// them in ExperimentResult::error; the sharded balancer's tasks are
-/// noexcept by construction).
+/// them in ExperimentResult::error; the sharded balancer and the fleet
+/// catch them into a std::exception_ptr per task and rethrow the first
+/// after the join).
 void parallel_for(std::size_t n, int threads,
                   const std::function<void(std::size_t task, int worker)>& fn);
 

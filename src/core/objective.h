@@ -1,18 +1,22 @@
-// Balancing objectives (Eq. 10/11 and alternatives).
+// Balancing objectives (Eq. 10/11).
 //
 // J = Σ_j ω_j · term_j where term_j is computed from the per-core sums of
-// the assigned threads' predicted throughput and power. The default,
-// EnergyEfficiencyObjective, is the paper's J_E = Σ ω_j IPS_j / P_j; note
-// that with equal time sharing the per-thread averaging of Eqs. 6/7 cancels
-// in the ratio, so IPS_j / P_j = (Σ ips_ij) / (Σ p_ij) over core j's set.
+// the assigned threads' predicted throughput and power. Two objectives are
+// built in: EnergyEfficiencyObjective, the paper's J_E = Σ ω_j IPS_j / P_j
+// (note that with equal time sharing the per-thread averaging of Eqs. 6/7
+// cancels in the ratio, so IPS_j / P_j = (Σ ips_ij) / (Σ p_ij) over core
+// j's set), and GlobalEfficiencyObjective, the whole chip's IPS/W. The
+// optimizer anneals both through kernels specialized for their final
+// classes.
 //
 // The interface is deliberately tiny so downstream users can plug a custom
-// goal into SmartBalance (see examples/custom_objective.cpp).
+// goal into SmartBalance (see examples/custom_objective.cpp); a custom
+// objective runs through the generic virtual-dispatch kernel with the same
+// semantics.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,27 +57,17 @@ struct CoreSums {
   }
 };
 
-/// Identifies the built-in objectives so the optimizer can dispatch its
-/// annealing loop to a kernel specialized (devirtualized) for the concrete
-/// type. User-defined objectives report kCustom and run through the generic
-/// virtual-dispatch kernel — same semantics, slightly slower inner loop.
-enum class ObjectiveKind {
-  kCustom = 0,
-  kEnergyEfficiency,
-  kThroughput,
-  kEdp,
-  kGlobalEfficiency,
-};
-
+/// A balancing goal. `core` is always a physical core id, also when the
+/// optimizer anneals a shard's sub-problem, so per-core parameters index by
+/// it directly. core_term and core_fraction must be safe to call
+/// concurrently: with K > 1 shards the balancer's workers share one
+/// objective by const reference.
 class BalanceObjective {
  public:
   virtual ~BalanceObjective() = default;
 
-  /// Built-in objectives override this; custom objectives keep kCustom.
-  virtual ObjectiveKind kind() const { return ObjectiveKind::kCustom; }
-
   /// Additive objectives: J = Σ_j core_term(core j). This is the paper's
-  /// Eq. 11 family; `core` identifies the column for per-core weights ω_j.
+  /// Eq. 11 family; `core` selects per-core weights ω_j.
   virtual double core_term(const CoreSums& sums, CoreId core) const = 0;
 
   /// Fractional objectives: J = (Σ_j num_j) / (Σ_j den_j). Overriding
@@ -91,17 +85,6 @@ class BalanceObjective {
   /// Σ core_term, or Σnum / Σden for fractional objectives, summed in core
   /// order.
   double evaluate(const std::vector<CoreSums>& sums) const;
-
-  /// Returns an objective equivalent to this one evaluated on the
-  /// sub-platform formed by `cores`: column j of the sub-problem is physical
-  /// core cores[j]. Used by the sharded balancer so per-core weights keep
-  /// pointing at the right physical core inside a shard-local SA pass. The
-  /// default implementation wraps *this* (which must outlive the returned
-  /// object) with an index remap and reports kCustom; built-in objectives
-  /// override with kind-preserving value clones so the optimizer's
-  /// devirtualized kernels still apply inside shards.
-  virtual std::unique_ptr<BalanceObjective> restrict_to_cores(
-      const std::vector<CoreId>& cores) const;
 };
 
 /// The paper's J_E: per-core energy efficiency (GIPS per watt), weighted.
@@ -109,9 +92,8 @@ class BalanceObjective {
 /// to certain cores or core types" — pass per-core weights for that.
 class EnergyEfficiencyObjective final : public BalanceObjective {
  public:
-  explicit EnergyEfficiencyObjective(double weight = 1.0) : weight_(weight) {}
   /// Per-core ω_j (indexed by CoreId); cores beyond the vector get ω = 1.
-  explicit EnergyEfficiencyObjective(std::vector<double> core_weights)
+  explicit EnergyEfficiencyObjective(std::vector<double> core_weights = {})
       : core_weights_(std::move(core_weights)) {}
 
   double core_term(const CoreSums& s, CoreId core) const override {
@@ -119,62 +101,14 @@ class EnergyEfficiencyObjective final : public BalanceObjective {
     const double w =
         core >= 0 && static_cast<std::size_t>(core) < core_weights_.size()
             ? core_weights_[static_cast<std::size_t>(core)]
-            : weight_;
+            : 1.0;
     return w * s.gips / s.watts;
   }
 
-  ObjectiveKind kind() const override {
-    return ObjectiveKind::kEnergyEfficiency;
-  }
   std::string name() const override { return "ips_per_watt"; }
 
-  std::unique_ptr<BalanceObjective> restrict_to_cores(
-      const std::vector<CoreId>& cores) const override {
-    std::vector<double> w(cores.size(), weight_);
-    for (std::size_t j = 0; j < cores.size(); ++j) {
-      const CoreId c = cores[j];
-      if (c >= 0 && static_cast<std::size_t>(c) < core_weights_.size()) {
-        w[j] = core_weights_[static_cast<std::size_t>(c)];
-      }
-    }
-    return std::make_unique<EnergyEfficiencyObjective>(std::move(w));
-  }
-
  private:
-  double weight_ = 1.0;
   std::vector<double> core_weights_;
-};
-
-/// Pure throughput: the core's time-shared IPS (average of its threads).
-class ThroughputObjective final : public BalanceObjective {
- public:
-  double core_term(const CoreSums& s, CoreId /*core*/) const override {
-    if (s.nthreads == 0) return 0.0;
-    return s.gips / s.nthreads;
-  }
-  ObjectiveKind kind() const override { return ObjectiveKind::kThroughput; }
-  std::string name() const override { return "throughput"; }
-  std::unique_ptr<BalanceObjective> restrict_to_cores(
-      const std::vector<CoreId>&) const override {
-    return std::make_unique<ThroughputObjective>();
-  }
-};
-
-/// Energy-delay-product flavour: throughput² per watt, biasing toward
-/// performance while still power-aware.
-class EdpObjective final : public BalanceObjective {
- public:
-  double core_term(const CoreSums& s, CoreId /*core*/) const override {
-    if (s.nthreads == 0 || s.watts <= 0) return 0.0;
-    const double ips = s.gips / s.nthreads;
-    return ips * ips / (s.watts / s.nthreads);
-  }
-  ObjectiveKind kind() const override { return ObjectiveKind::kEdp; }
-  std::string name() const override { return "edp"; }
-  std::unique_ptr<BalanceObjective> restrict_to_cores(
-      const std::vector<CoreId>&) const override {
-    return std::make_unique<EdpObjective>();
-  }
 };
 
 /// Global platform energy efficiency: J = total predicted IPS / total
@@ -213,27 +147,10 @@ class GlobalEfficiencyObjective final : public BalanceObjective {
     return {s.gips * scale, s.watts * scale + sleep * idle_fraction};
   }
 
-  ObjectiveKind kind() const override {
-    return ObjectiveKind::kGlobalEfficiency;
-  }
   std::string name() const override { return "global_ips_per_watt"; }
-
-  std::unique_ptr<BalanceObjective> restrict_to_cores(
-      const std::vector<CoreId>& cores) const override {
-    std::vector<double> sleep(cores.size(), 0.0);
-    for (std::size_t j = 0; j < cores.size(); ++j) {
-      const CoreId c = cores[j];
-      if (c >= 0 && static_cast<std::size_t>(c) < sleep_w_.size()) {
-        sleep[j] = sleep_w_[static_cast<std::size_t>(c)];
-      }
-    }
-    return std::make_unique<GlobalEfficiencyObjective>(std::move(sleep));
-  }
 
  private:
   std::vector<double> sleep_w_;
 };
-
-std::unique_ptr<BalanceObjective> make_energy_efficiency_objective();
 
 }  // namespace sb::core

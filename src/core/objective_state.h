@@ -4,10 +4,14 @@
 // (J = Σnum_j / Σden_j), depending on the objective.
 //
 // The class is a template over the objective type so that the annealing
-// inner loop dispatched for a *concrete* (final) objective class calls
+// inner loop dispatched for a built-in (final) objective class calls
 // core_term / core_fraction non-virtually — the compiler inlines the term
 // arithmetic into the loop. Instantiating with the BalanceObjective base
 // keeps the generic virtual-dispatch path for custom objectives.
+//
+// Column j of the S/P matrices is physical core j, or cores[j] when the
+// caller passes a column → core map (a shard's sub-problem); the objective
+// always receives the physical core id.
 //
 // All storage lives in an ObjectiveScratch the caller owns, so a state can
 // be re-initialized epoch after epoch without heap allocation once the
@@ -55,16 +59,21 @@ class ObjectiveState {
  public:
   /// Initializes the state for `allocation`, precomputing the occupancy
   /// matrix (and the occupancy-weighted copies of `s`/`p`) so the add/remove
-  /// hot path is pure loads and adds. `s`, `p`, `demand_gips`, and `scratch`
+  /// hot path is pure loads and adds. `cores` (optional, s.cols() entries)
+  /// maps column j to the physical core the objective sees; null means
+  /// column j is core j. `s`, `p`, `demand_gips`, `cores` and `scratch`
   /// must outlive the state.
   ObjectiveState(ObjectiveScratch& scratch, const Matrix& s, const Matrix& p,
                  const Obj& objective, const std::vector<CoreId>& allocation,
-                 const std::vector<double>* demand_gips = nullptr)
+                 const std::vector<double>* demand_gips = nullptr,
+                 const std::vector<CoreId>* cores = nullptr)
       : sc_(scratch),
         obj_(objective),
+        cores_(cores != nullptr ? cores->data() : nullptr),
         m_(s.rows()),
         n_(s.cols()),
         fractional_(objective.fractional()) {
+    assert(cores == nullptr || cores->size() == n_);
     precompute_occupancy(s, p, demand_gips);
     rebuild(allocation);
   }
@@ -143,16 +152,16 @@ class ObjectiveState {
   }
 
   void recompute_contribution(std::size_t j) {
+    const CoreId core = cores_ != nullptr ? cores_[j] : static_cast<CoreId>(j);
     if (fractional_) {
       sum_num_ -= sc_.contrib[j][0];
       sum_den_ -= sc_.contrib[j][1];
-      sc_.contrib[j] = obj_.core_fraction(sc_.sums[j], static_cast<CoreId>(j));
+      sc_.contrib[j] = obj_.core_fraction(sc_.sums[j], core);
       sum_num_ += sc_.contrib[j][0];
       sum_den_ += sc_.contrib[j][1];
     } else {
       sum_num_ -= sc_.contrib[j][0];
-      sc_.contrib[j] = {obj_.core_term(sc_.sums[j], static_cast<CoreId>(j)),
-                        0.0};
+      sc_.contrib[j] = {obj_.core_term(sc_.sums[j], core), 0.0};
       sum_num_ += sc_.contrib[j][0];
     }
   }
@@ -164,6 +173,7 @@ class ObjectiveState {
 
   ObjectiveScratch& sc_;
   const Obj& obj_;
+  const CoreId* const cores_;  // column -> physical core; null = identity
   const std::size_t m_;
   const std::size_t n_;
   const bool fractional_;

@@ -20,38 +20,31 @@ bool allowed_on(const std::vector<std::bitset<kMaxCores>>* affinity,
   return (*affinity)[row].test(static_cast<std::size_t>(c));
 }
 
-}  // namespace
-
-void SaOptimizer::ensure_radius_schedule(int iters) {
-  Scratch& sc = scratch_;
-  if (sc.radii_initial_perturb == cfg_.initial_perturb &&
-      sc.radii_decay == cfg_.perturb_decay &&
-      (sc.radii_converged ||
-       sc.radii.size() >= static_cast<std::size_t>(iters))) {
-    return;
-  }
-  sc.radii.clear();
-  sc.radii_converged = false;
-  sc.radii_initial_perturb = cfg_.initial_perturb;
-  sc.radii_decay = cfg_.perturb_decay;
-  Fixed perturb = Fixed::from_double(cfg_.initial_perturb);
-  const Fixed dperturb = Fixed::from_double(cfg_.perturb_decay);
-  for (int it = 0; it < iters; ++it) {
-    sc.radii.push_back(fixed_sqrt(perturb).to_double());
-    // Exactly the in-loop decay: multiply, then clamp the raw value so the
-    // radius never reaches zero.
-    Fixed next = perturb * dperturb;
-    if (next.raw() < 16) next = Fixed::from_raw(16);
-    if (next.raw() == perturb.raw()) {
-      // Fixed point reached: every remaining iteration sees this perturb.
-      sc.radius_tail = sc.radii.back();
-      sc.radii_converged = true;
-      return;
+/// The perturbation radius sqrt(perturb_it) of every iteration. perturb
+/// starts at Opt_perturb and each iteration multiplies it by Opt_Δperturb in
+/// Q16.16, clamping the raw value to 16 so the radius never reaches zero.
+/// The table ends where the clamp holds perturb fixed (369 entries); later
+/// iterations read its last entry. It depends only on the schedule
+/// constants, so it is built once per process, and the Q16.16 fixed_sqrt (a
+/// Newton loop with a 64-bit division per step) never runs in the loop. The
+/// static is initialized thread-safely on first use by any shard worker.
+const std::vector<double>& radius_schedule() {
+  static const std::vector<double> radii = [] {
+    std::vector<double> r;
+    Fixed perturb = Fixed::from_double(kSaInitialPerturb);
+    const Fixed dperturb = Fixed::from_double(kSaPerturbDecay);
+    while (true) {
+      r.push_back(fixed_sqrt(perturb).to_double());
+      Fixed next = perturb * dperturb;
+      if (next.raw() < 16) next = Fixed::from_raw(16);
+      if (next.raw() == perturb.raw()) return r;
+      perturb = next;
     }
-    perturb = next;
-  }
-  sc.radius_tail = sc.radii.empty() ? 0.0 : sc.radii.back();
+  }();
+  return radii;
 }
+
+}  // namespace
 
 int sa_auto_iterations(int num_cores, int num_threads) {
   // ~12 proposals per (thread, core) pair, saturating where the measured
@@ -85,7 +78,8 @@ SaResult SaOptimizer::run_annealing(
     const Matrix& s, const Matrix& p, const Obj& objective,
     std::vector<CoreId> initial,
     const std::vector<std::bitset<kMaxCores>>* affinity,
-    const std::vector<double>* demand_gips) {
+    const std::vector<double>* demand_gips,
+    const std::vector<CoreId>* cores) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t m = s.rows();
   const auto n = static_cast<std::int64_t>(s.cols());
@@ -110,7 +104,7 @@ SaResult SaOptimizer::run_annealing(
   const FastMod slot_div(static_cast<std::uint64_t>(m));
 
   ObjectiveState<Obj> state(scratch_.objective, s, p, objective, initial,
-                            demand_gips);
+                            demand_gips, cores);
   SaResult best;
   best.initial_objective = state.total();
   best.allocation = initial;
@@ -126,12 +120,10 @@ SaResult SaOptimizer::run_annealing(
                         ? cfg_.max_iterations
                         : sa_auto_iterations(static_cast<int>(n),
                                              static_cast<int>(m));
-  ensure_radius_schedule(iters);
-  const std::vector<double>& radii = scratch_.radii;
-  const double radius_tail = scratch_.radius_tail;
+  const std::vector<double>& radii = radius_schedule();
+  const double radius_tail = radii.back();
   double accept =
-      std::max(1e-9, cfg_.initial_accept_rel * std::abs(state.total()));
-  const double daccept = cfg_.accept_decay;
+      std::max(1e-9, kSaInitialAcceptRel * std::abs(state.total()));
   bool accept_frozen = false;
 
   std::vector<CoreId>& current = scratch_.current;
@@ -174,16 +166,16 @@ SaResult SaOptimizer::run_annealing(
     const std::int32_t tb = psi[static_cast<std::size_t>(pos_new)];
 
     // The acceptance schedule advances every iteration regardless of move
-    // validity (the perturb schedule advances inside the memoized radii).
-    // At the default decay `accept` sinks into the subnormals after ~14k
-    // iterations and then sticks at 4.9e-324 (x·0.95 rounds back to x), so
-    // every further multiply would take the slow subnormal path. Once a
-    // product equals its input bit for bit, every later product is that
-    // same value, so skipping them leaves each `accept` — and with it every
-    // diff/accept, RNG draw and acceptance — unchanged. The comparison is
-    // on bits, not ==, so that ±0 under a negative decay keeps alternating.
+    // validity (the perturb schedule advances inside the radius table).
+    // `accept` sinks into the subnormals after ~14k iterations and then
+    // sticks at 4.9e-324 (x·0.95 rounds back to x), so every further
+    // multiply would take the slow subnormal path. Once a product equals
+    // its input bit for bit, every later product is that same value, so
+    // skipping them leaves each `accept` — and with it every diff/accept,
+    // RNG draw and acceptance — unchanged. The comparison is on bits, not
+    // ==, so that -0 and +0 never count as a fixed point.
     if (!accept_frozen) {
-      const double next = accept * daccept;
+      const double next = accept * kSaAcceptDecay;
       accept_frozen = std::bit_cast<std::uint64_t>(next) ==
                       std::bit_cast<std::uint64_t>(accept);
       accept = next;
@@ -211,27 +203,24 @@ SaResult SaOptimizer::run_annealing(
 
     bool take = diff > 0;
     if (!take) {
-      if (cfg_.fixed_point_acceptance) {
-        // probability = e^(diff/accept) computed in Q16.16; accepted when
-        // randi() mod round(1/probability) == 0, as in the paper's listing.
-        // Below a ratio of -12 the probability is exactly 0 and no number
-        // is drawn: every Q16.16 magnitude in [12, 15.9] sets the e^-8 and
-        // e^-4 bits, and 22·1202 >> 16 == 0. So such a move is rejected
-        // without the division and the exp. accept must be strictly
-        // positive: at accept == -0.0 the ratio is +inf and the move wins.
-        const bool certain_reject = accept > 0.0 && diff < -12.0 * accept;
-        if (!certain_reject) {
-          const double ratio = std::max(-15.9, diff / accept);
-          const Fixed prob =
-              fixed_exp_neg(Fixed::saturating_from_double(ratio));
-          if (prob.raw() > 0) {
-            const std::uint32_t inv = static_cast<std::uint32_t>(
-                std::max<std::int64_t>(1, Fixed::kOne / prob.raw()));
-            take = (rng.randi() % inv) == 0;
-          }
+      // probability = e^(diff/accept) computed in Q16.16; accepted when
+      // randi() mod round(1/probability) == 0, as in the paper's listing.
+      // Below a ratio of -12 the probability is exactly 0 and no number is
+      // drawn: every Q16.16 magnitude in [12, 15.9] sets the e^-8 and e^-4
+      // bits, and 22·1202 >> 16 == 0. So such a move is rejected without
+      // the division and the exp. The cut needs accept > 0 (at -0.0 the
+      // ratio is +inf and the move wins); the positive schedule never
+      // leaves it, since `accept` starts at >= 1e-9 and sticks at the
+      // smallest subnormal.
+      const bool certain_reject = accept > 0.0 && diff < -12.0 * accept;
+      if (!certain_reject) {
+        const double ratio = std::max(-15.9, diff / accept);
+        const Fixed prob = fixed_exp_neg(Fixed::saturating_from_double(ratio));
+        if (prob.raw() > 0) {
+          const std::uint32_t inv = static_cast<std::uint32_t>(
+              std::max<std::int64_t>(1, Fixed::kOne / prob.raw()));
+          take = (rng.randi() % inv) == 0;
         }
-      } else {
-        take = rng.uniform() < std::exp(diff / accept);
       }
     }
 
@@ -290,7 +279,8 @@ SaResult SaOptimizer::optimize(
     const Matrix& s, const Matrix& p, const BalanceObjective& objective,
     std::vector<CoreId> initial,
     const std::vector<std::bitset<kMaxCores>>* affinity,
-    const std::vector<double>* demand_gips) {
+    const std::vector<double>* demand_gips,
+    const std::vector<CoreId>* cores) {
   const std::size_t m = s.rows();
   const auto n = static_cast<std::int64_t>(s.cols());
   if (m == 0 || n == 0) {
@@ -305,6 +295,9 @@ SaResult SaOptimizer::optimize(
   if (affinity && affinity->size() != m) {
     throw std::invalid_argument("SaOptimizer: affinity size mismatch");
   }
+  if (cores && cores->size() != s.cols()) {
+    throw std::invalid_argument("SaOptimizer: core map size mismatch");
+  }
   for (std::size_t i = 0; i < m; ++i) {
     if (initial[i] < 0 || initial[i] >= n) {
       throw std::invalid_argument("SaOptimizer: bad initial allocation");
@@ -312,31 +305,22 @@ SaResult SaOptimizer::optimize(
   }
 
   // Devirtualize: dispatch once per call to the kernel instantiated for the
-  // concrete objective class (all built-ins are final, so every core_term /
-  // core_fraction / fractional call inlines). Custom objectives take the
-  // generic kernel — identical semantics through virtual dispatch.
+  // built-in objective's final class, so every core_term / core_fraction /
+  // fractional call inlines. Custom objectives take the generic kernel —
+  // identical semantics through virtual dispatch.
   SaResult result = [&]() -> SaResult {
-    switch (objective.kind()) {
-      case ObjectiveKind::kEnergyEfficiency:
-        return run_annealing(
-            s, p, static_cast<const EnergyEfficiencyObjective&>(objective),
-            std::move(initial), affinity, demand_gips);
-      case ObjectiveKind::kThroughput:
-        return run_annealing(
-            s, p, static_cast<const ThroughputObjective&>(objective),
-            std::move(initial), affinity, demand_gips);
-      case ObjectiveKind::kEdp:
-        return run_annealing(s, p, static_cast<const EdpObjective&>(objective),
-                             std::move(initial), affinity, demand_gips);
-      case ObjectiveKind::kGlobalEfficiency:
-        return run_annealing(
-            s, p, static_cast<const GlobalEfficiencyObjective&>(objective),
-            std::move(initial), affinity, demand_gips);
-      case ObjectiveKind::kCustom:
-        break;
+    if (const auto* ee =
+            dynamic_cast<const EnergyEfficiencyObjective*>(&objective)) {
+      return run_annealing(s, p, *ee, std::move(initial), affinity,
+                           demand_gips, cores);
     }
-    return run_annealing<BalanceObjective>(s, p, objective, std::move(initial),
-                                           affinity, demand_gips);
+    if (const auto* ge =
+            dynamic_cast<const GlobalEfficiencyObjective*>(&objective)) {
+      return run_annealing(s, p, *ge, std::move(initial), affinity,
+                           demand_gips, cores);
+    }
+    return run_annealing(s, p, objective, std::move(initial), affinity,
+                         demand_gips, cores);
   }();
   if (obs_ != nullptr) {
     auto& m = obs_->metrics();

@@ -7,7 +7,9 @@
 // migration, a thread↔thread swap exchanges two threads' cores. Worse
 // solutions are accepted with probability e^(diff/accept) evaluated in
 // Q16.16 fixed point with the paper's `randi() mod 1/probability == 0`
-// acceptance test, and `accept` decays by Opt_Δaccept. The objective is
+// acceptance test (§4.3), and `accept` decays by Opt_Δaccept. The schedule
+// is one set of constants (kSaInitialPerturb … kSaAcceptDecay); a caller
+// chooses only the iteration budget and the seed. The objective is
 // re-evaluated incrementally: only the two affected cores' terms change.
 //
 // Hot-path engineering (the per-epoch cost *is* the product — Fig. 7b):
@@ -15,10 +17,10 @@
 //    occupancy matrix, current/best allocations) live in a scratch arena
 //    owned by the optimizer, so repeated optimize() calls allocate nothing
 //    once the arena has grown to the problem size;
-//  - the objective is devirtualized: optimize() dispatches once on
-//    BalanceObjective::kind() to an annealing kernel templated on the
-//    concrete objective class (custom objectives fall back to the generic
-//    virtual-dispatch kernel with identical semantics);
+//  - the objective is devirtualized: optimize() dispatches once, by
+//    dynamic_cast to the two built-in final classes, to an annealing
+//    kernel templated on that class (custom objectives fall back to the
+//    generic virtual-dispatch kernel with identical semantics);
 //  - thread occupancies are precomputed (interleaved with the weighted S/P
 //    values, one cache line per cell) instead of re-derived on every
 //    add/remove;
@@ -26,11 +28,11 @@
 //    with precomputed reciprocals (common/rng.h FastMod) instead of
 //    hardware division, and the two unconditional draws per iteration are
 //    batched;
-//  - the perturbation-radius schedule sqrt(perturb_it) is memoized across
-//    calls (it depends only on the config, not the RNG), hoisting the
-//    fixed-point sqrt out of the loop entirely;
+//  - the perturbation-radius schedule sqrt(perturb_it) depends only on the
+//    schedule constants, not the RNG, so it is one table built once per
+//    process, hoisting the fixed-point sqrt out of the loop entirely;
 //  - the acceptance temperature stops being multiplied once a multiply
-//    returns its input bit for bit. At the default decay it sticks at the
+//    returns its input bit for bit. At Opt_Δaccept = 0.95 it sticks at the
 //    smallest subnormal after ~14k iterations, where each multiply costs
 //    more than a whole skipped iteration. Since x·Δ == x implies every
 //    later product is x too, every iteration still sees the same `accept`.
@@ -55,19 +57,18 @@ class Sink;
 
 namespace sb::core {
 
+/// Algorithm 1's schedule, the same for every anneal.
+inline constexpr double kSaInitialPerturb = 1.0;  // Opt_perturb
+inline constexpr double kSaPerturbDecay = 0.98;   // Opt_Δperturb
+/// Initial acceptance temperature as a fraction of |J(Ψ₀)|.
+inline constexpr double kSaInitialAcceptRel = 0.05;  // Opt_accept (relative)
+inline constexpr double kSaAcceptDecay = 0.95;       // Opt_Δaccept
+
 struct SaConfig {
   /// Iteration budget (Opt_max_iter); 0 = auto-scale from (n, m) with the
   /// Fig. 8(a) rule.
   int max_iterations = 0;
-  double initial_perturb = 1.0;   // Opt_perturb
-  double perturb_decay = 0.98;    // Opt_Δperturb
-  /// Initial acceptance temperature as a fraction of |J(Ψ₀)|.
-  double initial_accept_rel = 0.05;  // Opt_accept (relative)
-  double accept_decay = 0.95;        // Opt_Δaccept
   std::uint64_t seed = 1;
-  /// Paper-faithful fixed-point e^x + modulo acceptance; false switches to
-  /// double-precision Metropolis (ablation baseline).
-  bool fixed_point_acceptance = true;
 };
 
 /// Iteration budget used when SaConfig::max_iterations == 0. Grows with the
@@ -106,6 +107,12 @@ class SaOptimizer {
   /// so slow cores that cannot sustain the demand are correctly penalized,
   /// and sleepy threads don't look like full load.
   ///
+  /// `cores` (optional) maps column j of `s`/`p` to the physical core id
+  /// the objective sees; null means column j is core j. The sharded
+  /// balancer passes a shard's core list, so per-core weights and sleep
+  /// powers keep pointing at the right core. Throws std::invalid_argument
+  /// unless it has s.cols() entries.
+  ///
   /// Non-const: the call reuses the optimizer's scratch arena. A single
   /// SaOptimizer must not be shared across threads; results are
   /// independent of any prior calls on the same instance.
@@ -114,7 +121,8 @@ class SaOptimizer {
                     std::vector<CoreId> initial,
                     const std::vector<std::bitset<kMaxCores>>* affinity =
                         nullptr,
-                    const std::vector<double>* demand_gips = nullptr);
+                    const std::vector<double>* demand_gips = nullptr,
+                    const std::vector<CoreId>* cores = nullptr);
 
   /// Re-seeds the annealing trajectory of subsequent optimize() calls
   /// without discarding the scratch arena (one optimizer, one seed per
@@ -132,41 +140,24 @@ class SaOptimizer {
   /// anneal returns, so the search itself is untouched.
   void set_obs(obs::Sink* obs) { obs_ = obs; }
 
-  const SaConfig& config() const { return cfg_; }
-
  private:
   template <class Obj>
   SaResult run_annealing(const Matrix& s, const Matrix& p, const Obj& obj,
                          std::vector<CoreId> initial,
                          const std::vector<std::bitset<kMaxCores>>* affinity,
-                         const std::vector<double>* demand_gips);
-
-  /// Fills scratch_.radii with the per-iteration perturbation radius
-  /// sqrt(perturb_it). The perturb schedule is a pure function of
-  /// (initial_perturb, perturb_decay) — independent of the RNG and of which
-  /// moves get accepted — so it is memoized across optimize() calls; the
-  /// Q16.16 fixed_sqrt (a Newton loop with a 64-bit division per step) then
-  /// runs once per schedule instead of once per iteration.
-  void ensure_radius_schedule(int iters);
+                         const std::vector<double>* demand_gips,
+                         const std::vector<CoreId>* cores);
 
   SaConfig cfg_;
   obs::Sink* obs_ = nullptr;
 
   /// Scratch arena surviving across epochs: Ψ slots, the current
-  /// allocation, the objective-state storage and the radius schedule.
+  /// allocation and the objective-state storage.
   struct Scratch {
     std::vector<std::int32_t> psi;
     std::vector<std::size_t> next_free;
     std::vector<CoreId> current;
     ObjectiveScratch objective;
-    // Memoized radius schedule (see ensure_radius_schedule): radii[it] for
-    // the head of the anneal; once the perturb floor clamp engages the
-    // radius is radius_tail forever.
-    std::vector<double> radii;
-    double radius_tail = 0;
-    bool radii_converged = false;
-    double radii_initial_perturb = -1;
-    double radii_decay = -1;
   } scratch_;
 };
 

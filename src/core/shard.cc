@@ -37,12 +37,9 @@ void fill_sums(const Matrix& s, const Matrix& p,
                const std::vector<CoreId>& allocation,
                const std::vector<double>& demand,
                std::vector<CoreSums>& sums) {
-  const std::size_t n = s.cols();
-  sums.assign(n, CoreSums{});
+  sums.assign(s.cols(), CoreSums{});
   for (std::size_t i = 0; i < allocation.size(); ++i) {
-    const CoreId c = allocation[i];
-    if (c < 0 || static_cast<std::size_t>(c) >= n) continue;
-    const auto j = static_cast<std::size_t>(c);
+    const auto j = static_cast<std::size_t>(allocation[i]);
     sums[j].add(occupancy(demand[i], s.at(i, j)), s.at(i, j), p.at(i, j));
   }
 }
@@ -150,8 +147,18 @@ SaResult ShardedBalancer::balance(
     const std::vector<double>& demand, obs::Sink* obs, TimeNs ts_offset_ns) {
   const int k = partition_.num_shards();
   const std::size_t m = initial.size();
+  const auto n = static_cast<std::size_t>(platform_.num_cores());
   if (affinity.size() != m || demand.size() != m) {
     throw std::invalid_argument("ShardedBalancer: per-thread vector size");
+  }
+  if (s.rows() != m || p.rows() != m || s.cols() != n || p.cols() != n) {
+    throw std::invalid_argument(
+        "ShardedBalancer: S/P must be threads x platform cores");
+  }
+  for (const CoreId c : initial) {
+    if (c < 0 || static_cast<std::size_t>(c) >= n) {
+      throw std::invalid_argument("ShardedBalancer: initial core out of range");
+    }
   }
   if (k == 1) {
     // One shard: the whole problem, annealed in place.
@@ -162,26 +169,12 @@ SaResult ShardedBalancer::balance(
   }
   last_ = ShardPassStats{};
 
-  // Kind-preserving per-shard objective restrictions (stable per policy
-  // objective; rebuilt only if the instance changes).
-  if (objective_seen_ != &objective) {
-    shard_objectives_.clear();
-    shard_objectives_.reserve(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) {
-      shard_objectives_.push_back(objective.restrict_to_cores(
-          partition_.cores[static_cast<std::size_t>(i)]));
-    }
-    objective_seen_ = &objective;
-  }
-
   // Row partition: each thread anneals inside the shard of its current
   // core (the exchange phase below is the only cross-shard channel).
   std::vector<ShardTask> tasks(static_cast<std::size_t>(k));
   for (std::size_t i = 0; i < m; ++i) {
-    const CoreId c = initial[i];
-    if (c < 0 || static_cast<std::size_t>(c) >= col_of_core_.size()) continue;
-    tasks[static_cast<std::size_t>(partition_.shard_of[static_cast<std::size_t>(c)])]
-        .rows.push_back(i);
+    const auto c = static_cast<std::size_t>(initial[i]);
+    tasks[static_cast<std::size_t>(partition_.shard_of[c])].rows.push_back(i);
   }
 
   // One global iteration budget, split evenly: total annealing work stays
@@ -223,8 +216,8 @@ SaResult ShardedBalancer::balance(
           opt.set_seed(base_seed ^ (static_cast<std::uint64_t>(ki) *
                                     kShardSeedStride));
           opt.set_max_iterations(shard_budget);
-          t.result = opt.optimize(t.s, t.p, *shard_objectives_[ki], t.initial,
-                                  &t.affinity, &t.demand);
+          t.result = opt.optimize(t.s, t.p, objective, t.initial,
+                                  &t.affinity, &t.demand, &cores);
           t.ran = true;
         } catch (...) {
           t.error = std::current_exception();
@@ -373,9 +366,7 @@ int ShardedBalancer::exchange(
     }
   }
   std::vector<int> load(s.cols(), 0);
-  for (const CoreId c : allocation) {
-    if (c >= 0) ++load[static_cast<std::size_t>(c)];
-  }
+  for (const CoreId c : allocation) ++load[static_cast<std::size_t>(c)];
 
   // Regret scan: each thread's best forecast efficiency on another core
   // type, relative to where it sits now. One probe core per type keeps the
@@ -390,7 +381,6 @@ int ShardedBalancer::exchange(
   std::vector<Cand> cands;
   for (std::size_t i = 0; i < m; ++i) {
     const CoreId cur = allocation[i];
-    if (cur < 0) continue;
     const auto cur_shard = static_cast<std::size_t>(
         partition_.shard_of[static_cast<std::size_t>(cur)]);
     const double cur_w = p.at(i, static_cast<std::size_t>(cur));
@@ -486,9 +476,7 @@ int ShardedBalancer::exchange(
       break;
     }
     if (dest == kInvalidCore) continue;
-    const CoreId prev = allocation[c.row];
-    if (prev < 0 || prev == dest) continue;
-    const auto a = static_cast<std::size_t>(prev);
+    const auto a = static_cast<std::size_t>(allocation[c.row]);
     const auto b = static_cast<std::size_t>(dest);
     CoreSums sum_a = sums[a];
     CoreSums sum_b = sums[b];

@@ -1,12 +1,13 @@
 // Sharded hierarchical balancing: sublinear per-epoch cost at 1024+ cores.
 //
-// The centralized BALANCE phase anneals one m×n problem per epoch, and
-// BENCH_epoch shows it hitting 13% of the epoch already at 128c/256t. This
-// layer splits the platform into K cluster/NUMA-style shards and runs K
-// independent cluster-local SA passes *in parallel* (on the same
-// work-stealing fork-join primitive the ExperimentRunner pool uses), then a
-// cheap sequential global exchange phase that trades the worst-matched
-// threads between shards using the already-adapted Eq. 8 forecasts.
+// The centralized BALANCE phase anneals one m×n problem per epoch; at
+// 128c/256t BENCH_epoch's optimize phase is 1.8 ms, 3% of a 60 ms epoch,
+// and it grows with the platform. This layer splits the platform into K
+// cluster/NUMA-style shards and runs K independent cluster-local SA passes
+// *in parallel* (on the same work-stealing fork-join primitive the
+// ExperimentRunner pool uses), then a cheap sequential global exchange
+// phase that trades the worst-matched threads between shards using the
+// already-adapted Eq. 8 forecasts.
 //
 // Cost model: the global iteration budget (SaConfig::max_iterations, or the
 // Fig. 8a auto rule) is split evenly across shards, and each shard's moves
@@ -20,7 +21,9 @@
 //    own problem with the policy's per-pass seed: no sub-problem, no shard
 //    accounting, and the optimizer records the sa.* metrics itself;
 //  - with K > 1, shard k's anneal seeds from base_seed ^ (k · golden-ratio),
-//    where base_seed is the policy's per-pass seed;
+//    where base_seed is the policy's per-pass seed, and scores its columns
+//    with the policy's own objective through the shard's column → core map,
+//    so per-core weights see physical core ids and no objective is copied;
 //  - every shard writes only its own result slot and observability is
 //    emitted after the join in shard order, so results are independent of
 //    worker count and completion order (`--jobs=1/8` byte-identical).
@@ -103,7 +106,8 @@ struct ShardPassStats {
 /// Drives SmartBalancePolicy's BALANCE phase: one anneal of the whole
 /// problem with one shard; K cluster-local anneals plus the global exchange
 /// otherwise. Owns one SaOptimizer (and thus one ObjectiveScratch arena) per
-/// shard, re-seeded every pass and never re-allocated.
+/// shard, re-seeded every pass and never re-allocated. The K shard workers
+/// share the caller's objective by const reference.
 class ShardedBalancer {
  public:
   /// `sa` is the policy's SaConfig (its max_iterations — or the auto rule —
@@ -112,7 +116,10 @@ class ShardedBalancer {
   ShardedBalancer(const arch::Platform& platform, ShardingConfig cfg,
                   SaConfig sa);
 
-  /// Runs the balance phase for one epoch. With one shard this is
+  /// Runs the balance phase for one epoch. `s` and `p` must be m ×
+  /// platform.num_cores(), `affinity` and `demand` must have m entries and
+  /// every initial core must lie in [0, num_cores()); otherwise this throws
+  /// std::invalid_argument, at every K. With one shard this is
   /// SaOptimizer::optimize on the caller's inputs, seeded with `base_seed`
   /// and recording into `obs`. With K > 1, shard k re-seeds with
   /// base_seed ^ (k · 0x9e3779b97f4a7c15) and `ts_offset_ns` positions the
@@ -166,10 +173,6 @@ class ShardedBalancer {
   std::vector<int> col_of_core_;
   /// One persistent optimizer (scratch arena) per shard.
   std::vector<std::unique_ptr<SaOptimizer>> optimizers_;
-  /// Kind-preserving per-shard restrictions of the policy objective,
-  /// rebuilt if the objective instance ever changes.
-  std::vector<std::unique_ptr<BalanceObjective>> shard_objectives_;
-  const BalanceObjective* objective_seen_ = nullptr;
 
   ShardPassStats last_;
   std::uint64_t shard_passes_total_ = 0;

@@ -65,7 +65,7 @@ SmartBalancePolicy::SmartBalancePolicy(
       model_(std::move(model)),
       cfg_(cfg),
       objective_(objective ? std::move(objective)
-                           : make_energy_efficiency_objective()),
+                           : std::make_unique<EnergyEfficiencyObjective>()),
       sensing_(platform, resolve_sensing(cfg), Rng(cfg.seed ^ 0x5e25ULL)),
       sharded_(platform, cfg.sharding, [&] {
         SaConfig sa = cfg.sa;

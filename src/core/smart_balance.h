@@ -88,6 +88,8 @@ struct SmartBalanceConfig {
 class SmartBalancePolicy final : public os::LoadBalancer {
  public:
   /// `model` must be trained for the platform's core types (PredictorTrainer).
+  /// A null `objective` anneals the paper's Eq. 11 with every ω_j = 1
+  /// (EnergyEfficiencyObjective).
   SmartBalancePolicy(const arch::Platform& platform, PredictorModel model,
                      SmartBalanceConfig cfg = SmartBalanceConfig(),
                      std::unique_ptr<BalanceObjective> objective = nullptr);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/smart_balance.h"
-#include "obs/audit_writer.h"
 
 namespace sb::sim {
 
@@ -17,9 +16,6 @@ Simulation::Simulation(const arch::Platform& platform, SimulationConfig cfg)
   perf_ = std::make_unique<perf::PerfModel>(platform_);
   power_ = std::make_unique<power::PowerModel>(platform_, *perf_);
   kernel_ = std::make_unique<os::Kernel>(platform_, *perf_, *power_, kcfg);
-  if (!cfg_.chrome_trace_path.empty()) cfg_.obs.trace = true;
-  if (!cfg_.audit_path.empty()) cfg_.obs.audit = true;
-  if (!cfg_.timeseries_path.empty()) cfg_.obs.timeseries.enabled = true;
   if (cfg_.obs.enabled()) {
     obs_ = std::make_unique<obs::Sink>(cfg_.obs);
     kernel_->set_obs(obs_.get());
@@ -129,20 +125,6 @@ void Simulation::ts_tick() {
   }
 }
 
-SimulationResult Simulation::finalize_run() {
-  SimulationResult r = snapshot();
-  if (!cfg_.chrome_trace_path.empty() && r.obs) {
-    obs::write_chrome_trace_file(cfg_.chrome_trace_path, {r.obs.get()});
-  }
-  if (!cfg_.audit_path.empty() && r.obs) {
-    obs::write_audit_file(cfg_.audit_path, {r.obs.get()});
-  }
-  if (!cfg_.timeseries_path.empty() && r.obs) {
-    obs::write_timeseries_file(cfg_.timeseries_path, {r.obs.get()});
-  }
-  return r;
-}
-
 SimulationResult Simulation::run() {
   if (ran_) throw std::logic_error("Simulation::run called twice");
   ran_ = true;
@@ -156,7 +138,7 @@ SimulationResult Simulation::run() {
   } else {
     kernel_->run_until(cfg_.duration);
   }
-  return finalize_run();
+  return snapshot();
 }
 
 void Simulation::step_until(TimeNs until, TimeNs max_step,
@@ -195,7 +177,7 @@ void Simulation::advance_service(TimeNs dt) {
 SimulationResult Simulation::finish_service() {
   if (!service_) throw std::logic_error("finish_service: not in service mode");
   service_ = false;
-  return finalize_run();
+  return snapshot();
 }
 
 void Simulation::sample_tick(TimeNs window) {

@@ -44,17 +44,10 @@ struct SimulationConfig {
 
   /// Observability: metrics registry and/or epoch tracer (see src/obs/).
   /// Off by default — a disabled run is bit-identical to a pre-obs build.
+  /// The run's trace, audit and timeseries land in SimulationResult::obs;
+  /// callers write the exports (obs::write_chrome_trace_file,
+  /// write_audit_file, write_timeseries_file).
   obs::ObsConfig obs;
-  /// Non-empty: writes the run's epoch trace as Chrome trace-event JSON at
-  /// the end of run() (implies obs.trace).
-  std::string chrome_trace_path;
-  /// Non-empty: writes the run's prediction-audit export (packed CSV, see
-  /// obs/audit_writer.h) at the end of run() (implies obs.audit).
-  std::string audit_path;
-  /// Non-empty: writes the run's `#sb-tsdb v1` timeseries export (CSV, or
-  /// JSON for a .json path) at the end of run() (implies obs.timeseries).
-  /// Cadence and capacity come from obs.timeseries (--obs-window).
-  std::string timeseries_path;
 };
 
 class Simulation {
@@ -95,8 +88,8 @@ class Simulation {
   // begin_service() performs run()'s setup without the batch loop, after
   // which advance_service() steps the kernel in arbitrary increments and
   // jobs can be admitted at the current simulated time between steps.
-  // finish_service() finalizes the run (writing any configured exports)
-  // and returns the final metrics. Mutually exclusive with run().
+  // finish_service() ends the run and returns the final metrics. Mutually
+  // exclusive with run().
 
   /// Enters service mode; throws std::logic_error if already run.
   void begin_service();
@@ -112,7 +105,7 @@ class Simulation {
   std::vector<ThreadId> admit_benchmark(const std::string& name, int threads,
                                         std::uint64_t per_thread_instructions);
 
-  /// Leaves service mode, writes configured exports, returns final metrics.
+  /// Leaves service mode and returns the final metrics.
   SimulationResult finish_service();
 
   /// Metrics of the run so far (valid after run(), or mid-run for tools
@@ -139,7 +132,6 @@ class Simulation {
   /// `stop_when_done`, stops early once every task has exited and no
   /// arrival is pending.
   void step_until(TimeNs until, TimeNs max_step, bool stop_when_done);
-  SimulationResult finalize_run();
   void sample_tick(TimeNs window);
   void ts_tick();
   void apply_arrivals();

@@ -88,11 +88,5 @@ TEST(GlobalEfficiency, EvaluateAllocationSupportsFractional) {
   EXPECT_NEAR(evaluate_allocation(s, p, obj, {1}), 1.0 / 0.8, 1e-12);
 }
 
-TEST(Objectives, FactoryReturnsEq11) {
-  const auto obj = make_energy_efficiency_objective();
-  EXPECT_EQ(obj->name(), "ips_per_watt");
-  EXPECT_FALSE(obj->fractional());
-}
-
 }  // namespace
 }  // namespace sb::core

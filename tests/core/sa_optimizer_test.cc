@@ -6,6 +6,9 @@
 #include <bit>
 #include <bitset>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/objective.h"
@@ -70,13 +73,6 @@ TEST(Objectives, CoreTermSemantics) {
   EXPECT_DOUBLE_EQ(ee.core_term(sums(4.0, 2.0, 3), 0), 2.0);
   EXPECT_DOUBLE_EQ(ee.core_term(sums(4.0, 2.0, 0), 0), 0.0);  // idle core
   EXPECT_DOUBLE_EQ(ee.core_term(sums(4.0, 0.0, 2), 0), 0.0);  // degenerate
-
-  ThroughputObjective tp;
-  EXPECT_DOUBLE_EQ(tp.core_term(sums(4.0, 99.0, 2), 0), 2.0);  // time-shared
-  EXPECT_DOUBLE_EQ(tp.core_term(sums(4.0, 99.0, 0), 0), 0.0);
-
-  EdpObjective edp;
-  EXPECT_DOUBLE_EQ(edp.core_term(sums(4.0, 2.0, 2), 0), 4.0);  // (4/2)²/(2/2)
   EXPECT_EQ(ee.name(), "ips_per_watt");
 }
 
@@ -188,19 +184,6 @@ TEST(SaOptimizer, DeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
 }
 
-TEST(SaOptimizer, FixedVsFloatAcceptanceBothConverge) {
-  const auto inst = random_instance(8, 4, 55);
-  EnergyEfficiencyObjective obj;
-  const auto best = exhaustive_optimum(inst.s, inst.p, obj);
-  for (bool fixed : {true, false}) {
-    SaConfig cfg;
-    cfg.max_iterations = 6000;
-    cfg.fixed_point_acceptance = fixed;
-    const auto r = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
-    EXPECT_GE(r.objective, 0.88 * best.objective) << "fixed=" << fixed;
-  }
-}
-
 TEST(SaOptimizer, AutoIterationsScaleAndSaturate) {
   EXPECT_GT(sa_auto_iterations(8, 16), sa_auto_iterations(2, 4));
   EXPECT_EQ(sa_auto_iterations(128, 256), 60000);  // capped (Fig. 8a)
@@ -226,6 +209,11 @@ TEST(SaOptimizer, ValidatesInput) {
   masks[0].set();
   EXPECT_THROW(opt.optimize(Matrix(4, 2, 1.0), Matrix(4, 2, 1.0), obj,
                             {0, 1, 0, 1}, &masks),
+               std::invalid_argument);
+  // The column -> core map must name one core per column.
+  const std::vector<CoreId> one_core = {3};
+  EXPECT_THROW(opt.optimize(Matrix(2, 2, 1.0), Matrix(2, 2, 1.0), obj, {0, 1},
+                            nullptr, nullptr, &one_core),
                std::invalid_argument);
 }
 
@@ -275,8 +263,8 @@ TEST(SaOptimizer, ScratchReuseIsDeterministic) {
 }
 
 TEST(SaOptimizer, CustomObjectiveMatchesDevirtualizedBuiltin) {
-  // A user-defined objective (kind() == kCustom) computing the same
-  // per-core term as the built-in EE must reproduce the devirtualized
+  // A user-defined objective (annealed by the generic kernel) computing the
+  // same per-core term as the built-in EE must reproduce the devirtualized
   // kernel's trajectory exactly: same RNG draws, same FP expression order,
   // so allocation and objective are bit-identical.
   class CustomEe : public BalanceObjective {
@@ -293,7 +281,6 @@ TEST(SaOptimizer, CustomObjectiveMatchesDevirtualizedBuiltin) {
   cfg.max_iterations = 2000;
   EnergyEfficiencyObjective builtin;
   CustomEe custom;
-  ASSERT_EQ(custom.kind(), ObjectiveKind::kCustom);
   const auto a = SaOptimizer(cfg).optimize(inst.s, inst.p, builtin,
                                            inst.initial);
   const auto b = SaOptimizer(cfg).optimize(inst.s, inst.p, custom,
@@ -302,6 +289,54 @@ TEST(SaOptimizer, CustomObjectiveMatchesDevirtualizedBuiltin) {
   EXPECT_DOUBLE_EQ(b.objective, a.objective);
   EXPECT_EQ(b.accepted_worse, a.accepted_worse);
   EXPECT_EQ(b.improved, a.improved);
+}
+
+/// Scores core c as weight(c) · gips through the generic kernel.
+class CoreWeightedObjective final : public BalanceObjective {
+ public:
+  explicit CoreWeightedObjective(std::vector<double> weights)
+      : weights_(std::move(weights)) {}
+  double core_term(const CoreSums& s, CoreId core) const override {
+    return weights_.at(static_cast<std::size_t>(core)) * s.gips;
+  }
+  std::string name() const override { return "core_weighted"; }
+
+ private:
+  std::vector<double> weights_;
+};
+
+TEST(SaOptimizer, CoreMapHandsObjectivesPhysicalCoreIds) {
+  // A sub-problem whose columns are physical cores {5, 2, 7}: annealing it
+  // with a whole-platform objective and that map must replay, bit for bit,
+  // the anneal of the same objective re-indexed by column — for a built-in
+  // kernel and for the generic one.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto inst = random_instance(9, 3, 121);
+  const std::vector<CoreId> cores = {5, 2, 7};
+  const std::vector<double> platform_w = {1, 1, 3, 1, 1, 0.5, 1, 2};
+  const std::vector<double> column_w = {0.5, 3, 2};
+  SaConfig cfg;
+  cfg.seed = 17;
+  cfg.max_iterations = 3000;
+  const auto expect_same = [&](const BalanceObjective& platform_obj,
+                               const BalanceObjective& column_obj) {
+    const auto a = SaOptimizer(cfg).optimize(inst.s, inst.p, platform_obj,
+                                             inst.initial, nullptr, nullptr,
+                                             &cores);
+    const auto b =
+        SaOptimizer(cfg).optimize(inst.s, inst.p, column_obj, inst.initial);
+    EXPECT_EQ(a.allocation, b.allocation) << platform_obj.name();
+    EXPECT_EQ(bits(a.objective), bits(b.objective)) << platform_obj.name();
+    EXPECT_EQ(bits(a.initial_objective), bits(b.initial_objective));
+    EXPECT_EQ(a.improved, b.improved);
+    EXPECT_EQ(a.accepted_worse, b.accepted_worse);
+  };
+  expect_same(EnergyEfficiencyObjective(platform_w),
+              EnergyEfficiencyObjective(column_w));
+  // CoreWeightedObjective reads its weights with at(): an unmapped column
+  // index would still be in range here, but would score differently.
+  expect_same(CoreWeightedObjective(platform_w),
+              CoreWeightedObjective(column_w));
 }
 
 TEST(ExhaustiveOptimum, GrayCodeMatchesBruteForce) {
@@ -334,28 +369,96 @@ TEST(ExhaustiveOptimum, GrayCodeMatchesBruteForce) {
       << "reported allocation must actually achieve the optimum";
 }
 
-TEST(SaOptimizer, DriftResyncKeepsObjectiveConsistent) {
-  // A long anneal crosses the periodic resync boundary; the final reported
-  // objective must still match a reference evaluation of the returned
-  // allocation, and the resync count is surfaced in the result.
-  const auto inst = random_instance(16, 6, 111);
-  EnergyEfficiencyObjective obj;
-  SaConfig cfg;
-  cfg.seed = 5;
-  cfg.max_iterations = 60000;
-  const auto r = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
-  EXPECT_GE(r.resyncs, 0);
-  EXPECT_NEAR(evaluate_allocation(inst.s, inst.p, obj, r.allocation),
-              r.objective, 1e-9 * std::max(1.0, r.objective));
+/// A long-anneal problem on two core types of four identical cores each,
+/// under the global objective. Columns repeat within a core type, as
+/// build_characterization() fills them, so some moves leave the objective
+/// exactly unchanged.
+struct LongProblem {
+  Matrix s, p;
+  std::vector<double> demand;  // empty: every thread CPU-bound
+  std::vector<CoreId> initial;
+  int iterations;
+};
+
+constexpr std::size_t kLongCores = 8, kLongPerType = 4;
+
+GlobalEfficiencyObjective long_objective() {
+  return GlobalEfficiencyObjective(
+      {0.08, 0.08, 0.08, 0.08, 0.02, 0.02, 0.02, 0.02});
 }
 
-/// A long anneal pinned bit for bit: 16 threads, alternately CPU-bound and
-/// duty-cycled, on two core types of four identical cores each, under the
-/// global objective for 30000 iterations.
+/// 16 threads, alternately CPU-bound and duty-cycled, with per-type GIPS
+/// and watts drawn from `seed`; 30000 iterations.
+LongProblem mixed_rows(std::uint64_t seed) {
+  constexpr std::size_t m = 16;
+  Rng rng(seed);
+  LongProblem pr{Matrix(m, kLongCores), Matrix(m, kLongCores), {}, {}, 30000};
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < kLongCores; j += kLongPerType) {
+      const double gips = rng.uniform(0.1, 4.0);
+      const double watts = rng.uniform(0.05, 3.0);
+      for (std::size_t k = j; k < j + kLongPerType; ++k) {
+        pr.s.at(i, k) = gips;
+        pr.p.at(i, k) = watts;
+      }
+    }
+  }
+  pr.demand.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    pr.demand[i] = i % 2 == 0 ? -1.0 : rng.uniform(0.05, 1.0);
+    pr.initial.push_back(static_cast<CoreId>(i % kLongCores));
+  }
+  return pr;
+}
+
+/// 48 CPU-bound threads with identical rows; 60000 iterations. While no
+/// core is empty, J is the same sum of per-core GIPS over the same sum of
+/// per-core watts however the threads spread, so almost every move changes
+/// J by a rounding error at most and is taken: the anneal accepts more
+/// than 4096 moves and crosses the drift resync.
+LongProblem identical_rows() {
+  constexpr std::size_t m = 48;
+  LongProblem pr{Matrix(m, kLongCores), Matrix(m, kLongCores), {}, {}, 60000};
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < kLongCores; ++j) {
+      const bool big = j < kLongPerType;
+      pr.s.at(i, j) = big ? 2.1 : 0.7;
+      pr.p.at(i, j) = big ? 1.3 : 0.3;
+    }
+    pr.initial.push_back(static_cast<CoreId>(i % kLongCores));
+  }
+  return pr;
+}
+
+SaResult anneal(const LongProblem& pr, std::uint64_t seed) {
+  SaConfig cfg;
+  cfg.seed = seed;
+  cfg.max_iterations = pr.iterations;
+  return SaOptimizer(cfg).optimize(pr.s, pr.p, long_objective(), pr.initial,
+                                   nullptr,
+                                   pr.demand.empty() ? nullptr : &pr.demand);
+}
+
+TEST(SaOptimizer, DriftResyncKeepsObjectiveConsistent) {
+  // Identical rows keep the anneal taking near-zero-ΔJ moves, so it crosses
+  // the periodic resync boundary; the final reported objective must still
+  // match a reference evaluation of the returned allocation, and the
+  // resync count is surfaced in the result.
+  const LongProblem pr = identical_rows();
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    const SaResult r = anneal(pr, seed);
+    EXPECT_GE(r.resyncs, 1) << "seed " << seed;
+    EXPECT_NEAR(evaluate_allocation(pr.s, pr.p, long_objective(),
+                                    r.allocation),
+                r.objective, 1e-9 * std::max(1.0, r.objective))
+        << "seed " << seed;
+  }
+}
+
+/// A long anneal pinned bit for bit.
 struct LongAnneal {
   std::uint64_t seed;
-  bool fixed_point_acceptance;
-  double accept_decay;
+  bool identical;  // identical_rows(), else mixed_rows(seed)
   std::vector<CoreId> allocation;
   std::uint64_t objective_bits;
   int improved;
@@ -363,65 +466,29 @@ struct LongAnneal {
   int resyncs;
 };
 
-SaResult run_long_anneal(const LongAnneal& c) {
-  constexpr std::size_t m = 16, n = 8, per_type = 4;
-  Rng rng(c.seed);
-  // Columns repeat within a core type, as build_characterization() fills
-  // them, so some moves leave the objective exactly unchanged.
-  Matrix s(m, n), p(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; j += per_type) {
-      const double gips = rng.uniform(0.1, 4.0);
-      const double watts = rng.uniform(0.05, 3.0);
-      for (std::size_t k = j; k < j + per_type; ++k) {
-        s.at(i, k) = gips;
-        p.at(i, k) = watts;
-      }
-    }
-  }
-  std::vector<double> demand(m);
-  std::vector<CoreId> initial(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    demand[i] = i % 2 == 0 ? -1.0 : rng.uniform(0.05, 1.0);
-    initial[i] = static_cast<CoreId>(i % n);
-  }
-  const GlobalEfficiencyObjective obj(
-      {0.08, 0.08, 0.08, 0.08, 0.02, 0.02, 0.02, 0.02});
-  SaConfig cfg;
-  cfg.seed = c.seed;
-  cfg.max_iterations = 30000;
-  cfg.accept_decay = c.accept_decay;
-  cfg.fixed_point_acceptance = c.fixed_point_acceptance;
-  return SaOptimizer(cfg).optimize(s, p, obj, initial, nullptr, &demand);
-}
-
 TEST(SaOptimizer, LongAnnealTrajectoriesArePinned) {
-  // At the default decay the temperature leaves the normal range after
-  // ~14k iterations and sticks at the smallest subnormal; at decay 0.3 it
-  // reaches +0 after ~620. The diff == 0 moves past that point are taken
-  // (0 / subnormal == 0) or refused (0 / +0 is NaN) by IEEE rules alone,
-  // so flushing subnormals, clamping the temperature or any other inexact
-  // change to its schedule moves the trajectory. At decay -0.3 it ends up
-  // alternating between -0 and +0, which an == test would take for a
-  // fixed point. Expected values were recorded with the temperature
-  // multiplied on every iteration.
+  // The temperature leaves the normal range after ~14k iterations and
+  // sticks at the smallest subnormal. The diff == 0 moves past that point
+  // are taken (0 / subnormal == 0) by IEEE rules alone, so flushing
+  // subnormals, clamping the temperature or any other inexact change to
+  // its schedule moves the trajectory; the identical-rows case also
+  // crosses two drift resyncs. Expected values were recorded with the
+  // temperature multiplied on every iteration; the identical-rows case was
+  // recorded before the schedule became constants.
   const std::vector<LongAnneal> cases = {
-      {201, true, 0.95, {4, 5, 3, 5, 0, 3, 5, 3, 6, 5, 7, 3, 3, 3, 5, 5},
+      {201, false, {4, 5, 3, 5, 0, 3, 5, 3, 6, 5, 7, 3, 3, 3, 5, 5},
        0x400b5554af3bf762ULL, 55, 61, 0},
-      {202, false, 0.95, {7, 4, 4, 6, 4, 0, 4, 4, 4, 3, 2, 4, 4, 4, 4, 4},
-       0x4012251f25499f47ULL, 92, 248, 0},
-      {203, true, 0.3, {7, 0, 1, 7, 3, 7, 7, 7, 7, 4, 7, 4, 7, 7, 2, 7},
-       0x4013f2d811b047ccULL, 56, 3, 0},
-      {204, false, 0.3, {5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 6, 3, 0, 3},
-       0x400d345eafcf31b1ULL, 118, 2, 0},
-      {205, true, -0.3, {7, 4, 0, 6, 5, 5, 5, 7, 7, 4, 6, 7, 5, 4, 5, 2},
-       0x4002ec69f9e8ba06ULL, 2336, 1860, 1},
+      {1, true, {3, 3, 7, 3, 3, 6, 4, 4, 3, 5, 4, 5, 3, 4, 4, 7,
+                 6, 6, 7, 7, 6, 4, 6, 3, 7, 6, 5, 5, 3, 3, 3, 6,
+                 5, 7, 6, 4, 3, 5, 4, 4, 4, 6, 7, 5, 3, 6, 5, 3},
+       0x3ffc9cf6a82cd993ULL, 194, 9007, 2},
   };
   for (const LongAnneal& c : cases) {
     SCOPED_TRACE(::testing::Message()
-                 << "seed " << c.seed << " decay " << c.accept_decay
-                 << (c.fixed_point_acceptance ? " fixed-point" : " float"));
-    const SaResult r = run_long_anneal(c);
+                 << "seed " << c.seed
+                 << (c.identical ? " identical rows" : " mixed rows"));
+    const SaResult r =
+        anneal(c.identical ? identical_rows() : mixed_rows(c.seed), c.seed);
     EXPECT_EQ(r.allocation, c.allocation);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(r.objective), c.objective_bits);
     EXPECT_EQ(r.improved, c.improved);

@@ -1,9 +1,9 @@
 // Unit and property tests for the sharded hierarchical balancer
 // (core/shard.h): the --shards= grammar, the partition function's
-// true-partition invariants under fuzzed platforms, the kind-preserving
-// objective restrictions, and the ShardedBalancer determinism contract —
-// worker-count independence, the K=1 bit-identity with the plain
-// optimizer, and a pinned K=4 result.
+// true-partition invariants under fuzzed platforms, input validation at
+// every K, and the ShardedBalancer determinism contract — worker-count
+// independence, the K=1 bit-identity with the plain optimizer, and a
+// pinned K=4 result.
 #include "core/shard.h"
 
 #include <gtest/gtest.h>
@@ -147,77 +147,6 @@ TEST(ShardPartition, ClampsAndThrows) {
   EXPECT_THROW(make_shard_partition(platform, -3), std::invalid_argument);
 }
 
-CoreSums sums(double gips, double watts, double load, int nthreads) {
-  CoreSums s;
-  s.gips = gips;
-  s.watts = watts;
-  s.load = load;
-  s.nthreads = nthreads;
-  return s;
-}
-
-TEST(RestrictToCores, EnergyEfficiencyRemapsPerCoreWeights) {
-  EnergyEfficiencyObjective base(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  const std::vector<CoreId> cores = {2, 0};
-  const auto restricted = base.restrict_to_cores(cores);
-  ASSERT_NE(restricted, nullptr);
-  // Kind preserved: the optimizer's devirtualized kernel still applies.
-  EXPECT_EQ(restricted->kind(), ObjectiveKind::kEnergyEfficiency);
-  const CoreSums s = sums(6.0, 2.0, 1.0, 1);
-  // Local column j scores exactly like physical core cores[j].
-  EXPECT_DOUBLE_EQ(restricted->core_term(s, 0), base.core_term(s, 2));
-  EXPECT_DOUBLE_EQ(restricted->core_term(s, 1), base.core_term(s, 0));
-  EXPECT_DOUBLE_EQ(restricted->core_term(s, 0), 3.0 * 6.0 / 2.0);
-}
-
-TEST(RestrictToCores, GlobalEfficiencyRemapsSleepPower) {
-  GlobalEfficiencyObjective base(std::vector<double>{0.1, 0.2, 0.3});
-  const std::vector<CoreId> cores = {1};
-  const auto restricted = base.restrict_to_cores(cores);
-  EXPECT_EQ(restricted->kind(), ObjectiveKind::kGlobalEfficiency);
-  EXPECT_TRUE(restricted->fractional());
-  const CoreSums half = sums(2.0, 1.0, 0.5, 1);
-  const auto fr = restricted->core_fraction(half, 0);
-  const auto fb = base.core_fraction(half, 1);
-  EXPECT_DOUBLE_EQ(fr[0], fb[0]);
-  EXPECT_DOUBLE_EQ(fr[1], fb[1]);
-  // Idle-fraction sleep power uses core 1's 0.2 W, not column 0's 0.1 W.
-  EXPECT_DOUBLE_EQ(fr[1], 1.0 + 0.2 * 0.5);
-}
-
-TEST(RestrictToCores, StatelessObjectivesCloneByKind) {
-  ThroughputObjective tp;
-  EdpObjective edp;
-  const std::vector<CoreId> cores = {3, 1};
-  EXPECT_EQ(tp.restrict_to_cores(cores)->kind(), ObjectiveKind::kThroughput);
-  EXPECT_EQ(edp.restrict_to_cores(cores)->kind(), ObjectiveKind::kEdp);
-  const CoreSums s = sums(4.0, 2.0, 2.0, 2);
-  EXPECT_DOUBLE_EQ(tp.restrict_to_cores(cores)->core_term(s, 0),
-                   tp.core_term(s, 3));
-}
-
-/// Custom objective exercising the default (wrapper) restriction path:
-/// scores core c as (c + 1) · gips, so the remap is directly observable.
-class CoreIndexObjective final : public BalanceObjective {
- public:
-  double core_term(const CoreSums& s, CoreId core) const override {
-    return static_cast<double>(core + 1) * s.gips;
-  }
-  std::string name() const override { return "core_index"; }
-};
-
-TEST(RestrictToCores, DefaultWrapperRemapsCustomObjectives) {
-  CoreIndexObjective base;
-  const std::vector<CoreId> cores = {5, 2};
-  const auto restricted = base.restrict_to_cores(cores);
-  // Wrapper cannot preserve the (custom) kind — and must not pretend to.
-  EXPECT_EQ(restricted->kind(), ObjectiveKind::kCustom);
-  EXPECT_FALSE(restricted->fractional());
-  const CoreSums s = sums(2.0, 1.0, 1.0, 1);
-  EXPECT_DOUBLE_EQ(restricted->core_term(s, 0), base.core_term(s, 5));
-  EXPECT_DOUBLE_EQ(restricted->core_term(s, 1), base.core_term(s, 2));
-}
-
 /// A ShardedBalancer problem instance over a real platform: m threads on
 /// the platform's n cores with value-random S/P and CPU-bound demand.
 struct Instance {
@@ -355,22 +284,49 @@ TEST(ShardedBalancer, RespectsAffinityMasks) {
 }
 
 TEST(ShardedBalancer, RejectsShortPerThreadVectors) {
-  // Every thread row needs a mask and a demand entry; a short vector must
-  // be refused up front, not read past its end.
-  const auto platform = arch::Platform::scaled_heterogeneous(2);
-  const auto inst = random_instance(platform, 12, 3);
+  // Every thread row needs a mask and a demand entry, S/P must span the
+  // platform's cores and every initial core must be one of them. Malformed
+  // input is refused up front at every K, not skipped or read past its end.
+  const auto platform = arch::Platform::scaled_heterogeneous(2);  // 8 cores
+  const auto inst = random_instance(platform, 6, 3);
   EnergyEfficiencyObjective obj;
-  ShardingConfig cfg;
-  cfg.shards = 2;
-  ShardedBalancer b(platform, cfg, SaConfig{});
   const std::vector<std::bitset<kMaxCores>> one_mask(1, inst.affinity[0]);
-  EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial, one_mask,
-                         inst.demand, nullptr, 0),
-               std::invalid_argument);
   const std::vector<double> one_demand(1, -1.0);
-  EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
-                         inst.affinity, one_demand, nullptr, 0),
-               std::invalid_argument);
+  // S/P without the platform's last core, threads on core 0.
+  Matrix narrow_s(6, 7), narrow_p(6, 7);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 7; ++j) {
+      narrow_s.at(i, j) = inst.s.at(i, j);
+      narrow_p.at(i, j) = inst.p.at(i, j);
+    }
+  }
+  const std::vector<CoreId> on_core0(6, 0);
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "K = " << shards);
+    ShardingConfig cfg;
+    cfg.shards = shards;
+    ShardedBalancer b(platform, cfg, SaConfig{});
+    EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial, one_mask,
+                           inst.demand, nullptr, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
+                           inst.affinity, one_demand, nullptr, 0),
+                 std::invalid_argument);
+    for (const CoreId bad : {CoreId{-1}, CoreId{8}}) {
+      std::vector<CoreId> initial = inst.initial;
+      initial[0] = bad;
+      EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, initial,
+                             inst.affinity, inst.demand, nullptr, 0),
+                   std::invalid_argument)
+          << "initial core " << bad;
+    }
+    EXPECT_THROW(b.balance(0, 1, narrow_s, narrow_p, obj, on_core0,
+                           inst.affinity, inst.demand, nullptr, 0),
+                 std::invalid_argument);
+    // The well-formed problem still balances.
+    EXPECT_NO_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
+                              inst.affinity, inst.demand, nullptr, 0));
+  }
 }
 
 /// The K=4 golden problem: 48 threads on scaled:4's 16 cores, every third

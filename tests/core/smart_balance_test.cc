@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "arch/platform.h"
 #include "core/trainer.h"
@@ -204,6 +207,16 @@ TEST_F(SmartBalanceTest, HandlesZeroPowerObservations) {
   EXPECT_GT(k.total_instructions(), 0u);
 }
 
+/// Pure throughput, as a user would write it: each core's time-shared
+/// GIPS (the average over its threads).
+class ThroughputObjective final : public BalanceObjective {
+ public:
+  double core_term(const CoreSums& s, CoreId /*core*/) const override {
+    return s.nthreads == 0 ? 0.0 : s.gips / s.nthreads;
+  }
+  std::string name() const override { return "throughput"; }
+};
+
 TEST_F(SmartBalanceTest, CustomObjectiveIsUsed) {
   // A throughput objective should keep strong cores busier than the
   // efficiency objective would.
@@ -218,6 +231,27 @@ TEST_F(SmartBalanceTest, CustomObjectiveIsUsed) {
   for (ThreadId t : k.alive_threads()) {
     EXPECT_LE(k.task(t).cpu, 1) << "throughput goal prefers strong cores";
   }
+}
+
+TEST_F(SmartBalanceTest, DefaultObjectiveIsEq11) {
+  // Without an objective the policy anneals the paper's Eq. 11 with every
+  // ω_j = 1: the run is bit-identical to one given that objective
+  // explicitly.
+  auto run = [&](std::unique_ptr<BalanceObjective> objective) {
+    os::Kernel k(platform_, perf_, power_);
+    k.set_balancer(std::make_unique<SmartBalancePolicy>(
+        platform_, trained_model(), SmartBalanceConfig(),
+        std::move(objective)));
+    add_workload(k, "canneal", 2);
+    add_workload(k, "swaptions", 2);
+    k.run_for(milliseconds(600));
+    return std::make_tuple(k.total_instructions(), k.total_migrations(),
+                           k.energy().total_joules());
+  };
+  const auto by_default = run(nullptr);
+  EXPECT_EQ(by_default, run(std::make_unique<EnergyEfficiencyObjective>()));
+  EXPECT_GT(std::get<1>(by_default), 0u)
+      << "the objective must steer migrations";
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // sbaudit — analyzer for SmartBalance prediction-audit exports.
 //
 // Reads one or more packed-CSV audit exports (written by sbsim --audit=,
-// Simulation::audit_path, or the bench sweeps' --audit=) and reports how
+// the bench sweeps' --audit=, or obs::write_audit_file) and reports how
 // well the predictor and the SA optimizer actually did:
 //
 //   * Fig.6-style aggregate prediction error (throughput and power)
