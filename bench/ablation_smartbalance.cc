@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   }
   for (int iters : {50, 200, 2000}) {
     auto cfg = def;
-    cfg.sa.max_iterations = iters;
+    cfg.sa_iterations = iters;
     add("SA iterations = " + std::to_string(iters), run_variant(opt, cfg));
   }
 

@@ -107,12 +107,13 @@ struct Options {
     return o;
   }
 
-  /// Applies the observability flags to a simulation config (no-op when
-  /// none of --trace/--metrics/--audit was given — the bit-identical path).
-  void apply_obs(sim::SimulationConfig& cfg) const {
-    cfg.obs.trace = cfg.obs.trace || !trace.empty();
-    cfg.obs.metrics = cfg.obs.metrics || metrics;
-    cfg.obs.audit = cfg.obs.audit || !audit.empty();
+  /// Applies the observability flags to an observability config (no-op
+  /// when none of --trace/--metrics/--audit was given — the bit-identical
+  /// path).
+  void apply_obs(obs::ObsConfig& cfg) const {
+    cfg.trace = cfg.trace || !trace.empty();
+    cfg.metrics = cfg.metrics || metrics;
+    cfg.audit = cfg.audit || !audit.empty();
   }
 
   /// The fault plan requested on the command line ("uniform:R" expands to

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   sim::SimulationConfig cfg;
   cfg.duration = opt.duration;
   cfg.seed = opt.seed;
-  opt.apply_obs(cfg);
+  opt.apply_obs(cfg.obs);
 
   const std::vector<int> thread_counts =
       opt.quick ? std::vector<int>{2, 8} : std::vector<int>{2, 4, 8};

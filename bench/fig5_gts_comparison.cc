@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   sim::SimulationConfig cfg;
   cfg.duration = opt.duration;
   cfg.seed = opt.seed;
-  opt.apply_obs(cfg);
+  opt.apply_obs(cfg.obs);
 
   const std::vector<std::pair<std::string, int>> workloads = {
       {"bodytrack", 8},   {"x264_H_crew", 8}, {"x264_L_bow", 8},

@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
       cfg.step_jobs = opt.jobs;
       cfg.load_cap = shape.load_cap;
       cfg.consolidation_bias = shape.consolidation_bias;
-      cfg.trace = !opt.trace.empty();
-      cfg.metrics = opt.metrics;
+      cfg.obs.trace = !opt.trace.empty();
+      cfg.obs.metrics = opt.metrics;
       cfg.node_obs = opt.metrics || !opt.trace.empty();
       fleet::FleetSimulation f(cfg, shape.nodes);
       PolicyRow row;

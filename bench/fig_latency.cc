@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
     spec.platform = platform;
     spec.cfg.duration = scenarios[s].duration;
     spec.cfg.seed = opt.seed;
-    opt.apply_obs(spec.cfg);
+    opt.apply_obs(spec.cfg.obs);
     spec.workload = scenarios[s].workload;
     spec.policy = policies[static_cast<std::size_t>(p)].second;
     spec.label = scenarios[s].name;

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     cfg.duration = opt.duration;
     cfg.seed = opt.seed;
     cfg.step_jobs = opt.jobs;
-    cfg.slo = kSloSpec;
+    cfg.obs.slo = obs::SloConfig::parse(kSloSpec);
     fleet::FleetSimulation f(cfg, nodes);
     const fleet::FleetResult r = f.run();
 

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
 namespace sb {
 namespace {
@@ -64,36 +63,6 @@ Fixed fixed_exp_neg(Fixed x) {
     }
   }
   return Fixed::from_raw(static_cast<std::int32_t>(acc));
-}
-
-Fixed fixed_log(Fixed x) {
-  if (x.raw() <= 0) return Fixed::from_raw(std::numeric_limits<std::int32_t>::min());
-  // Normalize x = m * 2^e with m in [1, 2).
-  std::int64_t raw = x.raw();
-  int e = 0;
-  while (raw >= 2 * Fixed::kOne) {
-    raw >>= 1;
-    ++e;
-  }
-  while (raw < Fixed::kOne) {
-    raw <<= 1;
-    --e;
-  }
-  // Bit-by-bit: repeatedly square m; each time it crosses 2, emit a fraction
-  // bit of log2(m).
-  std::int64_t frac = 0;
-  for (int i = 0; i < Fixed::kFractionBits; ++i) {
-    raw = (raw * raw) >> Fixed::kFractionBits;
-    frac <<= 1;
-    if (raw >= 2 * Fixed::kOne) {
-      raw >>= 1;
-      frac |= 1;
-    }
-  }
-  // log(x) = (e + frac) * ln(2); ln2 in Q16.16 = 45426.
-  constexpr std::int64_t kLn2 = 45426;
-  std::int64_t log2x = (static_cast<std::int64_t>(e) << Fixed::kFractionBits) + frac;
-  return Fixed::from_raw(static_cast<std::int32_t>((log2x * kLn2) >> Fixed::kFractionBits));
 }
 
 }  // namespace sb

@@ -16,9 +16,4 @@ namespace sb {
 /// Precondition relaxation: positive inputs are clamped to 0 (returns 1).
 Fixed fixed_exp_neg(Fixed x);
 
-/// Natural log in Q16.16 for x > 0, via normalization to [1,2) and a
-/// 16-step bit-by-bit square-and-compare. Returns most-negative Fixed for
-/// x <= 0.
-Fixed fixed_log(Fixed x);
-
 }  // namespace sb

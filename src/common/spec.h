@@ -1,11 +1,12 @@
 // Spec grammar: the one token reader and printer behind every config spec.
 //
-// The --faults, --adapt, --shards, --fleet, --obs-window and --slo specs
-// are fields separated by ',', ':' and '='. Each grammar keeps its own head
-// in its own file (what an entry means, which fields it carries) and
-// describes its fields with a small table of Field rows; this module splits
-// the spec, reads every field token with one strict number syntax, and
-// prints canonical forms that parse back to the same values bit for bit.
+// The --faults, --shards, --fleet, --obs-window and --slo specs are fields
+// separated by ',', ':' and '='. Each grammar keeps its own head in its own
+// file (what an entry means, which fields it carries) and describes its
+// fields with a small table of Field rows; this module splits the spec,
+// reads every field token with one strict number syntax, and prints
+// canonical forms that parse back to the same values bit for bit. (--adapt
+// entries carry no fields; that grammar only splits.)
 //
 // Number syntax: the whole token in std::from_chars form (no leading
 // whitespace, no leading '+', no hex), a finite value, inside the field's

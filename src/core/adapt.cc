@@ -8,63 +8,24 @@
 namespace sb::core {
 namespace {
 
-// Fields after each entry's key; defaults match AdaptationConfig.
-constexpr spec::Field kBias[] = {
-    {"alpha", spec::Kind::kReal, 0, 1, 0.25, spec::Range::kOpenLow},
-    {"clamp", spec::Kind::kReal, 0, 4, 0.5},
-};
-constexpr spec::Field kRls[] = {
-    {"lambda", spec::Kind::kReal, 0.5, 1, 0.995},
-    {"p0", spec::Kind::kReal, 0, 1e12, 1, spec::Range::kOpenLow},
-    {"reset", spec::Kind::kInt, 0, 1, 1},
-};
-constexpr spec::Field kDrift[] = {
-    {"threshold", spec::Kind::kReal, 0, 100, spec::kRequired,
-     spec::Range::kOpenLow},
-    {"min_joins", spec::Kind::kInt, 1, 1'000'000, 8},
-};
+/// Tier 1 gain multipliers are clamped to [1/(1+kGainClamp), 1+kGainClamp]:
+/// a drifted residual can at most scale a forecast by this factor either
+/// way.
+constexpr double kGainClamp = 0.5;
+/// Tier 2 forgetting factor λ; 1 would be infinite memory (the batch LS
+/// limit).
+constexpr double kRlsLambda = 0.995;
+/// Tier 2 initial covariance scale: P0 = kRlsP0 · I. Keeps a strong prior
+/// on the batch-trained Θ (a huge P0 would let the first few — possibly
+/// noisy — online samples overwrite the training wholesale).
+constexpr double kRlsP0 = 1.0;
 
-/// Applies one entry; fields it omits keep their current value.
-void parse_entry(std::string_view entry, AdaptationConfig* cfg) {
-  const auto tokens = spec::split(entry, ':');
-  const std::string_view key = tokens[0];
-  const std::span<const std::string_view> fields(tokens.begin() + 1,
-                                                 tokens.end());
-  if (key == "bias") {
-    double v[] = {cfg->bias_alpha, cfg->gain_clamp};
-    spec::read_fields("--adapt bias", kBias, fields, v);
-    cfg->bias = true;
-    cfg->bias_alpha = v[0];
-    cfg->gain_clamp = v[1];
-  } else if (key == "rls") {
-    double v[] = {cfg->rls_lambda, cfg->rls_p0,
-                  cfg->rls_reset_on_drift ? 1.0 : 0.0};
-    spec::read_fields("--adapt rls", kRls, fields, v);
-    cfg->rls = true;
-    cfg->rls_lambda = v[0];
-    cfg->rls_p0 = v[1];
-    cfg->rls_reset_on_drift = v[2] == 1;
-  } else if (key == "drift") {
-    double v[] = {cfg->drift_threshold,
-                  static_cast<double>(cfg->drift_min_joins)};
-    spec::read_fields("--adapt drift", kDrift, fields, v);
-    cfg->drift_threshold = v[0];
-    cfg->drift_min_joins = static_cast<std::uint64_t>(v[1]);
-  } else {
-    throw std::invalid_argument("--adapt: unknown entry '" +
-                                std::string(entry) +
-                                "' (want bias, rls or drift)");
-  }
-}
-
-void append_entry(std::string& out, std::string_view key,
-                  std::span<const spec::Field> fields,
-                  std::initializer_list<double> values) {
-  if (!out.empty()) out += ',';
-  out += key;
-  std::string tail;
-  spec::append_fields(tail, fields, values);
-  if (!tail.empty()) (out += ':') += tail;
+double clamp_gain(double g) {
+  const double hi = 1.0 + kGainClamp;
+  const double lo = 1.0 / hi;
+  if (!(g > lo)) return lo;  // also catches NaN / negative denominators
+  if (g > hi) return hi;
+  return g;
 }
 
 }  // namespace
@@ -72,34 +33,21 @@ void append_entry(std::string& out, std::string_view key,
 AdaptationConfig AdaptationConfig::parse(const std::string& text) {
   AdaptationConfig cfg;
   for (const std::string_view entry : spec::split(text, ',')) {
-    if (!entry.empty()) parse_entry(entry, &cfg);
+    if (entry == "bias") {
+      cfg.bias = true;
+    } else if (entry == "rls") {
+      cfg.rls = true;
+    } else if (!entry.empty()) {
+      throw std::invalid_argument("--adapt: unknown entry '" +
+                                  std::string(entry) + "' (want bias or rls)");
+    }
   }
   return cfg;
 }
 
 std::string AdaptationConfig::canonical() const {
-  std::string out;
-  if (bias) append_entry(out, "bias", kBias, {bias_alpha, gain_clamp});
-  if (rls) {
-    append_entry(out, "rls", kRls,
-                 {rls_lambda, rls_p0, rls_reset_on_drift ? 1.0 : 0.0});
-  }
-  const AdaptationConfig defaults;
-  if (drift_threshold != defaults.drift_threshold ||
-      drift_min_joins != defaults.drift_min_joins) {
-    append_entry(out, "drift", kDrift,
-                 {drift_threshold, static_cast<double>(drift_min_joins)});
-  }
-  return out;
-}
-
-bool AdaptationConfig::operator==(const AdaptationConfig& o) const {
-  return bias == o.bias && bias_alpha == o.bias_alpha &&
-         gain_clamp == o.gain_clamp && rls == o.rls &&
-         rls_lambda == o.rls_lambda && rls_p0 == o.rls_p0 &&
-         rls_reset_on_drift == o.rls_reset_on_drift &&
-         drift_threshold == o.drift_threshold &&
-         drift_min_joins == o.drift_min_joins;
+  if (bias && rls) return "bias,rls";
+  return bias ? "bias" : rls ? "rls" : "";
 }
 
 // ---------------------------------------------------------------------------
@@ -177,9 +125,7 @@ void RlsFilter::update(const std::array<double, kNumFeatures>& x, double y,
 // ---------------------------------------------------------------------------
 
 OnlineAdapter::OnlineAdapter(const AdaptationConfig& cfg, PredictorModel* model)
-    : cfg_(cfg),
-      model_(model),
-      residuals_(cfg.bias_alpha, cfg.drift_threshold, cfg.drift_min_joins) {}
+    : cfg_(cfg), model_(model) {}
 
 OnlineAdapter::PairState& OnlineAdapter::pair(std::int32_t src_type,
                                               std::int32_t dst_type) {
@@ -187,17 +133,9 @@ OnlineAdapter::PairState& OnlineAdapter::pair(std::int32_t src_type,
   // Θ only drives cross-type extrapolation (same-type forecasts are the
   // measured IPC), so same-type pairs never carry an RLS filter.
   if (cfg_.rls && p.rls.empty() && src_type != dst_type) {
-    p.rls.emplace_back(cfg_.rls_lambda, cfg_.rls_p0);
+    p.rls.emplace_back(kRlsLambda, kRlsP0);
   }
   return p;
-}
-
-double OnlineAdapter::clamp_gain(double g) const {
-  const double hi = 1.0 + cfg_.gain_clamp;
-  const double lo = 1.0 / hi;
-  if (!(g > lo)) return lo;  // also catches NaN / negative denominators
-  if (g > hi) return hi;
-  return g;
 }
 
 AdaptPassStats OnlineAdapter::observe(
@@ -249,8 +187,7 @@ AdaptPassStats OnlineAdapter::observe(
 
       // Drift repairs the predictor (covariance reset) rather than
       // escalating to degraded mode.
-      if (drift_edge && cfg_.rls && cfg_.rls_reset_on_drift &&
-          !p.rls.empty()) {
+      if (drift_edge && cfg_.rls && !p.rls.empty()) {
         p.rls[0].reset();
         ++p.cov_resets;
         ++cov_resets_;

@@ -15,12 +15,13 @@
 //   tier 2 (RLS)        A recursive-least-squares update of the Θ
 //                       coefficients themselves over the Eq. 8 feature
 //                       vector, with forgetting factor λ and
-//                       covariance-reset-on-drift: the debounced drift
-//                       signal (same EWMA/threshold/min-joins semantics as
-//                       the audit recorder's detector) re-inflates the RLS
-//                       covariance so the filter re-converges quickly after
-//                       a regime change, *instead of* escalating to
-//                       degraded mode.
+//                       covariance-reset-on-drift: every rising edge of
+//                       the debounced drift signal (the audit recorder's
+//                       detector, at the drift constants of
+//                       obs/residual_tracker.h) re-inflates the RLS
+//                       covariance to P0 · I, so the filter forgets a stale
+//                       regime at once instead of over 1/(1-λ) epochs,
+//                       *instead of* escalating to degraded mode.
 //
 // The adapter keeps its own one-epoch-later forecast→observation join (the
 // same validity rules as obs::AuditRecorder) and its own obs::ResidualTracker
@@ -29,7 +30,8 @@
 // is a pure function of sim state: no host clocks, no RNG, fixed-sized
 // double arithmetic only, so adapted runs stay bit-identical across
 // --jobs=1/8. Adaptation defaults off; all goldens are untouched unless a
-// config opts in.
+// config opts in. Each tier is one switch: the gain clamp, λ and P0 are
+// constants in adapt.cc.
 #pragma once
 
 #include <array>
@@ -45,49 +47,24 @@
 
 namespace sb::core {
 
-/// `SmartBalanceConfig::Adaptation`. Parsed from the CLI/config grammar
-/// (comma-separated entries; fields per common/spec.h):
-///   bias[:alpha[:clamp]]          enable tier 1 (EWMA alpha, gain clamp)
-///   rls[:lambda[:p0[:reset]]]     enable tier 2 (forgetting, prior, reset)
-///   drift:threshold[:min_joins]   tune the covariance-reset drift detector
-/// An empty string disables everything; an entry's omitted fields keep
-/// their current value. Any malformed entry raises std::invalid_argument
-/// (the only exception parse may throw).
+/// `SmartBalanceConfig::Adaptation`. Parsed from the CLI/config grammar:
+/// comma-separated entries, each `bias` (enable tier 1) or `rls` (enable
+/// tier 2); empty entries are skipped, so an empty string disables both.
+/// Any other entry raises std::invalid_argument (the only exception parse
+/// may throw).
 struct AdaptationConfig {
   /// Tier 1: per-(src,dst) bias/gain post-multiplier on Eq. 8 forecasts.
   bool bias = false;
-  /// EWMA smoothing for the signed residual trackers feeding the gains.
-  double bias_alpha = 0.25;
-  /// Gain multipliers are clamped to [1/(1+clamp), 1+clamp]: a drifted
-  /// residual can at most scale a forecast by this factor either way.
-  double gain_clamp = 0.5;
-
   /// Tier 2: recursive-least-squares update of Θ over the Eq. 8 features.
   bool rls = false;
-  /// Forgetting factor λ ∈ [0.5, 1]; 1 = infinite memory (batch LS limit).
-  double rls_lambda = 0.995;
-  /// Initial covariance scale: P0 = rls_p0 · I. Equals 1/ridge of the
-  /// batch trainer's ridge least squares when λ = 1. The default keeps a
-  /// strong prior on the batch-trained Θ (a huge P0 would let the first few
-  /// — possibly noisy — online samples overwrite the training wholesale).
-  double rls_p0 = 1.0;
-  /// Re-inflate P to P0 · I on a debounced drift rising edge, so the
-  /// filter forgets a stale regime at once instead of over 1/(1-λ) epochs.
-  bool rls_reset_on_drift = true;
-
-  /// |residual| EWMA level that trips the adapter's drift detector
-  /// (defaults mirror obs::AuditConfig so both fire together).
-  double drift_threshold = 0.25;
-  /// Joins a pair must accumulate before its detector may trip (debounce).
-  std::uint64_t drift_min_joins = 8;
 
   bool enabled() const { return bias || rls; }
 
   static AdaptationConfig parse(const std::string& text);
-  /// The spec that parse() reads back to this config, bit for bit.
+  /// The spec that parse() reads back to this config.
   std::string canonical() const;
 
-  bool operator==(const AdaptationConfig& o) const;
+  bool operator==(const AdaptationConfig&) const = default;
 };
 
 /// The RLS core, exposed standalone so the property tests can drive it
@@ -201,7 +178,6 @@ class OnlineAdapter {
   };
 
   PairState& pair(std::int32_t src_type, std::int32_t dst_type);
-  double clamp_gain(double g) const;
 
   AdaptationConfig cfg_;
   PredictorModel* model_;

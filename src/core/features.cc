@@ -36,24 +36,30 @@ void sanitize_observation(ThreadObservation& o) {
 }
 
 PlausibilityVerdict check_plausibility(const ThreadObservation& o,
-                                       const perf::HpcCounters& c,
-                                       const PlausibilityLimits& lim) {
+                                       const perf::HpcCounters& c) {
+  // The physical envelope: no real core retires more than ~8 IPC, no miss
+  // ratio or instruction share exceeds 1 (25% slack for counter noise), no
+  // mobile core draws half a kilowatt, and no clock runs past 8 GHz.
+  constexpr double kIpcMax = 16.0;
+  constexpr double kRatioMax = 1.25;
+  constexpr double kPowerMaxW = 512.0;
+  constexpr double kMaxGhz = 8.0;
   // A delta at the 32-bit register ceiling is a wraparound artefact.
   if (c.any_field_at_or_above(perf::HpcCounters::k32BitCeiling)) {
     return PlausibilityVerdict::kImplausible;
   }
-  // No clock ticks faster than max_ghz: cycles are bounded by runtime.
+  // No clock ticks faster than kMaxGhz: cycles are bounded by runtime.
   if (o.runtime > 0 &&
       static_cast<double>(c.active_cycles()) >
-          static_cast<double>(o.runtime) * lim.max_ghz) {
+          static_cast<double>(o.runtime) * kMaxGhz) {
     return PlausibilityVerdict::kImplausible;
   }
-  if (o.ipc > lim.ipc_max || o.power_w > lim.power_max_w) {
+  if (o.ipc > kIpcMax || o.power_w > kPowerMaxW) {
     return PlausibilityVerdict::kImplausible;
   }
   for (double r : {o.imsh, o.ibsh, o.mr_branch, o.mr_l1i, o.mr_l1d, o.mr_itlb,
                    o.mr_dtlb}) {
-    if (r > lim.ratio_max) return PlausibilityVerdict::kImplausible;
+    if (r > kRatioMax) return PlausibilityVerdict::kImplausible;
   }
   return PlausibilityVerdict::kPlausible;
 }

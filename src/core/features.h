@@ -51,21 +51,6 @@ struct ThreadObservation {
 std::array<double, kNumFeatures> make_features(const ThreadObservation& obs,
                                                double freq_ratio);
 
-/// Physical-plausibility envelope for a sensed observation. No real core
-/// retires more than ~8 IPC, no miss ratio or instruction share exceeds 1
-/// (25% slack for counter noise), no mobile core draws half a kilowatt, and
-/// no clock runs past 8 GHz — values outside the envelope are wrapped,
-/// saturated or otherwise corrupted counters, not workload behaviour.
-struct PlausibilityLimits {
-  double ipc_max = 16.0;
-  double ratio_max = 1.25;
-  double power_max_w = 512.0;
-  /// A thread that executed a full epoch but drew less than this is on a
-  /// dead/stuck power rail (floor well below any real idle draw).
-  double min_power_w = 1e-3;
-  double max_ghz = 8.0;
-};
-
 /// Replaces every non-finite (NaN/Inf) floating field of `o` with 0.
 /// Bit-exact no-op on finite observations, so it is applied
 /// unconditionally on the sensing path.
@@ -77,7 +62,6 @@ void sanitize_observation(ThreadObservation& o);
 enum class PlausibilityVerdict { kPlausible, kImplausible };
 
 PlausibilityVerdict check_plausibility(const ThreadObservation& o,
-                                       const perf::HpcCounters& c,
-                                       const PlausibilityLimits& lim);
+                                       const perf::HpcCounters& c);
 
 }  // namespace sb::core

@@ -8,10 +8,22 @@
 namespace sb::core {
 namespace {
 
-/// Outlier screen: a fresh IPS farther than kOutlierFactor× from the median
-/// of the thread's last kMedianWindow accepted measurements is rejected.
+/// Minimum execution time in an epoch for a fresh measurement to be
+/// considered statistically valid.
+constexpr TimeNs kMinRuntime = microseconds(300);
+/// Outlier screen: once a thread has kMinHistory accepted measurements, a
+/// fresh IPS farther than kOutlierFactor× from the median of its last
+/// kMedianWindow accepted measurements is rejected.
 constexpr std::size_t kMedianWindow = 5;
 constexpr double kOutlierFactor = 6.0;
+constexpr std::size_t kMinHistory = 3;
+/// A thread that executed a full epoch but drew less than this is on a
+/// dead/stuck power rail (floor well below any real idle draw).
+constexpr double kMinPowerW = 1e-3;
+/// After this many consecutive epochs without an accepted measurement the
+/// cached characterization is deemed untrustworthy and the thread is
+/// served the neutral prior instead (measured=false, instructions=0).
+constexpr int kMaxStaleEpochs = 8;
 /// Sensor-health tracking: confidence resets to 1 on an accepted
 /// measurement and multiplies by kHealthDecay on every rejected or missing
 /// one; a thread is "healthy" while confidence >= kHealthyThreshold.
@@ -21,8 +33,8 @@ constexpr double kHealthyThreshold = 0.5;
 }  // namespace
 
 SensingSubsystem::SensingSubsystem(const arch::Platform& platform, Config cfg,
-                                   Rng rng)
-    : platform_(platform), cfg_(cfg), rng_(rng) {}
+                                   Rng rng, bool defended)
+    : platform_(platform), cfg_(cfg), defended_(defended), rng_(rng) {}
 
 void SensingSubsystem::bump(std::string_view metric) {
   if (obs_ != nullptr) obs_->metrics().counter(metric).add();
@@ -82,22 +94,20 @@ ThreadObservation SensingSubsystem::reduce(const os::EpochSample& s) {
   const double energy = noisy(s.energy_j, cfg_.energy_noise_sigma);
   o.power_w = s.runtime > 0 ? energy / to_seconds(s.runtime) : 0.0;
 
-  o.measured = s.runtime >= cfg_.min_runtime && c.inst_total > 0;
+  o.measured = s.runtime >= kMinRuntime && c.inst_total > 0;
   return o;
 }
 
 bool SensingSubsystem::accept_fresh(const ThreadObservation& o,
                                     const os::EpochSample& s) {
-  const SensingDefenseConfig& d = cfg_.defense;
-  if (check_plausibility(o, s.counters, d.limits) ==
-      PlausibilityVerdict::kImplausible) {
+  if (check_plausibility(o, s.counters) == PlausibilityVerdict::kImplausible) {
     ++health_.implausible_rejected;
     bump("sense.implausible_rejected");
     return false;
   }
   // A thread that executed a full epoch while its rail reported (near)
   // nothing is on a dead or stuck-at-zero power sensor.
-  if (s.runtime >= cfg_.min_runtime && o.power_w < d.limits.min_power_w) {
+  if (s.runtime >= kMinRuntime && o.power_w < kMinPowerW) {
     ++health_.implausible_rejected;
     bump("sense.implausible_rejected");
     return false;
@@ -107,7 +117,7 @@ bool SensingSubsystem::accept_fresh(const ThreadObservation& o,
   // stay inside the physical envelope.
   const auto it = thread_health_.find(s.tid);
   if (it != thread_health_.end() &&
-      static_cast<int>(it->second.ips_history.size()) >= d.min_history) {
+      it->second.ips_history.size() >= kMinHistory) {
     std::vector<double> h = it->second.ips_history;
     std::nth_element(h.begin(), h.begin() + h.size() / 2, h.end());
     const double med = h[h.size() / 2];
@@ -142,16 +152,15 @@ std::vector<ThreadObservation> SensingSubsystem::observe(
     const std::vector<os::EpochSample>& samples) {
   std::vector<ThreadObservation> out;
   out.reserve(samples.size());
-  const bool defended = cfg_.defense.enabled;
   for (const auto& s : samples) {
     ThreadObservation o = reduce(s);
     sanitize_observation(o);
-    if (defended && o.measured && !accept_fresh(o, s)) {
+    if (defended_ && o.measured && !accept_fresh(o, s)) {
       // Corrupted fresh measurement: discard it and fall through to the
       // stale-serve path, exactly as if the thread had not run.
       o.measured = false;
       note_rejected(s.tid);
-    } else if (defended && !o.measured && s.runtime >= cfg_.min_runtime) {
+    } else if (defended_ && !o.measured && s.runtime >= kMinRuntime) {
       // Ran a full epoch yet retired nothing — the blackout signature; the
       // sensing infrastructure (not the thread) is the problem.
       ++health_.implausible_rejected;
@@ -170,7 +179,7 @@ std::vector<ThreadObservation> SensingSubsystem::observe(
       continue;
     }
     if (o.measured) {
-      if (defended) note_accepted(s.tid, o.ips);
+      if (defended_) note_accepted(s.tid, o.ips);
       const auto it = last_good_.find(s.tid);
       if (cfg_.smoothing > 0 && it != last_good_.end() &&
           it->second.core_type == o.core_type) {
@@ -193,11 +202,11 @@ std::vector<ThreadObservation> SensingSubsystem::observe(
       last_good_[s.tid] = o;
     } else {
       const auto it = last_good_.find(s.tid);
-      if (defended) {
+      if (defended_) {
         ThreadHealth& h = thread_health_[s.tid];
         ++h.stale_epochs;
         if (it != last_good_.end() &&
-            h.stale_epochs <= cfg_.defense.max_stale_epochs) {
+            h.stale_epochs <= kMaxStaleEpochs) {
           // Stale but recently characterized: reuse the last measurement,
           // refreshed with the current utilization.
           o = it->second;
@@ -231,7 +240,7 @@ std::vector<ThreadObservation> SensingSubsystem::observe(
     }
     out.push_back(o);
   }
-  if (defended && !samples.empty()) {
+  if (defended_ && !samples.empty()) {
     std::size_t healthy = 0;
     for (const auto& s : samples) {
       const auto it = thread_health_.find(s.tid);

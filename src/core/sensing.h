@@ -8,6 +8,11 @@
 // measurement; the subsystem retains each thread's last good observation so
 // the balancer still has a (stale) characterization — exactly the situation
 // the paper's closed loop must tolerate.
+//
+// Defending the path is one switch, `defended`, which the policy resolves
+// from SmartBalanceConfig::defenses. The defense layer's thresholds (the
+// plausibility envelope in features.cc; runtime floor, outlier window,
+// stale window and health decay in sensing.cc) are constants.
 #pragma once
 
 #include <optional>
@@ -26,26 +31,6 @@ class Sink;
 
 namespace sb::core {
 
-/// Defense-in-depth configuration for the sensing path. Disabled by
-/// default: with `enabled == false` the subsystem behaves bit-identically
-/// to the undefended pipeline (golden-figure contract). Enabled, it
-/// screens every fresh measurement against a physical-plausibility
-/// envelope, rejects statistical outliers against a per-thread median
-/// window, tracks per-thread sensor confidence, and escalates long-stale
-/// threads to the predictor's neutral prior.
-struct SensingDefenseConfig {
-  bool enabled = false;
-  PlausibilityLimits limits{};
-  /// Outlier screen: a fresh IPS far from the median of the thread's
-  /// recent accepted measurements is rejected (needs at least
-  /// `min_history` accepted points first; window and factor in sensing.cc).
-  int min_history = 3;
-  /// After this many consecutive epochs without an accepted measurement the
-  /// cached characterization is deemed untrustworthy and the thread is
-  /// served the neutral prior instead (measured=false, instructions=0).
-  int max_stale_epochs = 8;
-};
-
 /// Counters for the defense layer, aggregated across all epochs, plus the
 /// healthy-thread fraction of the most recent epoch.
 struct SensingHealthStats {
@@ -61,9 +46,6 @@ class SensingSubsystem {
   struct Config {
     double counter_noise_sigma = 0.005;  // 0.5% per-counter
     double energy_noise_sigma = 0.010;   // 1% on per-thread energy
-    /// Minimum execution time in an epoch for a fresh measurement to be
-    /// considered statistically valid.
-    TimeNs min_runtime = microseconds(300);
     /// EWMA weight of *history* when blending successive measurements of a
     /// thread on the same core type: 0 = paper-faithful point sampling of
     /// the last epoch, higher = characterize the thread's average behaviour
@@ -71,25 +53,31 @@ class SensingSubsystem {
     /// whose phases alternate faster than they migrate usefully (x264's
     /// per-frame ME/encode cycle). History resets on core-type change.
     double smoothing = 0.6;
-    SensingDefenseConfig defense{};
   };
 
-  SensingSubsystem(const arch::Platform& platform, Config cfg, Rng rng);
+  /// `defended` turns on the defense layer: every fresh measurement is
+  /// screened against a physical-plausibility envelope and against the
+  /// median of the thread's recent accepted measurements, per-thread sensor
+  /// confidence is tracked, and long-stale threads are escalated to the
+  /// predictor's neutral prior. Undefended, the subsystem is bit-identical
+  /// to the pipeline without the layer (golden-figure contract).
+  SensingSubsystem(const arch::Platform& platform, Config cfg, Rng rng,
+                   bool defended = false);
   SensingSubsystem(const arch::Platform& platform, Rng rng)
       : SensingSubsystem(platform, Config(), rng) {}
 
   /// Processes one epoch's samples into observations. Every alive thread
   /// yields exactly one observation: fresh if it ran long enough (and, with
   /// defenses on, passed the plausibility and outlier screens), the cached
-  /// previous one otherwise (marked measured=false if never seen or stale
-  /// past max_stale_epochs).
+  /// previous one otherwise (with defenses on, the neutral prior instead
+  /// once the thread has gone stale for too many epochs; see sensing.cc).
   std::vector<ThreadObservation> observe(
       const std::vector<os::EpochSample>& samples);
 
   /// Drops cached observations for threads no longer present.
   void garbage_collect(const std::vector<os::EpochSample>& samples);
 
-  const Config& config() const { return cfg_; }
+  bool defended() const { return defended_; }
   const SensingHealthStats& health() const { return health_; }
 
   /// Observability hook (null = off); counts defense decisions under
@@ -116,6 +104,7 @@ class SensingSubsystem {
 
   const arch::Platform& platform_;
   Config cfg_;
+  bool defended_;
   Rng rng_;
   std::unordered_map<ThreadId, ThreadObservation> last_good_;
   std::unordered_map<ThreadId, ThreadHealth> thread_health_;

@@ -118,10 +118,10 @@ struct ShardedBalancer::ShardTask {
 };
 
 ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
-                                 ShardingConfig cfg, SaConfig sa)
+                                 ShardingConfig cfg, int sa_iterations)
     : platform_(platform),
       cfg_(cfg),
-      sa_(sa),
+      sa_iterations_(sa_iterations),
       partition_(make_shard_partition(platform, std::max(1, cfg.shards))) {
   const int k = partition_.num_shards();
   if (k > 1) {
@@ -135,7 +135,8 @@ ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
   }
   optimizers_.reserve(partition_.cores.size());
   for (std::size_t ki = 0; ki < partition_.cores.size(); ++ki) {
-    optimizers_.push_back(std::make_unique<SaOptimizer>(sa_));
+    optimizers_.push_back(std::make_unique<SaOptimizer>(
+        SaConfig{.max_iterations = sa_iterations_}));
   }
 }
 
@@ -180,8 +181,8 @@ SaResult ShardedBalancer::balance(
   // One global iteration budget, split evenly: total annealing work stays
   // constant as shards are added, so the per-core cost falls as 1/K.
   const int total_budget =
-      sa_.max_iterations > 0
-          ? sa_.max_iterations
+      sa_iterations_ > 0
+          ? sa_iterations_
           : sa_auto_iterations(static_cast<int>(s.cols()),
                                static_cast<int>(m));
   const int shard_budget = std::max(100, total_budget / k);

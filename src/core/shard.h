@@ -9,8 +9,8 @@
 // phase that trades the worst-matched threads between shards using the
 // already-adapted Eq. 8 forecasts.
 //
-// Cost model: the global iteration budget (SaConfig::max_iterations, or the
-// Fig. 8a auto rule) is split evenly across shards, and each shard's moves
+// Cost model: the global iteration budget (SmartBalanceConfig::sa_iterations,
+// or the Fig. 8a auto rule) is split evenly across shards, and each shard's moves
 // touch only its own n/K columns — so total annealing work stays roughly
 // constant while wall-clock drops with parallelism and per-core cost falls
 // as 1/K. The exchange phase is O(m·K·q + E·(m+n)), negligible next to SA.
@@ -110,11 +110,11 @@ struct ShardPassStats {
 /// share the caller's objective by const reference.
 class ShardedBalancer {
  public:
-  /// `sa` is the policy's SaConfig (its max_iterations — or the auto rule —
-  /// is the *global* budget split across shards each pass). With K > 1 the
-  /// worker count is resolved here, once.
+  /// `sa_iterations` is the policy's SA budget (0 = the auto rule), the
+  /// *global* budget split across shards each pass. With K > 1 the worker
+  /// count is resolved here, once.
   ShardedBalancer(const arch::Platform& platform, ShardingConfig cfg,
-                  SaConfig sa);
+                  int sa_iterations);
 
   /// Runs the balance phase for one epoch. `s` and `p` must be m ×
   /// platform.num_cores(), `affinity` and `demand` must have m entries and
@@ -165,7 +165,7 @@ class ShardedBalancer {
 
   const arch::Platform& platform_;
   ShardingConfig cfg_;
-  SaConfig sa_;
+  int sa_iterations_;
   ShardPartition partition_;
   /// Workers for the shard passes (1 with one shard).
   int jobs_ = 1;

@@ -41,23 +41,6 @@ double realized_objective(const std::vector<ThreadObservation>& observations,
 
 }  // namespace
 
-SensingSubsystem::Config SmartBalancePolicy::resolve_sensing(
-    const SmartBalanceConfig& cfg) {
-  SensingSubsystem::Config s = cfg.sensing;
-  switch (cfg.defenses) {
-    case SmartBalanceConfig::Defenses::kOn:
-      s.defense.enabled = true;
-      break;
-    case SmartBalanceConfig::Defenses::kOff:
-      s.defense.enabled = false;
-      break;
-    case SmartBalanceConfig::Defenses::kAuto:
-      s.defense.enabled = s.defense.enabled || !cfg.fault_plan.empty();
-      break;
-  }
-  return s;
-}
-
 SmartBalancePolicy::SmartBalancePolicy(
     const arch::Platform& platform, PredictorModel model,
     SmartBalanceConfig cfg, std::unique_ptr<BalanceObjective> objective)
@@ -66,12 +49,11 @@ SmartBalancePolicy::SmartBalancePolicy(
       cfg_(cfg),
       objective_(objective ? std::move(objective)
                            : std::make_unique<EnergyEfficiencyObjective>()),
-      sensing_(platform, resolve_sensing(cfg), Rng(cfg.seed ^ 0x5e25ULL)),
-      sharded_(platform, cfg.sharding, [&] {
-        SaConfig sa = cfg.sa;
-        sa.seed = cfg.seed ^ 0x0a0aULL;
-        return sa;
-      }()) {
+      sensing_(platform, cfg.sensing, Rng(cfg.seed ^ 0x5e25ULL),
+               cfg.defenses == SmartBalanceConfig::Defenses::kOn ||
+                   (cfg.defenses == SmartBalanceConfig::Defenses::kAuto &&
+                    !cfg.fault_plan.empty())),
+      sharded_(platform, cfg.sharding, cfg.sa_iterations) {
   if (!cfg_.fault_plan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan);
   }
@@ -120,7 +102,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   }
   const SensingHealthStats pre_health = sensing_.health();
   auto observations = sensing_.observe(samples);
-  if (sensing_.config().defense.enabled) {
+  if (sensing_.defended()) {
     const SensingHealthStats& h = sensing_.health();
     faults_detected_ += (h.implausible_rejected + h.outliers_rejected) -
                         (pre_health.implausible_rejected +
@@ -228,7 +210,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // S/P matrices are mostly fiction — migrating on them is worse than not
   // using them at all. Delegate the pass to the heterogeneity-blind (but
   // sensing-free) vanilla balancer until health recovers.
-  if (sensing_.config().defense.enabled &&
+  if (sensing_.defended() &&
       sensing_.health().healthy_fraction < kDegradedHealthyThreshold) {
     ++degraded_passes_;
     if (obs != nullptr) {
@@ -372,7 +354,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
         if (result.allocation[i] != initial[i]) ++d.migrations;
       }
     }
-    d.healthy_fraction = sensing_.config().defense.enabled
+    d.healthy_fraction = sensing_.defended()
                              ? sensing_.health().healthy_fraction
                              : 1.0;
     d.sa_iterations = result.iterations;

@@ -38,7 +38,10 @@ namespace sb::core {
 struct SmartBalanceConfig {
   /// Epoch length T_Epoch (covers L CFS scheduling periods).
   TimeNs epoch = milliseconds(60);
-  SaConfig sa;
+  /// SA iteration budget per pass (Opt_max_iter); 0 = auto-scale from the
+  /// problem size with the Fig. 8(a) rule. With K shards it is the global
+  /// budget split across them.
+  int sa_iterations = 0;
   SensingSubsystem::Config sensing;
   std::uint64_t seed = 99;
   /// Apply a new allocation only if its predicted objective exceeds the
@@ -119,7 +122,7 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   /// Fault-resilience introspection.
   const fault::FaultInjector* injector() const { return injector_.get(); }
   const SensingHealthStats& sensing_health() const { return sensing_.health(); }
-  bool defenses_enabled() const { return sensing_.config().defense.enabled; }
+  bool defenses_enabled() const { return sensing_.defended(); }
   std::uint64_t degraded_passes() const { return degraded_passes_; }
   std::uint64_t faults_detected() const { return faults_detected_; }
   std::uint64_t faults_absorbed() const { return faults_absorbed_; }
@@ -132,7 +135,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   double last_accept_rate() const { return last_sa_accept_rate_; }
 
  private:
-  static SensingSubsystem::Config resolve_sensing(const SmartBalanceConfig& cfg);
   const arch::Platform& platform_;
   PredictorModel model_;
   SmartBalanceConfig cfg_;

@@ -40,9 +40,7 @@ workload::ArrivalProcess::Config make_arrival_config(const FleetConfig& cfg,
                                                      int num_classes) {
   workload::ArrivalProcess::Config acfg;
   acfg.rate_hz = cfg.rate_hz;
-  acfg.burst_factor = cfg.burst_factor;
   acfg.num_classes = num_classes;
-  acfg.zipf_theta = cfg.zipf_theta;
   acfg.seed = cfg.seed ^ 0x61727276ULL;  // "arrv"
   return acfg;
 }
@@ -131,17 +129,9 @@ FleetSimulation::FleetSimulation(FleetConfig cfg,
         "FleetSimulation: need 1 platform (replicated) or exactly "
         "cfg.nodes platforms");
   }
-  const bool want_ts = cfg_.timeseries || !cfg_.slo.empty();
-  if (cfg_.trace || cfg_.metrics || want_ts) {
-    obs::ObsConfig ocfg;
-    ocfg.metrics = cfg_.metrics;
-    ocfg.trace = cfg_.trace;
-    ocfg.timeseries.enabled = want_ts;
-    ocfg.timeseries.window = cfg_.obs_window;
-    ocfg.timeseries.capacity = cfg_.obs_capacity;
-    if (!cfg_.slo.empty()) ocfg.slo = obs::SloConfig::parse(cfg_.slo);
-    obs_ = std::make_unique<obs::Sink>(ocfg);
-    ts_next_ = cfg_.obs_window;
+  if (cfg_.obs.enabled()) {
+    obs_ = std::make_unique<obs::Sink>(cfg_.obs);
+    ts_next_ = cfg_.obs.timeseries.window;
   }
   if (!cfg_.arrival_replay.empty()) {
     // Replace the MMPP clock with the trace's spawn instants. The trace is
@@ -194,10 +184,10 @@ void FleetSimulation::build_nodes(
     // With node_obs, every node runs its own sampler at the fleet cadence;
     // the per-node series ride into the export as run = node index + 1.
     // SLO objectives stay fleet-level (they score the fleet's signals).
-    if (cfg_.node_obs && (cfg_.timeseries || !cfg_.slo.empty())) {
+    if (cfg_.node_obs &&
+        (cfg_.obs.timeseries.enabled || !cfg_.obs.slo.empty())) {
+      scfg.obs.timeseries = cfg_.obs.timeseries;
       scfg.obs.timeseries.enabled = true;
-      scfg.obs.timeseries.window = cfg_.obs_window;
-      scfg.obs.timeseries.capacity = cfg_.obs_capacity;
     }
     node->sim = std::make_unique<sim::Simulation>(node->platform, scfg);
     node->sim->set_balancer(factory(*node->sim));
@@ -475,7 +465,7 @@ void FleetSimulation::sample_timeseries(TimeNs now) {
     }
     obs_->complete_frame();
     ts_last_ = ts_next_;
-    ts_next_ += cfg_.obs_window;
+    ts_next_ += cfg_.obs.timeseries.window;
   }
 }
 

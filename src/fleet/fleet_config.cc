@@ -72,18 +72,16 @@ void FleetConfig::validate() const {
     throw std::invalid_argument(
         "FleetConfig: node_policy must be smartbalance or vanilla");
   }
-  if (!(burst_factor >= 1.0) || !(burst_factor <= 1e3)) {
-    throw std::invalid_argument("FleetConfig: burst_factor out of [1, 1e3]");
-  }
-  if (zipf_theta < 0 || zipf_theta > 16.0) {
-    throw std::invalid_argument("FleetConfig: zipf_theta out of [0, 16]");
-  }
   if (!(load_cap >= 0.5) || !(load_cap <= 64.0)) {
     throw std::invalid_argument("FleetConfig: load_cap out of [0.5, 64]");
   }
   if (consolidation_bias < 0 || consolidation_bias > 10.0) {
     throw std::invalid_argument(
         "FleetConfig: consolidation_bias out of [0, 10]");
+  }
+  if (obs.audit) {
+    throw std::invalid_argument(
+        "FleetConfig: obs.audit has no fleet balancer to audit");
   }
 }
 

@@ -3,7 +3,8 @@
 // Fields per common/spec.h: a compact colon-separated spec covers the knobs
 // a CLI user reaches for (node count, dispatch policy, mean arrival rate);
 // everything else — quantum, duration, catalog, consolidation tuning — is
-// an API field the harnesses set directly. parse() throws
+// an API field the harnesses set directly. Fleet observability is the same
+// obs::ObsConfig a single-node run takes. parse() throws
 // std::invalid_argument with a message naming the offending token, and
 // canonical() round-trips through parse() bit for bit.
 #pragma once
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "common/types.h"
+#include "obs/sink.h"
 
 namespace sb::fleet {
 
@@ -26,7 +28,8 @@ struct FleetConfig {
   // --- CLI grammar fields: "N[:policy[:rate]]" ---
   int nodes = 4;
   DispatchPolicy policy = DispatchPolicy::kEnergyAware;
-  /// Long-run mean job arrival rate for the whole fleet (jobs/second).
+  /// Long-run mean job arrival rate for the whole fleet (jobs/second). The
+  /// stream's burst and Zipf shape are workload/arrival.h's defaults.
   double rate_hz = 300.0;
 
   // --- API knobs (not part of the grammar) ---
@@ -42,9 +45,6 @@ struct FleetConfig {
   int step_jobs = 0;
   /// Per-node balancing policy: "smartbalance" or "vanilla".
   std::string node_policy = "smartbalance";
-  /// Arrival-process shape (see workload/arrival.h).
-  double burst_factor = 4.0;
-  double zipf_theta = 0.99;
   /// Energy-aware placement: a node is saturated (ineligible) once its
   /// live fleet threads would exceed load_cap * cores.
   double load_cap = 2.0;
@@ -57,22 +57,16 @@ struct FleetConfig {
   /// the catalog), looping the trace by its span until the window closes.
   /// Set via sbsim --fleet-arrivals=replay:<file>.
   std::string arrival_replay;
-  /// Fleet-level observability (fleet.quantum spans, fleet.dispatch
-  /// instants, job latency histograms).
-  bool trace = false;
-  bool metrics = false;
+  /// Fleet-level observability: fleet.quantum spans and fleet.dispatch
+  /// instants (trace), job latency histograms (metrics), the continuous
+  /// telemetry plane sampling the fleet — and, with node_obs, every node —
+  /// at its window of simulated time (timeseries), and SLO burn-rate
+  /// objectives over the fleet's sampled signals (slo, implies timeseries).
+  /// Exports stay byte-identical across step_jobs worker counts. `audit`
+  /// must stay off: the fleet has no balancer of its own to audit.
+  obs::ObsConfig obs;
   /// Also collect each node's metrics registry (merged into exports).
   bool node_obs = false;
-  /// Continuous telemetry plane (obs/timeseries.h): samples the fleet —
-  /// and, with node_obs, every node — at obs_window cadence of simulated
-  /// time. Exports stay byte-identical across step_jobs worker counts.
-  bool timeseries = false;
-  TimeNs obs_window = milliseconds(10);
-  std::size_t obs_capacity = std::size_t{1} << 16;
-  /// Non-empty: SLO burn-rate objectives over the fleet's sampled signals
-  /// (obs/slo.h grammar, e.g. "p99_wake_us<2000:burn=0.02"); implies
-  /// timeseries.
-  std::string slo;
 
   /// Parses "N[:policy[:rate]]", e.g. "8", "8:rr", "8:energy:450".
   static FleetConfig parse(const std::string& text);

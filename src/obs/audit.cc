@@ -4,13 +4,6 @@
 
 namespace sb::obs {
 
-AuditRecorder::AuditRecorder(AuditConfig cfg)
-    : cfg_(cfg),
-      threads_(cfg.capacity),
-      epochs_(cfg.capacity),
-      migrations_(cfg.capacity),
-      residuals_(cfg.ewma_alpha, cfg.drift_threshold, cfg.drift_min_joins) {}
-
 std::vector<DriftEvent> AuditRecorder::join(
     std::uint64_t epoch, const std::vector<AuditObservation>& obs,
     double realized_j) {
@@ -61,7 +54,7 @@ std::vector<DriftEvent> AuditRecorder::join(
           ev.epoch = epoch;
           ev.src_type = p.src_type;
           ev.dst_type = p.dst_type;
-          ev.metric = t.ewma_gips > cfg_.drift_threshold ? 0 : 1;
+          ev.metric = t.ewma_gips > kDriftThreshold ? 0 : 1;
           ev.ewma = std::max(t.ewma_gips, t.ewma_power);
           ev.joins = t.joins;
           drift_events_.push_back(ev);
@@ -110,7 +103,7 @@ std::vector<DriftEvent> AuditRecorder::join(
       }
       done = true;
     } else if (match == nullptr ||
-               epoch - pm.rec.epoch >= cfg_.migration_join_max_age) {
+               epoch - pm.rec.epoch >= kMigrationJoinMaxAge) {
       // Thread exited or the window expired (sensing keeps serving the
       // cached pre-migration row while caches warm, so an observation on
       // the source core does NOT mean the thread moved back).

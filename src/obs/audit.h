@@ -16,9 +16,10 @@
 //              first warmed-up measurement on the destination core
 //
 // A per-(src,dst)-core-type ResidualTracker keeps EWMAs of the residuals
-// and a drift detector; a rising edge above the threshold yields a drift
-// event the caller surfaces as a `predictor.drift` trace instant (and may
-// escalate through the degraded-mode machinery).
+// and a drift detector (at the drift contract of obs/residual_tracker.h);
+// a rising edge above the threshold yields a drift event the caller
+// surfaces as a `predictor.drift` trace instant (and may escalate through
+// the degraded-mode machinery).
 //
 // Everything here is sim-time only — epochs, tids, cores, objective values.
 // No host clocks, no RNG, no feedback into the simulation: like the rest of
@@ -34,23 +35,13 @@
 
 namespace sb::obs {
 
-struct AuditConfig {
-  /// Per-ledger ring capacity (records, clamped to >= 1); oldest records
-  /// drop on overflow.
-  std::size_t capacity = 4096;
-  /// EWMA smoothing for the per-(src,dst) residual trackers.
-  double ewma_alpha = 0.25;
-  /// |relative residual| EWMA level that trips the drift detector.
-  double drift_threshold = 0.25;
-  /// Joins a (src,dst) pair must accumulate before it may trip (debounce:
-  /// the first few joins after a migration carry cold-start noise).
-  std::uint64_t drift_min_joins = 8;
-  /// Epochs a pending migration waits for a warmed-up measurement on its
-  /// destination core before being closed out unvalidated (must exceed the
-  /// balancer's migration cooldown, during which sensing serves the cached
-  /// pre-migration characterization).
-  std::uint64_t migration_join_max_age = 6;
-};
+/// Per-ledger ring capacity (records); oldest records drop on overflow.
+inline constexpr std::size_t kAuditCapacity = 4096;
+/// Epochs a pending migration waits for a warmed-up measurement on its
+/// destination core before being closed out unvalidated (must exceed the
+/// balancer's migration cooldown, during which sensing serves the cached
+/// pre-migration characterization).
+inline constexpr std::uint64_t kMigrationJoinMaxAge = 6;
 
 /// One joined thread prediction: forecast at `epoch - 1`, validated against
 /// the observation sensed at `epoch`. Residuals are signed and relative to
@@ -182,10 +173,6 @@ struct AuditSnapshot {
 
 class AuditRecorder {
  public:
-  explicit AuditRecorder(AuditConfig cfg);
-
-  const AuditConfig& config() const { return cfg_; }
-
   /// Phase A of every pass, right after sensing: joins the predictions
   /// registered last pass against this pass's observations, finalizes the
   /// previous epoch record (realized ΔJ / regret), closes out matured
@@ -223,10 +210,9 @@ class AuditRecorder {
     std::uint64_t seq = 0;  // ring slot of its (open) ledger record
   };
 
-  AuditConfig cfg_;
-  Ring<ThreadAuditRecord> threads_;
-  Ring<EpochAuditRecord> epochs_;
-  Ring<MigrationAuditRecord> migrations_;
+  Ring<ThreadAuditRecord> threads_{kAuditCapacity};
+  Ring<EpochAuditRecord> epochs_{kAuditCapacity};
+  Ring<MigrationAuditRecord> migrations_{kAuditCapacity};
   std::vector<DriftEvent> drift_events_;
 
   /// Forecasts awaiting next epoch's observations.

@@ -6,7 +6,8 @@
 // covariance on rising edges. The flag rises when either |residual| EWMA
 // exceeds the threshold after at least `min_joins` joins (the first joins
 // after a migration carry cold-start noise), and re-arms once both EWMAs
-// fall back to the threshold or below.
+// fall back to the threshold or below. Both consumers run at the one drift
+// contract below, so their detectors fire together.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,13 @@
 #include <vector>
 
 namespace sb::obs {
+
+/// EWMA smoothing of the per-(src,dst) residual trackers.
+inline constexpr double kResidualAlpha = 0.25;
+/// |relative residual| EWMA level that trips the drift detector.
+inline constexpr double kDriftThreshold = 0.25;
+/// Joins a (src,dst) pair must accumulate before it may trip (debounce).
+inline constexpr std::uint64_t kDriftMinJoins = 8;
 
 /// Thread `tid`'s entry in one pass's observations (the join key of a
 /// forecast made one pass earlier), or null when it did not report.
@@ -43,7 +51,9 @@ class ResidualTracker {
   };
   using Key = std::pair<std::int32_t, std::int32_t>;  // (src, dst) type
 
-  ResidualTracker(double alpha, double threshold, std::uint64_t min_joins)
+  explicit ResidualTracker(double alpha = kResidualAlpha,
+                           double threshold = kDriftThreshold,
+                           std::uint64_t min_joins = kDriftMinJoins)
       : alpha_(alpha), threshold_(threshold), min_joins_(min_joins) {}
 
   /// Folds one joined forecast's residuals into the (src,dst) pair. Returns

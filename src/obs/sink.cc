@@ -6,7 +6,7 @@ namespace sb::obs {
 
 Sink::Sink(ObsConfig cfg) : cfg_(cfg) {
   if (cfg_.trace) tracer_ = std::make_unique<EpochTracer>(std::size_t{1} << 16);
-  if (cfg_.audit) audit_ = std::make_unique<AuditRecorder>(AuditConfig{});
+  if (cfg_.audit) audit_ = std::make_unique<AuditRecorder>();
   // SLO objectives need frames to score, so they imply the sampler.
   if (!cfg_.slo.empty()) cfg_.timeseries.enabled = true;
   if (cfg_.timeseries.enabled) {

@@ -7,6 +7,12 @@
 #include "core/smart_balance.h"
 
 namespace sb::sim {
+namespace {
+
+/// Sampling period for thermal stepping and trace rows.
+constexpr TimeNs kSampleInterval = milliseconds(5);
+
+}  // namespace
 
 Simulation::Simulation(const arch::Platform& platform, SimulationConfig cfg)
     : platform_(platform), cfg_(cfg), spawn_rng_(cfg.seed) {
@@ -143,7 +149,7 @@ SimulationResult Simulation::run() {
 
 void Simulation::step_until(TimeNs until, TimeNs max_step,
                             bool stop_when_done) {
-  const TimeNs cap = sampled_ ? cfg_.sample_interval : max_step;
+  const TimeNs cap = sampled_ ? kSampleInterval : max_step;
   while (kernel_->now() < until &&
          !(stop_when_done && kernel_->all_exited() && arrivals_.empty())) {
     TimeNs chunk = until - kernel_->now();

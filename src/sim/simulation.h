@@ -32,15 +32,14 @@ struct SimulationConfig {
   std::uint64_t seed = 1234;
   std::string label;
 
-  /// Enables the per-core RC thermal model (sampled every sample_interval);
-  /// results gain max/final core temperatures.
+  /// Enables the per-core RC thermal model (stepped every 5 ms of simulated
+  /// time); results gain max/final core temperatures.
   bool thermal_enabled = false;
   power::ThermalModel::Config thermal;
   /// Non-empty: writes a long-format per-core time series
-  /// (time_ms, core, power_w, temp_c, nr_running, freq_mhz) as CSV.
+  /// (time_ms, core, power_w, temp_c, nr_running, freq_mhz) as CSV, one
+  /// row per core every 5 ms of simulated time.
   std::string trace_path;
-  /// Sampling period for thermal stepping and trace rows.
-  TimeNs sample_interval = milliseconds(5);
 
   /// Observability: metrics registry and/or epoch tracer (see src/obs/).
   /// Off by default — a disabled run is bit-identical to a pre-obs build.

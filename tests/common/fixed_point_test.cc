@@ -110,33 +110,6 @@ TEST(FixedMath, ExpMonotoneNonIncreasing) {
   }
 }
 
-TEST(FixedMath, LogBasics) {
-  EXPECT_NEAR(fixed_log(Fixed::from_int(1)).to_double(), 0.0, 1e-3);
-  EXPECT_NEAR(fixed_log(Fixed::from_double(2.718281828)).to_double(), 1.0,
-              5e-3);
-  EXPECT_NEAR(fixed_log(Fixed::from_double(0.5)).to_double(), std::log(0.5),
-              5e-3);
-  EXPECT_LT(fixed_log(kFixedZero).raw(), 0) << "log(<=0) returns sentinel";
-}
-
-class FixedLogSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(FixedLogSweep, MatchesLibm) {
-  const double x = GetParam();
-  EXPECT_NEAR(fixed_log(Fixed::from_double(x)).to_double(), std::log(x), 1e-2);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, FixedLogSweep,
-                         ::testing::Values(0.01, 0.1, 0.9, 1.0, 1.1, 2.0, 10.0,
-                                           100.0, 30000.0));
-
-TEST(FixedMath, ExpLogRoundTrip) {
-  for (double x : {0.2, 0.5, 0.9}) {
-    const Fixed lx = fixed_log(Fixed::from_double(x));
-    EXPECT_NEAR(fixed_exp_neg(lx).to_double(), x, 0.02) << "x=" << x;
-  }
-}
-
 // --- Saturating variants: hardened entry points for counter-derived data ---
 
 TEST(FixedSaturating, FromDoubleClampsOutOfRange) {

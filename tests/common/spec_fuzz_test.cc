@@ -76,14 +76,9 @@ const std::vector<Grammar>& grammars() {
       {"AdaptationConfigFuzz", "TenThousandSeededMutations",
        [](const std::string& s) {
          const auto c = core::AdaptationConfig::parse(s);
-         return Parsed{c.canonical(),
-                       bits(c.bias, c.bias_alpha, c.gain_clamp, c.rls,
-                            c.rls_lambda, c.rls_p0, c.rls_reset_on_drift,
-                            c.drift_threshold, c.drift_min_joins)};
+         return Parsed{c.canonical(), bits(c.bias, c.rls)};
        },
-       {"bias", "rls", "bias,rls", "bias:0.25", "bias:0.25:0.5", "rls:0.995",
-        "rls:0.995:1:1", "rls:1:1000000:0",
-        "bias:0.1,rls:0.9:10:1,drift:0.25:8", "drift:0.5:4,bias", ""},
+       {"bias", "rls", "bias,rls", "rls,bias", ",bias,", "rls,,rls", ""},
        "0123456789.:,-+eE \tinfnanbiasrlsdriftresetlambdaclamp\0\x7f"sv,
        0xada9f00dULL},
       {"ShardingConfig", "FuzzedSpecsEitherParseOrThrowInvalidArgument",

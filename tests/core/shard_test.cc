@@ -190,7 +190,7 @@ TEST(ShardedBalancer, SingleShardIsBitIdenticalToUnshardedOptimizer) {
 
   ShardingConfig cfg;
   cfg.shards = 1;
-  ShardedBalancer sharded(platform, cfg, sa);
+  ShardedBalancer sharded(platform, cfg, sa.max_iterations);
   const SaResult a =
       sharded.balance(0, pass_seed, inst.s, inst.p, obj, inst.initial,
                       inst.affinity, inst.demand, nullptr, 0);
@@ -215,14 +215,13 @@ TEST(ShardedBalancer, ResultsIndependentOfWorkerCount) {
   const auto platform = arch::Platform::scaled_heterogeneous(4);  // 16 cores
   const auto inst = random_instance(platform, 32, 7);
   EnergyEfficiencyObjective obj;
-  SaConfig sa;
-  sa.max_iterations = 4000;
+  const int sa_iterations = 4000;
 
   auto run = [&](int jobs) {
     ShardingConfig cfg;
     cfg.shards = 4;
     cfg.jobs = jobs;
-    ShardedBalancer b(platform, cfg, sa);
+    ShardedBalancer b(platform, cfg, sa_iterations);
     return b.balance(0, 0x1234ULL, inst.s, inst.p, obj, inst.initial,
                      inst.affinity, inst.demand, nullptr, 0);
   };
@@ -239,13 +238,12 @@ TEST(ShardedBalancer, MergedObjectiveNeverWorseThanInitial) {
   // reverts non-improving moves, so the merged global J cannot regress.
   const auto platform = arch::Platform::scaled_heterogeneous(2);  // 8 cores
   EnergyEfficiencyObjective obj;
-  SaConfig sa;
-  sa.max_iterations = 2000;
+  const int sa_iterations = 2000;
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
     const auto inst = random_instance(platform, 16, seed);
     ShardingConfig cfg;
     cfg.shards = 4;
-    ShardedBalancer b(platform, cfg, sa);
+    ShardedBalancer b(platform, cfg, sa_iterations);
     const SaResult r =
         b.balance(0, seed, inst.s, inst.p, obj, inst.initial, inst.affinity,
                   inst.demand, nullptr, 0);
@@ -273,10 +271,9 @@ TEST(ShardedBalancer, RespectsAffinityMasks) {
   }
   ShardingConfig cfg;
   cfg.shards = 4;
-  SaConfig sa;
-  sa.max_iterations = 1000;
+  const int sa_iterations = 1000;
   EnergyEfficiencyObjective obj;
-  ShardedBalancer b(platform, cfg, sa);
+  ShardedBalancer b(platform, cfg, sa_iterations);
   const SaResult r = b.balance(0, 5, inst.s, inst.p, obj, inst.initial,
                                inst.affinity, inst.demand, nullptr, 0);
   EXPECT_EQ(r.allocation, inst.initial);
@@ -305,7 +302,7 @@ TEST(ShardedBalancer, RejectsShortPerThreadVectors) {
     SCOPED_TRACE(::testing::Message() << "K = " << shards);
     ShardingConfig cfg;
     cfg.shards = shards;
-    ShardedBalancer b(platform, cfg, SaConfig{});
+    ShardedBalancer b(platform, cfg, 0);
     EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial, one_mask,
                            inst.demand, nullptr, 0),
                  std::invalid_argument);
@@ -366,7 +363,7 @@ void expect_golden(const BalanceObjective& objective,
   ShardingConfig cfg;
   cfg.shards = 4;
   cfg.jobs = 2;
-  ShardedBalancer b(platform, cfg, SaConfig{});
+  ShardedBalancer b(platform, cfg, 0);
   const SaResult r =
       b.balance(0, 0x5eedULL, inst.s, inst.p, objective, inst.initial,
                 inst.affinity, inst.demand, nullptr, 0);
@@ -445,12 +442,11 @@ TEST(ShardedBalancer, MalformedSbJobsWarnsOncePerBalancer) {
   const auto platform = arch::Platform::scaled_heterogeneous(2);
   const auto inst = random_instance(platform, 16, 11);
   EnergyEfficiencyObjective obj;
-  SaConfig sa;
-  sa.max_iterations = 400;
+  const int sa_iterations = 400;
   ShardingConfig cfg;
   cfg.shards = 2;
   testing::internal::CaptureStderr();
-  ShardedBalancer b(platform, cfg, sa);
+  ShardedBalancer b(platform, cfg, sa_iterations);
   for (std::uint64_t pass = 0; pass < 5; ++pass) {
     b.balance(pass, pass, inst.s, inst.p, obj, inst.initial, inst.affinity,
               inst.demand, nullptr, 0);

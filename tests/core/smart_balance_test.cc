@@ -13,6 +13,8 @@
 #include "os/vanilla_balancer.h"
 #include "perf/perf_model.h"
 #include "power/power_model.h"
+#include "sim/experiment.h"
+#include "sim/simulation.h"
 #include "workload/benchmarks.h"
 
 namespace sb::core {
@@ -252,6 +254,45 @@ TEST_F(SmartBalanceTest, DefaultObjectiveIsEq11) {
   EXPECT_EQ(by_default, run(std::make_unique<EnergyEfficiencyObjective>()));
   EXPECT_GT(std::get<1>(by_default), 0u)
       << "the objective must steer migrations";
+}
+
+TEST_F(SmartBalanceTest, DefensesSwitchTruthTable) {
+  // kAuto defends exactly when the fault plan is non-empty; kOn and kOff
+  // force either side. Undefended sensing never scores sensor health, so
+  // the run reports every thread healthy even under faults.
+  using D = SmartBalanceConfig::Defenses;
+  struct Row {
+    D defenses;
+    bool clean;   // defended with an empty fault plan
+    bool faulty;  // defended under noise:0.8:8
+  };
+  const Row rows[] = {
+      {D::kAuto, false, true}, {D::kOn, true, true}, {D::kOff, false, false}};
+  for (const Row& row : rows) {
+    for (const bool faults : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "defenses "
+                                        << static_cast<int>(row.defenses)
+                                        << (faults ? ", faults" : ", clean"));
+      SmartBalanceConfig cfg;
+      cfg.defenses = row.defenses;
+      if (faults) cfg.fault_plan = fault::FaultPlan::parse("noise:0.8:8", 7);
+      sim::SimulationConfig scfg;
+      scfg.duration = milliseconds(600);
+      sim::Simulation s(platform_, scfg);
+      s.add_benchmark("canneal", 2);
+      s.add_benchmark("swaptions", 2);
+      s.set_balancer(sim::smartbalance_factory(cfg)(s));
+      const auto* policy =
+          dynamic_cast<const SmartBalancePolicy*>(s.kernel().balancer());
+      ASSERT_NE(policy, nullptr);
+      const bool defended = faults ? row.faulty : row.clean;
+      EXPECT_EQ(policy->defenses_enabled(), defended);
+      const sim::SimulationResult r = s.run();
+      if (!defended) {
+        EXPECT_EQ(r.healthy_fraction, 1.0);
+      }
+    }
+  }
 }
 
 }  // namespace

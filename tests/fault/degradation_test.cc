@@ -32,22 +32,22 @@ os::EpochSample good_sample(ThreadId tid, CoreId core) {
   return s;
 }
 
-SensingSubsystem::Config quiet_config(bool defended) {
-  SensingSubsystem::Config cfg;
-  cfg.counter_noise_sigma = 0;
-  cfg.energy_noise_sigma = 0;
-  cfg.smoothing = 0;
-  cfg.defense.enabled = defended;
-  return cfg;
-}
-
 class DefenseTest : public ::testing::Test {
  protected:
+  /// Noise- and smoothing-free sensing, so every verdict is exact.
+  SensingSubsystem quiet_sensing(bool defended) const {
+    SensingSubsystem::Config cfg;
+    cfg.counter_noise_sigma = 0;
+    cfg.energy_noise_sigma = 0;
+    cfg.smoothing = 0;
+    return SensingSubsystem(platform_, cfg, Rng(1), defended);
+  }
+
   arch::Platform platform_ = arch::Platform::quad_heterogeneous();
 };
 
 TEST_F(DefenseTest, DefensesOffPassesImplausibleDataThrough) {
-  SensingSubsystem sensing(platform_, quiet_config(false), Rng(1));
+  SensingSubsystem sensing = quiet_sensing(false);
   auto s = good_sample(1, 0);
   s.counters.inst_total = perf::HpcCounters::k32BitCeiling;  // wrap artefact
   const auto obs = sensing.observe({s});
@@ -58,7 +58,7 @@ TEST_F(DefenseTest, DefensesOffPassesImplausibleDataThrough) {
 }
 
 TEST_F(DefenseTest, WrapArtefactRejectedAndStaleServed) {
-  SensingSubsystem sensing(platform_, quiet_config(true), Rng(1));
+  SensingSubsystem sensing = quiet_sensing(true);
   const auto good = sensing.observe({good_sample(1, 0)});
   ASSERT_TRUE(good[0].measured);
   const double good_ipc = good[0].ipc;
@@ -74,7 +74,7 @@ TEST_F(DefenseTest, WrapArtefactRejectedAndStaleServed) {
 }
 
 TEST_F(DefenseTest, ImpossibleCycleRateRejected) {
-  SensingSubsystem sensing(platform_, quiet_config(true), Rng(1));
+  SensingSubsystem sensing = quiet_sensing(true);
   auto s = good_sample(1, 0);
   // 50 ms runtime cannot hold 4e9 cycles on any clock below 8 GHz; both
   // fields stay below the 32-bit ceiling so only the rate guard can fire.
@@ -85,7 +85,7 @@ TEST_F(DefenseTest, ImpossibleCycleRateRejected) {
 }
 
 TEST_F(DefenseTest, StuckPowerRailRejected) {
-  SensingSubsystem sensing(platform_, quiet_config(true), Rng(1));
+  SensingSubsystem sensing = quiet_sensing(true);
   auto s = good_sample(1, 0);
   s.energy_j = 0.0;  // full epoch of execution, zero joules: dead rail
   (void)sensing.observe({s});
@@ -93,9 +93,7 @@ TEST_F(DefenseTest, StuckPowerRailRejected) {
 }
 
 TEST_F(DefenseTest, OutlierRejectedAgainstMedianHistory) {
-  auto cfg = quiet_config(true);
-  cfg.defense.min_history = 3;
-  SensingSubsystem sensing(platform_, cfg, Rng(1));
+  SensingSubsystem sensing = quiet_sensing(true);
   for (int e = 0; e < 4; ++e) {
     const auto obs = sensing.observe({good_sample(1, 0)});
     EXPECT_TRUE(obs[0].measured);
@@ -113,27 +111,25 @@ TEST_F(DefenseTest, OutlierRejectedAgainstMedianHistory) {
 }
 
 TEST_F(DefenseTest, NeutralPriorAfterMaxStaleEpochs) {
-  auto cfg = quiet_config(true);
-  cfg.defense.max_stale_epochs = 3;
-  SensingSubsystem sensing(platform_, cfg, Rng(1));
+  SensingSubsystem sensing = quiet_sensing(true);
   (void)sensing.observe({good_sample(1, 0)});
 
   auto blackout = good_sample(1, 0);
   blackout.counters.reset();  // ran, but sensing read zeros
-  for (int e = 0; e < 3; ++e) {
+  // The stale window is 8 epochs (sensing.cc).
+  for (int e = 0; e < 8; ++e) {
     const auto obs = sensing.observe({blackout});
     EXPECT_TRUE(obs[0].measured) << "within stale window, serve cache";
   }
   const auto obs = sensing.observe({blackout});
   EXPECT_FALSE(obs[0].measured) << "past the window, neutral prior";
   EXPECT_EQ(obs[0].instructions, 0u);
-  EXPECT_GE(sensing.health().neutral_served, 1u);
-  EXPECT_GE(sensing.health().stale_served, 3u);
+  EXPECT_EQ(sensing.health().neutral_served, 1u);
+  EXPECT_EQ(sensing.health().stale_served, 8u);
 }
 
 TEST_F(DefenseTest, HealthyFractionTracksConfidenceDecay) {
-  auto cfg = quiet_config(true);
-  SensingSubsystem sensing(platform_, cfg, Rng(1));
+  SensingSubsystem sensing = quiet_sensing(true);
   auto good = good_sample(1, 0);
   auto bad = good_sample(2, 1);
   bad.counters.inst_total = perf::HpcCounters::k32BitCeiling;

@@ -81,10 +81,9 @@ TEST(FleetConfig, ValidateRejectsBadApiFields) {
   bad([](FleetConfig& c) { c.quantum = 0; });
   bad([](FleetConfig& c) { c.quantum = c.duration + 1; });
   bad([](FleetConfig& c) { c.node_policy = "cfs"; });
-  bad([](FleetConfig& c) { c.burst_factor = 0.5; });
-  bad([](FleetConfig& c) { c.zipf_theta = -1; });
   bad([](FleetConfig& c) { c.load_cap = 0.1; });
   bad([](FleetConfig& c) { c.consolidation_bias = -0.5; });
+  bad([](FleetConfig& c) { c.obs.audit = true; });  // no fleet balancer
   FleetConfig ok;
   EXPECT_NO_THROW(ok.validate());
 }

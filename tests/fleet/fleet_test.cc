@@ -231,8 +231,8 @@ TEST(FleetSimulation, CatalogValidation) {
 
 TEST(FleetSimulation, ObsContract) {
   FleetConfig cfg = small_cfg();
-  cfg.trace = true;
-  cfg.metrics = true;
+  cfg.obs.trace = true;
+  cfg.obs.metrics = true;
   cfg.node_obs = true;
   FleetSimulation fleet(cfg, quads(2));
   const FleetResult r = fleet.run();

@@ -162,11 +162,10 @@ TEST(AuditIntegration, DriftDetectorSilentOnCleanRun) {
   const SimulationResult r = run_smart(cfg);
   ASSERT_NE(r.obs, nullptr);
   EXPECT_TRUE(r.obs->audit.drift_events.empty());
-  const double threshold = obs::AuditConfig{}.drift_threshold;
   for (const auto& st : r.obs->audit.drift_states) {
     EXPECT_EQ(st.active, 0);
-    EXPECT_LT(st.ewma_gips, threshold);
-    EXPECT_LT(st.ewma_power, threshold);
+    EXPECT_LT(st.ewma_gips, obs::kDriftThreshold);
+    EXPECT_LT(st.ewma_power, obs::kDriftThreshold);
   }
 }
 

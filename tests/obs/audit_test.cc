@@ -51,7 +51,7 @@ EpochAuditRecord make_decision(std::uint64_t epoch, double pred_dj = 0,
 }
 
 TEST(AuditRecorder, JoinComputesSignedRelativeResiduals) {
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.join(1, {}, 10.0);
   r.record_decision(make_decision(1, /*pred_dj=*/0.5));
   r.record_prediction(make_pred(7, 2, 0, 1, /*gips=*/2.0, /*w=*/1.0));
@@ -101,7 +101,7 @@ TEST(AuditRecorder, JoinRequiresMeasuredObservationOnPredictedCore) {
        true},
   };
   for (const Case& c : cases) {
-    AuditRecorder r(AuditConfig{});
+    AuditRecorder r;
     r.join(1, {}, 0.0);
     r.record_decision(make_decision(1));
     r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
@@ -117,7 +117,7 @@ TEST(AuditRecorder, JoinRequiresMeasuredObservationOnPredictedCore) {
 TEST(AuditRecorder, NearZeroObservationYieldsZeroResidual) {
   // A thread that retired essentially nothing says nothing about the
   // predictor; the residual is defined as 0 rather than a huge ratio.
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.join(1, {}, 0.0);
   r.record_decision(make_decision(1));
   r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
@@ -129,7 +129,7 @@ TEST(AuditRecorder, NearZeroObservationYieldsZeroResidual) {
 }
 
 TEST(AuditRecorder, EpochGapDiscardsPendingForecasts) {
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.join(1, {}, 10.0);
   r.record_decision(make_decision(1, 0.5));
   r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
@@ -146,7 +146,7 @@ TEST(AuditRecorder, EpochGapDiscardsPendingForecasts) {
 }
 
 TEST(AuditRecorder, PredictionsWithoutDecisionAreIgnored) {
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
   r.record_migration(MigrationAuditRecord{}, /*src_eff=*/0.0);
   EXPECT_EQ(r.predictions(), 0u);
@@ -156,13 +156,10 @@ TEST(AuditRecorder, PredictionsWithoutDecisionAreIgnored) {
 
 TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
   // The detector itself is ResidualTracker's (residual_tracker_test.cc);
-  // this checks the recorder feeds it the corrected residuals under its
-  // AuditConfig and turns its rising edges and state into the export.
-  AuditConfig cfg;
-  cfg.ewma_alpha = 0.5;
-  cfg.drift_threshold = 0.2;
-  cfg.drift_min_joins = 2;
-  AuditRecorder r(cfg);
+  // this checks the recorder feeds it the corrected residuals at the drift
+  // contract (alpha 0.25, threshold 0.25, 8 joins) and turns its rising
+  // edges and state into the export.
+  AuditRecorder r;
 
   // Each "round" forecasts gips=1.0 and observes `obs_gips` one pass later:
   // err = (obs - 1) / obs.
@@ -176,20 +173,30 @@ TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
   };
 
   round(2.0);  // nothing pending yet
-  round(2.0);  // |err| EWMA 0.25, debounced (1 join < 2)
-  EXPECT_TRUE(edges.empty());
-  round(2.0);  // 0.375 at 2 joins: rising edge
+  // err = 0.5 per join: the |err| EWMA 0.5 · (1 - 0.75^k) passes the
+  // threshold at join 3 but is debounced until join 8.
+  for (std::uint64_t k = 1; k < kDriftMinJoins; ++k) {
+    round(2.0);
+    EXPECT_TRUE(edges.empty()) << "join " << k;
+  }
+  round(2.0);  // join 8: rising edge
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_TRUE(r.drift_active());
   const DriftEvent ev = edges[0];
-  EXPECT_EQ(ev.epoch, 3u);
+  EXPECT_EQ(ev.epoch, 9u);
   EXPECT_EQ(ev.src_type, 0);
   EXPECT_EQ(ev.dst_type, 1);
   EXPECT_EQ(ev.metric, 0);  // throughput residual tripped
-  EXPECT_DOUBLE_EQ(ev.ewma, 0.375);
-  EXPECT_EQ(ev.joins, 2u);
+  const double peak = 58975.0 / 131072.0;  // 0.5 · (1 - 0.75^8)
+  EXPECT_DOUBLE_EQ(ev.ewma, peak);
+  EXPECT_EQ(ev.joins, 8u);
 
-  round(1.0);  // exact predictions decay the EWMA: 0.1875, re-armed
+  // Exact predictions decay the EWMA by 0.75 per join: still over the
+  // threshold after two, re-armed after three.
+  round(1.0);
+  round(1.0);
+  EXPECT_TRUE(r.drift_active());
+  round(1.0);
   EXPECT_FALSE(r.drift_active());
 
   // Final tracker state is exported.
@@ -199,58 +206,51 @@ TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
   const DriftState& st = snap.drift_states[0];
   EXPECT_EQ(st.src_type, 0);
   EXPECT_EQ(st.dst_type, 1);
-  EXPECT_EQ(st.joins, 3u);
-  EXPECT_DOUBLE_EQ(st.ewma_gips, 0.1875);
-  EXPECT_DOUBLE_EQ(st.ewma_gips_signed, 0.1875);
+  EXPECT_EQ(st.joins, 11u);
+  EXPECT_DOUBLE_EQ(st.ewma_gips, peak * 27.0 / 64.0);
+  EXPECT_DOUBLE_EQ(st.ewma_gips_signed, peak * 27.0 / 64.0);
   EXPECT_DOUBLE_EQ(st.ewma_power, 0.0);
   EXPECT_EQ(st.active, 0);
 }
 
 TEST(AuditRecorder, RingOverflowDropsOldestAndKeepsCounts) {
-  AuditConfig cfg;
-  cfg.capacity = 2;
-  AuditRecorder r(cfg);
-  for (std::uint64_t e = 1; e <= 4; ++e) {
+  AuditRecorder r;
+  const std::uint64_t decisions = kAuditCapacity + 2;
+  for (std::uint64_t e = 1; e <= decisions; ++e) {
     r.join(e, {make_obs(7, 2, 1, 2.0, 1.0)}, 0.0);
     r.record_decision(make_decision(e));
     r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
   }
   const AuditSnapshot snap = r.snapshot();
-  // 4 decisions into a capacity-2 ring: epochs 3 and 4 retained.
-  ASSERT_EQ(snap.epochs.size(), 2u);
-  EXPECT_EQ(snap.epochs[0].epoch, 3u);
-  EXPECT_EQ(snap.epochs[1].epoch, 4u);
+  // Two decisions more than the ring holds: epochs 1 and 2 dropped.
+  ASSERT_EQ(snap.epochs.size(), kAuditCapacity);
+  EXPECT_EQ(snap.epochs.front().epoch, 3u);
+  EXPECT_EQ(snap.epochs.back().epoch, decisions);
   EXPECT_EQ(snap.dropped_epochs, 2u);
-  // 3 thread joins (passes 2..4) into a capacity-2 ring.
-  ASSERT_EQ(snap.threads.size(), 2u);
-  EXPECT_EQ(snap.threads[0].epoch, 3u);
-  EXPECT_EQ(snap.threads[1].epoch, 4u);
+  // One thread join per pass after the first: one more than the ring holds.
+  ASSERT_EQ(snap.threads.size(), kAuditCapacity);
+  EXPECT_EQ(snap.threads.front().epoch, 3u);
+  EXPECT_EQ(snap.threads.back().epoch, decisions);
   EXPECT_EQ(snap.dropped_threads, 1u);
-  EXPECT_EQ(r.joined(), 3u);
+  EXPECT_EQ(r.joined(), decisions - 1);
 }
 
-TEST(AuditRecorder, ZeroCapacityKeepsTheNewestRecord) {
-  // Capacity clamps to one record per ledger, as it does for the tracer's
-  // and the timeseries recorder's rings.
-  AuditConfig cfg;
-  cfg.capacity = 0;
-  AuditRecorder r(cfg);
-  for (std::uint64_t e = 1; e <= 3; ++e) {
-    r.join(e, {make_obs(7, 2, 1, 2.0, 1.0)}, 0.0);
-    r.record_decision(make_decision(e));
-    r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
-  }
-  const AuditSnapshot snap = r.snapshot();
-  ASSERT_EQ(snap.epochs.size(), 1u);
-  EXPECT_EQ(snap.epochs[0].epoch, 3u);
-  EXPECT_EQ(snap.dropped_epochs, 2u);
-  ASSERT_EQ(snap.threads.size(), 1u);
-  EXPECT_EQ(snap.threads[0].epoch, 3u);
-  EXPECT_EQ(snap.dropped_threads, 1u);
+TEST(Ring, ZeroCapacityKeepsTheNewestRecord) {
+  // Capacity clamps to one record, so a recorder's ring never loses the
+  // newest one.
+  Ring<int> ring(0);
+  for (int v = 1; v <= 3; ++v) ring.push(v);
+  EXPECT_EQ(ring.capacity(), 1u);
+  EXPECT_EQ(ring.snapshot(), std::vector<int>{3});
+  EXPECT_EQ(ring.recorded(), 3u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  EXPECT_EQ(ring.find(1), nullptr);
+  ASSERT_NE(ring.find(2), nullptr);
+  EXPECT_EQ(*ring.find(2), 3);
 }
 
 TEST(AuditRecorder, MigrationValidatedByFirstWarmedDestinationMeasurement) {
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.join(1, {}, 0.0);
   r.record_decision(make_decision(1));
   MigrationAuditRecord m;
@@ -286,30 +286,37 @@ TEST(AuditRecorder, MigrationValidatedByFirstWarmedDestinationMeasurement) {
 }
 
 TEST(AuditRecorder, MigrationWindowExpiryLeavesRecordUnvalidated) {
-  AuditConfig cfg;
-  cfg.migration_join_max_age = 2;
-  AuditRecorder r(cfg);
-  r.join(1, {}, 0.0);
-  r.record_decision(make_decision(1));
-  MigrationAuditRecord m;
-  m.tid = 5;
-  m.src = 0;
-  m.dst = 3;
-  m.dst_type = 2;
-  r.record_migration(m, /*src_eff=*/0.0);
+  // The destination measurement warms up `warm_at` passes after the
+  // migration: inside the 6-pass join window it validates the record, and
+  // past it the record was already closed out unvalidated.
+  for (const std::uint64_t warm_at : {kMigrationJoinMaxAge,
+                                      kMigrationJoinMaxAge + 1}) {
+    AuditRecorder r;
+    r.join(1, {}, 0.0);
+    r.record_decision(make_decision(1));
+    MigrationAuditRecord m;
+    m.tid = 5;
+    m.src = 0;
+    m.dst = 3;
+    m.dst_type = 2;
+    r.record_migration(m, /*src_eff=*/0.0);
 
-  // The destination measurement never warms up within the window.
-  r.join(2, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);
-  r.join(3, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);  // age 2 >= max_age: closed
-  r.join(4, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);  // too late
-  const AuditSnapshot snap = r.snapshot();
-  ASSERT_EQ(snap.migrations.size(), 1u);
-  EXPECT_EQ(snap.migrations[0].realized_valid, 0);
-  EXPECT_DOUBLE_EQ(snap.migrations[0].realized_gain, 0.0);
+    for (std::uint64_t age = 1; age < warm_at; ++age) {
+      r.join(1 + age, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);  // cached row
+    }
+    r.join(1 + warm_at, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);
+    const AuditSnapshot snap = r.snapshot();
+    ASSERT_EQ(snap.migrations.size(), 1u);
+    const bool in_window = warm_at <= kMigrationJoinMaxAge;
+    EXPECT_EQ(snap.migrations[0].realized_valid, in_window ? 1 : 0)
+        << "warm at age " << warm_at;
+    EXPECT_DOUBLE_EQ(snap.migrations[0].realized_gain,
+                     in_window ? 3.0 / 2.0 : 0.0);
+  }
 }
 
 TEST(AuditRecorder, MigrationOfExitedThreadIsClosedImmediately) {
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.join(1, {}, 0.0);
   r.record_decision(make_decision(1));
   MigrationAuditRecord m;
@@ -327,7 +334,7 @@ TEST(AuditRecorder, MigrationOfExitedThreadIsClosedImmediately) {
 // --------------------------------------------------------------------------
 
 RunObs audited_run(int run, const std::string& label, double obs_gips) {
-  AuditRecorder r(AuditConfig{});
+  AuditRecorder r;
   r.join(1, {}, 1.0);
   r.record_decision(make_decision(1, 0.25));
   r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));

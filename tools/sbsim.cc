@@ -18,6 +18,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/platform.h"
@@ -63,7 +64,10 @@ using namespace sb;
                             must be smartbalance or vanilla) fed by a bursty
                             Zipf job stream at <rate> jobs/s, placed by the
                             fleet dispatch <policy>: rr | least | energy.
-                            Excludes --bench/--mix/--bench-at/--compare.
+                            Excludes the workload flags, --compare, and the
+                            node flags --audit, --thermal, a CSV --trace,
+                            --dvfs, --governor, --adapt, --shards, --faults,
+                            --defenses, --load-model and --save-model.
                             e.g. --fleet=8:energy:450
   --duration-ms=<n>         simulated window (default 600)
   --seed=<n>                RNG seed (default 1234)
@@ -101,8 +105,8 @@ using namespace sb;
                             --compare runs; see obs/audit_writer.h; analyze
                             with sbaudit)
   --adapt=<spec>            online predictor adaptation for smartbalance
-                            policies (see core/adapt.h), e.g.
-                            "bias", "bias:0.25:0.5,rls:0.995", "rls"
+                            policies (see core/adapt.h): "bias", "rls" or
+                            "bias,rls"
   --shards=K[:jobs[:moves]] sharded hierarchical balancing for smartbalance
                             policies (see core/shard.h): K cluster-local SA
                             passes in parallel on <jobs> workers (0 = auto)
@@ -280,14 +284,34 @@ Args parse_flags(int argc, char** argv) {
     if (const char* env = std::getenv("SB_TRACE")) a.chrome_trace = env;
   }
   if (!a.fleet.empty()) {
-    // The fleet generates its own workload; the single-node workload flags
-    // would silently do nothing, so reject the combination outright.
-    if (!a.benches.empty() || !a.mixes.empty() || !a.arrivals.empty() ||
-        !a.thread_traces.empty() || !a.replay.empty() || a.compare) {
-      std::cerr << "--fleet generates its own job stream; it cannot be "
-                   "combined with --bench/--mix/--bench-at/--thread-trace/"
-                   "--replay/--compare\n";
-      usage(2);
+    // The fleet generates its own workload and configures its own nodes;
+    // the single-node flags would silently do nothing, so reject each one.
+    const std::pair<bool, const char*> single_node[] = {
+        {!a.benches.empty(), "--bench"},
+        {!a.mixes.empty(), "--mix"},
+        {!a.arrivals.empty(), "--bench-at"},
+        {!a.thread_traces.empty(), "--thread-trace"},
+        {!a.replay.empty(), "--replay"},
+        {a.compare, "--compare"},
+        {!a.audit.empty(), "--audit"},
+        {a.thermal, "--thermal"},
+        {!a.trace.empty(), "--trace (per-core CSV)"},
+        {a.dvfs, "--dvfs"},
+        {!a.governor.empty(), "--governor"},
+        {!a.adapt.empty(), "--adapt"},
+        {!a.shards.empty(), "--shards"},
+        {!a.faults.empty(), "--faults"},
+        {!a.defenses.empty(), "--defenses"},
+        {!a.load_model.empty(), "--load-model"},
+        {!a.save_model.empty(), "--save-model"},
+    };
+    for (const auto& [given, flag] : single_node) {
+      if (given) {
+        std::cerr << "--fleet generates its own job stream and nodes; it "
+                     "cannot be combined with "
+                  << flag << "\n";
+        usage(2);
+      }
     }
   } else if (a.benches.empty() && a.mixes.empty() && a.arrivals.empty() &&
              a.thread_traces.empty() && a.replay.empty() &&
@@ -364,10 +388,20 @@ core::SmartBalanceConfig sb_config(const Args& a) {
   return cfg;
 }
 
-obs::TimeseriesConfig ts_config(const Args& a) {
-  obs::TimeseriesConfig cfg;
-  if (!a.obs_window.empty()) cfg = obs::TimeseriesConfig::parse(a.obs_window);
-  cfg.enabled = true;
+/// The observability flags, for single-node and fleet runs alike. The
+/// merged exports (one run block per policy under --compare, per node under
+/// --fleet) are written once the runs are done; here the recorders are
+/// only turned on.
+obs::ObsConfig obs_config(const Args& a) {
+  obs::ObsConfig cfg;
+  cfg.trace = !a.chrome_trace.empty();
+  cfg.metrics = a.metrics;
+  cfg.audit = !a.audit.empty();
+  if (!a.obs_window.empty()) {
+    cfg.timeseries = obs::TimeseriesConfig::parse(a.obs_window);
+  }
+  cfg.timeseries.enabled = !a.timeseries.empty() || !a.slo.empty();
+  if (!a.slo.empty()) cfg.slo = obs::SloConfig::parse(a.slo);
   return cfg;
 }
 
@@ -434,17 +468,7 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
   cfg.kernel.enable_dvfs = a.dvfs;
   cfg.thermal_enabled = a.thermal;
   cfg.trace_path = a.trace;
-  // The merged Chrome trace (one process per policy under --compare) is
-  // written once from main(); here we only turn the tracer on.
-  cfg.obs.trace = !a.chrome_trace.empty();
-  cfg.obs.metrics = a.metrics;
-  cfg.obs.audit = !a.audit.empty();
-  // The merged #sb-tsdb export (one run block per policy under --compare)
-  // is written once from main(); here we only turn the sampler on.
-  if (!a.timeseries.empty() || !a.slo.empty()) {
-    cfg.obs.timeseries = ts_config(a);
-    if (!a.slo.empty()) cfg.obs.slo = obs::SloConfig::parse(a.slo);
-  }
+  cfg.obs = obs_config(a);
   sim::Simulation s(platform, cfg);
   s.set_balancer(policy_for(a, policy)(s));
   if (!a.governor.empty()) {
@@ -491,20 +515,12 @@ int run_fleet(const Args& a, const arch::Platform& platform) {
   cfg.seed = a.seed;
   cfg.node_policy = a.policy;  // validate() rejects anything but
                                // smartbalance/vanilla
-  cfg.trace = !a.chrome_trace.empty();
-  cfg.metrics = a.metrics;
+  cfg.obs = obs_config(a);
   cfg.node_obs = a.metrics;
-  cfg.timeseries = !a.timeseries.empty();
-  if (!a.obs_window.empty()) {
-    const obs::TimeseriesConfig tw = obs::TimeseriesConfig::parse(a.obs_window);
-    cfg.obs_window = tw.window;
-    cfg.obs_capacity = tw.capacity;
-  }
-  cfg.slo = a.slo;
   if (!a.prom.empty()) {
     // The exposition snapshot reads the metrics registries; collect them
     // (and the per-node ones, for node="i" labels) even without --metrics.
-    cfg.metrics = true;
+    cfg.obs.metrics = true;
     cfg.node_obs = true;
   }
   if (!a.fleet_arrivals.empty() && a.fleet_arrivals != "mmpp") {
