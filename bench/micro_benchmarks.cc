@@ -236,56 +236,94 @@ struct SaPoint {
   double objective = 0;
 };
 
-SaPoint measure_sa_point(int n, int m, const core::BalanceObjective& obj) {
-  // Workload spec shared with the recorded baseline: Rng(3) matrices,
-  // alternating CPU-bound / duty-cycled demand, threads striped over cores.
-  Rng rng(3);
-  Matrix s(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  Matrix p(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      s.at(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-          rng.uniform(0.1, 4.0);
-      p.at(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-          rng.uniform(0.05, 3.0);
+// Each point's time is the median of kSaRounds samples, taken round-robin
+// across the points so that a slow phase of the machine hits all of them
+// alike. A sample runs enough calls for kSaSampleIterations iterations:
+// 2 calls at 128 × 256, 248 on the quad, a few milliseconds each. A single
+// 0.3 ms sample of the quad read anywhere from 20.7 to 61.0 ns/iteration
+// over 12 runs.
+constexpr int kSaRounds = 15;
+constexpr int kSaSampleIterations = 120000;
+
+/// A BENCH_sa point under measurement: its fixed problem, the optimizer
+/// whose scratch arena every call reuses, and one reading per sample.
+class SaPointRun {
+ public:
+  SaPointRun(int n, int m, const core::BalanceObjective& obj)
+      : obj_(obj),
+        s_(static_cast<std::size_t>(m), static_cast<std::size_t>(n)),
+        p_(static_cast<std::size_t>(m), static_cast<std::size_t>(n)),
+        demand_(static_cast<std::size_t>(m)),
+        initial_(static_cast<std::size_t>(m)),
+        opt_(core::SaConfig{.seed = 42}) {
+    // Workload spec shared with the recorded baseline: Rng(3) matrices,
+    // alternating CPU-bound / duty-cycled demand, threads striped over
+    // cores, seed 42.
+    Rng rng(3);
+    for (std::size_t i = 0; i < s_.rows(); ++i) {
+      for (std::size_t j = 0; j < s_.cols(); ++j) {
+        s_.at(i, j) = rng.uniform(0.1, 4.0);
+        p_.at(i, j) = rng.uniform(0.05, 3.0);
+      }
     }
+    for (int i = 0; i < m; ++i) {
+      demand_[static_cast<std::size_t>(i)] =
+          (i % 2 == 0) ? -1.0 : rng.uniform(0.05, 1.0);
+      initial_[static_cast<std::size_t>(i)] = static_cast<CoreId>(i % n);
+    }
+    point_.num_cores = n;
+    point_.num_threads = m;
+    point_.sa_iterations = core::sa_auto_iterations(n, m);
+    calls_ = (kSaSampleIterations + point_.sa_iterations - 1) /
+             point_.sa_iterations;
+    // Warmup grows the scratch arena to the problem size; the timed samples
+    // then show the steady-state (zero-allocation) cost.
+    point_.objective = call();
+    ns_per_call_.reserve(kSaRounds);
   }
-  std::vector<double> demand(static_cast<std::size_t>(m));
-  std::vector<CoreId> initial(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    demand[static_cast<std::size_t>(i)] =
-        (i % 2 == 0) ? -1.0 : rng.uniform(0.05, 1.0);
-    initial[static_cast<std::size_t>(i)] = static_cast<CoreId>(i % n);
-  }
-  core::SaConfig cfg;
-  cfg.seed = 42;
-  core::SaOptimizer opt(cfg);
 
-  SaPoint out;
-  out.num_cores = n;
-  out.num_threads = m;
-  out.sa_iterations = core::sa_auto_iterations(n, m);
-
-  // Warmup grows the scratch arena to the problem size; the timed region
-  // then shows the steady-state (zero-allocation) cost.
-  (void)opt.optimize(s, p, obj, initial, nullptr, &demand);
-  constexpr int kReps = 30;
-  const std::uint64_t a0 = bench::alloc_count();
-  const auto t0 = std::chrono::steady_clock::now();
-  double sink = 0;
-  for (int r = 0; r < kReps; ++r) {
-    sink += opt.optimize(s, p, obj, initial, nullptr, &demand).objective;
+  void sample() {
+    const std::uint64_t a0 = bench::alloc_count();
+    const auto t0 = std::chrono::steady_clock::now();
+    double sink = 0;
+    for (int c = 0; c < calls_; ++c) sink += call();
+    const auto t1 = std::chrono::steady_clock::now();
+    allocs_ += bench::alloc_count() - a0;
+    benchmark::DoNotOptimize(sink);
+    ns_per_call_.push_back(
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count()) /
+        calls_);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t a1 = bench::alloc_count();
-  const double ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  out.ns_per_call = ns / kReps;
-  out.ns_per_iteration = out.ns_per_call / out.sa_iterations;
-  out.allocs_per_call = static_cast<double>(a1 - a0) / kReps;
-  out.objective = sink / kReps;
-  return out;
-}
+
+  SaPoint result() {
+    const auto mid = ns_per_call_.begin() +
+                     static_cast<std::ptrdiff_t>(ns_per_call_.size() / 2);
+    std::nth_element(ns_per_call_.begin(), mid, ns_per_call_.end());
+    point_.ns_per_call = *mid;
+    point_.ns_per_iteration = point_.ns_per_call / point_.sa_iterations;
+    point_.allocs_per_call =
+        static_cast<double>(allocs_) /
+        static_cast<double>(calls_ * static_cast<int>(ns_per_call_.size()));
+    return point_;
+  }
+
+ private:
+  double call() {
+    return opt_.optimize(s_, p_, obj_, initial_, nullptr, &demand_).objective;
+  }
+
+  const core::BalanceObjective& obj_;
+  Matrix s_, p_;
+  std::vector<double> demand_;
+  std::vector<CoreId> initial_;
+  core::SaOptimizer opt_;
+  SaPoint point_;
+  int calls_ = 1;
+  std::uint64_t allocs_ = 0;
+  std::vector<double> ns_per_call_;
+};
 
 void emit_sa_point(bench::Json& j, const std::string& key, const SaPoint& pt,
                    double baseline_ns_per_iteration,
@@ -318,9 +356,13 @@ void emit_bench_sa_json() {
 
   core::EnergyEfficiencyObjective ee;
   VirtualEfficiencyObjective custom;
-  const SaPoint large = measure_sa_point(128, 256, ee);
-  const SaPoint quad = measure_sa_point(4, 8, ee);
-  const SaPoint large_virtual = measure_sa_point(128, 256, custom);
+  SaPointRun runs[] = {{128, 256, ee}, {4, 8, ee}, {128, 256, custom}};
+  for (int r = 0; r < kSaRounds; ++r) {
+    for (SaPointRun& run : runs) run.sample();
+  }
+  const SaPoint large = runs[0].result();
+  const SaPoint quad = runs[1].result();
+  const SaPoint large_virtual = runs[2].result();
 
   bench::Json j;
   j.begin_object()
@@ -328,7 +370,8 @@ void emit_bench_sa_json() {
       .field("description",
              "SA optimizer throughput on the Fig. 7 scalability extremes; "
              "fixed synthetic workload, EnergyEfficiencyObjective, seed 42, "
-             "auto iteration budget, 30 reps after 1 warmup")
+             "auto iteration budget, 1 warmup, then the median of 15 "
+             "interleaved samples of >= 120000 iterations each")
       .field("build", "-O2 -DNDEBUG")
       .field("baseline_commit", "b792c4d")
       .field("baseline_note",

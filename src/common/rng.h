@@ -9,6 +9,7 @@
 // reproducible and components independent under reordering.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -82,46 +83,47 @@ class Rng {
   std::uint64_t s1_ = 2;
 };
 
-/// Exact `x % d` for 64-bit x with a precomputed 128-bit reciprocal
-/// (Lemire's "faster remainder by direct computation"). A hardware 64-bit
-/// division costs ~20-30 cycles; with the divisor fixed across many draws —
-/// the SA optimizer reduces every slot draw modulo the same n·m — the two
-/// wide multiplies here are several times cheaper. Exactness for all x is
-/// property-tested against `%` in rng_test.
+/// Exact `x / d` and `x % d` for every 64-bit x, with the divisor fixed at
+/// construction (the SA optimizer reduces every slot draw modulo the same
+/// n·m and divides every slot by the same m). A hardware 64-bit division
+/// costs ~20-40 cycles. A power-of-two divisor is a shift and a mask.
+/// Otherwise the floor reciprocal r = ⌊2^64 / d⌋ gives q = ⌊x·r / 2^64⌋,
+/// which is ⌊x / d⌋ or one less (x·r / 2^64 > x/d − 1), so one compare
+/// corrects it: two multiplies in all. Exactness is property-tested against
+/// `/` and `%` in rng_test. Requires d ≥ 1.
 class FastMod {
  public:
   FastMod() : FastMod(1) {}
   explicit FastMod(std::uint64_t d)
       : d_(d),
-        m_(~static_cast<unsigned __int128>(0) / d + 1),
-        r64_(~std::uint64_t{0} / d + 1) {}
+        pow2_(std::has_single_bit(d)),
+        shift_(std::countr_zero(d)),
+        r_(pow2_ ? 0 : ~std::uint64_t{0} / d) {}
 
-  std::uint64_t divisor() const { return d_; }
-
-  /// Exact x / d. Valid for x < 2^32 and d < 2^32 (the 64-bit ceiling
-  /// reciprocal's error term e·x/2^64 stays below 1/d in that range);
-  /// callers with larger operands must use hardware division.
   std::uint64_t div(std::uint64_t x) const {
-    if (d_ == 1) return x;  // the 64-bit reciprocal wraps to 0 for d == 1
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(r64_) * x) >> 64);
+    if (pow2_) return x >> shift_;
+    const std::uint64_t q = estimate(x);
+    return q + (x - q * d_ >= d_ ? 1 : 0);
   }
 
   std::uint64_t mod(std::uint64_t x) const {
-    const unsigned __int128 low = m_ * x;  // fractional part of x/d, mod 2^128
-    const auto lo = static_cast<std::uint64_t>(low);
-    const auto hi = static_cast<std::uint64_t>(low >> 64);
-    // mulhi_128x64(low, d): the integer part of low·d / 2^128.
-    const unsigned __int128 t =
-        static_cast<unsigned __int128>(hi) * d_ +
-        ((static_cast<unsigned __int128>(lo) * d_) >> 64);
-    return static_cast<std::uint64_t>(t >> 64);
+    if (pow2_) return x & (d_ - 1);
+    const std::uint64_t rem = x - estimate(x) * d_;
+    return rem >= d_ ? rem - d_ : rem;
   }
 
  private:
+  /// ⌊x / d⌋ or one less. For d not a power of two, ⌊(2^64 − 1) / d⌋ is
+  /// ⌊2^64 / d⌋.
+  std::uint64_t estimate(std::uint64_t x) const {
+    return static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(x) * r_) >> 64);
+  }
+
   std::uint64_t d_;
-  unsigned __int128 m_;  // 128-bit ceiling reciprocal (for mod)
-  std::uint64_t r64_;    // 64-bit ceiling reciprocal (for div)
+  bool pow2_;
+  int shift_;
+  std::uint64_t r_;  // ⌊2^64 / d⌋ unless d is a power of two
 };
 
 inline double Rng::gaussian() {

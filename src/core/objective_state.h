@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.h"
@@ -30,8 +31,8 @@
 
 namespace sb::core {
 
-/// Reusable backing storage for an ObjectiveState. Vectors are assign()ed on
-/// every reset, which reuses capacity across epochs.
+/// Reusable backing storage for an ObjectiveState. Vectors are assign()ed or
+/// resize()d on every reset, which reuses capacity across epochs.
 struct ObjectiveScratch {
   std::vector<CoreSums> sums;                    // per-core running sums
   std::vector<std::array<double, 2>> contrib;    // per-core (num, den) terms
@@ -40,8 +41,13 @@ struct ObjectiveScratch {
   /// random-access hot path touches one cache line per cell, not one line in
   /// each of three separate matrices (which at 128 cores × 256 threads blows
   /// well past L2 and made the interleaving a measured ~1.5× on the inner
-  /// loop).
+  /// loop). A cell is computed the first time a state reads it: an anneal
+  /// at 128 × 256 reads at most ~4k of the 32k cells, and filling all of
+  /// them up front cost ~90 µs per call.
   std::vector<double> wspo;
+  /// built[row·n + j] != 0 once cell (row, j) of wspo holds the current
+  /// state's values; cleared by every state construction.
+  std::vector<std::uint8_t> built;
 };
 
 /// Number of accepted moves between drift resyncs: `current += diff` and
@@ -57,24 +63,27 @@ inline constexpr double kObjectiveDriftBound = 1e-6;
 template <class Obj>
 class ObjectiveState {
  public:
-  /// Initializes the state for `allocation`, precomputing the occupancy
-  /// matrix (and the occupancy-weighted copies of `s`/`p`) so the add/remove
-  /// hot path is pure loads and adds. `cores` (optional, s.cols() entries)
-  /// maps column j to the physical core the objective sees; null means
-  /// column j is core j. `s`, `p`, `demand_gips`, `cores` and `scratch`
-  /// must outlive the state.
+  /// Initializes the state for `allocation`. The occupancy-weighted s/p
+  /// cells are computed on first read, so the add/remove hot path is loads
+  /// and adds. `cores` (optional, s.cols() entries) maps column j to the
+  /// physical core the objective sees; null means column j is core j. `s`,
+  /// `p`, `demand_gips`, `cores` and `scratch` must outlive the state.
   ObjectiveState(ObjectiveScratch& scratch, const Matrix& s, const Matrix& p,
                  const Obj& objective, const std::vector<CoreId>& allocation,
                  const std::vector<double>* demand_gips = nullptr,
                  const std::vector<CoreId>* cores = nullptr)
       : sc_(scratch),
         obj_(objective),
+        s_(s),
+        p_(p),
+        demand_(demand_gips != nullptr ? demand_gips->data() : nullptr),
         cores_(cores != nullptr ? cores->data() : nullptr),
         m_(s.rows()),
         n_(s.cols()),
         fractional_(objective.fractional()) {
     assert(cores == nullptr || cores->size() == n_);
-    precompute_occupancy(s, p, demand_gips);
+    sc_.wspo.resize(3 * m_ * n_);
+    sc_.built.assign(m_ * n_, 0);
     rebuild(allocation);
   }
 
@@ -82,14 +91,12 @@ class ObjectiveState {
 
   /// Occupancy of thread `row` on core column `j` (core::occupancy of its
   /// demand; 1 without a demand vector).
-  double occupancy(std::size_t row, std::size_t j) const {
-    return sc_.wspo[3 * (row * n_ + j) + 2];
-  }
+  double occupancy(std::size_t row, std::size_t j) { return cell(row, j)[2]; }
 
   void add_thread(std::size_t row, CoreId c) {
     const auto j = static_cast<std::size_t>(c);
     assert(row < m_ && j < n_);
-    const double* cell = &sc_.wspo[3 * (row * n_ + j)];
+    const double* cell = this->cell(row, j);
     CoreSums& cs = sc_.sums[j];
     cs.gips += cell[0];
     cs.watts += cell[1];
@@ -100,7 +107,7 @@ class ObjectiveState {
   void remove_thread(std::size_t row, CoreId c) {
     const auto j = static_cast<std::size_t>(c);
     assert(row < m_ && j < n_);
-    const double* cell = &sc_.wspo[3 * (row * n_ + j)];
+    const double* cell = this->cell(row, j);
     CoreSums& cs = sc_.sums[j];
     cs.gips -= cell[0];
     cs.watts -= cell[1];
@@ -119,8 +126,8 @@ class ObjectiveState {
   }
 
   /// Full recompute of sums, contributions and accumulators from
-  /// `allocation`, reusing the precomputed occupancy matrices. O(m + n);
-  /// used at construction and as the periodic drift resync.
+  /// `allocation`, reusing the cells built so far. O(m + n); used at
+  /// construction and as the periodic drift resync.
   void rebuild(const std::vector<CoreId>& allocation) {
     sc_.sums.assign(n_, CoreSums{});
     for (std::size_t i = 0; i < allocation.size(); ++i) {
@@ -134,21 +141,22 @@ class ObjectiveState {
   }
 
  private:
-  void precompute_occupancy(const Matrix& s, const Matrix& p,
-                            const std::vector<double>* demand) {
-    sc_.wspo.assign(3 * m_ * n_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        double* cell = &sc_.wspo[3 * (i * n_ + j)];
-        // Qualified: the member occupancy(row, j) would otherwise bind
-        // through an implicit double -> size_t conversion.
-        const double u =
-            demand ? core::occupancy((*demand)[i], s.at(i, j)) : 1.0;
-        cell[0] = u * s.at(i, j);
-        cell[1] = u * p.at(i, j);
-        cell[2] = u;
-      }
+  /// Cell (row, j): u·s_ij, u·p_ij and u, computed on the first read.
+  const double* cell(std::size_t row, std::size_t j) {
+    const std::size_t k = row * n_ + j;
+    double* c = &sc_.wspo[3 * k];
+    if (sc_.built[k] == 0) [[unlikely]] {
+      sc_.built[k] = 1;
+      // Qualified: the member occupancy(row, j) would otherwise bind
+      // through an implicit double -> size_t conversion.
+      const double u =
+          demand_ != nullptr ? core::occupancy(demand_[row], s_.at(row, j))
+                             : 1.0;
+      c[0] = u * s_.at(row, j);
+      c[1] = u * p_.at(row, j);
+      c[2] = u;
     }
+    return c;
   }
 
   void recompute_contribution(std::size_t j) {
@@ -173,7 +181,10 @@ class ObjectiveState {
 
   ObjectiveScratch& sc_;
   const Obj& obj_;
-  const CoreId* const cores_;  // column -> physical core; null = identity
+  const Matrix& s_;
+  const Matrix& p_;
+  const double* const demand_;  // per-row demand; null = every row CPU-bound
+  const CoreId* const cores_;   // column -> physical core; null = identity
   const std::size_t m_;
   const std::size_t n_;
   const bool fractional_;

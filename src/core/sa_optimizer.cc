@@ -20,21 +20,22 @@ bool allowed_on(const std::vector<std::bitset<kMaxCores>>* affinity,
   return (*affinity)[row].test(static_cast<std::size_t>(c));
 }
 
-/// The perturbation radius sqrt(perturb_it) of every iteration. perturb
-/// starts at Opt_perturb and each iteration multiplies it by Opt_Δperturb in
-/// Q16.16, clamping the raw value to 16 so the radius never reaches zero.
-/// The table ends where the clamp holds perturb fixed (369 entries); later
-/// iterations read its last entry. It depends only on the schedule
-/// constants, so it is built once per process, and the Q16.16 fixed_sqrt (a
-/// Newton loop with a 64-bit division per step) never runs in the loop. The
-/// static is initialized thread-safely on first use by any shard worker.
-const std::vector<double>& radius_schedule() {
-  static const std::vector<double> radii = [] {
-    std::vector<double> r;
+/// The perturbation radius sqrt(perturb_it) of every iteration, as Q16.16
+/// raw values. perturb starts at Opt_perturb and each iteration multiplies
+/// it by Opt_Δperturb in Q16.16, clamping the raw value to 16 so the radius
+/// never reaches zero. The table ends where the clamp holds perturb fixed
+/// (369 entries); later iterations read its last entry. It depends only on
+/// the schedule constants, so it is built once per process, and the Q16.16
+/// fixed_sqrt (a Newton loop with a 64-bit division per step) never runs in
+/// the loop. The static is initialized thread-safely on first use by any
+/// shard worker.
+const std::vector<std::int64_t>& radius_schedule() {
+  static const std::vector<std::int64_t> radii = [] {
+    std::vector<std::int64_t> r;
     Fixed perturb = Fixed::from_double(kSaInitialPerturb);
     const Fixed dperturb = Fixed::from_double(kSaPerturbDecay);
     while (true) {
-      r.push_back(fixed_sqrt(perturb).to_double());
+      r.push_back(fixed_sqrt(perturb).raw());
       Fixed next = perturb * dperturb;
       if (next.raw() < 16) next = Fixed::from_raw(16);
       if (next.raw() == perturb.raw()) return r;
@@ -48,7 +49,7 @@ const std::vector<double>& radius_schedule() {
 
 int sa_auto_iterations(int num_cores, int num_threads) {
   // ~12 proposals per (thread, core) pair, saturating where the measured
-  // per-iteration cost (21 ns on the quad, 29 ns at 128×256 in Release;
+  // per-iteration cost (21 ns on the quad, 16 ns at 128×256 in Release;
   // BENCH_sa.json) would push a pass beyond a few milliseconds of the 60 ms
   // epoch (Fig. 8a: "for larger configurations we limit the number of
   // iterations").
@@ -86,9 +87,9 @@ SaResult SaOptimizer::run_annealing(
 
   // Ψ as the paper's flat slot array: m slots per core, entry = thread row
   // or -1. Each thread starts in a slot of its current core. slot→core is
-  // slot / m, computed with a precomputed reciprocal (exact: both operands
-  // are well under 2^32) so the inner loop neither divides nor touches a
-  // lookup table.
+  // slot / m, computed with a precomputed reciprocal (a shift when m is a
+  // power of two) so the inner loop neither divides nor touches a lookup
+  // table.
   const std::int64_t slots = n * static_cast<std::int64_t>(m);
   std::vector<std::int32_t>& psi = scratch_.psi;
   psi.assign(static_cast<std::size_t>(slots), -1);
@@ -116,15 +117,39 @@ SaResult SaOptimizer::run_annealing(
   // and randi(-pos, slots - pos) both have span == slots, so the draw
   // sequence is unchanged.
   const FastMod fm(static_cast<std::uint64_t>(slots));
+  const auto core_of = [&slot_div](std::int64_t slot) {
+    return static_cast<CoreId>(slot_div.div(static_cast<std::uint64_t>(slot)));
+  };
   const int iters = cfg_.max_iterations > 0
                         ? cfg_.max_iterations
                         : sa_auto_iterations(static_cast<int>(n),
                                              static_cast<int>(m));
-  const std::vector<double>& radii = radius_schedule();
-  const double radius_tail = radii.back();
+  const std::vector<std::int64_t>& radii = radius_schedule();
+  const auto table_len = static_cast<int>(radii.size());
+  const std::int64_t radius_tail = radii.back();
+  // The acceptance temperature decays by Opt_Δaccept once per iteration,
+  // move or no move, so iteration `it` reads `accept` after it + 1
+  // multiplies. Only a move that does not improve J reads it, so the
+  // multiplies are caught up there, one at a time in the same order: every
+  // value is the one a multiply per iteration would give, and an empty
+  // proposal does no floating-point work. `accept` sinks into the
+  // subnormals after ~14k iterations and then sticks at 4.9e-324 (x·0.95
+  // rounds back to x). Once a product equals its input bit for bit, every
+  // later product is that same value, so the multiplies stop there. The
+  // comparison is on bits, not ==, so that -0 and +0 never count as a
+  // fixed point.
   double accept =
       std::max(1e-9, kSaInitialAcceptRel * std::abs(state.total()));
+  int accept_decays = 0;
   bool accept_frozen = false;
+  // The certain-reject bound below, recomputed only when `accept` changes.
+  // The cut needs accept > 0 (at -0.0 the ratio is +inf and the move wins);
+  // the positive schedule never leaves it, since `accept` starts at >= 1e-9
+  // and sticks at the smallest subnormal.
+  const auto reject_bound = [](double a) {
+    return a > 0.0 ? -12.0 * a : -std::numeric_limits<double>::infinity();
+  };
+  double reject_below = reject_bound(accept);
 
   std::vector<CoreId>& current = scratch_.current;
   current = initial;
@@ -138,51 +163,32 @@ SaResult SaOptimizer::run_annealing(
     const std::uint64_t r0 = rng.next_u64();
     const std::uint64_t r1 = rng.next_u64();
     const auto pos = static_cast<std::int64_t>(fm.mod(r0));
-    const double radius = static_cast<std::size_t>(it) < radii.size()
-                              ? radii[static_cast<std::size_t>(it)]
-                              : radius_tail;
+    const std::int64_t radius =
+        it < table_len ? radii[static_cast<std::size_t>(it)] : radius_tail;
     // randi(-pos, slots - pos) == -pos + (u64 draw) % slots.
-    const std::int64_t draw =
-        -pos + static_cast<std::int64_t>(fm.mod(r1));
-    std::int64_t offset =
-        static_cast<std::int64_t>(radius * static_cast<double>(draw));
-    std::int64_t pos_new = std::clamp<std::int64_t>(pos + offset, 0, slots - 1);
-    const CoreId ca =
-        static_cast<CoreId>(slot_div.div(static_cast<std::uint64_t>(pos)));
-    CoreId cb =
-        static_cast<CoreId>(slot_div.div(static_cast<std::uint64_t>(pos_new)));
+    const std::int64_t draw = static_cast<std::int64_t>(fm.mod(r1)) - pos;
+    // radius · draw in Q16.16, truncated toward zero like the double
+    // product it replaces, which was exact (|radius · draw| < 2^16 · slots
+    // < 2^53). With radius <= 1 the offset lies between 0 and draw, so
+    // pos + offset stays in [0, slots).
+    std::int64_t pos_new = pos + radius * draw / Fixed::kOne;
+    const CoreId ca = core_of(pos);
+    CoreId cb = core_of(pos_new);
     // Once the radius collapses, the scaled offset truncates to (nearly)
     // zero and every proposal would degenerate into a same-slot or
     // same-core no-op, silently ending the search. Fall back to a uniform
     // draw so each iteration still proposes a real move — slot indices
-    // carry no topology, so this preserves Algorithm 1's semantics.
-    if (pos_new == pos || cb == ca) {
+    // carry no topology, so this preserves Algorithm 1's semantics. A
+    // same-slot proposal is a same-core one.
+    if (cb == ca) {
       pos_new = static_cast<std::int64_t>(fm.mod(rng.next_u64()));
-      cb = static_cast<CoreId>(
-          slot_div.div(static_cast<std::uint64_t>(pos_new)));
+      cb = core_of(pos_new);
+      if (cb == ca) continue;  // no-op
     }
 
     const std::int32_t ta = psi[static_cast<std::size_t>(pos)];
     const std::int32_t tb = psi[static_cast<std::size_t>(pos_new)];
-
-    // The acceptance schedule advances every iteration regardless of move
-    // validity (the perturb schedule advances inside the radius table).
-    // `accept` sinks into the subnormals after ~14k iterations and then
-    // sticks at 4.9e-324 (x·0.95 rounds back to x), so every further
-    // multiply would take the slow subnormal path. Once a product equals
-    // its input bit for bit, every later product is that same value, so
-    // skipping them leaves each `accept` — and with it every diff/accept,
-    // RNG draw and acceptance — unchanged. The comparison is on bits, not
-    // ==, so that -0 and +0 never count as a fixed point.
-    if (!accept_frozen) {
-      const double next = accept * kSaAcceptDecay;
-      accept_frozen = std::bit_cast<std::uint64_t>(next) ==
-                      std::bit_cast<std::uint64_t>(accept);
-      accept = next;
-    }
-
-    if (pos == pos_new || ca == cb) continue;          // no-op
-    if (ta < 0 && tb < 0) continue;                    // empty↔empty
+    if (ta < 0 && tb < 0) continue;  // empty↔empty
     if (ta >= 0 && !allowed_on(affinity, static_cast<std::size_t>(ta), cb)) {
       continue;  // affinity forbids
     }
@@ -203,17 +209,22 @@ SaResult SaOptimizer::run_annealing(
 
     bool take = diff > 0;
     if (!take) {
+      if (!accept_frozen && accept_decays <= it) {
+        do {  // catch `accept` up to this iteration
+          const double next = accept * kSaAcceptDecay;
+          accept_frozen = std::bit_cast<std::uint64_t>(next) ==
+                          std::bit_cast<std::uint64_t>(accept);
+          accept = next;
+        } while (++accept_decays <= it && !accept_frozen);
+        reject_below = reject_bound(accept);
+      }
       // probability = e^(diff/accept) computed in Q16.16; accepted when
       // randi() mod round(1/probability) == 0, as in the paper's listing.
       // Below a ratio of -12 the probability is exactly 0 and no number is
       // drawn: every Q16.16 magnitude in [12, 15.9] sets the e^-8 and e^-4
       // bits, and 22·1202 >> 16 == 0. So such a move is rejected without
-      // the division and the exp. The cut needs accept > 0 (at -0.0 the
-      // ratio is +inf and the move wins); the positive schedule never
-      // leaves it, since `accept` starts at >= 1e-9 and sticks at the
-      // smallest subnormal.
-      const bool certain_reject = accept > 0.0 && diff < -12.0 * accept;
-      if (!certain_reject) {
+      // the division and the exp.
+      if (!(diff < reject_below)) {
         const double ratio = std::max(-15.9, diff / accept);
         const Fixed prob = fixed_exp_neg(Fixed::saturating_from_double(ratio));
         if (prob.raw() > 0) {

@@ -14,28 +14,35 @@
 //
 // Hot-path engineering (the per-epoch cost *is* the product — Fig. 7b):
 //  - all working vectors (Ψ slots, per-core sums, contributions, the
-//    occupancy matrix, current/best allocations) live in a scratch arena
+//    occupancy cells, current/best allocations) live in a scratch arena
 //    owned by the optimizer, so repeated optimize() calls allocate nothing
 //    once the arena has grown to the problem size;
 //  - the objective is devirtualized: optimize() dispatches once, by
 //    dynamic_cast to the two built-in final classes, to an annealing
 //    kernel templated on that class (custom objectives fall back to the
 //    generic virtual-dispatch kernel with identical semantics);
-//  - thread occupancies are precomputed (interleaved with the weighted S/P
-//    values, one cache line per cell) instead of re-derived on every
-//    add/remove;
+//  - a (thread, core) cell's occupancy and occupancy-weighted S/P values
+//    are computed on the call's first read of that cell (interleaved, one
+//    cache line per cell) and reused after; an anneal at 128 × 256 reads
+//    at most ~4k of the 32k cells;
 //  - slot draws are reduced modulo n·m and slot→core indices divided by m
 //    with precomputed reciprocals (common/rng.h FastMod) instead of
-//    hardware division, and the two unconditional draws per iteration are
-//    batched;
+//    hardware division — a mask and a shift when, as at 128 × 256 and on
+//    the quad, both are powers of two — and the two unconditional draws
+//    per iteration are batched;
 //  - the perturbation-radius schedule sqrt(perturb_it) depends only on the
-//    schedule constants, not the RNG, so it is one table built once per
-//    process, hoisting the fixed-point sqrt out of the loop entirely;
-//  - the acceptance temperature stops being multiplied once a multiply
-//    returns its input bit for bit. At Opt_Δaccept = 0.95 it sticks at the
-//    smallest subnormal after ~14k iterations, where each multiply costs
-//    more than a whole skipped iteration. Since x·Δ == x implies every
-//    later product is x too, every iteration still sees the same `accept`.
+//    schedule constants, not the RNG, so it is one table of Q16.16 raw
+//    values built once per process: the fixed-point sqrt never runs in the
+//    loop, and a proposal's offset is an integer multiply;
+//  - an empty↔empty or same-core proposal (98% of the iterations at
+//    128 × 256) ends after its draws and two slot loads. The acceptance
+//    temperature, which decays once per iteration, is caught up only when
+//    a move that does not improve J reads it, one multiply per skipped
+//    iteration in order, and never again once a multiply returns its input
+//    bit for bit (at Opt_Δaccept = 0.95 it sticks at the smallest
+//    subnormal after ~14k iterations, where each multiply costs more than
+//    a whole skipped iteration). The certain-reject bound -12·accept is
+//    recomputed only when `accept` changes.
 // None of this changes the RNG draw sequence or the floating-point
 // arithmetic, so results are bit-identical to the straightforward
 // implementation.

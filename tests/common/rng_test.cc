@@ -139,19 +139,40 @@ TEST(FastMod, ModMatchesSaOptimizerDrawSemantics) {
 }
 
 TEST(FastMod, DivExactInDocumentedRange) {
-  // div is exact for x < 2^32, d < 2^32 (the reciprocal's error term stays
-  // below 1/d). Cover small divisors, powers of two, and d == 1.
+  // div is exact for every 64-bit x. Cover small divisors, powers of two,
+  // and d == 1.
   Rng r(102);
   for (std::uint64_t d : {1ull, 2ull, 3ull, 7ull, 8ull, 255ull, 256ull,
                           1000ull, 65536ull, 4294967295ull}) {
     const FastMod fm(d);
     for (int i = 0; i < 5000; ++i) {
-      const std::uint64_t x = r.next_u64() & 0xffffffffULL;
+      const std::uint64_t x = r.next_u64();
       ASSERT_EQ(fm.div(x), x / d) << "x=" << x << " d=" << d;
     }
     // Boundaries of the documented range.
     ASSERT_EQ(fm.div(0), 0u);
     ASSERT_EQ(fm.div(0xffffffffULL), 0xffffffffULL / d);
+  }
+}
+
+TEST(FastMod, ExactAtQuotientSteps) {
+  // mod and div against % and / where the quotient steps (k·d - 1, k·d),
+  // up to the largest multiple of d and 2^64 - 1, for powers of two (1, 2,
+  // 2^15) and other divisors (3, 6, 2^32 - 1).
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t ds[] = {1, 2, 3, 6, 1 << 15, 0xffffffff};
+  for (const std::uint64_t d : ds) {
+    const FastMod fm(d);
+    std::vector<std::uint64_t> xs = {0, d - 1, d, kMax};
+    const std::uint64_t ks[] = {2, 3, 1000, std::uint64_t{1} << 32, kMax / d};
+    for (const std::uint64_t k : ks) {
+      xs.push_back(k * d - 1);
+      xs.push_back(k * d);
+    }
+    for (const std::uint64_t x : xs) {
+      ASSERT_EQ(fm.mod(x), x % d) << "x=" << x << " d=" << d;
+      ASSERT_EQ(fm.div(x), x / d) << "x=" << x << " d=" << d;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/matrix.h"
@@ -148,6 +149,70 @@ TEST(ObjectiveState, ScratchReuseAcrossProblemSizesIsClean) {
   EXPECT_DOUBLE_EQ(
       state.total(),
       evaluate_allocation(small.s, small.p, obj, small.alloc));
+}
+
+/// Records the per-core sums it is asked to score.
+class SumsProbe final : public BalanceObjective {
+ public:
+  explicit SumsProbe(std::size_t n) : seen_(n) {}
+  double core_term(const CoreSums& s, CoreId core) const override {
+    seen_[static_cast<std::size_t>(core)] = s;
+    return s.gips;
+  }
+  std::string name() const override { return "sums_probe"; }
+  const CoreSums& seen(std::size_t j) const { return seen_[j]; }
+
+ private:
+  mutable std::vector<CoreSums> seen_;
+};
+
+TEST(ObjectiveState, CellsMatchTheEagerFormulaForEveryRowAndCore) {
+  // Cell (i, j) holds u·s_ij, u·p_ij and u, with u = occupancy(d_i, s_ij)
+  // (1 without demand). Moving thread i alone onto the empty core j makes
+  // that core's sums equal to the cell bit for bit. Every (row, core) is
+  // checked, half of them read through occupancy() before the move, half
+  // after. Two instances of one shape share the scratch, so no cell of the
+  // first may survive into the second.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  constexpr std::size_t m = 6, n = 4;
+  ObjectiveScratch scratch;
+  for (const bool with_demand : {false, true}) {
+    for (const std::uint64_t seed : {31ULL, 32ULL}) {
+      const auto inst = random_instance(m, n, seed, with_demand);
+      const std::vector<double>* demand = with_demand ? &inst.demand : nullptr;
+      SumsProbe probe(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto core = static_cast<CoreId>(j);
+        const auto home = static_cast<CoreId>((j + 1) % n);
+        ObjectiveState<SumsProbe> state(scratch, inst.s, inst.p, probe,
+                                        std::vector<CoreId>(m, home), demand);
+        for (std::size_t i = 0; i < m; ++i) {
+          SCOPED_TRACE(::testing::Message() << "demand " << with_demand
+                                            << " seed " << seed << " row "
+                                            << i << " core " << j);
+          const double u =
+              demand ? occupancy(inst.demand[i], inst.s.at(i, j)) : 1.0;
+          if (i % 2 == 0) {
+            EXPECT_EQ(bits(state.occupancy(i, j)), bits(u));
+          }
+          state.remove_thread(i, home);
+          state.add_thread(i, core);
+          state.refresh_cores(home, core);
+          const CoreSums& c = probe.seen(j);
+          EXPECT_EQ(bits(c.gips), bits(u * inst.s.at(i, j)));
+          EXPECT_EQ(bits(c.watts), bits(u * inst.p.at(i, j)));
+          EXPECT_EQ(bits(c.load), bits(u));
+          EXPECT_EQ(c.nthreads, 1);
+          if (i % 2 == 1) {
+            EXPECT_EQ(bits(state.occupancy(i, j)), bits(u));
+          }
+          state.remove_thread(i, core);
+          state.add_thread(i, home);
+          state.refresh_cores(core, home);
+        }
+      }
+    }
+  }
 }
 
 /// Per-core sums of the instance's allocation, one thread at a time.

@@ -497,6 +497,103 @@ TEST(SaOptimizer, LongAnnealTrajectoriesArePinned) {
   }
 }
 
+/// An anneal at scale: n cores in `types` equal groups whose columns
+/// repeat, as build_characterization() fills them, and m threads striped
+/// over the cores, alternately CPU-bound and duty-cycled when
+/// `with_demand` is set.
+struct ScaledProblem {
+  Matrix s, p;
+  std::vector<double> demand;  // empty: every thread CPU-bound
+  std::vector<CoreId> initial;
+};
+
+ScaledProblem typed_problem(std::size_t n, std::size_t m, std::size_t types,
+                            std::uint64_t seed, bool with_demand) {
+  const std::size_t per_type = n / types;
+  Rng rng(seed);
+  ScaledProblem pr{Matrix(m, n), Matrix(m, n), {}, {}};
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; j += per_type) {
+      const double gips = rng.uniform(0.1, 4.0);
+      const double watts = rng.uniform(0.05, 3.0);
+      for (std::size_t k = j; k < j + per_type; ++k) {
+        pr.s.at(i, k) = gips;
+        pr.p.at(i, k) = watts;
+      }
+    }
+    if (with_demand) {
+      pr.demand.push_back(i % 2 == 0 ? -1.0 : rng.uniform(0.05, 1.0));
+    }
+    pr.initial.push_back(static_cast<CoreId>(i % n));
+  }
+  return pr;
+}
+
+GlobalEfficiencyObjective typed_objective() {
+  std::vector<double> sleep_w;
+  for (const double w : {0.09, 0.05, 0.03, 0.01}) {
+    sleep_w.insert(sleep_w.end(), 8, w);
+  }
+  return GlobalEfficiencyObjective(sleep_w);
+}
+
+/// A pinned anneal: allocation, objective bits and move counts.
+struct PinnedAnneal {
+  std::vector<CoreId> allocation;
+  std::uint64_t objective_bits;
+  int improved;
+  int accepted_worse;
+  int resyncs;
+};
+
+void expect_pinned(const SaResult& r, const PinnedAnneal& want) {
+  EXPECT_EQ(r.allocation, want.allocation);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.objective), want.objective_bits);
+  EXPECT_EQ(r.improved, want.improved);
+  EXPECT_EQ(r.accepted_worse, want.accepted_worse);
+  EXPECT_EQ(r.resyncs, want.resyncs);
+}
+
+TEST(SaOptimizer, ScaledAnnealsArePinned) {
+  // Two anneals at scale, pinned bit for bit, one through each slot
+  // reduction. 32 cores × 64 threads (n·m and m powers of two) under the
+  // built-in global objective with a demand vector; its auto budget runs
+  // past the point where `accept` stops changing. 24 × 40 (neither a power
+  // of two) under a custom objective, so the generic kernel runs it.
+  // Expected values were recorded before the proposal arithmetic, the slot
+  // reduction and the occupancy cells were rewritten.
+  {
+    SCOPED_TRACE("32 x 64, global objective, demand, auto budget");
+    const ScaledProblem pr = typed_problem(32, 64, 4, 2024, true);
+    SaConfig cfg;
+    cfg.seed = 5;
+    const SaResult r = SaOptimizer(cfg).optimize(
+        pr.s, pr.p, typed_objective(), pr.initial, nullptr, &pr.demand);
+    EXPECT_EQ(r.iterations, 24676);
+    expect_pinned(r, {{8,  25, 14, 26, 14, 16, 8,  2,  5,  25, 20, 1,  4,
+                       12, 14, 26, 3,  17, 5,  15, 7,  24, 14, 2,  14, 14,
+                       17, 8,  14, 14, 23, 25, 14, 30, 2,  2,  2,  25, 8,
+                       2,  8,  12, 30, 28, 6,  14, 17, 1,  30, 14, 14, 21,
+                       17, 31, 17, 11, 2,  2,  17, 10, 9,  30, 10, 13},
+                      0x4011968336b0889cULL, 168, 62, 0});
+  }
+  {
+    SCOPED_TRACE("24 x 40, custom objective, auto budget");
+    const ScaledProblem pr = typed_problem(24, 40, 3, 77, false);
+    std::vector<double> weights;
+    for (int c = 0; c < 24; ++c) weights.push_back(1.0 + 0.25 * (c / 8));
+    SaConfig cfg;
+    cfg.seed = 11;
+    const SaResult r = SaOptimizer(cfg).optimize(
+        pr.s, pr.p, CoreWeightedObjective(weights), pr.initial);
+    EXPECT_EQ(r.iterations, 11620);
+    expect_pinned(r, {{12, 20, 11, 23, 18, 2,  0,  17, 3, 23, 10, 6,  20, 22,
+                       1,  19, 4,  3,  13, 11, 13, 0,  0, 23, 8,  19, 9,  15,
+                       18, 18, 20, 18, 5,  17, 2,  15, 4, 11, 16, 0},
+                      0x406479c94d581d2aULL, 62, 244, 0});
+  }
+}
+
 TEST(SaOptimizer, HostTimeRecorded) {
   const auto inst = random_instance(8, 4, 99);
   EnergyEfficiencyObjective obj;

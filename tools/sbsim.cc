@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,8 +125,9 @@ using namespace sb;
                             workload/sched_replay.h for the grammar) as the
                             workload; phase refs resolve relative to the
                             trace file
-  --replay-ips=<x>          replay calibration: instructions per busy
-                            nanosecond when compiling the trace (default 1)
+  --replay-ips=<x>          replay calibration (with --replay): instructions
+                            per busy nanosecond when compiling the trace
+                            (default 1)
   --fleet-arrivals=mmpp | replay:<csv>   fleet arrival source (with --fleet):
                             the default bursty MMPP clock, or a scheduler
                             trace whose spawn events become job arrivals
@@ -169,7 +171,7 @@ struct Args {
   std::string defenses;      // auto | on | off
   std::vector<std::tuple<std::string, std::string, int>> thread_traces;
   std::string replay;          // sched-replay trace CSV (single-node)
-  double replay_ips = 1.0;     // compile calibration (instructions per ns)
+  std::optional<double> replay_ips;  // compile calibration (instr/ns)
   std::string fleet_arrivals;  // "mmpp" (default) or "replay:<csv>"
   std::string save_model;
   std::string load_model;
@@ -318,6 +320,10 @@ Args parse_flags(int argc, char** argv) {
              a.save_model.empty()) {
     std::cerr << "no workload given (need --bench/--mix/--bench-at/"
                  "--thread-trace/--replay/--fleet)\n";
+    usage(2);
+  }
+  if (a.replay_ips && a.replay.empty()) {
+    std::cerr << "--replay-ips only applies with --replay\n";
     usage(2);
   }
   if (!a.fleet_arrivals.empty() && a.fleet.empty()) {
@@ -499,7 +505,7 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
   if (!a.replay.empty()) {
     const auto trace = workload::load_replay_trace_file(a.replay);
     workload::ReplayCompileOptions opts;
-    opts.ips_hint = a.replay_ips;
+    if (a.replay_ips) opts.ips_hint = *a.replay_ips;
     const std::size_t slash = a.replay.find_last_of('/');
     if (slash != std::string::npos) opts.base_dir = a.replay.substr(0, slash);
     s.add_replay(workload::compile_replay_schedule(trace, opts));
