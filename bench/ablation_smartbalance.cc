@@ -8,6 +8,7 @@
 // score is global energy efficiency (MIPS/W) and migration count.
 #include <iostream>
 #include <memory>
+#include <string_view>
 
 #include "arch/platform.h"
 #include "bench_util.h"
@@ -26,13 +27,13 @@ struct Score {
 };
 
 Score run_variant(const bench::Options& opt, core::SmartBalanceConfig cfg,
-                  bool eq11_objective = false) {
+                  std::string_view policy = "smartbalance") {
   const auto platform = arch::Platform::quad_heterogeneous();
   sim::SimulationConfig scfg;
   scfg.duration = opt.duration;
   scfg.seed = opt.seed;
   sim::Simulation s(platform, scfg);
-  s.set_balancer(sim::smartbalance_factory(cfg, eq11_objective)(s));
+  s.set_balancer(sim::policy_factory(policy, cfg)(s));
   s.add_benchmark("canneal", 2);
   s.add_benchmark("swaptions", 2);
   s.add_benchmark("x264_H_crew", 2);
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   add("default", base);
 
   add("Eq. 11 objective (paper-faithful)",
-      run_variant(opt, def, /*eq11_objective=*/true));
+      run_variant(opt, def, "smartbalance-eq11"));
   {
     auto cfg = def;
     cfg.sensing.smoothing = 0.0;

@@ -190,13 +190,12 @@ class GainSweep {
             const core::SmartBalanceConfig& smart = core::SmartBalanceConfig())
       : platform_(platform),
         cfg_(cfg),
-        // One factory pair for the whole sweep: the predictor-model cache
-        // inside smartbalance_factory is per-factory, so sharing it trains
+        // One factory pair for the whole sweep: each SmartBalance factory
+        // caches its own trained predictor model, so sharing it trains
         // once per platform shape instead of once per bar (training is
         // deterministic, so results are unchanged — just faster).
-        eq11_(sim::smartbalance_factory(smart,
-                                        /*paper_eq11_objective=*/true)),
-        global_(sim::smartbalance_factory(smart)) {}
+        eq11_(sim::policy_factory("smartbalance-eq11", smart)),
+        global_(sim::policy_factory("smartbalance", smart)) {}
 
   /// Queues one bar; returns its row index in run()'s output.
   std::size_t add(const std::string& label,

@@ -8,14 +8,11 @@
 // section describes: each added level of awareness (cluster → task →
 // utilization → per-thread IPC+power) buys energy efficiency.
 #include <iostream>
-#include <memory>
 
 #include "arch/platform.h"
 #include "bench_util.h"
 #include "common/csv.h"
 #include "common/table.h"
-#include "os/iks_balancer.h"
-#include "os/utilaware_balancer.h"
 #include "sim/experiment.h"
 #include "sim/simulation.h"
 
@@ -48,17 +45,8 @@ int main(int argc, char** argv) {
        }},
   };
 
-  const std::vector<std::pair<std::string, sim::BalancerFactory>> policies = {
-      {"vanilla", sim::vanilla_factory()},
-      {"iks",
-       [](const sim::Simulation&) { return std::make_unique<os::IksBalancer>(); }},
-      {"utilaware",
-       [](const sim::Simulation&) {
-         return std::make_unique<os::UtilAwareBalancer>();
-       }},
-      {"gts", sim::gts_factory(0)},
-      {"smartbalance", sim::smartbalance_factory()},
-  };
+  const auto policies = sim::named_policies(
+      {"vanilla", "iks", "utilaware", "gts", "smartbalance"});
 
   CsvWriter csv("ext_baselines.csv", {"workload", "policy", "mips_w"});
   // The full (workload × policy) ladder is one parallel batch; run_sweep

@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
   const auto policies = std::vector<std::pair<std::string, sim::BalancerFactory>>{
       {"vanilla", sim::vanilla_factory()},
       {"smartbalance (global IPS/W)", sim::smartbalance_factory()},
-      {"smartbalance (Eq. 11)",
-       sim::smartbalance_factory(core::SmartBalanceConfig(), true)},
+      {"smartbalance (Eq. 11)", sim::policy_factory("smartbalance-eq11")},
   };
   double base = 0;
   for (const auto& [name, factory] : policies) {

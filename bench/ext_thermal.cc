@@ -7,7 +7,6 @@
 // work onto the efficient cores doesn't just save joules, it flattens the
 // thermal profile (the Huge core is both the watt hog and the hot spot).
 #include <iostream>
-#include <memory>
 
 #include "arch/platform.h"
 #include "bench_util.h"
@@ -35,10 +34,7 @@ int main(int argc, char** argv) {
 
   const auto runs = sim::compare_policies(
       platform, cfg, workload,
-      {{"none",
-        [](const sim::Simulation&) { return std::make_unique<os::NullBalancer>(); }},
-       {"vanilla", sim::vanilla_factory()},
-       {"smartbalance", sim::smartbalance_factory()}});
+      sim::named_policies({"none", "vanilla", "smartbalance"}));
 
   TextTable t({"policy", "MIPS/W", "peak temp C", "final temps C "
                "(Huge/Big/Medium/Small)"});

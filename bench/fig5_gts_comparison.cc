@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (const auto& [name, nt] : workloads) {
     sweep.add(name,
               [n = name, k = nt](sim::Simulation& s) { s.add_benchmark(n, k); },
-              sim::gts_factory(/*big_type=*/0));
+              sim::policy_factory("gts"));
   }
   for (const auto& row : sweep.run(opt.runner())) {
     t.add_row({row.label, TextTable::fmt(row.baseline_mips_w, 1),

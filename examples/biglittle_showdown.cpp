@@ -26,9 +26,7 @@ int main() {
 
   const auto runs = sim::compare_policies(
       platform, cfg, workload,
-      {{"vanilla", sim::vanilla_factory()},
-       {"gts", sim::gts_factory(/*big_type=*/0)},
-       {"smartbalance", sim::smartbalance_factory()}});
+      sim::named_policies({"vanilla", "gts", "smartbalance"}));
 
   for (const auto& run : runs) {
     std::cout << "--- " << run.policy << " ---\n";

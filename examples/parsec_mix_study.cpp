@@ -37,11 +37,7 @@ int main(int argc, char** argv) {
       platform, cfg,
       {{"Mix" + std::to_string(mix_id),
         [&](sim::Simulation& s) { s.add_mix(mix_id, threads); }}},
-      {{"none", [](const sim::Simulation&) {
-          return std::make_unique<os::NullBalancer>();
-        }},
-       {"vanilla", sim::vanilla_factory()},
-       {"smartbalance", sim::smartbalance_factory()}});
+      sim::named_policies({"none", "vanilla", "smartbalance"}));
   const auto& runs = batch.runs;
 
   for (const auto& run : runs) {

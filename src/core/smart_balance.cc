@@ -16,6 +16,10 @@ using Clock = std::chrono::steady_clock;
 /// sensing-free, so garbage telemetry cannot steer migrations.
 constexpr double kDegradedHealthyThreshold = 0.5;
 
+/// Seed of the policy's own randomness: the sensing noise stream and every
+/// pass's annealing trajectory derive from it.
+constexpr std::uint64_t kPolicySeed = 99;
+
 TimeNs elapsed_ns(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
 }
@@ -49,7 +53,7 @@ SmartBalancePolicy::SmartBalancePolicy(
       cfg_(cfg),
       objective_(objective ? std::move(objective)
                            : std::make_unique<EnergyEfficiencyObjective>()),
-      sensing_(platform, cfg.sensing, Rng(cfg.seed ^ 0x5e25ULL),
+      sensing_(platform, cfg.sensing, Rng(kPolicySeed ^ 0x5e25ULL),
                cfg.defenses == SmartBalanceConfig::Defenses::kOn ||
                    (cfg.defenses == SmartBalanceConfig::Defenses::kAuto &&
                     !cfg.fault_plan.empty())),
@@ -322,7 +326,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // reusing persistent optimizer scratch arenas — re-seeded, never
   // re-allocated.
   const std::uint64_t pass_seed =
-      cfg_.seed ^ (0x0a0aULL + passes_ * 0x9e3779b9ULL);
+      kPolicySeed ^ (0x0a0aULL + passes_ * 0x9e3779b9ULL);
   const SaResult result =
       sharded_.balance(passes_, pass_seed, last_mx_.s, last_mx_.p, *objective_,
                        initial, affinity, demand, obs, elapsed_ns(t0, t2));

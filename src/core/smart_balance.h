@@ -43,7 +43,6 @@ struct SmartBalanceConfig {
   /// budget split across them.
   int sa_iterations = 0;
   SensingSubsystem::Config sensing;
-  std::uint64_t seed = 99;
   /// Apply a new allocation only if its predicted objective exceeds the
   /// current one by this relative margin. Hysteresis against noise-driven
   /// migration thrash: prediction error (Fig. 6, ~4-5%) would otherwise

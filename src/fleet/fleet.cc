@@ -11,8 +11,8 @@
 #include "common/rng.h"
 #include "core/smart_balance.h"
 #include "core/trainer.h"
+#include "obs/store.h"
 #include "sim/experiment.h"
-#include "sim/report.h"
 #include "sim/simulation.h"
 #include "workload/benchmarks.h"
 #include "workload/sched_replay.h"
@@ -156,12 +156,10 @@ FleetSimulation::~FleetSimulation() = default;
 
 void FleetSimulation::build_nodes(
     const std::vector<arch::Platform>& platforms) {
-  // One factory for the whole fleet: smartbalance_factory caches its
+  // One factory for the whole fleet: a SmartBalance factory caches its
   // trained model per platform shape, so a 16-node fleet of two shapes
   // trains exactly twice.
-  const sim::BalancerFactory factory = cfg_.node_policy == "vanilla"
-                                           ? sim::vanilla_factory()
-                                           : sim::smartbalance_factory();
+  const sim::BalancerFactory factory = sim::policy_factory(cfg_.node_policy);
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (int i = 0; i < cfg_.nodes; ++i) {
     auto node = std::make_unique<Node>();
@@ -614,9 +612,11 @@ void tail_json(std::ostream& os, const char* key, const LatencyTail& t) {
 
 void write_fleet_json(std::ostream& os, const FleetResult& r) {
   os << std::setprecision(12);
-  os << "{\"dispatch_policy\":\"" << sim::json_escape(r.dispatch_policy)
-     << "\",\"node_policy\":\"" << sim::json_escape(r.node_policy)
-     << "\",\"nodes\":" << r.nodes << ",\"simulated_ms\":"
+  os << "{\"dispatch_policy\":";
+  obs::json_string(os, r.dispatch_policy);
+  os << ",\"node_policy\":";
+  obs::json_string(os, r.node_policy);
+  os << ",\"nodes\":" << r.nodes << ",\"simulated_ms\":"
      << to_millis(r.simulated) << ",\"jobs\":{\"arrived\":" << r.jobs_arrived
      << ",\"dispatched\":" << r.jobs_dispatched
      << ",\"completed\":" << r.jobs_completed
@@ -634,9 +634,11 @@ void write_fleet_json(std::ostream& os, const FleetResult& r) {
   for (std::size_t i = 0; i < r.node_results.size(); ++i) {
     const auto& n = r.node_results[i];
     if (i) os << ",";
-    os << "{\"label\":\"" << sim::json_escape(n.label)
-       << "\",\"policy\":\"" << sim::json_escape(n.policy)
-       << "\",\"instructions\":" << n.instructions << ",\"energy_j\":"
+    os << "{\"label\":";
+    obs::json_string(os, n.label);
+    os << ",\"policy\":";
+    obs::json_string(os, n.policy);
+    os << ",\"instructions\":" << n.instructions << ",\"energy_j\":"
        << n.energy_j << ",\"ips_per_watt\":" << n.ips_per_watt
        << ",\"migrations\":" << n.migrations << "}";
   }

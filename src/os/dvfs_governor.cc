@@ -40,9 +40,9 @@ void OndemandGovernor::on_tick(Kernel& kernel, TimeNs now) {
     const std::size_t cur = kernel.core_opp_index(c);
     const std::size_t top = kernel.opp_table(c).size() - 1;
     std::size_t next = cur;
-    if (util > cfg_.up_threshold) {
-      next = cfg_.boost_to_max ? top : std::min(top, cur + 1);
-    } else if (util < cfg_.down_threshold && cur > 0) {
+    if (util > kUpThreshold) {
+      next = top;
+    } else if (util < kDownThreshold && cur > 0) {
       next = cur - 1;
     }
     if (next != cur) {

@@ -42,31 +42,21 @@ class PowersaveGovernor final : public DvfsGovernor {
   std::string name() const override { return "powersave"; }
 };
 
-/// Utilization-driven stepping (Linux "ondemand"/"schedutil" flavour):
-/// raise the operating point when the core's busy fraction over the last
-/// tick exceeds `up_threshold`, lower it when below `down_threshold`.
+/// Utilization-driven stepping (Linux "ondemand"/"schedutil" flavour).
 class OndemandGovernor final : public DvfsGovernor {
  public:
-  struct Config {
-    TimeNs interval = milliseconds(30);
-    double up_threshold = 0.85;
-    double down_threshold = 0.35;
-    /// Jump straight to the top point on saturation (ondemand behaviour)
-    /// rather than stepping one level.
-    bool boost_to_max = true;
-  };
-
-  OndemandGovernor() : OndemandGovernor(Config()) {}
-  explicit OndemandGovernor(Config cfg) : cfg_(cfg) {}
-
-  TimeNs interval() const override { return cfg_.interval; }
+  TimeNs interval() const override { return milliseconds(30); }
   void on_tick(Kernel& kernel, TimeNs now) override;
   std::string name() const override { return "ondemand"; }
 
   std::uint64_t transitions() const { return transitions_; }
 
  private:
-  Config cfg_;
+  /// Busy fraction over the last tick above which the core jumps to its
+  /// top operating point, and below which it steps down one.
+  static constexpr double kUpThreshold = 0.85;
+  static constexpr double kDownThreshold = 0.35;
+
   std::vector<TimeNs> prev_busy_;
   TimeNs prev_now_ = 0;
   std::uint64_t transitions_ = 0;

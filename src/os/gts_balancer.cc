@@ -6,13 +6,15 @@
 
 namespace sb::os {
 
+TimeNs GtsBalancer::interval() const { return kSchedLatency; }
+
 CoreId GtsBalancer::pick_core_in_cluster(Kernel& kernel, ThreadId tid,
                                          bool big) const {
   const Task& t = kernel.task(tid);
   CoreId best = kInvalidCore;
   double best_load = -1;
   for (CoreId c = 0; c < kernel.num_cores(); ++c) {
-    const bool is_big = kernel.platform().type_of(c) == cfg_.big_type;
+    const bool is_big = kernel.platform().type_of(c) == kBigCoreType;
     if (is_big != big) continue;
     if (!t.can_run_on(c) || !kernel.core_online(c)) continue;
     const double load = kernel.core_load(c);
@@ -29,7 +31,7 @@ void GtsBalancer::balance_cluster(Kernel& kernel, bool big) const {
   CoreId busiest = kInvalidCore, idlest = kInvalidCore;
   double max_load = -1, min_load = -1;
   for (CoreId c = 0; c < kernel.num_cores(); ++c) {
-    const bool is_big = kernel.platform().type_of(c) == cfg_.big_type;
+    const bool is_big = kernel.platform().type_of(c) == kBigCoreType;
     if (is_big != big) continue;
     if (!kernel.core_online(c)) continue;
     const double load = kernel.core_load(c);
@@ -60,16 +62,16 @@ void GtsBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
   ++passes_;
   for (ThreadId tid : kernel.alive_threads()) {
     const Task& t = kernel.task(tid);
-    const bool on_big = kernel.platform().type_of(t.cpu) == cfg_.big_type;
+    const bool on_big = kernel.platform().type_of(t.cpu) == kBigCoreType;
     const double util = kernel.task_util(tid);
 
-    if (!on_big && util > cfg_.up_threshold) {
+    if (!on_big && util > kUpThreshold) {
       const CoreId dest = pick_core_in_cluster(kernel, tid, /*big=*/true);
       if (dest != kInvalidCore) {
         kernel.migrate(tid, dest);
         ++up_;
       }
-    } else if (on_big && util < cfg_.down_threshold) {
+    } else if (on_big && util < kDownThreshold) {
       const CoreId dest = pick_core_in_cluster(kernel, tid, /*big=*/false);
       if (dest != kInvalidCore) {
         kernel.migrate(tid, dest);
@@ -77,10 +79,9 @@ void GtsBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
       }
     }
   }
-  if (cfg_.balance_within_cluster) {
-    balance_cluster(kernel, /*big=*/true);
-    balance_cluster(kernel, /*big=*/false);
-  }
+  // Intra-cluster load balancing, like vanilla's.
+  balance_cluster(kernel, /*big=*/true);
+  balance_cluster(kernel, /*big=*/false);
 }
 
 }  // namespace sb::os

@@ -19,21 +19,9 @@ namespace sb::os {
 
 class GtsBalancer final : public LoadBalancer {
  public:
-  struct Config {
-    TimeNs interval = milliseconds(6);
-    double up_threshold = 0.65;    // util above which a task prefers big
-    double down_threshold = 0.25;  // util below which a task prefers little
-    /// Core type id treated as the "big" cluster; all other types form the
-    /// LITTLE side. Matches Platform::octa_big_little() (type 0 = A15).
-    CoreTypeId big_type = 0;
-    /// Intra-cluster load balancing like vanilla.
-    bool balance_within_cluster = true;
-  };
-
-  GtsBalancer() : GtsBalancer(Config()) {}
-  explicit GtsBalancer(Config cfg) : cfg_(cfg) {}
-
-  TimeNs interval() const override { return cfg_.interval; }
+  /// Fires once per CFS period, as GTS's up/down checks ride the periodic
+  /// balance.
+  TimeNs interval() const override;
   void on_balance(Kernel& kernel, TimeNs now) override;
   std::string name() const override { return "gts"; }
   std::uint64_t passes() const override { return passes_; }
@@ -42,11 +30,15 @@ class GtsBalancer final : public LoadBalancer {
   std::uint64_t down_migrations() const { return down_; }
 
  private:
+  /// Tracked utilization above which a LITTLE task moves up to the big
+  /// cluster, and below which a big task moves down.
+  static constexpr double kUpThreshold = 0.65;
+  static constexpr double kDownThreshold = 0.25;
+
   /// Least-loaded core of the given cluster that the task may run on.
   CoreId pick_core_in_cluster(Kernel& kernel, ThreadId tid, bool big) const;
   void balance_cluster(Kernel& kernel, bool big) const;
 
-  Config cfg_;
   std::uint64_t passes_ = 0;
   std::uint64_t up_ = 0;
   std::uint64_t down_ = 0;

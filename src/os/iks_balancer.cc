@@ -7,11 +7,13 @@
 
 namespace sb::os {
 
+TimeNs IksBalancer::interval() const { return kSchedLatency; }
+
 void IksBalancer::init_pairs(Kernel& kernel) {
   const auto& platform = kernel.platform();
   std::vector<CoreId> bigs, littles;
   for (CoreId c = 0; c < kernel.num_cores(); ++c) {
-    (platform.type_of(c) == cfg_.big_type ? bigs : littles).push_back(c);
+    (platform.type_of(c) == kBigCoreType ? bigs : littles).push_back(c);
   }
   if (bigs.empty() || bigs.size() != littles.size()) {
     throw std::logic_error(
@@ -51,9 +53,9 @@ void IksBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
     Pair& p = pairs_[i];
     if (!kernel.core_online(p.big) || !kernel.core_online(p.little)) continue;
     const bool was_big = p.big_active;
-    if (!p.big_active && pair_util[i] > cfg_.up_threshold) {
+    if (!p.big_active && pair_util[i] > kUpThreshold) {
       p.big_active = true;
-    } else if (p.big_active && pair_util[i] < cfg_.down_threshold) {
+    } else if (p.big_active && pair_util[i] < kDownThreshold) {
       p.big_active = false;
     }
     if (p.big_active != was_big) ++switches_;
@@ -65,9 +67,10 @@ void IksBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
     }
   }
 
-  if (!cfg_.balance_pairs || pairs_.size() < 2) return;
-  // Logical-CPU load balancing: move one queued thread from the most to
-  // the least populated pair when counts differ by 2+.
+  if (pairs_.size() < 2) return;
+  // Logical-CPU load balancing, as vanilla does across physical cores: move
+  // one queued thread from the most to the least populated pair when counts
+  // differ by 2+.
   std::size_t busiest = 0, idlest = 0;
   for (std::size_t i = 1; i < pairs_.size(); ++i) {
     if (members[i].size() > members[busiest].size()) busiest = i;

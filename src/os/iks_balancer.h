@@ -20,20 +20,8 @@ namespace sb::os {
 
 class IksBalancer final : public LoadBalancer {
  public:
-  struct Config {
-    TimeNs interval = milliseconds(6);
-    double up_threshold = 0.60;    // pair util above which big is active
-    double down_threshold = 0.30;  // below which little is active
-    CoreTypeId big_type = 0;
-    /// Balance thread counts across logical CPUs (pairs), like the vanilla
-    /// balancer does across physical cores.
-    bool balance_pairs = true;
-  };
-
-  IksBalancer() : IksBalancer(Config()) {}
-  explicit IksBalancer(Config cfg) : cfg_(cfg) {}
-
-  TimeNs interval() const override { return cfg_.interval; }
+  /// Fires once per CFS period.
+  TimeNs interval() const override;
   void on_balance(Kernel& kernel, TimeNs now) override;
   std::string name() const override { return "iks"; }
   std::uint64_t passes() const override { return passes_; }
@@ -41,6 +29,11 @@ class IksBalancer final : public LoadBalancer {
   std::uint64_t switches() const { return switches_; }
 
  private:
+  /// Pair utilization above which the big member is active, and below
+  /// which the little one is.
+  static constexpr double kUpThreshold = 0.60;
+  static constexpr double kDownThreshold = 0.30;
+
   struct Pair {
     CoreId big = kInvalidCore;
     CoreId little = kInvalidCore;
@@ -52,7 +45,6 @@ class IksBalancer final : public LoadBalancer {
     return p.big_active ? p.big : p.little;
   }
 
-  Config cfg_;
   std::vector<Pair> pairs_;
   std::uint64_t passes_ = 0;
   std::uint64_t switches_ = 0;

@@ -17,7 +17,8 @@ Kernel::Kernel(const arch::Platform& platform, const perf::PerfModel& perf,
       cfg_(cfg),
       cores_(static_cast<std::size_t>(platform.num_cores())),
       meter_(platform.num_cores()),
-      sensors_(meter_, cfg.sensor, Rng(cfg.seed ^ 0x5e5e5e5eULL)),
+      sensors_(meter_, power::PowerSensorBank::Config(),
+               Rng(cfg.seed ^ 0x5e5e5e5eULL)),
       bus_(platform.num_cores(), cfg.bus),
       rng_(cfg.seed) {
   platform_.validate();
@@ -334,13 +335,12 @@ void Kernel::dispatch(CoreId c) {
   const arch::CoreParams& params = platform_.params_of(c);
   const auto nr = cs.rq.size() + 1;
   const TimeNs period = std::max<TimeNs>(
-      cfg_.sched_latency,
-      cfg_.min_granularity * static_cast<TimeNs>(nr));
+      kSchedLatency, kMinGranularity * static_cast<TimeNs>(nr));
   const std::uint64_t total_w = cs.rq.total_weight() + t.weight;
   TimeNs slice = static_cast<TimeNs>(
       static_cast<double>(period) * static_cast<double>(t.weight) /
       static_cast<double>(total_w));
-  slice = std::max(slice, cfg_.min_granularity);
+  slice = std::max(slice, kMinGranularity);
 
   // Freeze the per-segment model evaluation (bus latency, cache warmth and
   // the DVFS operating point change slowly relative to a sub-millisecond
@@ -552,7 +552,7 @@ void Kernel::handle_wake(ThreadId tid) {
   // Sleeper fairness: don't let a long sleep turn into unbounded credit.
   t.vruntime = std::max(
       t.vruntime,
-      core(target).rq.min_vruntime() - static_cast<double>(cfg_.sched_latency));
+      core(target).rq.min_vruntime() - static_cast<double>(kSchedLatency));
   enqueue_task(t, /*wakeup=*/true);
 }
 
@@ -575,7 +575,7 @@ void Kernel::enqueue_task(Task& t, bool wakeup) {
     const Task& cur = task(cs.running);
     // Preempt if the woken task is entitled to run by a clear margin.
     if (cur.vruntime >
-        t.vruntime + static_cast<double>(cfg_.wakeup_granularity)) {
+        t.vruntime + static_cast<double>(kWakeupGranularity)) {
       requeue(task_mut(stop_current(t.cpu)));
       dispatch(t.cpu);
     }

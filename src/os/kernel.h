@@ -55,14 +55,19 @@ class Sink;
 
 namespace sb::os {
 
+/// CFS timing at Linux's stock values: the period that the runnable tasks
+/// of a core share (sysctl_sched_latency), the minimum slice
+/// (sysctl_sched_min_granularity), and the vruntime lead a waking task
+/// needs to preempt (sysctl_sched_wakeup_granularity). VanillaBalancer
+/// fires once per period.
+inline constexpr TimeNs kSchedLatency = milliseconds(6);
+inline constexpr TimeNs kMinGranularity = microseconds(750);
+inline constexpr TimeNs kWakeupGranularity = milliseconds(1);
+
 struct KernelConfig {
-  TimeNs sched_latency = milliseconds(6);      // CFS period target
-  TimeNs min_granularity = microseconds(750);  // minimum timeslice
-  TimeNs wakeup_granularity = milliseconds(1); // preemption hysteresis
   std::uint64_t seed = 42;
   arch::CacheWarmupModel warmup{};
   arch::SharedBus::Config bus{};
-  power::PowerSensorBank::Config sensor{};
   /// Gives every core type a 4-point OPP table (OppTable::typical_for) and
   /// enables set_core_opp / DVFS governors. Off by default: the paper fixes
   /// all voltages/frequencies to isolate architectural heterogeneity (§5).

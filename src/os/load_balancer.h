@@ -5,8 +5,9 @@
 // boundaries instead of the vanilla balancing pass. We reproduce that
 // policy point: the Kernel fires on_balance() every interval(); the policy
 // inspects kernel state (counters, sensors, utilizations) and requests
-// migrations. Three policies implement this interface: VanillaBalancer,
-// GtsBalancer and sb::core::SmartBalancePolicy.
+// migrations. The baselines in this directory (VanillaBalancer,
+// GtsBalancer, IksBalancer, UtilAwareBalancer, NullBalancer) and
+// sb::core::SmartBalancePolicy implement it; sim::policy_factory names each.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,11 @@
 namespace sb::os {
 
 class Kernel;
+
+/// The core type the big.LITTLE baselines (GTS, IKS, UtilAware) treat as
+/// the big cluster; every other type is LITTLE. Type 0 is the A15 in
+/// Platform::octa_big_little().
+inline constexpr CoreTypeId kBigCoreType = 0;
 
 class LoadBalancer {
  public:
@@ -39,13 +45,10 @@ class LoadBalancer {
 /// baseline used in tests and as a lower bound in experiments.
 class NullBalancer final : public LoadBalancer {
  public:
-  explicit NullBalancer(TimeNs interval = milliseconds(60)) : interval_(interval) {}
-  TimeNs interval() const override { return interval_; }
+  /// Fires, to no effect, once per default SmartBalance epoch.
+  TimeNs interval() const override { return milliseconds(60); }
   void on_balance(Kernel&, TimeNs) override {}
   std::string name() const override { return "none"; }
-
- private:
-  TimeNs interval_;
 };
 
 }  // namespace sb::os

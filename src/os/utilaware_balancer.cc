@@ -14,7 +14,7 @@ void UtilAwareBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
   std::vector<CoreId> bigs, littles;
   for (CoreId c = 0; c < kernel.num_cores(); ++c) {
     if (!kernel.core_online(c)) continue;
-    (platform.type_of(c) == cfg_.big_type ? bigs : littles).push_back(c);
+    (platform.type_of(c) == kBigCoreType ? bigs : littles).push_back(c);
   }
   if (littles.empty() || bigs.empty()) return;
 
@@ -29,7 +29,7 @@ void UtilAwareBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
   for (ThreadId tid : kernel.alive_threads()) {
     const double u = kernel.task_util(tid);
     tasks.push_back({tid, u, static_cast<int>(u / 0.05),
-                     platform.type_of(kernel.task(tid).cpu) != cfg_.big_type});
+                     platform.type_of(kernel.task(tid).cpu) != kBigCoreType});
   }
   std::sort(tasks.begin(), tasks.end(), [](const Entry& a, const Entry& b) {
     if (a.bucket != b.bucket) return a.bucket > b.bucket;
@@ -52,7 +52,7 @@ void UtilAwareBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
       // A task fits if it respects the budget — or if the little core is
       // still empty (a single task may own a whole little outright; that
       // is always more efficient than a big core at any utilization).
-      const bool ok = little_load[i] + e.util <= cfg_.little_capacity ||
+      const bool ok = little_load[i] + e.util <= kLittleCapacity ||
                       little_load[i] == 0.0;
       if (!ok) continue;
       // Prefer the incumbent core, then the least-loaded.

@@ -18,23 +18,15 @@ namespace sb::os {
 
 class UtilAwareBalancer final : public LoadBalancer {
  public:
-  struct Config {
-    TimeNs interval = milliseconds(12);
-    /// Per-little-core utilization budget before spilling to big.
-    double little_capacity = 0.85;
-    CoreTypeId big_type = 0;
-  };
-
-  UtilAwareBalancer() : UtilAwareBalancer(Config()) {}
-  explicit UtilAwareBalancer(Config cfg) : cfg_(cfg) {}
-
-  TimeNs interval() const override { return cfg_.interval; }
+  TimeNs interval() const override { return milliseconds(12); }
   void on_balance(Kernel& kernel, TimeNs now) override;
   std::string name() const override { return "utilaware"; }
   std::uint64_t passes() const override { return passes_; }
 
  private:
-  Config cfg_;
+  /// Per-little-core utilization budget before spilling to big.
+  static constexpr double kLittleCapacity = 0.85;
+
   std::uint64_t passes_ = 0;
 };
 

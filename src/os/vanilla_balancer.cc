@@ -7,6 +7,8 @@
 
 namespace sb::os {
 
+TimeNs VanillaBalancer::interval() const { return kSchedLatency; }
+
 void VanillaBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
   ++passes_;
   const int n = kernel.num_cores();
@@ -14,7 +16,7 @@ void VanillaBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
 
   // One snapshot per pass: a migration never forks or exits a task.
   const std::vector<ThreadId> alive = kernel.alive_threads();
-  for (int move = 0; move < cfg_.max_moves_per_pass; ++move) {
+  for (int move = 0; move < kMaxMovesPerPass; ++move) {
     // find_busiest_queue / find_idlest_queue over raw CFS load.
     CoreId busiest = kInvalidCore, idlest = kInvalidCore;
     double max_load = -1, min_load = -1;
@@ -36,7 +38,7 @@ void VanillaBalancer::on_balance(Kernel& kernel, TimeNs /*now*/) {
     }
     if (busiest == idlest || online < 2) return;
     avg /= online;
-    if (max_load - min_load <= cfg_.imbalance_pct * std::max(avg, 1.0)) return;
+    if (max_load - min_load <= kImbalancePct * std::max(avg, 1.0)) return;
 
     // Pull one queued (not running) task whose move reduces the imbalance.
     ThreadId candidate = kInvalidThread;

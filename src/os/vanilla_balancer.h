@@ -18,25 +18,19 @@ namespace sb::os {
 
 class VanillaBalancer final : public LoadBalancer {
  public:
-  struct Config {
-    TimeNs interval = milliseconds(6);
-    /// Load-imbalance tolerance as a fraction of average core load; the
-    /// kernel's imbalance_pct=125 corresponds to 0.25.
-    double imbalance_pct = 0.25;
-    /// Safety valve on migrations per pass (sd->nr_balance_failed analogue).
-    int max_moves_per_pass = 8;
-  };
-
-  VanillaBalancer() : VanillaBalancer(Config()) {}
-  explicit VanillaBalancer(Config cfg) : cfg_(cfg) {}
-
-  TimeNs interval() const override { return cfg_.interval; }
+  /// Fires once per CFS period (kSchedLatency).
+  TimeNs interval() const override;
   void on_balance(Kernel& kernel, TimeNs now) override;
   std::string name() const override { return "vanilla"; }
   std::uint64_t passes() const override { return passes_; }
 
  private:
-  Config cfg_;
+  /// Load-imbalance tolerance as a fraction of average core load: the
+  /// kernel's stock imbalance_pct = 125.
+  static constexpr double kImbalancePct = 0.25;
+  /// Safety valve on migrations per pass (sd->nr_balance_failed analogue).
+  static constexpr int kMaxMovesPerPass = 8;
+
   std::uint64_t passes_ = 0;
 };
 

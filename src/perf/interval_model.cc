@@ -47,10 +47,10 @@ IntervalModel::ProfileTerms IntervalModel::precompute(
   // in-flight work; the saturating exponentials model that window pressure.
   const double rob_eff =
       1.0 - std::exp(-static_cast<double>(core.rob_size) /
-                     (cfg_.rob_fill_per_issue * width));
+                     (kRobFillPerSlot * width));
   const double iq_eff =
       1.0 - std::exp(-static_cast<double>(core.iq_size) /
-                     (cfg_.iq_fill_per_issue * width));
+                     (kIqFillPerSlot * width));
   const double sustain_width = width * rob_eff * iq_eff;
   const double base_ipc = std::min(sustain_width, wp.ilp);
   out.cpi_base = 1.0 / base_ipc;
@@ -74,7 +74,7 @@ IntervalModel::ProfileTerms IntervalModel::precompute(
   // Branch misprediction: pipeline flush plus front-end refill.
   out.cpi_branch = wp.branch_share * out.mr_branch *
                    (static_cast<double>(core.pipeline_depth) +
-                    cfg_.refill_penalty * width);
+                    kRefillPenalty * width);
   return out;
 }
 
@@ -104,19 +104,19 @@ PerfBreakdown IntervalModel::evaluate(const ProfileTerms& terms,
   const double mem_latency_cyc = mem_latency_ns * freq_ghz;
 
   // Instruction-side misses stall the front end; mostly unhidden.
-  out.cpi_l1i = out.mr_l1i * cfg_.l2_latency_cyc;
+  out.cpi_l1i = out.mr_l1i * kL2LatencyCyc;
 
   // Data-side: L2 hits partially hidden by OoO issue; memory misses hidden
   // by MLP overlap.
   out.cpi_l1d = wp.mem_share * out.mr_l1d *
-                (cfg_.l2_latency_cyc / terms.mlp_eff +
+                (kL2LatencyCyc / terms.mlp_eff +
                  wp.l2_miss_ratio * mem_latency_cyc / terms.mlp_eff);
 
   out.cpi_branch = terms.cpi_branch;
 
   // TLB walks on both sides.
   out.cpi_tlb =
-      (out.mr_itlb + wp.mem_share * out.mr_dtlb) * cfg_.tlb_walk_cyc;
+      (out.mr_itlb + wp.mem_share * out.mr_dtlb) * kTlbWalkCyc;
 
   out.ipc = std::min(terms.width, 1.0 / out.total_cpi());
 

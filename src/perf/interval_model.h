@@ -47,16 +47,6 @@ struct PerfBreakdown {
 
 class IntervalModel {
  public:
-  struct Config {
-    double l2_latency_cyc = 12.0;   // private L2 hit latency
-    double tlb_walk_cyc = 30.0;     // page-table walk
-    double rob_fill_per_issue = 24; // ROB entries needed per issue slot to
-                                    // sustain full width
-    double iq_fill_per_issue = 3.0; // IQ entries per issue slot
-    double refill_penalty = 1.0;    // front-end refill per mispredict, in
-                                    // multiples of issue width
-  };
-
   /// The terms of evaluate() that depend only on (profile, core type):
   /// window pressure and the base CPI, the miss rates before the warmup
   /// multiply, the branch term and the MLP clamp. The rest depend on the
@@ -78,9 +68,6 @@ class IntervalModel {
     double cpi_branch = 0;  // misprediction flush component
     double mlp_eff = 0;     // MLP clamped to the load-queue capacity
   };
-
-  IntervalModel() = default;
-  explicit IntervalModel(Config cfg) : cfg_(cfg) {}
 
   /// Evaluates `profile` on `core` with the given effective memory latency
   /// (shared-bus inflated) and cache-warmup multiplier (>= 1 right after a
@@ -112,10 +99,14 @@ class IntervalModel {
   /// row was derived the same way from gem5 runs of tuned kernels).
   double peak_ipc(const arch::CoreParams& core) const;
 
-  const Config& config() const { return cfg_; }
-
  private:
-  Config cfg_;
+  static constexpr double kL2LatencyCyc = 12.0;  // private L2 hit latency
+  static constexpr double kTlbWalkCyc = 30.0;    // page-table walk
+  /// ROB and IQ entries needed per dispatch slot to sustain full width.
+  static constexpr double kRobFillPerSlot = 24;
+  static constexpr double kIqFillPerSlot = 3.0;
+  /// Front-end refill per mispredict, in multiples of the core's width.
+  static constexpr double kRefillPenalty = 1.0;
 };
 
 /// The probe used for peak-throughput and peak-power calibration.

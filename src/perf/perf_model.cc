@@ -4,8 +4,7 @@
 
 namespace sb::perf {
 
-PerfModel::PerfModel(const arch::Platform& platform, IntervalModel::Config cfg)
-    : platform_(platform), model_(cfg) {
+PerfModel::PerfModel(const arch::Platform& platform) : platform_(platform) {
   platform_.validate();
   peak_ipc_by_type_.reserve(static_cast<std::size_t>(platform_.num_types()));
   for (CoreTypeId t = 0; t < platform_.num_types(); ++t) {

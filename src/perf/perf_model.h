@@ -13,9 +13,7 @@ namespace sb::perf {
 
 class PerfModel {
  public:
-  explicit PerfModel(const arch::Platform& platform)
-      : PerfModel(platform, IntervalModel::Config()) {}
-  PerfModel(const arch::Platform& platform, IntervalModel::Config cfg);
+  explicit PerfModel(const arch::Platform& platform);
 
   /// Evaluates `profile` on physical core `c`; `freq_mhz_override` > 0
   /// evaluates at a non-nominal DVFS operating point.

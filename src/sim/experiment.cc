@@ -5,10 +5,12 @@
 #include <stdexcept>
 
 #include "core/smart_balance.h"
-#include "sim/runner.h"
 #include "core/trainer.h"
 #include "os/gts_balancer.h"
+#include "os/iks_balancer.h"
+#include "os/utilaware_balancer.h"
 #include "os/vanilla_balancer.h"
+#include "sim/runner.h"
 
 namespace sb::sim {
 namespace {
@@ -24,11 +26,13 @@ std::string platform_key(const arch::Platform& p) {
   return key;
 }
 
+using Model = std::optional<core::PredictorModel>;
+
 /// The policy objective: null for the paper's Eq. 11 (the policy's
 /// default), else global efficiency charging each core's sleep power.
-std::unique_ptr<core::BalanceObjective> make_objective(
-    const Simulation& sim, bool paper_eq11_objective) {
-  if (paper_eq11_objective) return nullptr;
+std::unique_ptr<core::BalanceObjective> make_objective(const Simulation& sim,
+                                                       bool eq11) {
+  if (eq11) return nullptr;
   std::vector<double> sleep_w;
   for (CoreId c = 0; c < sim.platform().num_cores(); ++c) {
     sleep_w.push_back(
@@ -36,6 +40,59 @@ std::unique_ptr<core::BalanceObjective> make_objective(
   }
   return std::make_unique<core::GlobalEfficiencyObjective>(std::move(sleep_w));
 }
+
+template <class Balancer>
+BalancerFactory baseline(const core::SmartBalanceConfig&, Model) {
+  return [](const Simulation&) { return std::make_unique<Balancer>(); };
+}
+
+template <bool kEq11>
+BalancerFactory smartbalance(const core::SmartBalanceConfig& cfg,
+                             Model model) {
+  if (model) {
+    auto shared =
+        std::make_shared<const core::PredictorModel>(std::move(*model));
+    return [shared, cfg](const Simulation& sim) {
+      return std::make_unique<core::SmartBalancePolicy>(
+          sim.platform(), *shared, cfg, make_objective(sim, kEq11));
+    };
+  }
+  // Model cache: repeated runs on the same platform shape reuse the trained
+  // predictor instead of re-running the profiling regression.
+  auto cache =
+      std::make_shared<std::map<std::string, core::PredictorModel>>();
+  auto mutex = std::make_shared<std::mutex>();
+  return [cfg, cache, mutex](const Simulation& sim) {
+    const bool dvfs = sim.config().kernel.enable_dvfs;
+    const std::string key =
+        platform_key(sim.platform()) + (dvfs ? "+dvfs" : "");
+    std::lock_guard<std::mutex> lock(*mutex);
+    auto it = cache->find(key);
+    if (it == cache->end()) {
+      it = cache
+               ->emplace(key, train_default_model(sim.perf_model(),
+                                                  sim.power_model(), dvfs))
+               .first;
+    }
+    return std::make_unique<core::SmartBalancePolicy>(
+        sim.platform(), it->second, cfg, make_objective(sim, kEq11));
+  };
+}
+
+struct PolicyEntry {
+  std::string_view name;
+  BalancerFactory (*make)(const core::SmartBalanceConfig&, Model);
+};
+
+constexpr PolicyEntry kPolicies[] = {
+    {"none", baseline<os::NullBalancer>},
+    {"vanilla", baseline<os::VanillaBalancer>},
+    {"gts", baseline<os::GtsBalancer>},
+    {"iks", baseline<os::IksBalancer>},
+    {"utilaware", baseline<os::UtilAwareBalancer>},
+    {"smartbalance", smartbalance<false>},
+    {"smartbalance-eq11", smartbalance<true>},
+};
 
 }  // namespace
 
@@ -51,54 +108,45 @@ core::PredictorModel train_default_model(const perf::PerfModel& perf,
   return trainer.train(core::PredictorTrainer::default_training_profiles());
 }
 
-BalancerFactory vanilla_factory() {
-  return [](const Simulation&) {
-    return std::make_unique<os::VanillaBalancer>();
-  };
+BalancerFactory policy_factory(std::string_view name,
+                               const core::SmartBalanceConfig& cfg,
+                               Model model) {
+  for (const PolicyEntry& p : kPolicies) {
+    if (p.name == name) return p.make(cfg, std::move(model));
+  }
+  std::string valid;
+  for (const PolicyEntry& p : kPolicies) {
+    valid += valid.empty() ? "" : ", ";
+    valid += p.name;
+  }
+  throw std::invalid_argument("unknown policy '" + std::string(name) +
+                              "' (valid: " + valid + ")");
 }
 
-BalancerFactory gts_factory(CoreTypeId big_type) {
-  return [big_type](const Simulation&) {
-    os::GtsBalancer::Config cfg;
-    cfg.big_type = big_type;
-    return std::make_unique<os::GtsBalancer>(cfg);
-  };
+std::vector<std::string_view> policy_names() {
+  std::vector<std::string_view> names;
+  for (const PolicyEntry& p : kPolicies) names.push_back(p.name);
+  return names;
 }
 
-BalancerFactory smartbalance_factory(core::SmartBalanceConfig cfg,
-                                     bool paper_eq11_objective) {
-  // Model cache: repeated comparisons on the same platform shape reuse the
-  // trained predictor instead of re-running the profiling regression.
-  auto cache =
-      std::make_shared<std::map<std::string, core::PredictorModel>>();
-  auto mutex = std::make_shared<std::mutex>();
-  return [cfg, cache, mutex, paper_eq11_objective](const Simulation& sim) {
-    const bool dvfs = sim.config().kernel.enable_dvfs;
-    const std::string key =
-        platform_key(sim.platform()) + (dvfs ? "+dvfs" : "");
-    std::lock_guard<std::mutex> lock(*mutex);
-    auto it = cache->find(key);
-    if (it == cache->end()) {
-      it = cache
-               ->emplace(key, train_default_model(sim.perf_model(),
-                                                  sim.power_model(), dvfs))
-               .first;
-    }
-    return std::make_unique<core::SmartBalancePolicy>(
-        sim.platform(), it->second, cfg,
-        make_objective(sim, paper_eq11_objective));
-  };
+std::vector<std::pair<std::string, BalancerFactory>> named_policies(
+    std::initializer_list<std::string_view> names) {
+  std::vector<std::pair<std::string, BalancerFactory>> out;
+  for (const std::string_view name : names) {
+    out.emplace_back(name, policy_factory(name));
+  }
+  return out;
+}
+
+BalancerFactory vanilla_factory() { return policy_factory("vanilla"); }
+
+BalancerFactory smartbalance_factory(core::SmartBalanceConfig cfg) {
+  return policy_factory("smartbalance", cfg);
 }
 
 BalancerFactory smartbalance_factory_with_model(core::PredictorModel model,
-                                                core::SmartBalanceConfig cfg,
-                                                bool paper_eq11_objective) {
-  auto shared = std::make_shared<core::PredictorModel>(std::move(model));
-  return [shared, cfg, paper_eq11_objective](const Simulation& sim) {
-    return std::make_unique<core::SmartBalancePolicy>(
-        sim.platform(), *shared, cfg,
-        make_objective(sim, paper_eq11_objective));
-  };
+                                                core::SmartBalanceConfig cfg) {
+  return policy_factory("smartbalance", cfg, std::move(model));
 }
 
 std::vector<SimulationResult> run_replicated(const arch::Platform& platform,

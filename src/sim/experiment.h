@@ -4,8 +4,11 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/predictor.h"
@@ -24,23 +27,40 @@ using BalancerFactory = std::function<std::unique_ptr<os::LoadBalancer>(
 /// across policies; the callable is invoked once per policy run).
 using WorkloadBuilder = std::function<void(Simulation& sim)>;
 
+/// The policy table: every balancing policy by name. "none", "vanilla",
+/// "gts", "iks" and "utilaware" are the stock baselines at fixed thresholds
+/// (gts, iks and utilaware need a two-type big.LITTLE platform);
+/// "smartbalance" anneals global platform IPS/W and "smartbalance-eq11" the
+/// paper's Eq. 11 verbatim. `cfg` and `model` configure only those two,
+/// which without a model train one per platform shape and cache it in the
+/// returned factory. Any other name throws std::invalid_argument naming the
+/// valid ones.
+BalancerFactory policy_factory(
+    std::string_view name,
+    const core::SmartBalanceConfig& cfg = core::SmartBalanceConfig(),
+    std::optional<core::PredictorModel> model = std::nullopt);
+
+/// The policy table's names, in table order.
+std::vector<std::string_view> policy_names();
+
+/// (name, policy_factory(name)) for each of `names`, in order: the policy
+/// list compare_policies and run_sweep take.
+std::vector<std::pair<std::string, BalancerFactory>> named_policies(
+    std::initializer_list<std::string_view> names);
+
+/// policy_factory("vanilla").
 BalancerFactory vanilla_factory();
-BalancerFactory gts_factory(CoreTypeId big_type = 0);
 
-/// SmartBalance with a predictor trained (and cached per platform shape)
-/// from the default benchmark library profiles. By default the policy
-/// optimizes global platform IPS/W (GlobalEfficiencyObjective); pass
-/// paper_eq11_objective = true to use Eq. 11's per-core ratio sum verbatim.
+/// policy_factory("smartbalance", cfg): a predictor trained (and cached
+/// per platform shape) from the default benchmark library profiles.
 BalancerFactory smartbalance_factory(
-    core::SmartBalanceConfig cfg = core::SmartBalanceConfig(),
-    bool paper_eq11_objective = false);
+    core::SmartBalanceConfig cfg = core::SmartBalanceConfig());
 
-/// SmartBalance with an explicit (e.g. loaded-from-disk) predictor model
-/// instead of training one.
+/// policy_factory("smartbalance", cfg, model): an explicit (e.g.
+/// loaded-from-disk) predictor model instead of a trained one.
 BalancerFactory smartbalance_factory_with_model(
     core::PredictorModel model,
-    core::SmartBalanceConfig cfg = core::SmartBalanceConfig(),
-    bool paper_eq11_objective = false);
+    core::SmartBalanceConfig cfg = core::SmartBalanceConfig());
 
 /// Trains the default predictor model for a simulation's platform/models.
 /// With `dvfs_aware`, profiling samples a grid of frequency ratios so the

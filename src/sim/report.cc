@@ -5,89 +5,49 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/store.h"
 #include "obs/trace.h"
 
 namespace sb::sim {
-namespace {
 
-/// JSON has no NaN/Infinity; degrade to null.
-void number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
-
-}  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream hex;
-          hex << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += hex.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using obs::json_number;
+using obs::json_string;
 
 void write_json(std::ostream& os, const SimulationResult& r) {
   os << std::setprecision(12);
   os << "{";
-  os << "\"label\":\"" << json_escape(r.label) << "\",";
-  os << "\"policy\":\"" << json_escape(r.policy) << "\",";
-  os << "\"simulated_ms\":";
-  number(os, to_millis(r.simulated));
+  os << "\"label\":";
+  json_string(os, r.label);
+  os << ",\"policy\":";
+  json_string(os, r.policy);
+  os << ",\"simulated_ms\":";
+  json_number(os, to_millis(r.simulated));
   os << ",\"instructions\":" << r.instructions;
   os << ",\"energy_j\":";
-  number(os, r.energy_j);
+  json_number(os, r.energy_j);
   os << ",\"ips\":";
-  number(os, r.ips);
+  json_number(os, r.ips);
   os << ",\"watts\":";
-  number(os, r.watts);
+  json_number(os, r.watts);
   os << ",\"ips_per_watt\":";
-  number(os, r.ips_per_watt);
+  json_number(os, r.ips_per_watt);
   os << ",\"migrations\":" << r.migrations;
   os << ",\"context_switches\":" << r.context_switches;
   os << ",\"balance_passes\":" << r.balance_passes;
   os << ",\"dvfs_transitions\":" << r.dvfs_transitions;
   os << ",\"avg_sched_latency_us\":";
-  number(os, r.avg_sched_latency_us);
+  json_number(os, r.avg_sched_latency_us);
   os << ",\"max_sched_latency_us\":";
-  number(os, r.max_sched_latency_us);
+  json_number(os, r.max_sched_latency_us);
 
   os << ",\"balancer_overhead_us\":{\"sense\":";
-  number(os, r.avg_sense_us);
+  json_number(os, r.avg_sense_us);
   os << ",\"predict\":";
-  number(os, r.avg_predict_us);
+  json_number(os, r.avg_predict_us);
   os << ",\"optimize\":";
-  number(os, r.avg_optimize_us);
+  json_number(os, r.avg_optimize_us);
   os << ",\"migrations_per_pass\":";
-  number(os, r.avg_migrations_per_pass);
+  json_number(os, r.avg_migrations_per_pass);
   os << "}";
 
   // Fault block only when something actually happened — clean runs keep
@@ -101,7 +61,7 @@ void write_json(std::ostream& os, const SimulationResult& r) {
        << ",\"migrations_rejected\":" << r.migrations_rejected
        << ",\"migrations_deferred\":" << r.migrations_deferred
        << ",\"healthy_fraction\":";
-    number(os, r.healthy_fraction);
+    json_number(os, r.healthy_fraction);
     os << "}";
   }
 
@@ -111,15 +71,15 @@ void write_json(std::ostream& os, const SimulationResult& r) {
   if (r.wake_to_run.count > 0) {
     os << ",\"latency\":{\"wakes\":" << r.wake_to_run.count
        << ",\"mean_us\":";
-    number(os, r.wake_to_run.mean_ns / 1e3);
+    json_number(os, r.wake_to_run.mean_ns / 1e3);
     os << ",\"p50_us\":";
-    number(os, static_cast<double>(r.wake_to_run.p50_ns) / 1e3);
+    json_number(os, static_cast<double>(r.wake_to_run.p50_ns) / 1e3);
     os << ",\"p95_us\":";
-    number(os, static_cast<double>(r.wake_to_run.p95_ns) / 1e3);
+    json_number(os, static_cast<double>(r.wake_to_run.p95_ns) / 1e3);
     os << ",\"p99_us\":";
-    number(os, static_cast<double>(r.wake_to_run.p99_ns) / 1e3);
+    json_number(os, static_cast<double>(r.wake_to_run.p99_ns) / 1e3);
     os << ",\"max_us\":";
-    number(os, static_cast<double>(r.wake_to_run.max_ns) / 1e3);
+    json_number(os, static_cast<double>(r.wake_to_run.max_ns) / 1e3);
     os << "}";
   }
 
@@ -130,7 +90,7 @@ void write_json(std::ostream& os, const SimulationResult& r) {
        << ",\"passes\":" << r.shard_passes
        << ",\"exchange_moves\":" << r.shard_exchange_moves
        << ",\"avg_exchange_us\":";
-    number(os, r.avg_exchange_us);
+    json_number(os, r.avg_exchange_us);
     os << "}";
   }
 
@@ -165,13 +125,13 @@ void write_json(std::ostream& os, const SimulationResult& r) {
                          ? 1.0
                          : static_cast<double>(a.threads.size());
     os << ",\"mean_abs_gips_err\":";
-    number(os, g / n);
+    json_number(os, g / n);
     os << ",\"mean_abs_power_err\":";
-    number(os, p / n);
+    json_number(os, p / n);
     os << ",\"raw_mean_abs_gips_err\":";
-    number(os, rg / n);
+    json_number(os, rg / n);
     os << ",\"raw_mean_abs_power_err\":";
-    number(os, rp / n);
+    json_number(os, rp / n);
     if (r.adapt_joins || r.adapt_rls_updates || r.adapt_cov_resets) {
       os << ",\"adapt\":{\"joins\":" << r.adapt_joins
          << ",\"rls_updates\":" << r.adapt_rls_updates
@@ -182,11 +142,11 @@ void write_json(std::ostream& os, const SimulationResult& r) {
 
   if (!r.final_temp_c.empty()) {
     os << ",\"thermal\":{\"max_temp_c\":";
-    number(os, r.max_temp_c);
+    json_number(os, r.max_temp_c);
     os << ",\"final_temp_c\":[";
     for (std::size_t i = 0; i < r.final_temp_c.size(); ++i) {
       if (i) os << ',';
-      number(os, r.final_temp_c[i]);
+      json_number(os, r.final_temp_c[i]);
     }
     os << "]}";
   }
@@ -195,17 +155,18 @@ void write_json(std::ostream& os, const SimulationResult& r) {
   for (std::size_t i = 0; i < r.cores.size(); ++i) {
     const auto& c = r.cores[i];
     if (i) os << ',';
-    os << "{\"id\":" << c.id << ",\"type\":\"" << json_escape(c.type_name)
-       << "\",\"instructions\":" << c.instructions << ",\"energy_j\":";
-    number(os, c.energy_j);
+    os << "{\"id\":" << c.id << ",\"type\":";
+    json_string(os, c.type_name);
+    os << ",\"instructions\":" << c.instructions << ",\"energy_j\":";
+    json_number(os, c.energy_j);
     os << ",\"busy_ms\":";
-    number(os, to_millis(c.busy_ns));
+    json_number(os, to_millis(c.busy_ns));
     os << ",\"sleep_ms\":";
-    number(os, to_millis(c.sleep_ns));
+    json_number(os, to_millis(c.sleep_ns));
     os << ",\"ips_per_watt\":";
-    number(os, c.ips_per_watt);
+    json_number(os, c.ips_per_watt);
     os << ",\"utilization\":";
-    number(os, c.utilization);
+    json_number(os, c.utilization);
     os << "}";
   }
   os << "]";
@@ -214,17 +175,18 @@ void write_json(std::ostream& os, const SimulationResult& r) {
   for (std::size_t i = 0; i < r.threads.size(); ++i) {
     const auto& t = r.threads[i];
     if (i) os << ',';
-    os << "{\"tid\":" << t.tid << ",\"name\":\"" << json_escape(t.name)
-       << "\",\"instructions\":" << t.instructions << ",\"energy_j\":";
-    number(os, t.energy_j);
+    os << "{\"tid\":" << t.tid << ",\"name\":";
+    json_string(os, t.name);
+    os << ",\"instructions\":" << t.instructions << ",\"energy_j\":";
+    json_number(os, t.energy_j);
     os << ",\"runtime_ms\":";
-    number(os, to_millis(t.runtime));
+    json_number(os, to_millis(t.runtime));
     os << ",\"migrations\":" << t.migrations
        << ",\"completed\":" << (t.completed ? "true" : "false")
        << ",\"avg_wait_us\":";
-    number(os, t.avg_wait_us);
+    json_number(os, t.avg_wait_us);
     os << ",\"max_wait_us\":";
-    number(os, t.max_wait_us);
+    json_number(os, t.max_wait_us);
     os << "}";
   }
   os << "]}";

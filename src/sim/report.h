@@ -18,7 +18,4 @@ namespace sb::sim {
 void write_json(std::ostream& os, const SimulationResult& r);
 std::string to_json(const SimulationResult& r);
 
-/// Escapes a string for embedding in JSON (quotes, control characters).
-std::string json_escape(const std::string& s);
-
 }  // namespace sb::sim

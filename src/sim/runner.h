@@ -10,7 +10,7 @@
 // owns a private Rng — see common/rng.h), so a batch produces bit-identical
 // SimulationResults regardless of worker count or completion order. The
 // only cross-spec shared state in the library is the predictor-model cache
-// inside smartbalance_factory (mutex-guarded, and training is deterministic
+// inside a SmartBalance factory (mutex-guarded, and training is deterministic
 // per platform shape) and the global log level (atomic; log lines are
 // emitted under a mutex so they cannot interleave).
 #pragma once

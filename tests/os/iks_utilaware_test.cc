@@ -65,16 +65,13 @@ TEST_F(BaselinesTest, IksFallsBackToLittleWhenIdle) {
 TEST_F(BaselinesTest, IksMovesWholePairsNotThreads) {
   // Two threads sharing one pair: a hog and a light task. IKS's cluster
   // granularity forces BOTH onto the big member — the inefficiency GTS and
-  // SmartBalance fix with per-thread decisions.
+  // SmartBalance fix with per-thread decisions. Both are pinned to the
+  // pair, so logical-CPU balancing can never move one to another pair.
   Kernel k(platform_, perf_, power_);
   std::bitset<kMaxCores> pair_mask;
   pair_mask.set(0);
   pair_mask.set(4);  // pair (big 0, little 4)
-  auto bal = std::make_unique<IksBalancer>();
-  IksBalancer::Config cfg;
-  cfg.balance_pairs = false;
-  bal = std::make_unique<IksBalancer>(cfg);
-  k.set_balancer(std::move(bal));
+  k.set_balancer(std::make_unique<IksBalancer>());
   const ThreadId hog = k.fork_on(cpu_bound("hog"), 4);
   const ThreadId nap = k.fork_on(light("nap"), 4);
   k.set_cpus_allowed(hog, pair_mask);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "core/smart_balance.h"
+
 namespace sb::sim {
 namespace {
 
@@ -37,7 +44,7 @@ TEST(Experiment, GtsFactoryTargetsBigCluster) {
   const auto runs = compare_policies(
       arch::Platform::octa_big_little(), cfg,
       [](Simulation& s) { s.add_benchmark("swaptions", 4); },
-      {{"gts", gts_factory(0)}});
+      {{"gts", policy_factory("gts")}});
   EXPECT_EQ(runs[0].result.policy, "gts");
   EXPECT_GT(runs[0].result.instructions, 0u);
 }
@@ -113,6 +120,54 @@ TEST(Experiment, SmartBalanceFactoryCachesModelPerPlatformShape) {
   auto p2 = factory(s2);
   EXPECT_EQ(p1->name(), "smartbalance");
   EXPECT_EQ(p2->name(), "smartbalance");
+}
+
+TEST(PolicyTable, EveryNameBuildsAndRunsOnBigLittle) {
+  const std::vector<std::string_view> names = policy_names();
+  EXPECT_EQ(names, (std::vector<std::string_view>{
+                       "none", "vanilla", "gts", "iks", "utilaware",
+                       "smartbalance", "smartbalance-eq11"}));
+  SimulationConfig cfg;
+  cfg.duration = milliseconds(150);
+  for (const std::string_view name : names) {
+    Simulation s(arch::Platform::octa_big_little(), cfg);
+    s.set_balancer(policy_factory(name)(s));
+    s.add_benchmark("swaptions", 2);
+    s.add_benchmark("canneal", 2);
+    const SimulationResult r = s.run();
+    EXPECT_GT(r.instructions, 0u) << name;
+    EXPECT_GT(r.balance_passes, 0u) << name;
+    // Both SmartBalance entries report the policy's own name.
+    EXPECT_EQ(r.policy, name.starts_with("smartbalance") ? "smartbalance"
+                                                         : std::string(name));
+  }
+
+  try {
+    (void)policy_factory("cfs");
+    FAIL() << "an unknown name must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'cfs'"), std::string::npos) << what;
+    for (const std::string_view name : names) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(PolicyTable, BothSmartBalanceEntriesTakeTheGivenModel) {
+  SimulationConfig cfg;
+  cfg.duration = milliseconds(60);
+  Simulation s(arch::Platform::octa_big_little(), cfg);
+  core::PredictorModel model =
+      train_default_model(s.perf_model(), s.power_model());
+  model.set_power_coeffs(0, 123.0, 4.0);  // a mark training never writes
+  for (const char* name : {"smartbalance", "smartbalance-eq11"}) {
+    const auto policy = policy_factory(name, {}, model)(s);
+    const auto* smart =
+        dynamic_cast<const core::SmartBalancePolicy*>(policy.get());
+    ASSERT_NE(smart, nullptr) << name;
+    EXPECT_EQ(smart->model().power_coeffs(0)[0], 123.0) << name;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string_view>
 
+#include "obs/store.h"
 #include "os/vanilla_balancer.h"
 #include "sim/simulation.h"
 
@@ -63,11 +66,20 @@ TEST(Report, StructurallyValidAndComplete) {
 }
 
 TEST(Report, EscapesStrings) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  // The report writes every string through obs::json_string.
+  const auto quoted = [](std::string_view s) {
+    std::ostringstream os;
+    obs::json_string(os, s);
+    return os.str();
+  };
+  EXPECT_EQ(quoted("plain"), "\"plain\"");
+  EXPECT_EQ(quoted("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(quoted("line\nbreak\ttab"), "\"line\\u000abreak\\u0009tab\"");
+  EXPECT_EQ(quoted(std::string(1, '\x01')), "\"\\u0001\"");
+  SimulationResult r;
+  r.label = "a\"b";
+  EXPECT_NE(to_json(r).find("\"label\":\"a\\\"b\""), std::string::npos);
 }
 
 TEST(Report, NonFiniteBecomesNull) {

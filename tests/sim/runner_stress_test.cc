@@ -47,7 +47,7 @@ std::vector<ExperimentSpec> stress_batch() {
         spec.policy_name = "vanilla";
         break;
       case 1:
-        spec.policy = big_little ? gts_factory(0) : vanilla_factory();
+        spec.policy = big_little ? policy_factory("gts") : vanilla_factory();
         spec.policy_name = big_little ? "gts" : "vanilla";
         break;
       default:

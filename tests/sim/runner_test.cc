@@ -45,10 +45,10 @@ std::vector<ExperimentSpec> mixed_batch() {
   };
   add(quad, 1, "swaptions", 4, "vanilla", vanilla_factory());
   add(quad, 2, "canneal", 4, "smartbalance", smartbalance_factory());
-  add(octa, 3, "bodytrack", 8, "gts", gts_factory(0));
+  add(octa, 3, "bodytrack", 8, "gts", policy_factory("gts"));
   add(octa, 4, "ferret", 6, "vanilla", vanilla_factory());
   add(quad, 5, "IMB_HTHI", 2, "smartbalance", smartbalance_factory());
-  add(octa, 6, "x264_H_crew", 8, "gts", gts_factory(0));
+  add(octa, 6, "x264_H_crew", 8, "gts", policy_factory("gts"));
   return specs;
 }
 
@@ -213,7 +213,7 @@ TEST(Runner, RunSweepCrossProductOrderAndDeterminism) {
   };
   const std::vector<std::pair<std::string, BalancerFactory>> policies = {
       {"vanilla", vanilla_factory()},
-      {"gts", gts_factory(0)},
+      {"gts", policy_factory("gts")},
   };
   const auto a =
       run_sweep(platform, cfg, workloads, policies, 2, runner_with(1));
@@ -250,10 +250,10 @@ TEST(Runner, ComparePoliciesMatchesManualSequentialRuns) {
   };
   const auto runs = compare_policies(
       platform, cfg, workload,
-      {{"vanilla", vanilla_factory()}, {"gts", gts_factory(0)}});
+      {{"vanilla", vanilla_factory()}, {"gts", policy_factory("gts")}});
   ASSERT_EQ(runs.size(), 2u);
   const std::vector<BalancerFactory> factories = {vanilla_factory(),
-                                                  gts_factory(0)};
+                                                  policy_factory("gts")};
   for (std::size_t i = 0; i < factories.size(); ++i) {
     Simulation sim(platform, cfg);
     sim.set_balancer(factories[i](sim));

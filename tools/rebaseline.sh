@@ -14,6 +14,9 @@
 # The harness roster lives in the HARNESSES table below — one line per
 # harness: its binary, its extra arguments, and the BENCH files it writes.
 # Adding a benchmark to the committed baseline set means adding one line.
+# Each harness's output is kept in the work directory; one that exits
+# non-zero stops the run, which names it and its repetition and prints the
+# tail of its output.
 #
 # Envelope rules (matching tools/check_bench.py's gates):
 #   min over reps   ns_per_iteration, ns_per_call, total_us, min_pass_ns,
@@ -85,12 +88,22 @@ for rep in $(seq 1 "$REPS"); do
   echo "== repetition $rep/$REPS"
   mkdir -p "$WORK/rep$rep"
   # Interleave the harnesses so slow machine phases hit all of them equally.
+  # Each one's output goes to its own log, whose tail a failure prints.
   for spec in "${HARNESSES[@]}"; do
     bin=${spec%%;*}
     rest=${spec#*;}
     args=${rest%%;*}
+    log="$WORK/rep$rep/$bin.log"
+    status=0
     # shellcheck disable=SC2086  # intentional word splitting of the args
-    (cd "$WORK/rep$rep" && "$ROOT/$BUILD_DIR/bench/$bin" $args >/dev/null)
+    (cd "$WORK/rep$rep" && "$ROOT/$BUILD_DIR/bench/$bin" $args) \
+        >"$log" 2>&1 || status=$?
+    if [[ "$status" != 0 ]]; then
+      echo "rebaseline.sh: rep $rep/$REPS: $bin exited $status; its last" \
+           "output lines:" >&2
+      tail -n 20 "$log" >&2
+      exit "$status"
+    fi
   done
   for f in "${BENCH_FILES[@]}"; do
     [[ -f "$WORK/rep$rep/$f" ]] ||

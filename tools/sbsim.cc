@@ -18,6 +18,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,9 +33,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "os/dvfs_governor.h"
-#include "os/iks_balancer.h"
-#include "os/utilaware_balancer.h"
-#include "os/vanilla_balancer.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
@@ -45,6 +43,22 @@ namespace {
 
 using namespace sb;
 
+/// The policy table's names joined by " | ", wrapped at 78 columns under
+/// the help text's 28-column value indent.
+std::string policy_names_help() {
+  constexpr std::size_t kIndent = 28, kWidth = 78;
+  std::string out, line;
+  for (const std::string_view name : sim::policy_names()) {
+    if (!line.empty() && kIndent + line.size() + 3 + name.size() > kWidth) {
+      out += line + " |\n" + std::string(kIndent, ' ');
+      line.clear();
+    }
+    line += line.empty() ? "" : " | ";
+    line += name;
+  }
+  return out + line;
+}
+
 [[noreturn]] void usage(int code) {
   std::cout << R"(sbsim — SmartBalance heterogeneous-MPSoC simulator
 
@@ -52,8 +66,8 @@ using namespace sb;
              gen:<big>x<LITTLE>[:clusters]   synthetic large platform
                             (e.g. gen:32x96:8 = 1024 cores in 8 clusters)
   --platform-file=<desc.txt>   custom platform (see arch/platform_loader.h)
-  --policy=none | vanilla | gts | iks | utilaware | smartbalance |
-           smartbalance-eq11                     (default: smartbalance)
+  --policy=<name>           balancing policy (default: smartbalance):
+                            )" << policy_names_help() << R"(
   --compare                 run vanilla, gts*, and smartbalance side by side
   --bench=<name>:<threads>  add a benchmark (repeatable); names: PARSEC
                             (bodytrack, canneal, ...), x264_{H,L}_{crew,bow},
@@ -133,10 +147,13 @@ using namespace sb;
                             trace whose spawn events become job arrivals
                             (looped by its span; class = hash of task name)
   --save-model=<file>       train the predictor for this platform and save it
-  --load-model=<file>       use a previously saved predictor (smartbalance)
+  --load-model=<file>       use a previously saved predictor (smartbalance
+                            policies)
   --json=<file>             dump the (last) run's full metrics as JSON
   --quiet                   headline numbers only
-  (* gts/iks/utilaware need a big.LITTLE-style two-type platform)
+  (* gts/iks/utilaware need a big.LITTLE-style two-type platform;
+   --adapt, --shards, --faults, --defenses and --load-model need a
+   smartbalance policy or --compare)
 )";
   std::exit(code);
 }
@@ -182,6 +199,23 @@ struct Args {
 [[noreturn]] void bad_flag(const std::invalid_argument& e) {
   std::cerr << "sbsim: " << e.what() << "\n";
   std::exit(2);
+}
+
+bool has_workload(const Args& a) {
+  return !a.benches.empty() || !a.mixes.empty() || !a.arrivals.empty() ||
+         !a.thread_traces.empty() || !a.replay.empty();
+}
+
+/// Exits 2 naming the first given flag of `flags`: each is one that this
+/// run would read and never use.
+void reject_given(std::span<const std::pair<bool, const char*>> flags,
+                  std::string_view why) {
+  for (const auto& [given, flag] : flags) {
+    if (given) {
+      std::cerr << why << flag << "\n";
+      usage(2);
+    }
+  }
 }
 
 /// Numeric fields read the common/spec.h syntax and throw
@@ -307,20 +341,29 @@ Args parse_flags(int argc, char** argv) {
         {!a.load_model.empty(), "--load-model"},
         {!a.save_model.empty(), "--save-model"},
     };
-    for (const auto& [given, flag] : single_node) {
-      if (given) {
-        std::cerr << "--fleet generates its own job stream and nodes; it "
-                     "cannot be combined with "
-                  << flag << "\n";
-        usage(2);
-      }
+    reject_given(single_node,
+                 "--fleet generates its own job stream and nodes; it cannot "
+                 "be combined with ");
+  } else {
+    if (!has_workload(a) && a.save_model.empty()) {
+      std::cerr << "no workload given (need --bench/--mix/--bench-at/"
+                   "--thread-trace/--replay/--fleet)\n";
+      usage(2);
     }
-  } else if (a.benches.empty() && a.mixes.empty() && a.arrivals.empty() &&
-             a.thread_traces.empty() && a.replay.empty() &&
-             a.save_model.empty()) {
-    std::cerr << "no workload given (need --bench/--mix/--bench-at/"
-                 "--thread-trace/--replay/--fleet)\n";
-    usage(2);
+    (void)sim::policy_factory(a.policy);  // throws naming the valid ones
+    if (!a.compare && !a.policy.starts_with("smartbalance")) {
+      // Only SmartBalance reads these; a baseline would silently ignore them.
+      const std::pair<bool, const char*> smart_only[] = {
+          {!a.adapt.empty(), "--adapt"},
+          {!a.shards.empty(), "--shards"},
+          {!a.faults.empty(), "--faults"},
+          {!a.defenses.empty(), "--defenses"},
+          {!a.load_model.empty(), "--load-model"},
+      };
+      reject_given(smart_only, "--policy=" + a.policy +
+                                   " runs no SmartBalance; it cannot be "
+                                   "combined with ");
+    }
   }
   if (a.replay_ips && a.replay.empty()) {
     std::cerr << "--replay-ips only applies with --replay\n";
@@ -430,43 +473,9 @@ int strict_exit(const std::vector<const obs::RunObs*>& runs) {
   return 3;
 }
 
-sim::BalancerFactory make_policy(const Args& a, const std::string& name) {
-  if (name == "none") {
-    return [](const sim::Simulation&) {
-      return std::make_unique<os::NullBalancer>();
-    };
-  }
-  if (name == "vanilla") return sim::vanilla_factory();
-  if (name == "gts") return sim::gts_factory(0);
-  if (name == "iks") {
-    return [](const sim::Simulation&) {
-      return std::make_unique<os::IksBalancer>();
-    };
-  }
-  if (name == "utilaware") {
-    return [](const sim::Simulation&) {
-      return std::make_unique<os::UtilAwareBalancer>();
-    };
-  }
-  if (name == "smartbalance") return sim::smartbalance_factory(sb_config(a));
-  if (name == "smartbalance-eq11") {
-    return sim::smartbalance_factory(sb_config(a),
-                                     /*paper_eq11_objective=*/true);
-  }
-  std::cerr << "unknown policy: " << name << "\n";
-  usage(2);
-}
-
-sim::BalancerFactory policy_for(const Args& a, const std::string& name) {
-  if (name == "smartbalance" && !a.load_model.empty()) {
-    return sim::smartbalance_factory_with_model(
-        core::PredictorModel::load_from_file(a.load_model), sb_config(a));
-  }
-  return make_policy(a, name);
-}
-
 sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
-                               const std::string& policy) {
+                               const std::string& policy,
+                               const sim::BalancerFactory& factory) {
   sim::SimulationConfig cfg;
   cfg.duration = a.duration;
   cfg.seed = a.seed;
@@ -476,7 +485,7 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
   cfg.trace_path = a.trace;
   cfg.obs = obs_config(a);
   sim::Simulation s(platform, cfg);
-  s.set_balancer(policy_for(a, policy)(s));
+  s.set_balancer(factory(s));
   if (!a.governor.empty()) {
     if (a.governor == "ondemand") {
       s.kernel().set_governor(std::make_unique<os::OndemandGovernor>());
@@ -615,10 +624,7 @@ int main(int argc, char** argv) {
           sim::train_default_model(probe.perf_model(), probe.power_model());
       model.save_to_file(a.save_model);
       std::cout << "trained predictor saved to " << a.save_model << "\n";
-      if (a.benches.empty() && a.mixes.empty() && a.arrivals.empty() &&
-          a.thread_traces.empty()) {
-        return 0;
-      }
+      if (!has_workload(a)) return 0;
     }
 
     std::vector<std::string> policies;
@@ -629,9 +635,15 @@ int main(int argc, char** argv) {
       policies = {a.policy};
     }
 
+    const core::SmartBalanceConfig smart = sb_config(a);
+    std::optional<core::PredictorModel> model;
+    if (!a.load_model.empty()) {
+      model = core::PredictorModel::load_from_file(a.load_model);
+    }
     std::vector<sim::SimulationResult> results;
     for (const auto& p : policies) {
-      results.push_back(run_once(a, platform, p));
+      results.push_back(
+          run_once(a, platform, p, sim::policy_factory(p, smart, model)));
       if (a.quiet) {
         const auto& r = results.back();
         std::cout << r.policy << ": " << r.ips_per_watt / 1e6 << " MIPS/W ("
