@@ -1,19 +1,22 @@
 // Shared helpers for the table/figure reproduction harnesses.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/spec.h"
+#include "common/stats.h"
+#include "common/table.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
-#include "obs/audit_writer.h"
-#include "obs/trace.h"
+#include "obs/exports.h"
 #include "sim/experiment.h"
 #include "sim/runner.h"
 
@@ -146,151 +149,29 @@ struct Options {
     cfg.threads = jobs;
     return sim::ExperimentRunner(cfg);
   }
-};
 
-/// One figure bar: the same workload under the baseline policy and under
-/// SmartBalance with both objectives — Eq. 11 verbatim (sum of per-core
-/// IPS/W ratios) and this library's global IPS/W objective (see
-/// DESIGN.md §5 for why Eq. 11 alone under-determines the allocation).
-struct GainRow {
-  std::string label;
-  double baseline_mips_w = 0;
-  double smart_eq11_mips_w = 0;
-  double smart_mips_w = 0;       // global objective (library default)
-  double gain_eq11_pct = 0;
-  double gain_pct = 0;
-  std::uint64_t migrations = 0;  // global-objective run
-};
-
-namespace detail {
-inline GainRow make_gain_row(const std::string& label,
-                             const sim::SimulationResult& baseline,
-                             const sim::SimulationResult& eq11,
-                             const sim::SimulationResult& global) {
-  GainRow row;
-  row.label = label;
-  row.baseline_mips_w = baseline.ips_per_watt / 1e6;
-  row.smart_eq11_mips_w = eq11.ips_per_watt / 1e6;
-  row.smart_mips_w = global.ips_per_watt / 1e6;
-  row.gain_eq11_pct = 100.0 * (sim::efficiency_ratio(eq11, baseline) - 1.0);
-  row.gain_pct = 100.0 * (sim::efficiency_ratio(global, baseline) - 1.0);
-  row.migrations = global.migrations;
-  return row;
-}
-}  // namespace detail
-
-/// A figure sweep: queue every bar up front, execute the whole batch
-/// through one ExperimentRunner (3 simulations per bar — baseline,
-/// SmartBalance Eq. 11, SmartBalance global), and read the rows back in
-/// submission order. Parallelism spans the entire sweep, so wall-clock
-/// approaches cpu_time / threads even when single bars are imbalanced.
-class GainSweep {
- public:
-  GainSweep(const arch::Platform& platform, const sim::SimulationConfig& cfg,
-            const core::SmartBalanceConfig& smart = core::SmartBalanceConfig())
-      : platform_(platform),
-        cfg_(cfg),
-        // One factory pair for the whole sweep: each SmartBalance factory
-        // caches its own trained predictor model, so sharing it trains
-        // once per platform shape instead of once per bar (training is
-        // deterministic, so results are unchanged — just faster).
-        eq11_(sim::policy_factory("smartbalance-eq11", smart)),
-        global_(sim::policy_factory("smartbalance", smart)) {}
-
-  /// Queues one bar; returns its row index in run()'s output.
-  std::size_t add(const std::string& label,
-                  const sim::WorkloadBuilder& workload,
-                  const sim::BalancerFactory& baseline) {
-    const std::size_t index = labels_.size();
-    labels_.push_back(label);
-    auto push = [&](const std::string& policy_name,
-                    const sim::BalancerFactory& policy) {
-      sim::ExperimentSpec spec;
-      spec.platform = platform_;
-      spec.cfg = cfg_;
-      spec.workload = workload;
-      spec.policy = policy;
-      spec.label = label;
-      spec.policy_name = policy_name;
-      specs_.push_back(std::move(spec));
-    };
-    push("baseline", baseline);
-    push("smartbalance-eq11", eq11_);
-    push("smartbalance", global_);
-    return index;
-  }
-
-  /// Executes all queued bars; one GainRow per add(), in add() order.
-  /// Throws std::runtime_error if any simulation failed.
-  std::vector<GainRow> run(const sim::ExperimentRunner& runner) {
-    const auto batch = runner.run(specs_);
-    summary_ = batch.summary;
-    obs_.clear();
-    for (const auto& r : batch.runs) {
-      if (!r.ok()) {
-        throw std::runtime_error("sweep run '" + r.label +
-                                 "' failed: " + r.error);
-      }
-      // Runs are already stamped with their submission index by the
-      // ExperimentRunner, so the merged trace/metrics are --jobs-invariant.
-      if (r.result.obs) obs_.push_back(r.result.obs);
+  /// Writes the exports that --trace, --audit and --metrics-json name
+  /// (obs::write_exports), or prints the merged registry for a bare
+  /// --metrics. Returns the exit status: 1, with the path named on stderr,
+  /// when a file cannot be written.
+  int write_exports(const std::vector<const obs::RunObs*>& runs) const {
+    obs::ExportPaths paths;
+    paths.trace = trace;
+    paths.audit = audit;
+    paths.metrics = metrics_json;
+    try {
+      obs::write_exports(paths, runs, std::cout);
+    } catch (const std::runtime_error& e) {
+      std::cerr << e.what() << "\n";
+      return 1;
     }
-    std::vector<GainRow> rows;
-    rows.reserve(labels_.size());
-    for (std::size_t i = 0; i < labels_.size(); ++i) {
-      rows.push_back(detail::make_gain_row(
-          labels_[i], batch.runs[3 * i].result, batch.runs[3 * i + 1].result,
-          batch.runs[3 * i + 2].result));
+    if (metrics && metrics_json.empty()) {
+      std::cout << "metrics: ";
+      obs::merge_metrics(runs).write_json(std::cout);
+      std::cout << "\n";
     }
-    return rows;
+    return 0;
   }
-
-  /// Batch accounting of the last run() (threads, wall/cpu ms, speedup).
-  const sim::BatchSummary& summary() const { return summary_; }
-
-  /// Writes the last run()'s merged Chrome trace-event JSON. Returns false
-  /// (and writes nothing) if no run carried a trace.
-  bool write_trace(const std::string& path) const {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : obs_) {
-      if (o && o->trace_enabled) runs.push_back(o.get());
-    }
-    if (runs.empty()) return false;
-    obs::write_chrome_trace_file(path, runs);
-    return true;
-  }
-
-  /// Writes the last run()'s merged prediction-audit export. Returns false
-  /// (and writes nothing) if no run carried the recorder.
-  bool write_audit(const std::string& path) const {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : obs_) {
-      if (o && o->audit_enabled) runs.push_back(o.get());
-    }
-    if (runs.empty()) return false;
-    obs::write_audit_file(path, runs);
-    return true;
-  }
-
-  /// Merges the metric registries of the last run() across all runs
-  /// (deterministic: merged in submission order).
-  obs::MetricsRegistry merged_metrics() const {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : obs_) {
-      if (o) runs.push_back(o.get());
-    }
-    return obs::merge_metrics(runs);
-  }
-
- private:
-  arch::Platform platform_;
-  sim::SimulationConfig cfg_;
-  sim::BalancerFactory eq11_;
-  sim::BalancerFactory global_;
-  std::vector<std::string> labels_;
-  std::vector<sim::ExperimentSpec> specs_;
-  sim::BatchSummary summary_;
-  std::vector<std::shared_ptr<obs::RunObs>> obs_;
 };
 
 inline void header(const std::string& title, const std::string& paper_claim) {
@@ -311,5 +192,137 @@ inline void print_batch_summary(const sim::BatchSummary& s) {
             << "x speedup)\n";
   if (s.failed > 0) std::cout << "WARNING: " << s.failed << " runs failed\n";
 }
+
+/// How a gain figure reports its bars: Figs. 4a, 4b and 5 each compare
+/// one baseline policy against SmartBalance under both objectives — Eq. 11
+/// verbatim (sum of per-core IPS/W ratios) and this library's global IPS/W
+/// objective (see DESIGN.md §5 for why Eq. 11 alone under-determines the
+/// allocation).
+struct GainFigure {
+  std::string csv;  // series file, named again in the footer
+  /// The leading key columns as {table header, CSV header}; each bar's key
+  /// cells fill them.
+  std::vector<std::pair<std::string, std::string>> keys;
+  std::string baseline;  // "vanilla" -> "vanilla MIPS/W", "vanilla_mips_w"
+  std::string paper;     // the paper's average gain, e.g. "50.02 %"
+};
+
+/// A gain-figure sweep: queue every bar up front, execute the whole batch
+/// through one ExperimentRunner (3 simulations per bar — baseline,
+/// SmartBalance Eq. 11, SmartBalance global), and report the bars in
+/// submission order. Parallelism spans the entire sweep, so wall-clock
+/// approaches cpu_time / threads even when single bars are imbalanced.
+class GainSweep {
+ public:
+  /// A sweep on `platform` under the harness flags: --duration-ms, --seed,
+  /// --jobs, the observability flags and, for SmartBalance, --faults and
+  /// --no-defense.
+  GainSweep(const arch::Platform& platform, const Options& opt)
+      : platform_(platform),
+        opt_(opt),
+        // One factory pair for the whole sweep: each SmartBalance factory
+        // caches its own trained predictor model, so sharing it trains
+        // once per platform shape instead of once per bar (training is
+        // deterministic, so results are unchanged — just faster).
+        eq11_(sim::policy_factory("smartbalance-eq11", opt.smart_config())),
+        global_(sim::policy_factory("smartbalance", opt.smart_config())) {
+    cfg_.duration = opt.duration;
+    cfg_.seed = opt.seed;
+    opt.apply_obs(cfg_.obs);
+  }
+
+  /// Queues one bar. `key` holds its key cells; the first labels its runs.
+  void add(std::vector<std::string> key, const sim::WorkloadBuilder& workload,
+           const sim::BalancerFactory& baseline) {
+    auto push = [&](const std::string& policy_name,
+                    const sim::BalancerFactory& policy) {
+      sim::ExperimentSpec spec;
+      spec.platform = platform_;
+      spec.cfg = cfg_;
+      spec.workload = workload;
+      spec.policy = policy;
+      spec.label = key.front();
+      spec.policy_name = policy_name;
+      specs_.push_back(std::move(spec));
+    };
+    push("baseline", baseline);
+    push("smartbalance-eq11", eq11_);
+    push("smartbalance", global_);
+    keys_.push_back(std::move(key));
+  }
+
+  /// Runs every queued bar, then prints the batch summary and the figure's
+  /// table, writes its CSV, prints the average gains and writes the exports
+  /// the flags name. Returns the exit status (Options::write_exports).
+  /// Throws std::runtime_error if any simulation failed.
+  int report(const GainFigure& fig) const {
+    const auto batch = opt_.runner().run(specs_);
+    // Runs are stamped with their submission index by the runner, so the
+    // merged exports are --jobs-invariant.
+    std::vector<const obs::RunObs*> runs;
+    for (const auto& r : batch.runs) {
+      if (!r.ok()) {
+        throw std::runtime_error("sweep run '" + r.label +
+                                 "' failed: " + r.error);
+      }
+      if (r.result.obs) runs.push_back(r.result.obs.get());
+    }
+    print_batch_summary(batch.summary);
+
+    std::string baseline_csv = fig.baseline + "_mips_w";
+    for (char& c : baseline_csv) c = static_cast<char>(std::tolower(c));
+    std::vector<std::string> head, csv_head;
+    for (const auto& [table_name, csv_name] : fig.keys) {
+      head.push_back(table_name);
+      csv_head.push_back(csv_name);
+    }
+    head.insert(head.end(), {fig.baseline + " MIPS/W", "SB(Eq.11)",
+                             "SB(global)", "gain(Eq.11) %", "gain(global) %"});
+    csv_head.insert(csv_head.end(),
+                    {baseline_csv, "sb_eq11_mips_w", "sb_global_mips_w",
+                     "gain_eq11_pct", "gain_global_pct"});
+    TextTable table(head);
+    CsvWriter csv(fig.csv, csv_head);
+    RunningStats gains, gains_eq11;
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      const auto& base = batch.runs[3 * i].result;
+      const auto& eq11 = batch.runs[3 * i + 1].result;
+      const auto& global = batch.runs[3 * i + 2].result;
+      const double values[] = {
+          base.ips_per_watt / 1e6, eq11.ips_per_watt / 1e6,
+          global.ips_per_watt / 1e6,
+          100.0 * (sim::efficiency_ratio(eq11, base) - 1.0),
+          100.0 * (sim::efficiency_ratio(global, base) - 1.0)};
+      std::vector<std::string> cells = keys_[i], csv_cells = keys_[i];
+      for (const double v : values) {
+        cells.push_back(TextTable::fmt(v, 1));
+        csv_cells.push_back(TextTable::fmt(v, 3));
+      }
+      table.add_row(std::move(cells));
+      csv.row(csv_cells);
+      gains_eq11.add(values[3]);
+      gains.add(values[4]);
+    }
+    std::cout << table << "\nAverage gain over " << fig.baseline
+              << " (paper: " << fig.paper << "):\n"
+              << "  Eq. 11 objective (paper-faithful): "
+              << TextTable::fmt(gains_eq11.mean(), 1) << " %\n"
+              << "  global IPS/W objective (default):  "
+              << TextTable::fmt(gains.mean(), 1) << " %  [min "
+              << TextTable::fmt(gains.min(), 1) << " %, max "
+              << TextTable::fmt(gains.max(), 1) << " %]\n"
+              << "Series written to " << fig.csv << "\n";
+    return opt_.write_exports(runs);
+  }
+
+ private:
+  arch::Platform platform_;
+  Options opt_;
+  sim::SimulationConfig cfg_;
+  sim::BalancerFactory eq11_;
+  sim::BalancerFactory global_;
+  std::vector<std::vector<std::string>> keys_;
+  std::vector<sim::ExperimentSpec> specs_;
+};
 
 }  // namespace sb::bench

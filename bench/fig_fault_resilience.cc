@@ -13,7 +13,6 @@
 // Retention = (defended gain at rate r) / (zero-fault gain). The defense
 // target: >= 80% retention at a 5% per-epoch fault rate, with the
 // undefended arm measurably worse.
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -171,33 +170,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "Series written to fig_fault_resilience.csv\n";
 
-  // This sweep drives the runner with raw specs (no GainSweep), so collect
-  // the per-run observability snapshots by hand. Runs are stamped with
-  // their submission index by the runner — merges are --jobs-invariant.
-  std::vector<const obs::RunObs*> traced, audited, metered;
+  // Runs are stamped with their submission index by the runner, so the
+  // merged exports are --jobs-invariant.
+  std::vector<const obs::RunObs*> runs;
   for (const auto& r : batch.runs) {
-    if (!r.result.obs) continue;
-    if (r.result.obs->trace_enabled) traced.push_back(r.result.obs.get());
-    if (r.result.obs->audit_enabled) audited.push_back(r.result.obs.get());
-    metered.push_back(r.result.obs.get());
+    if (r.result.obs) runs.push_back(r.result.obs.get());
   }
-  if (!opt.trace.empty() && !traced.empty()) {
-    obs::write_chrome_trace_file(opt.trace, traced);
-    std::cout << "trace written to " << opt.trace << "\n";
-  }
-  if (!opt.audit.empty() && !audited.empty()) {
-    obs::write_audit_file(opt.audit, audited);
-    std::cout << "audit export written to " << opt.audit << "\n";
-  }
-  if (!opt.metrics_json.empty()) {
-    std::ofstream ms(opt.metrics_json);
-    obs::merge_metrics(metered).write_json(ms);
-    ms << "\n";
-    std::cout << "metrics written to " << opt.metrics_json << "\n";
-  } else if (opt.metrics) {
-    std::cout << "metrics: ";
-    obs::merge_metrics(metered).write_json(std::cout);
-    std::cout << "\n";
-  }
-  return 0;
+  return opt.write_exports(runs);
 }

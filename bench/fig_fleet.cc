@@ -26,7 +26,6 @@
 //   p99_excess_pct  — max(0, how much worse its p99 arrival-to-run is, %)
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,8 +36,6 @@
 #include "common/csv.h"
 #include "common/table.h"
 #include "fleet/fleet.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -112,6 +109,13 @@ int main(int argc, char** argv) {
   }
   const auto opt =
       bench::Options::parse(static_cast<int>(args.size()), args.data());
+  if (!opt.audit.empty()) {
+    // As under sbsim --fleet: the fleet runs no prediction-audit recorder,
+    // so the flag would write nothing.
+    std::cerr << "fig_fleet: the fleet records no prediction audit; it "
+                 "cannot be combined with --audit\n";
+    return 2;
+  }
   bench::header("Fleet dispatch: energy-aware vs round-robin racks",
                 "sensing-driven placement extends the per-node energy story "
                 "fleet-wide: better inst/J at equal-or-better p99 latency");
@@ -252,28 +256,8 @@ int main(int argc, char** argv) {
   j.end_object();
   j.write("BENCH_fleet.json");
 
-  if (!opt.trace.empty()) {
-    std::vector<const obs::RunObs*> traced;
-    for (const auto& o : all_obs) {
-      if (o && o->trace_enabled) traced.push_back(o.get());
-    }
-    if (!traced.empty()) {
-      obs::write_chrome_trace_file(opt.trace, traced);
-      std::cout << "Trace written to " << opt.trace << "\n";
-    }
-  }
-  if (!opt.metrics_json.empty()) {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : all_obs) {
-      if (o) runs.push_back(o.get());
-    }
-    std::ofstream ms(opt.metrics_json);
-    if (!ms) {
-      std::cerr << "cannot write " << opt.metrics_json << "\n";
-      return 1;
-    }
-    obs::merge_metrics(runs).write_json(ms);
-    std::cout << "Metrics written to " << opt.metrics_json << "\n";
-  }
-  return gate_violations == 0 ? 0 : 1;
+  std::vector<const obs::RunObs*> runs;
+  for (const auto& o : all_obs) runs.push_back(o.get());
+  const int status = opt.write_exports(runs);
+  return gate_violations == 0 ? status : 1;
 }

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -44,8 +43,6 @@
 #include "bench_util.h"
 #include "common/csv.h"
 #include "common/table.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/runner.h"
 #include "workload/sched_replay.h"
 
@@ -303,28 +300,8 @@ int main(int argc, char** argv) {
   j.end_object();
   j.write("BENCH_latency.json");
 
-  if (!opt.trace.empty()) {
-    std::vector<const obs::RunObs*> traced;
-    for (const auto& o : all_obs) {
-      if (o && o->trace_enabled) traced.push_back(o.get());
-    }
-    if (!traced.empty()) {
-      obs::write_chrome_trace_file(opt.trace, traced);
-      std::cout << "Trace written to " << opt.trace << "\n";
-    }
-  }
-  if (!opt.metrics_json.empty()) {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : all_obs) {
-      if (o) runs.push_back(o.get());
-    }
-    std::ofstream ms(opt.metrics_json);
-    if (!ms) {
-      std::cerr << "cannot write " << opt.metrics_json << "\n";
-      return 1;
-    }
-    obs::merge_metrics(runs).write_json(ms);
-    std::cout << "Metrics written to " << opt.metrics_json << "\n";
-  }
-  return gate_violations == 0 ? 0 : 1;
+  std::vector<const obs::RunObs*> runs;
+  for (const auto& o : all_obs) runs.push_back(o.get());
+  const int status = opt.write_exports(runs);
+  return gate_violations == 0 ? status : 1;
 }

@@ -23,15 +23,13 @@ int resolve_jobs(int requested);
 
 /// Runs fn(task) for every task in [0, n), spread over at most `threads`
 /// workers (clamped to n). With one worker (or n <= 1) the tasks run
-/// inline on the calling thread — no spawn. fn receives (task_index,
-/// worker_index); worker_index is stable within a worker and < the actual
-/// worker count, letting callers keep per-worker accounting without
-/// locks. Workers are joined before parallel_for returns. Exceptions must
-/// not escape fn: one escaping a worker std::thread's entry function calls
-/// std::terminate, so callers contain errors per-task (the runner stores
-/// them in ExperimentResult::error; the sharded balancer and the fleet
-/// catch them into a std::exception_ptr per task and rethrow the first
-/// after the join).
+/// inline on the calling thread — no spawn, no allocation. fn receives
+/// (task_index, worker_index); worker_index is stable within a worker and
+/// < the actual worker count, letting callers keep per-worker accounting
+/// without locks. Workers are joined before parallel_for returns. A task
+/// that throws does not stop the others: every task runs, and the
+/// lowest-indexed task's exception is rethrown after the join, so which
+/// error surfaces does not depend on the worker count.
 void parallel_for(std::size_t n, int threads,
                   const std::function<void(std::size_t task, int worker)>& fn);
 

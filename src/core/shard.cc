@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -114,7 +113,6 @@ struct ShardedBalancer::ShardTask {
   SaResult result;
   int worker = -1;
   bool ran = false;
-  std::exception_ptr error;
 };
 
 ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
@@ -192,41 +190,33 @@ SaResult ShardedBalancer::balance(
         ShardTask& t = tasks[ki];
         t.worker = worker;
         if (t.rows.empty()) return;
-        try {
-          const std::vector<CoreId>& cores = partition_.cores[ki];
-          const std::size_t sn = cores.size();
-          const std::size_t sm = t.rows.size();
-          t.s = Matrix(sm, sn);
-          t.p = Matrix(sm, sn);
-          t.initial.resize(sm);
-          t.affinity.resize(sm);
-          t.demand.resize(sm);
-          for (std::size_t r = 0; r < sm; ++r) {
-            const std::size_t i = t.rows[r];
-            for (std::size_t j = 0; j < sn; ++j) {
-              const auto cj = static_cast<std::size_t>(cores[j]);
-              t.s.at(r, j) = s.at(i, cj);
-              t.p.at(r, j) = p.at(i, cj);
-              if (affinity[i].test(cj)) t.affinity[r].set(j);
-            }
-            t.initial[r] =
-                col_of_core_[static_cast<std::size_t>(initial[i])];
-            t.demand[r] = demand[i];
+        const std::vector<CoreId>& cores = partition_.cores[ki];
+        const std::size_t sn = cores.size();
+        const std::size_t sm = t.rows.size();
+        t.s = Matrix(sm, sn);
+        t.p = Matrix(sm, sn);
+        t.initial.resize(sm);
+        t.affinity.resize(sm);
+        t.demand.resize(sm);
+        for (std::size_t r = 0; r < sm; ++r) {
+          const std::size_t i = t.rows[r];
+          for (std::size_t j = 0; j < sn; ++j) {
+            const auto cj = static_cast<std::size_t>(cores[j]);
+            t.s.at(r, j) = s.at(i, cj);
+            t.p.at(r, j) = p.at(i, cj);
+            if (affinity[i].test(cj)) t.affinity[r].set(j);
           }
-          SaOptimizer& opt = *optimizers_[ki];
-          opt.set_seed(base_seed ^ (static_cast<std::uint64_t>(ki) *
-                                    kShardSeedStride));
-          opt.set_max_iterations(shard_budget);
-          t.result = opt.optimize(t.s, t.p, objective, t.initial,
-                                  &t.affinity, &t.demand, &cores);
-          t.ran = true;
-        } catch (...) {
-          t.error = std::current_exception();
+          t.initial[r] = col_of_core_[static_cast<std::size_t>(initial[i])];
+          t.demand[r] = demand[i];
         }
+        SaOptimizer& opt = *optimizers_[ki];
+        opt.set_seed(base_seed ^
+                     (static_cast<std::uint64_t>(ki) * kShardSeedStride));
+        opt.set_max_iterations(shard_budget);
+        t.result = opt.optimize(t.s, t.p, objective, t.initial, &t.affinity,
+                                &t.demand, &cores);
+        t.ran = true;
       });
-  for (const ShardTask& t : tasks) {
-    if (t.error) std::rethrow_exception(t.error);
-  }
 
   SaResult merged;
   merged.allocation = initial;

@@ -401,21 +401,10 @@ void FleetSimulation::dispatch_pending(TimeNs now, std::uint64_t quantum_idx) {
 }
 
 void FleetSimulation::step_nodes(TimeNs dt) {
-  // An exception escaping a parallel_for worker's std::thread would call
-  // std::terminate, so contain per-node failures and rethrow the
-  // lowest-indexed one after the join.
-  std::vector<std::exception_ptr> errors(nodes_.size());
   common::parallel_for(nodes_.size(), step_workers_,
                        [&](std::size_t i, int /*worker*/) {
-                         try {
-                           nodes_[i]->sim->advance_service(dt);
-                         } catch (...) {
-                           errors[i] = std::current_exception();
-                         }
+                         nodes_[i]->sim->advance_service(dt);
                        });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 void FleetSimulation::sample_timeseries(TimeNs now) {

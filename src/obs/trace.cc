@@ -102,7 +102,7 @@ void write_chrome_trace(std::ostream& os,
   // Deterministic merge: runs in ordered_runs() order, then events by
   // (epoch, seq). Per-run snapshots are already seq-sorted, but a stable
   // explicit sort makes the contract independent of that detail.
-  const auto ordered = ordered_runs(runs);
+  const auto ordered = ordered_runs(runs, &RunObs::trace_enabled);
 
   os << "{\"traceEvents\":[";
   bool first = true;

@@ -117,11 +117,12 @@ std::vector<const RunObs*> ordered_runs(const std::vector<const RunObs*>& runs,
                                         bool RunObs::*keep = nullptr);
 
 /// Merges per-run traces into one Chrome trace-event JSON document:
-/// `{"traceEvents":[...],"smartbalance":{...}}`. Each run becomes one
-/// process (pid = run index) with a process_name metadata record; events
-/// are stable-sorted by (run, epoch, seq), so the output is a deterministic
-/// function of the per-run snapshots — independent of the order runs are
-/// passed in and of the --jobs worker count that produced them.
+/// `{"traceEvents":[...],"smartbalance":{...}}`. Each traced run becomes
+/// one process (pid = run index) with a process_name metadata record; runs
+/// without the tracer are skipped. Events are stable-sorted by (run, epoch,
+/// seq), so the output is a deterministic function of the per-run snapshots
+/// — independent of the order runs are passed in and of the --jobs worker
+/// count that produced them.
 void write_chrome_trace(std::ostream& os, const std::vector<const RunObs*>& runs);
 void write_chrome_trace_file(const std::string& path,
                              const std::vector<const RunObs*>& runs);

@@ -134,7 +134,9 @@ TEST(FleetSimulation, JobLifecycleOrderingHolds) {
     ASSERT_GE(j.node, 0);
     ASSERT_LT(j.node, r.nodes);
     EXPECT_GE(j.admitted, j.arrival);
-    if (j.first_run != kTimeNever) EXPECT_GE(j.first_run, j.admitted);
+    if (j.first_run != kTimeNever) {
+      EXPECT_GE(j.first_run, j.admitted);
+    }
     if (j.completed != kTimeNever) {
       ASSERT_NE(j.first_run, kTimeNever);
       EXPECT_GE(j.completed, j.first_run);

@@ -172,6 +172,20 @@ TEST(ChromeTrace, NullRunsAreSkipped) {
   EXPECT_EQ(doc.at("smartbalance").at("runs").num(), 1.0);
 }
 
+TEST(ChromeTrace, UntracedRunsAreSkipped) {
+  const RunObs traced = make_run(0, "traced", 2);
+  RunObs untraced = make_run(1, "untraced", 3);
+  untraced.trace_enabled = false;
+  std::ostringstream os;
+  write_chrome_trace(os, {&untraced, &traced});
+  const auto doc = testjson::parse(os.str());
+  EXPECT_EQ(doc.at("smartbalance").at("runs").num(), 1.0);
+  EXPECT_EQ(doc.at("smartbalance").at("events").num(), 8.0);
+  for (const auto& ev : doc.at("traceEvents").arr()) {
+    EXPECT_EQ(ev.at("pid").num(), 0.0);
+  }
+}
+
 TEST(ChromeTrace, UnwritablePathThrows) {
   const RunObs r = make_run(0, "x", 1);
   EXPECT_THROW(

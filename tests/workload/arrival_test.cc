@@ -14,7 +14,9 @@ TEST(ZipfGenerator, ProbabilitiesSumToOneAndDecrease) {
   double sum = 0;
   for (int r = 0; r < z.size(); ++r) {
     sum += z.probability(r);
-    if (r > 0) EXPECT_GE(z.probability(r - 1), z.probability(r));
+    if (r > 0) {
+      EXPECT_GE(z.probability(r - 1), z.probability(r));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }

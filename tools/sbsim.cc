@@ -28,10 +28,9 @@
 #include "common/spec.h"
 #include "core/predictor.h"
 #include "fleet/fleet.h"
-#include "obs/audit_writer.h"
+#include "obs/exports.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "os/dvfs_governor.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
@@ -69,6 +68,7 @@ std::string policy_names_help() {
   --policy=<name>           balancing policy (default: smartbalance):
                             )" << policy_names_help() << R"(
   --compare                 run vanilla, gts*, and smartbalance side by side
+                            (excludes --policy)
   --bench=<name>:<threads>  add a benchmark (repeatable); names: PARSEC
                             (bodytrack, canneal, ...), x264_{H,L}_{crew,bow},
                             IMB_{H,M,L}T{H,M,L}I
@@ -186,6 +186,7 @@ struct Args {
   std::string shards;        // ShardingConfig::parse spec
   std::string faults;        // FaultPlan::parse spec
   std::string defenses;      // auto | on | off
+  core::SmartBalanceConfig smart;  // the four specs above, parsed
   std::vector<std::tuple<std::string, std::string, int>> thread_traces;
   std::string replay;          // sched-replay trace CSV (single-node)
   std::optional<double> replay_ips;  // compile calibration (instr/ns)
@@ -218,10 +219,28 @@ void reject_given(std::span<const std::pair<bool, const char*>> flags,
   }
 }
 
-/// Numeric fields read the common/spec.h syntax and throw
-/// std::invalid_argument naming their flag; parse() exits 2 on one.
+/// The SmartBalance specs; a malformed one throws std::invalid_argument.
+core::SmartBalanceConfig sb_config(const Args& a) {
+  core::SmartBalanceConfig cfg;
+  if (!a.adapt.empty()) cfg.adaptation = core::AdaptationConfig::parse(a.adapt);
+  if (!a.shards.empty()) cfg.sharding = core::ShardingConfig::parse(a.shards);
+  if (!a.faults.empty()) cfg.fault_plan = fault::FaultPlan::parse(a.faults);
+  if (a.defenses == "on") {
+    cfg.defenses = core::SmartBalanceConfig::Defenses::kOn;
+  } else if (a.defenses == "off") {
+    cfg.defenses = core::SmartBalanceConfig::Defenses::kOff;
+  } else if (!a.defenses.empty() && a.defenses != "auto") {
+    std::cerr << "unknown --defenses value: " << a.defenses << "\n";
+    usage(2);
+  }
+  return cfg;
+}
+
+/// Numeric fields and specs throw std::invalid_argument naming their flag;
+/// parse() exits 2 on one.
 Args parse_flags(int argc, char** argv) {
   Args a;
+  bool policy_given = false;
   const auto threads = [](std::string_view flag, std::string_view token) {
     return static_cast<int>(
         spec::read_uint(flag, "threads", token, 1, 1 << 16));
@@ -236,7 +255,10 @@ Args parse_flags(int argc, char** argv) {
     else if (arg.rfind("--platform=", 0) == 0) a.platform = value("--platform=");
     else if (arg.rfind("--platform-file=", 0) == 0)
       a.platform_file = value("--platform-file=");
-    else if (arg.rfind("--policy=", 0) == 0) a.policy = value("--policy=");
+    else if (arg.rfind("--policy=", 0) == 0) {
+      a.policy = value("--policy=");
+      policy_given = true;
+    }
     else if (arg.rfind("--fleet=", 0) == 0) a.fleet = value("--fleet=");
     else if (arg == "--compare") a.compare = true;
     else if (arg.rfind("--bench=", 0) == 0) {
@@ -350,6 +372,11 @@ Args parse_flags(int argc, char** argv) {
                    "--thread-trace/--replay/--fleet)\n";
       usage(2);
     }
+    if (a.compare && policy_given) {
+      std::cerr << "--compare runs its own policy list; it cannot be "
+                   "combined with --policy\n";
+      usage(2);
+    }
     (void)sim::policy_factory(a.policy);  // throws naming the valid ones
     if (!a.compare && !a.policy.starts_with("smartbalance")) {
       // Only SmartBalance reads these; a baseline would silently ignore them.
@@ -364,6 +391,7 @@ Args parse_flags(int argc, char** argv) {
                                    " runs no SmartBalance; it cannot be "
                                    "combined with ");
     }
+    a.smart = sb_config(a);
   }
   if (a.replay_ips && a.replay.empty()) {
     std::cerr << "--replay-ips only applies with --replay\n";
@@ -420,23 +448,6 @@ arch::Platform make_platform(const std::string& desc) {
   usage(2);
 }
 
-core::SmartBalanceConfig sb_config(const Args& a) {
-  core::SmartBalanceConfig cfg;
-  // Parse errors surface as std::invalid_argument -> main's catch -> exit 1.
-  if (!a.adapt.empty()) cfg.adaptation = core::AdaptationConfig::parse(a.adapt);
-  if (!a.shards.empty()) cfg.sharding = core::ShardingConfig::parse(a.shards);
-  if (!a.faults.empty()) cfg.fault_plan = fault::FaultPlan::parse(a.faults);
-  if (a.defenses == "on") {
-    cfg.defenses = core::SmartBalanceConfig::Defenses::kOn;
-  } else if (a.defenses == "off") {
-    cfg.defenses = core::SmartBalanceConfig::Defenses::kOff;
-  } else if (!a.defenses.empty() && a.defenses != "auto") {
-    std::cerr << "unknown --defenses value: " << a.defenses << "\n";
-    usage(2);
-  }
-  return cfg;
-}
-
 /// The observability flags, for single-node and fleet runs alike. The
 /// merged exports (one run block per policy under --compare, per node under
 /// --fleet) are written once the runs are done; here the recorders are
@@ -452,6 +463,15 @@ obs::ObsConfig obs_config(const Args& a) {
   cfg.timeseries.enabled = !a.timeseries.empty() || !a.slo.empty();
   if (!a.slo.empty()) cfg.slo = obs::SloConfig::parse(a.slo);
   return cfg;
+}
+
+/// The export files the flags name (see obs::write_exports).
+obs::ExportPaths export_paths(const Args& a) {
+  return {.trace = a.chrome_trace,
+          .audit = a.audit,
+          .timeseries = a.timeseries,
+          .metrics = a.metrics_out,
+          .prometheus = a.prom};
 }
 
 /// Total SLO breach transitions across a merged run set (0 without --slo).
@@ -577,31 +597,13 @@ int run_fleet(const Args& a, const arch::Platform& platform) {
   std::vector<const obs::RunObs*> runs;
   if (r.obs) runs.push_back(r.obs.get());
   for (const auto& n : r.node_obs) runs.push_back(n.get());
-  if (!a.chrome_trace.empty()) {
-    obs::write_chrome_trace_file(a.chrome_trace, runs);
-    std::cout << "trace written to " << a.chrome_trace << "\n";
-  }
-  if (!a.metrics_out.empty()) {
-    std::ofstream ms(a.metrics_out);
-    if (!ms) throw std::runtime_error("cannot write " + a.metrics_out);
-    obs::merge_metrics(runs).write_json(ms);
-    ms << '\n';
-    std::cout << "metrics written to " << a.metrics_out << "\n";
-  }
+  obs::write_exports(export_paths(a), runs, std::cout);
   if (!a.json_out.empty()) {
     std::ofstream js(a.json_out);
     if (!js) throw std::runtime_error("cannot write " + a.json_out);
     fleet::write_fleet_json(js, r);
     js << '\n';
     std::cout << "metrics written to " << a.json_out << "\n";
-  }
-  if (!a.timeseries.empty()) {
-    obs::write_timeseries_file(a.timeseries, runs);
-    std::cout << "timeseries written to " << a.timeseries << "\n";
-  }
-  if (!a.prom.empty()) {
-    obs::write_prometheus_file(a.prom, runs);
-    std::cout << "prometheus snapshot written to " << a.prom << "\n";
   }
   if (a.slo_strict) return strict_exit(runs);
   return 0;
@@ -635,7 +637,6 @@ int main(int argc, char** argv) {
       policies = {a.policy};
     }
 
-    const core::SmartBalanceConfig smart = sb_config(a);
     std::optional<core::PredictorModel> model;
     if (!a.load_model.empty()) {
       model = core::PredictorModel::load_from_file(a.load_model);
@@ -643,7 +644,7 @@ int main(int argc, char** argv) {
     std::vector<sim::SimulationResult> results;
     for (const auto& p : policies) {
       results.push_back(
-          run_once(a, platform, p, sim::policy_factory(p, smart, model)));
+          run_once(a, platform, p, sim::policy_factory(p, a.smart, model)));
       if (a.quiet) {
         const auto& r = results.back();
         std::cout << r.policy << ": " << r.ips_per_watt / 1e6 << " MIPS/W ("
@@ -659,36 +660,14 @@ int main(int argc, char** argv) {
     }
     // Merged per-policy observability exports: run index = policy order.
     std::vector<const obs::RunObs*> runs;
-    if (!a.chrome_trace.empty() || !a.audit.empty() ||
-        !a.metrics_out.empty() || !a.timeseries.empty() || !a.slo.empty()) {
-      int idx = 0;
-      for (auto& r : results) {
-        if (r.obs) {
-          r.obs->run = idx++;
-          r.obs->label = r.policy;
-          runs.push_back(r.obs.get());
-        }
+    for (auto& r : results) {
+      if (r.obs) {
+        r.obs->run = static_cast<int>(runs.size());
+        r.obs->label = r.policy;
+        runs.push_back(r.obs.get());
       }
     }
-    if (!a.chrome_trace.empty()) {
-      obs::write_chrome_trace_file(a.chrome_trace, runs);
-      std::cout << "trace written to " << a.chrome_trace << "\n";
-    }
-    if (!a.audit.empty()) {
-      obs::write_audit_file(a.audit, runs);
-      std::cout << "audit export written to " << a.audit << "\n";
-    }
-    if (!a.timeseries.empty()) {
-      obs::write_timeseries_file(a.timeseries, runs);
-      std::cout << "timeseries written to " << a.timeseries << "\n";
-    }
-    if (!a.metrics_out.empty()) {
-      std::ofstream ms(a.metrics_out);
-      if (!ms) throw std::runtime_error("cannot write " + a.metrics_out);
-      obs::merge_metrics(runs).write_json(ms);
-      ms << '\n';
-      std::cout << "metrics written to " << a.metrics_out << "\n";
-    }
+    obs::write_exports(export_paths(a), runs, std::cout);
     if (!a.json_out.empty()) {
       std::ofstream js(a.json_out);
       if (!js) throw std::runtime_error("cannot write " + a.json_out);
