@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "common/table.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
+#include "fleet/fleet.h"
 #include "obs/exports.h"
 #include "sim/experiment.h"
 #include "sim/runner.h"
@@ -143,6 +145,22 @@ struct Options {
     return cfg;
   }
 
+  /// Exits with status 2, naming the flag, when a flag is given that a
+  /// fleet harness would read and drop: a fleet records no prediction
+  /// audit and builds its nodes' SmartBalance itself, so it honors neither
+  /// --audit nor --faults nor --no-defense (sbsim --fleet rejects the same
+  /// flags).
+  void reject_fleet_unsupported(const char* harness) const {
+    const char* flag = !audit.empty()    ? "--audit"
+                       : !faults.empty() ? "--faults"
+                       : no_defense      ? "--no-defense"
+                                         : nullptr;
+    if (flag == nullptr) return;
+    std::cerr << harness << ": the fleet runs no prediction audit and no "
+              << "fault plan; it cannot be combined with " << flag << "\n";
+    std::exit(2);
+  }
+
   /// Runner honoring --jobs (or SB_JOBS / hardware concurrency when unset).
   sim::ExperimentRunner runner() const {
     sim::ExperimentRunner::Config cfg;
@@ -179,6 +197,26 @@ inline void header(const std::string& title, const std::string& paper_claim) {
             << title << "\n"
             << "Paper reference: " << paper_claim << "\n"
             << "==============================================================\n";
+}
+
+/// Collects one fleet run's fleet and node records for --trace and
+/// --metrics-json. A fleet numbers its records from 0, so they are
+/// restamped past the `base` records of earlier runs, keeping one lane per
+/// run in the merged export, and `base` advances by the fleet's nodes + 1.
+/// A run that recorded nothing changes neither `base` nor `out`.
+inline void append_fleet_obs(const fleet::FleetResult& r, int nodes,
+                             int& base,
+                             std::vector<std::shared_ptr<obs::RunObs>>& out) {
+  if (!r.obs && r.node_obs.empty()) return;
+  if (r.obs) {
+    r.obs->run += base;
+    out.push_back(r.obs);
+  }
+  for (const auto& o : r.node_obs) {
+    o->run += base;
+    out.push_back(o);
+  }
+  base += nodes + 1;
 }
 
 /// One-line batch accounting ("N runs on T threads ...") for sweep benches.

@@ -109,13 +109,7 @@ int main(int argc, char** argv) {
   }
   const auto opt =
       bench::Options::parse(static_cast<int>(args.size()), args.data());
-  if (!opt.audit.empty()) {
-    // As under sbsim --fleet: the fleet runs no prediction-audit recorder,
-    // so the flag would write nothing.
-    std::cerr << "fig_fleet: the fleet records no prediction audit; it "
-                 "cannot be combined with --audit\n";
-    return 2;
-  }
+  opt.reject_fleet_unsupported("fig_fleet");
   bench::header("Fleet dispatch: energy-aware vs round-robin racks",
                 "sensing-driven placement extends the per-node energy story "
                 "fleet-wide: better inst/J at equal-or-better p99 latency");
@@ -171,13 +165,7 @@ int main(int argc, char** argv) {
       PolicyRow row;
       row.policy = policy;
       row.r = f.run();
-      if (row.r.obs || !row.r.node_obs.empty()) {
-        if (row.r.obs) row.r.obs->run += obs_run_base;
-        for (const auto& o : row.r.node_obs) o->run += obs_run_base;
-        if (row.r.obs) all_obs.push_back(row.r.obs);
-        for (const auto& o : row.r.node_obs) all_obs.push_back(o);
-        obs_run_base += cfg.nodes + 1;
-      }
+      bench::append_fleet_obs(row.r, cfg.nodes, obs_run_base, all_obs);
       rows.push_back(std::move(row));
     }
     // Canonical row order regardless of execution order.

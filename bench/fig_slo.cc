@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,7 @@ std::uint64_t slo_breaches(const sb::fleet::FleetResult& r) {
 int main(int argc, char** argv) {
   using namespace sb;
   const auto opt = bench::Options::parse(argc, argv);
+  opt.reject_fleet_unsupported("fig_slo");
   bench::header("Burn-rate SLOs: energy-aware dispatch vs round-robin",
                 "the p99+energy SLO the telemetry plane watches online: "
                 "energy-aware placement keeps the error budget, rr burns it");
@@ -100,6 +102,9 @@ int main(int argc, char** argv) {
                                  {DispatchPolicy::kEnergyAware, "energy"}};
   std::uint64_t breaches_by_arm[2] = {0, 0};
   double je_by_arm[2] = {0, 0};
+  // Every arm's fleet and node records for --trace/--metrics-json.
+  std::vector<std::shared_ptr<obs::RunObs>> all_obs;
+  int obs_run_base = 0;
 
   for (std::size_t i = 0; i < arms.size(); ++i) {
     fleet::FleetConfig cfg;
@@ -110,6 +115,9 @@ int main(int argc, char** argv) {
     cfg.seed = opt.seed;
     cfg.step_jobs = opt.jobs;
     cfg.obs.slo = obs::SloConfig::parse(kSloSpec);
+    cfg.obs.trace = !opt.trace.empty();
+    cfg.obs.metrics = opt.metrics;
+    cfg.node_obs = opt.metrics || !opt.trace.empty();
     fleet::FleetSimulation f(cfg, nodes);
     const fleet::FleetResult r = f.run();
 
@@ -119,6 +127,8 @@ int main(int argc, char** argv) {
       obs::write_timeseries_file(
           "fig_slo_" + std::string(arms[i].key) + ".csv", {r.obs.get()});
     }
+    // After the arm's own export, which numbers the fleet run 0.
+    bench::append_fleet_obs(r, cfg.nodes, obs_run_base, all_obs);
 
     breaches_by_arm[i] = slo_breaches(r);
     je_by_arm[i] = r.je_inst_per_joule;
@@ -164,5 +174,8 @@ int main(int argc, char** argv) {
   j.end_object();
   j.write("BENCH_slo.json");
 
-  return violated ? 1 : 0;
+  std::vector<const obs::RunObs*> runs;
+  for (const auto& o : all_obs) runs.push_back(o.get());
+  const int status = opt.write_exports(runs);
+  return violated ? 1 : status;
 }

@@ -1,7 +1,6 @@
 #include "core/char_matrix.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -19,8 +18,6 @@ CharacterizationMatrices build_characterization(
     throw std::invalid_argument("build_characterization: opp vector size");
   }
   CharacterizationMatrices out;
-  out.s = Matrix(m, n);
-  out.p = Matrix(m, n);
   out.tids.reserve(m);
   out.current.reserve(m);
 
@@ -37,40 +34,43 @@ CharacterizationMatrices build_characterization(
                                platform.params_of(c));
   };
 
-  // A row's cell depends on the column only through (core type, effective
-  // frequency, power scale), so columns sharing that triple share one
-  // (gips, watts) value. Group them once per call and run the Θ fan-out
-  // once per group per thread instead of once per column: on a 1024-core
-  // big.LITTLE with DVFS off that is 2 predictor evaluations per thread
-  // instead of 1024, with bit-identical output (the per-cell arithmetic is
-  // a pure function of the grouped inputs, compared by bit pattern).
-  struct ColumnGroup {
+  // A row's cell depends on the core only through (core type, effective
+  // frequency, power scale), so the cores sharing that triple form one
+  // class and share one (gips, watts) value. Group them once per call, run
+  // the Θ fan-out once per class per thread and store one column per
+  // class: on a 1024-core big.LITTLE with DVFS off that is 2 predictor
+  // evaluations and 2 stored cells per thread instead of 1024 (the per-cell
+  // arithmetic is a pure function of the grouped inputs, compared by bit
+  // pattern, so every core's value is the one a per-core fill would give).
+  struct CoreClass {
     CoreTypeId type;
     double dst_freq;
     double power_scale;
     std::uint64_t freq_bits;
     std::uint64_t scale_bits;
   };
-  std::vector<ColumnGroup> groups;
-  std::vector<std::size_t> group_of(n);
+  std::vector<CoreClass> classes;
+  out.column_of.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const auto c = static_cast<CoreId>(j);
-    ColumnGroup g;
+    CoreClass g;
     g.type = platform.type_of(c);
     g.dst_freq = freq_of(c);
     g.power_scale = power_scale_of(c);
     std::memcpy(&g.freq_bits, &g.dst_freq, sizeof(g.freq_bits));
     std::memcpy(&g.scale_bits, &g.power_scale, sizeof(g.scale_bits));
-    std::size_t gi = 0;
-    while (gi < groups.size() &&
-           !(groups[gi].type == g.type && groups[gi].freq_bits == g.freq_bits &&
-             groups[gi].scale_bits == g.scale_bits)) {
-      ++gi;
+    std::size_t k = 0;
+    while (k < classes.size() &&
+           !(classes[k].type == g.type &&
+             classes[k].freq_bits == g.freq_bits &&
+             classes[k].scale_bits == g.scale_bits)) {
+      ++k;
     }
-    if (gi == groups.size()) groups.push_back(g);
-    group_of[j] = gi;
+    if (k == classes.size()) classes.push_back(g);
+    out.column_of[j] = k;
   }
-  std::vector<std::array<double, 2>> group_vals(groups.size());
+  out.s = Matrix(m, classes.size());
+  out.p = Matrix(m, classes.size());
 
   for (std::size_t i = 0; i < m; ++i) {
     const ThreadObservation& o = observations[i];
@@ -81,16 +81,11 @@ CharacterizationMatrices build_characterization(
     // modest IPC everywhere so the optimizer parks them on efficient cores
     // until real measurements arrive.
     if (!o.measured && o.instructions == 0) {
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const ColumnGroup& cg = groups[g];
+      for (std::size_t k = 0; k < classes.size(); ++k) {
+        const CoreClass& cg = classes[k];
         const double ipc = 0.5;
-        group_vals[g] = {ipc * cg.dst_freq / 1000.0,  // GIPS
-                         predictor.predict_power(cg.type, ipc) *
-                             cg.power_scale};
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        out.s.at(i, j) = group_vals[group_of[j]][0];
-        out.p.at(i, j) = group_vals[group_of[j]][1];
+        out.s.at(i, k) = ipc * cg.dst_freq / 1000.0;  // GIPS
+        out.p.at(i, k) = predictor.predict_power(cg.type, ipc) * cg.power_scale;
       }
       continue;
     }
@@ -101,10 +96,10 @@ CharacterizationMatrices build_characterization(
             : (o.core_type >= 0 ? platform.params_of_type(o.core_type).freq_mhz
                                 : platform.params_of_type(0).freq_mhz);
 
-    // The measured-cell condition is group-determined too (it reads only
-    // the group's type/frequency and the thread's own observation).
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const ColumnGroup& cg = groups[g];
+    // The measured-cell condition is class-determined too (it reads only
+    // the class's type/frequency and the thread's own observation).
+    for (std::size_t k = 0; k < classes.size(); ++k) {
+      const CoreClass& cg = classes[k];
       double ipc;
       double watts;
       if (cg.type == o.core_type && std::abs(cg.dst_freq - src_freq) < 1e-6) {
@@ -114,11 +109,8 @@ CharacterizationMatrices build_characterization(
         ipc = predictor.predict_ipc(o, cg.type, src_freq, cg.dst_freq);
         watts = predictor.predict_power(cg.type, ipc) * cg.power_scale;
       }
-      group_vals[g] = {ipc * cg.dst_freq / 1000.0, watts};  // GIPS, W
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      out.s.at(i, j) = group_vals[group_of[j]][0];
-      out.p.at(i, j) = group_vals[group_of[j]][1];
+      out.s.at(i, k) = ipc * cg.dst_freq / 1000.0;  // GIPS
+      out.p.at(i, k) = watts;
     }
   }
   return out;

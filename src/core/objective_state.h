@@ -9,9 +9,13 @@
 // arithmetic into the loop. Instantiating with the BalanceObjective base
 // keeps the generic virtual-dispatch path for custom objectives.
 //
-// Column j of the S/P matrices is physical core j, or cores[j] when the
-// caller passes a column → core map (a shard's sub-problem); the objective
-// always receives the physical core id.
+// The state's n cores are the problem's cores (the slot blocks of Ψ). Core
+// j reads its S/P values from column columns[j], so per-class matrices
+// (core/char_matrix.h) are read in place and a cached cell is (thread,
+// class), not (thread, core); a caller with per-core matrices passes no
+// map and core j reads column j. The objective sees cores[j], the physical
+// core id, when the caller passes that map (a shard's sub-problem), and j
+// otherwise.
 //
 // All storage lives in an ObjectiveScratch the caller owns, so a state can
 // be re-initialized epoch after epoch without heap allocation once the
@@ -36,16 +40,18 @@ namespace sb::core {
 struct ObjectiveScratch {
   std::vector<CoreSums> sums;                    // per-core running sums
   std::vector<std::array<double, 2>> contrib;    // per-core (num, den) terms
-  /// m×n matrix of (weighted s, weighted p, occupancy) triplets. The three
-  /// values a move reads for one (thread, core) cell are interleaved so the
-  /// random-access hot path touches one cache line per cell, not one line in
-  /// each of three separate matrices (which at 128 cores × 256 threads blows
-  /// well past L2 and made the interleaving a measured ~1.5× on the inner
-  /// loop). A cell is computed the first time a state reads it: an anneal
-  /// at 128 × 256 reads at most ~4k of the 32k cells, and filling all of
-  /// them up front cost ~90 µs per call.
+  /// m×k matrix of (weighted s, weighted p, occupancy) triplets, one per
+  /// (thread, S/P column): a cell depends on its core only through the
+  /// column, so every core of a class shares the class's cell. The three
+  /// values a move reads for one cell are interleaved so the random-access
+  /// hot path touches one cache line per cell, not one line in each of
+  /// three separate matrices. A cell is computed the first time a state
+  /// reads it: an anneal reads only the cells of the (thread, class) pairs
+  /// its moves touch. With per-class S/P at 128 cores × 256 threads the
+  /// whole matrix is 1k cells (24 KB) where a per-core one was 32k cells
+  /// (768 KB, well past L2).
   std::vector<double> wspo;
-  /// built[row·n + j] != 0 once cell (row, j) of wspo holds the current
+  /// built[row·k + col] != 0 once cell (row, col) of wspo holds the current
   /// state's values; cleared by every state construction.
   std::vector<std::uint8_t> built;
 };
@@ -65,31 +71,37 @@ class ObjectiveState {
  public:
   /// Initializes the state for `allocation`. The occupancy-weighted s/p
   /// cells are computed on first read, so the add/remove hot path is loads
-  /// and adds. `cores` (optional, s.cols() entries) maps column j to the
-  /// physical core the objective sees; null means column j is core j. `s`,
-  /// `p`, `demand_gips`, `cores` and `scratch` must outlive the state.
+  /// and adds. `columns` (optional) maps each of the problem's cores to its
+  /// column of `s` and `p`; null means core j is column j, and the problem
+  /// has s.cols() cores. `cores` (optional, one entry per problem core)
+  /// maps core j to the physical core the objective sees; null means core j
+  /// is physical core j. `s`, `p`, `demand_gips`, `cores`, `columns` and
+  /// `scratch` must outlive the state.
   ObjectiveState(ObjectiveScratch& scratch, const Matrix& s, const Matrix& p,
                  const Obj& objective, const std::vector<CoreId>& allocation,
                  const std::vector<double>* demand_gips = nullptr,
-                 const std::vector<CoreId>* cores = nullptr)
+                 const std::vector<CoreId>* cores = nullptr,
+                 const std::vector<std::size_t>* columns = nullptr)
       : sc_(scratch),
         obj_(objective),
         s_(s),
         p_(p),
         demand_(demand_gips != nullptr ? demand_gips->data() : nullptr),
         cores_(cores != nullptr ? cores->data() : nullptr),
+        columns_(columns != nullptr ? columns->data() : nullptr),
         m_(s.rows()),
-        n_(s.cols()),
+        n_(columns != nullptr ? columns->size() : s.cols()),
+        k_(s.cols()),
         fractional_(objective.fractional()) {
     assert(cores == nullptr || cores->size() == n_);
-    sc_.wspo.resize(3 * m_ * n_);
-    sc_.built.assign(m_ * n_, 0);
+    sc_.wspo.resize(3 * m_ * k_);
+    sc_.built.assign(m_ * k_, 0);
     rebuild(allocation);
   }
 
   double total() const { return total_; }
 
-  /// Occupancy of thread `row` on core column `j` (core::occupancy of its
+  /// Occupancy of thread `row` on problem core `j` (core::occupancy of its
   /// demand; 1 without a demand vector).
   double occupancy(std::size_t row, std::size_t j) { return cell(row, j)[2]; }
 
@@ -141,19 +153,21 @@ class ObjectiveState {
   }
 
  private:
-  /// Cell (row, j): u·s_ij, u·p_ij and u, computed on the first read.
+  /// The cell of thread `row` on problem core `j`: u·s, u·p and u from
+  /// core j's column, computed on the first read of that column.
   const double* cell(std::size_t row, std::size_t j) {
-    const std::size_t k = row * n_ + j;
+    const std::size_t col = columns_ != nullptr ? columns_[j] : j;
+    const std::size_t k = row * k_ + col;
     double* c = &sc_.wspo[3 * k];
     if (sc_.built[k] == 0) [[unlikely]] {
       sc_.built[k] = 1;
       // Qualified: the member occupancy(row, j) would otherwise bind
       // through an implicit double -> size_t conversion.
       const double u =
-          demand_ != nullptr ? core::occupancy(demand_[row], s_.at(row, j))
+          demand_ != nullptr ? core::occupancy(demand_[row], s_.at(row, col))
                              : 1.0;
-      c[0] = u * s_.at(row, j);
-      c[1] = u * p_.at(row, j);
+      c[0] = u * s_.at(row, col);
+      c[1] = u * p_.at(row, col);
       c[2] = u;
     }
     return c;
@@ -184,9 +198,11 @@ class ObjectiveState {
   const Matrix& s_;
   const Matrix& p_;
   const double* const demand_;  // per-row demand; null = every row CPU-bound
-  const CoreId* const cores_;   // column -> physical core; null = identity
+  const CoreId* const cores_;         // core -> physical core; null = same
+  const std::size_t* const columns_;  // core -> S/P column; null = same
   const std::size_t m_;
-  const std::size_t n_;
+  const std::size_t n_;  // problem cores
+  const std::size_t k_;  // S/P columns
   const bool fractional_;
   double sum_num_ = 0.0;
   double sum_den_ = 0.0;

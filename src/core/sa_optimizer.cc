@@ -14,12 +14,6 @@
 namespace sb::core {
 namespace {
 
-bool allowed_on(const std::vector<std::bitset<kMaxCores>>* affinity,
-                std::size_t row, CoreId c) {
-  if (!affinity) return true;
-  return (*affinity)[row].test(static_cast<std::size_t>(c));
-}
-
 /// The perturbation radius sqrt(perturb_it) of every iteration, as Q16.16
 /// raw values. perturb starts at Opt_perturb and each iteration multiplies
 /// it by Opt_Δperturb in Q16.16, clamping the raw value to 16 so the radius
@@ -79,11 +73,12 @@ SaResult SaOptimizer::run_annealing(
     const Matrix& s, const Matrix& p, const Obj& objective,
     std::vector<CoreId> initial,
     const std::vector<std::bitset<kMaxCores>>* affinity,
-    const std::vector<double>* demand_gips,
-    const std::vector<CoreId>* cores) {
+    const std::vector<double>* demand_gips, const std::vector<CoreId>* cores,
+    const std::vector<std::size_t>* columns) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t m = s.rows();
-  const auto n = static_cast<std::int64_t>(s.cols());
+  const auto n = static_cast<std::int64_t>(
+      columns != nullptr ? columns->size() : s.cols());
 
   // Ψ as the paper's flat slot array: m slots per core, entry = thread row
   // or -1. Each thread starts in a slot of its current core. slot→core is
@@ -105,7 +100,7 @@ SaResult SaOptimizer::run_annealing(
   const FastMod slot_div(static_cast<std::uint64_t>(m));
 
   ObjectiveState<Obj> state(scratch_.objective, s, p, objective, initial,
-                            demand_gips, cores);
+                            demand_gips, cores, columns);
   SaResult best;
   best.initial_objective = state.total();
   best.allocation = initial;
@@ -180,20 +175,23 @@ SaResult SaOptimizer::run_annealing(
     // draw so each iteration still proposes a real move — slot indices
     // carry no topology, so this preserves Algorithm 1's semantics. A
     // same-slot proposal is a same-core one.
-    if (cb == ca) {
-      pos_new = static_cast<std::int64_t>(fm.mod(rng.next_u64()));
-      cb = core_of(pos_new);
-      if (cb == ca) continue;  // no-op
-    }
+    if (cb == ca) pos_new = static_cast<std::int64_t>(fm.mod(rng.next_u64()));
+    cb = core_of(pos_new);
 
     const std::int32_t ta = psi[static_cast<std::size_t>(pos)];
     const std::int32_t tb = psi[static_cast<std::size_t>(pos_new)];
-    if (ta < 0 && tb < 0) continue;  // empty↔empty
-    if (ta >= 0 && !allowed_on(affinity, static_cast<std::size_t>(ta), cb)) {
-      continue;  // affinity forbids
-    }
-    if (tb >= 0 && !allowed_on(affinity, static_cast<std::size_t>(tb), ca)) {
-      continue;
+    // No-op: the fallback stayed on the same core too, or both slots are
+    // empty (both sign bits set).
+    if (cb == ca || (ta & tb) < 0) continue;
+    if (affinity != nullptr) {
+      if (ta >= 0 && !(*affinity)[static_cast<std::size_t>(ta)]
+                                 [static_cast<std::size_t>(cb)]) {
+        continue;  // affinity forbids
+      }
+      if (tb >= 0 && !(*affinity)[static_cast<std::size_t>(tb)]
+                                 [static_cast<std::size_t>(ca)]) {
+        continue;
+      }
     }
 
     // --- Apply tentatively, evaluating only the two affected cores ---
@@ -290,15 +288,23 @@ SaResult SaOptimizer::optimize(
     const Matrix& s, const Matrix& p, const BalanceObjective& objective,
     std::vector<CoreId> initial,
     const std::vector<std::bitset<kMaxCores>>* affinity,
-    const std::vector<double>* demand_gips,
-    const std::vector<CoreId>* cores) {
+    const std::vector<double>* demand_gips, const std::vector<CoreId>* cores,
+    const std::vector<std::size_t>* columns) {
   const std::size_t m = s.rows();
-  const auto n = static_cast<std::int64_t>(s.cols());
+  const auto n = static_cast<std::int64_t>(
+      columns != nullptr ? columns->size() : s.cols());
   if (m == 0 || n == 0) {
     throw std::invalid_argument("SaOptimizer: empty problem");
   }
   if (p.rows() != m || p.cols() != s.cols() || initial.size() != m) {
     throw std::invalid_argument("SaOptimizer: shape mismatch");
+  }
+  if (columns != nullptr) {
+    for (const std::size_t col : *columns) {
+      if (col >= s.cols()) {
+        throw std::invalid_argument("SaOptimizer: column map out of range");
+      }
+    }
   }
   if (demand_gips && demand_gips->size() != m) {
     throw std::invalid_argument("SaOptimizer: demand size mismatch");
@@ -306,7 +312,12 @@ SaResult SaOptimizer::optimize(
   if (affinity && affinity->size() != m) {
     throw std::invalid_argument("SaOptimizer: affinity size mismatch");
   }
-  if (cores && cores->size() != s.cols()) {
+  if (affinity && n > kMaxCores) {
+    // The loop reads affinity bits unchecked; a mask has kMaxCores bits.
+    throw std::invalid_argument("SaOptimizer: more cores than an affinity "
+                                "mask holds");
+  }
+  if (cores && cores->size() != static_cast<std::size_t>(n)) {
     throw std::invalid_argument("SaOptimizer: core map size mismatch");
   }
   for (std::size_t i = 0; i < m; ++i) {
@@ -323,15 +334,15 @@ SaResult SaOptimizer::optimize(
     if (const auto* ee =
             dynamic_cast<const EnergyEfficiencyObjective*>(&objective)) {
       return run_annealing(s, p, *ee, std::move(initial), affinity,
-                           demand_gips, cores);
+                           demand_gips, cores, columns);
     }
     if (const auto* ge =
             dynamic_cast<const GlobalEfficiencyObjective*>(&objective)) {
       return run_annealing(s, p, *ge, std::move(initial), affinity,
-                           demand_gips, cores);
+                           demand_gips, cores, columns);
     }
     return run_annealing(s, p, objective, std::move(initial), affinity,
-                         demand_gips, cores);
+                         demand_gips, cores, columns);
   }();
   if (obs_ != nullptr) {
     auto& m = obs_->metrics();

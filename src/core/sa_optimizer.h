@@ -21,10 +21,12 @@
 //    dynamic_cast to the two built-in final classes, to an annealing
 //    kernel templated on that class (custom objectives fall back to the
 //    generic virtual-dispatch kernel with identical semantics);
-//  - a (thread, core) cell's occupancy and occupancy-weighted S/P values
-//    are computed on the call's first read of that cell (interleaved, one
-//    cache line per cell) and reused after; an anneal at 128 × 256 reads
-//    at most ~4k of the 32k cells;
+//  - cells are (thread, class), not (thread, core): a thread's occupancy and
+//    occupancy-weighted S/P values depend on its core only through the
+//    core's S/P column, which per-class matrices (core/char_matrix.h) share
+//    across a class. A cell is computed on the call's first read
+//    (interleaved, one cache line per cell) and reused after; at 128 × 256
+//    on scaled:32 all 1k cells fit in 24 KB;
 //  - slot draws are reduced modulo n·m and slot→core indices divided by m
 //    with precomputed reciprocals (common/rng.h FastMod) instead of
 //    hardware division — a mask and a shift when, as at 128 × 256 and on
@@ -35,14 +37,16 @@
 //    values built once per process: the fixed-point sqrt never runs in the
 //    loop, and a proposal's offset is an integer multiply;
 //  - an empty↔empty or same-core proposal (98% of the iterations at
-//    128 × 256) ends after its draws and two slot loads. The acceptance
-//    temperature, which decays once per iteration, is caught up only when
-//    a move that does not improve J reads it, one multiply per skipped
-//    iteration in order, and never again once a multiply returns its input
-//    bit for bit (at Opt_Δaccept = 0.95 it sticks at the smallest
-//    subnormal after ~14k iterations, where each multiply costs more than
-//    a whole skipped iteration). The certain-reject bound -12·accept is
-//    recomputed only when `accept` changes.
+//    128 × 256) ends after its draws, two slot loads and one combined
+//    test. Affinity bits are read unchecked (optimize() rejects masks on
+//    problems past kMaxCores). The acceptance temperature, which decays
+//    once per iteration, is caught up only when a move that does not
+//    improve J reads it, one multiply per skipped iteration in order, and
+//    never again once a multiply returns its input bit for bit (at
+//    Opt_Δaccept = 0.95 it sticks at the smallest subnormal after ~14k
+//    iterations, where each multiply costs more than a whole skipped
+//    iteration). The certain-reject bound -12·accept is recomputed only
+//    when `accept` changes.
 // None of this changes the RNG draw sequence or the floating-point
 // arithmetic, so results are bit-identical to the straightforward
 // implementation.
@@ -100,9 +104,11 @@ class SaOptimizer {
   explicit SaOptimizer(SaConfig cfg) : cfg_(cfg) {}
 
   /// Finds an allocation maximizing Σ_j objective.core_term(core j sums).
-  /// `s` and `p` are the m×n characterization matrices (GIPS / watts);
+  /// `s` and `p` are the characterization matrices (GIPS / watts), one row
+  /// per thread and one column per core, or per core class with `columns`;
   /// `initial` the current allocation; `affinity` (optional) per-thread
-  /// allowed-core masks.
+  /// allowed-core masks, which hold kMaxCores bits: with masks, a problem
+  /// of more cores throws std::invalid_argument.
   ///
   /// `demand_gips` (optional) realizes Algorithm 1's thread utilization
   /// vector U in speed-invariant form: entry i is the thread's *demanded*
@@ -114,11 +120,17 @@ class SaOptimizer {
   /// so slow cores that cannot sustain the demand are correctly penalized,
   /// and sleepy threads don't look like full load.
   ///
-  /// `cores` (optional) maps column j of `s`/`p` to the physical core id
-  /// the objective sees; null means column j is core j. The sharded
-  /// balancer passes a shard's core list, so per-core weights and sleep
-  /// powers keep pointing at the right core. Throws std::invalid_argument
-  /// unless it has s.cols() entries.
+  /// `columns` (optional) maps each of the problem's cores to the column of
+  /// `s`/`p` holding its values, so per-class matrices (core/char_matrix.h)
+  /// are annealed in place; the problem then has columns->size() cores.
+  /// Null means column j is core j: `s` and `p` are per-core, m × n. Throws
+  /// std::invalid_argument if an entry is not a column of `s`.
+  ///
+  /// `cores` (optional, one entry per problem core) maps problem core j to
+  /// the physical core id the objective sees; null means core j is
+  /// physical core j. The sharded balancer passes a shard's core list, so
+  /// per-core weights and sleep powers keep pointing at the right core.
+  /// Throws std::invalid_argument unless it has one entry per core.
   ///
   /// Non-const: the call reuses the optimizer's scratch arena. A single
   /// SaOptimizer must not be shared across threads; results are
@@ -129,7 +141,8 @@ class SaOptimizer {
                     const std::vector<std::bitset<kMaxCores>>* affinity =
                         nullptr,
                     const std::vector<double>* demand_gips = nullptr,
-                    const std::vector<CoreId>* cores = nullptr);
+                    const std::vector<CoreId>* cores = nullptr,
+                    const std::vector<std::size_t>* columns = nullptr);
 
   /// Re-seeds the annealing trajectory of subsequent optimize() calls
   /// without discarding the scratch arena (one optimizer, one seed per
@@ -153,7 +166,8 @@ class SaOptimizer {
                          std::vector<CoreId> initial,
                          const std::vector<std::bitset<kMaxCores>>* affinity,
                          const std::vector<double>* demand_gips,
-                         const std::vector<CoreId>* cores);
+                         const std::vector<CoreId>* cores,
+                         const std::vector<std::size_t>* columns);
 
   SaConfig cfg_;
   obs::Sink* obs_ = nullptr;

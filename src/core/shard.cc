@@ -33,13 +33,16 @@ constexpr spec::Field kFields[] = {
 /// annealer uses — O(m + n) with no per-cell cache, since it runs a
 /// handful of times per epoch instead of inside the annealing loop.
 void fill_sums(const Matrix& s, const Matrix& p,
+               const std::vector<std::size_t>& columns,
                const std::vector<CoreId>& allocation,
                const std::vector<double>& demand,
                std::vector<CoreSums>& sums) {
-  sums.assign(s.cols(), CoreSums{});
+  sums.assign(columns.size(), CoreSums{});
   for (std::size_t i = 0; i < allocation.size(); ++i) {
-    const auto j = static_cast<std::size_t>(allocation[i]);
-    sums[j].add(occupancy(demand[i], s.at(i, j)), s.at(i, j), p.at(i, j));
+    const auto c = static_cast<std::size_t>(allocation[i]);
+    const std::size_t col = columns[c];
+    sums[c].add(occupancy(demand[i], s.at(i, col)), s.at(i, col),
+                p.at(i, col));
   }
 }
 
@@ -106,8 +109,9 @@ ShardPartition make_shard_partition(const arch::Platform& platform,
 
 struct ShardedBalancer::ShardTask {
   std::vector<std::size_t> rows;  // global thread rows, ascending
-  Matrix s, p;
-  std::vector<CoreId> initial;  // local columns
+  Matrix s, p;                    // those rows, every column of the caller's
+  std::vector<std::size_t> columns;  // local core -> column of s/p
+  std::vector<CoreId> initial;       // local cores
   std::vector<std::bitset<kMaxCores>> affinity;
   std::vector<double> demand;
   SaResult result;
@@ -140,8 +144,8 @@ ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
 
 SaResult ShardedBalancer::balance(
     std::uint64_t pass, std::uint64_t base_seed, const Matrix& s,
-    const Matrix& p, const BalanceObjective& objective,
-    const std::vector<CoreId>& initial,
+    const Matrix& p, const std::vector<std::size_t>& columns,
+    const BalanceObjective& objective, const std::vector<CoreId>& initial,
     const std::vector<std::bitset<kMaxCores>>& affinity,
     const std::vector<double>& demand, obs::Sink* obs, TimeNs ts_offset_ns) {
   const int k = partition_.num_shards();
@@ -150,9 +154,16 @@ SaResult ShardedBalancer::balance(
   if (affinity.size() != m || demand.size() != m) {
     throw std::invalid_argument("ShardedBalancer: per-thread vector size");
   }
-  if (s.rows() != m || p.rows() != m || s.cols() != n || p.cols() != n) {
+  if (s.rows() != m || p.rows() != m || p.cols() != s.cols() ||
+      columns.size() != n) {
     throw std::invalid_argument(
-        "ShardedBalancer: S/P must be threads x platform cores");
+        "ShardedBalancer: S/P must be threads x core classes, with one "
+        "column per platform core");
+  }
+  for (const std::size_t col : columns) {
+    if (col >= s.cols()) {
+      throw std::invalid_argument("ShardedBalancer: column out of range");
+    }
   }
   for (const CoreId c : initial) {
     if (c < 0 || static_cast<std::size_t>(c) >= n) {
@@ -164,7 +175,8 @@ SaResult ShardedBalancer::balance(
     SaOptimizer& opt = *optimizers_[0];
     opt.set_seed(base_seed);
     opt.set_obs(obs);
-    return opt.optimize(s, p, objective, initial, &affinity, &demand);
+    return opt.optimize(s, p, objective, initial, &affinity, &demand, nullptr,
+                        &columns);
   }
   last_ = ShardPassStats{};
 
@@ -181,8 +193,7 @@ SaResult ShardedBalancer::balance(
   const int total_budget =
       sa_iterations_ > 0
           ? sa_iterations_
-          : sa_auto_iterations(static_cast<int>(s.cols()),
-                               static_cast<int>(m));
+          : sa_auto_iterations(static_cast<int>(n), static_cast<int>(m));
   const int shard_budget = std::max(100, total_budget / k);
 
   common::parallel_for(
@@ -193,18 +204,26 @@ SaResult ShardedBalancer::balance(
         const std::vector<CoreId>& cores = partition_.cores[ki];
         const std::size_t sn = cores.size();
         const std::size_t sm = t.rows.size();
-        t.s = Matrix(sm, sn);
-        t.p = Matrix(sm, sn);
+        const std::size_t cols = s.cols();
+        t.s = Matrix(sm, cols);
+        t.p = Matrix(sm, cols);
+        t.columns.resize(sn);
+        for (std::size_t j = 0; j < sn; ++j) {
+          t.columns[j] = columns[static_cast<std::size_t>(cores[j])];
+        }
         t.initial.resize(sm);
         t.affinity.resize(sm);
         t.demand.resize(sm);
         for (std::size_t r = 0; r < sm; ++r) {
           const std::size_t i = t.rows[r];
+          for (std::size_t c = 0; c < cols; ++c) {
+            t.s.at(r, c) = s.at(i, c);
+            t.p.at(r, c) = p.at(i, c);
+          }
           for (std::size_t j = 0; j < sn; ++j) {
-            const auto cj = static_cast<std::size_t>(cores[j]);
-            t.s.at(r, j) = s.at(i, cj);
-            t.p.at(r, j) = p.at(i, cj);
-            if (affinity[i].test(cj)) t.affinity[r].set(j);
+            if (affinity[i][static_cast<std::size_t>(cores[j])]) {
+              t.affinity[r].set(j);
+            }
           }
           t.initial[r] = col_of_core_[static_cast<std::size_t>(initial[i])];
           t.demand[r] = demand[i];
@@ -214,7 +233,7 @@ SaResult ShardedBalancer::balance(
                      (static_cast<std::uint64_t>(ki) * kShardSeedStride));
         opt.set_max_iterations(shard_budget);
         t.result = opt.optimize(t.s, t.p, objective, t.initial, &t.affinity,
-                                &t.demand, &cores);
+                                &t.demand, &cores, &t.columns);
         t.ran = true;
       });
 
@@ -235,13 +254,13 @@ SaResult ShardedBalancer::balance(
     merged.host_ns += t.result.host_ns;
   }
   std::vector<CoreSums> sums;
-  fill_sums(s, p, initial, demand, sums);
+  fill_sums(s, p, columns, initial, demand, sums);
   merged.initial_objective = objective.evaluate(sums);
-  fill_sums(s, p, merged.allocation, demand, sums);
+  fill_sums(s, p, columns, merged.allocation, demand, sums);
   merged.objective = objective.evaluate(sums);
 
   const auto x0 = Clock::now();
-  const int moves = exchange(s, p, objective, affinity, demand,
+  const int moves = exchange(s, p, columns, objective, affinity, demand,
                              merged.allocation, sums, merged.objective);
   const TimeNs exchange_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - x0)
@@ -313,7 +332,8 @@ SaResult ShardedBalancer::balance(
 }
 
 int ShardedBalancer::exchange(
-    const Matrix& s, const Matrix& p, const BalanceObjective& objective,
+    const Matrix& s, const Matrix& p, const std::vector<std::size_t>& columns,
+    const BalanceObjective& objective,
     const std::vector<std::bitset<kMaxCores>>& affinity,
     const std::vector<double>& demand, std::vector<CoreId>& allocation,
     std::vector<CoreSums>& sums, double& merged_j) {
@@ -356,7 +376,8 @@ int ShardedBalancer::exchange(
               : 0;
     }
   }
-  std::vector<int> load(s.cols(), 0);
+  const std::size_t n = sums.size();
+  std::vector<int> load(n, 0);
   for (const CoreId c : allocation) ++load[static_cast<std::size_t>(c)];
 
   // Regret scan: each thread's best forecast efficiency on another core
@@ -374,17 +395,17 @@ int ShardedBalancer::exchange(
     const CoreId cur = allocation[i];
     const auto cur_shard = static_cast<std::size_t>(
         partition_.shard_of[static_cast<std::size_t>(cur)]);
-    const double cur_w = p.at(i, static_cast<std::size_t>(cur));
-    const double cur_eff =
-        cur_w > 0 ? s.at(i, static_cast<std::size_t>(cur)) / cur_w : 0.0;
+    const std::size_t cur_col = columns[static_cast<std::size_t>(cur)];
+    const double cur_w = p.at(i, cur_col);
+    const double cur_eff = cur_w > 0 ? s.at(i, cur_col) / cur_w : 0.0;
     Cand best{0.0, i, -1};
     for (CoreTypeId t = 0; t < q; ++t) {
       if (!reachable[cur_shard * static_cast<std::size_t>(q) +
                      static_cast<std::size_t>(t)]) {
         continue;
       }
-      const auto rep = static_cast<std::size_t>(
-          cores_by_type[static_cast<std::size_t>(t)].front());
+      const std::size_t rep = columns[static_cast<std::size_t>(
+          cores_by_type[static_cast<std::size_t>(t)].front())];
       const double w = p.at(i, rep);
       if (w <= 0) continue;
       const double eff = s.at(i, rep) / w;
@@ -412,7 +433,6 @@ int ShardedBalancer::exchange(
   // term re-derivations per candidate. That keeps the whole apply loop
   // O(E) — re-evaluating the full objective per move would put an
   // O(E·(m + n)) ~ n² tail on the pass and sink the sublinearity gate.
-  const std::size_t n = s.cols();
   // Per-core cached terms plus their aggregates; the initial aggregate is
   // arithmetically identical (same accumulation order) to what
   // BalanceObjective::evaluate computed for the caller.
@@ -469,12 +489,14 @@ int ShardedBalancer::exchange(
     if (dest == kInvalidCore) continue;
     const auto a = static_cast<std::size_t>(allocation[c.row]);
     const auto b = static_cast<std::size_t>(dest);
+    const std::size_t col_a = columns[a];
+    const std::size_t col_b = columns[b];
     CoreSums sum_a = sums[a];
     CoreSums sum_b = sums[b];
-    sum_a.remove(occupancy(demand[c.row], s.at(c.row, a)), s.at(c.row, a),
-                 p.at(c.row, a));
-    sum_b.add(occupancy(demand[c.row], s.at(c.row, b)), s.at(c.row, b),
-              p.at(c.row, b));
+    sum_a.remove(occupancy(demand[c.row], s.at(c.row, col_a)),
+                 s.at(c.row, col_a), p.at(c.row, col_a));
+    sum_b.add(occupancy(demand[c.row], s.at(c.row, col_b)), s.at(c.row, col_b),
+              p.at(c.row, col_b));
     double j = 0, new_num = 0, new_den = 0;
     std::array<double, 2> fa{}, fb{};
     double ta = 0, tb = 0;

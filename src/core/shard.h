@@ -21,9 +21,11 @@
 //    own problem with the policy's per-pass seed: no sub-problem, no shard
 //    accounting, and the optimizer records the sa.* metrics itself;
 //  - with K > 1, shard k's anneal seeds from base_seed ^ (k · golden-ratio),
-//    where base_seed is the policy's per-pass seed, and scores its columns
-//    with the policy's own objective through the shard's column → core map,
-//    so per-core weights see physical core ids and no objective is copied;
+//    where base_seed is the policy's per-pass seed, reads its threads' rows
+//    of the per-class S/P through its cores' columns, and scores its cores
+//    with the policy's own objective through the shard's local → physical
+//    core map, so per-core weights see physical core ids and no objective
+//    is copied;
 //  - every shard writes only its own result slot and observability is
 //    emitted after the join in shard order, so results are independent of
 //    worker count and completion order (`--jobs=1/8` byte-identical).
@@ -116,19 +118,24 @@ class ShardedBalancer {
   ShardedBalancer(const arch::Platform& platform, ShardingConfig cfg,
                   int sa_iterations);
 
-  /// Runs the balance phase for one epoch. `s` and `p` must be m ×
-  /// platform.num_cores(), `affinity` and `demand` must have m entries and
-  /// every initial core must lie in [0, num_cores()); otherwise this throws
-  /// std::invalid_argument, at every K. With one shard this is
-  /// SaOptimizer::optimize on the caller's inputs, seeded with `base_seed`
-  /// and recording into `obs`. With K > 1, shard k re-seeds with
-  /// base_seed ^ (k · 0x9e3779b97f4a7c15) and `ts_offset_ns` positions the
-  /// shard.pass spans after the sense+predict phases inside the epoch span;
-  /// the result is merged: allocation over physical core ids,
-  /// objective/initial_objective of the merged allocation, summed SA
-  /// counters, host_ns = summed per-shard SA CPU + exchange time.
+  /// Runs the balance phase for one epoch. `s` and `p` have one row per
+  /// thread and one column per core class, and `columns` maps each of the
+  /// platform's cores to its column (core/char_matrix.h). `columns` must
+  /// have num_cores() entries, each a column of `s`, `affinity` and
+  /// `demand` must have m entries and every initial core must lie in
+  /// [0, num_cores()); otherwise this throws std::invalid_argument, at
+  /// every K. With one shard this is SaOptimizer::optimize on the caller's
+  /// inputs, seeded with `base_seed` and recording into `obs`. With K > 1,
+  /// shard k anneals its threads' rows of S/P through its cores' columns,
+  /// re-seeded with base_seed ^ (k · 0x9e3779b97f4a7c15), and
+  /// `ts_offset_ns` positions the shard.pass spans after the sense+predict
+  /// phases inside the epoch span; the result is merged: allocation over
+  /// physical core ids, objective/initial_objective of the merged
+  /// allocation, summed SA counters, host_ns = summed per-shard SA CPU +
+  /// exchange time.
   SaResult balance(std::uint64_t pass, std::uint64_t base_seed,
                    const Matrix& s, const Matrix& p,
+                   const std::vector<std::size_t>& columns,
                    const BalanceObjective& objective,
                    const std::vector<CoreId>& initial,
                    const std::vector<std::bitset<kMaxCores>>& affinity,
@@ -157,6 +164,7 @@ class ShardedBalancer {
   /// objective and reverted if it does not improve it). `sums` holds the
   /// per-core sums of `allocation` and is kept up to date.
   int exchange(const Matrix& s, const Matrix& p,
+               const std::vector<std::size_t>& columns,
                const BalanceObjective& objective,
                const std::vector<std::bitset<kMaxCores>>& affinity,
                const std::vector<double>& demand,

@@ -266,20 +266,26 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // correction, keeping a raw copy so forecasts are scored (and adapted)
   // against the uncorrected Eq. 8 output. Same-type cells are corrected
   // too: they bypass Θ but still drift against biased sensing (a noisy
-  // power rail inflates observed watts on every pair alike).
+  // power rail inflates observed watts on every pair alike). Each class
+  // column is corrected once, with the type of its lowest core: columns
+  // are numbered in that core order, so core c opens column column_of[c]
+  // exactly when that column is the next one not yet seen.
   Matrix raw_s;
   Matrix raw_p;
   if (adapter_ && cfg_.adaptation.bias) {
     raw_s = last_mx_.s;
     raw_p = last_mx_.p;
-    for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
-      const ThreadObservation& o = observations[i];
-      if (o.core_type < 0) continue;
-      for (CoreId c = 0; c < kernel.num_cores(); ++c) {
-        const CoreTypeId t = platform_.type_of(c);
-        const auto j = static_cast<std::size_t>(c);
-        last_mx_.s.at(i, j) *= adapter_->gips_multiplier(o.core_type, t);
-        last_mx_.p.at(i, j) *= adapter_->power_multiplier(o.core_type, t);
+    std::size_t next_col = 0;
+    for (CoreId c = 0; c < kernel.num_cores(); ++c) {
+      const std::size_t j = last_mx_.column_of[static_cast<std::size_t>(c)];
+      if (j != next_col) continue;
+      ++next_col;
+      const CoreTypeId t = platform_.type_of(c);
+      for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
+        const CoreTypeId src = observations[i].core_type;
+        if (src < 0) continue;
+        last_mx_.s.at(i, j) *= adapter_->gips_multiplier(src, t);
+        last_mx_.p.at(i, j) *= adapter_->power_multiplier(src, t);
       }
     }
   }
@@ -312,8 +318,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     if (u >= 0.9 || initial[i] < 0) {
       demand[i] = -1.0;
     } else {
-      demand[i] =
-          u * last_mx_.s.at(i, static_cast<std::size_t>(initial[i]));
+      demand[i] = u * last_mx_.gips(i, initial[i]);
     }
     // Migration cooldown: recently moved threads are frozen in place until
     // re-characterized on the new core type.
@@ -327,9 +332,9 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // re-allocated.
   const std::uint64_t pass_seed =
       kPolicySeed ^ (0x0a0aULL + passes_ * 0x9e3779b9ULL);
-  const SaResult result =
-      sharded_.balance(passes_, pass_seed, last_mx_.s, last_mx_.p, *objective_,
-                       initial, affinity, demand, obs, elapsed_ns(t0, t2));
+  const SaResult result = sharded_.balance(
+      passes_, pass_seed, last_mx_.s, last_mx_.p, last_mx_.column_of,
+      *objective_, initial, affinity, demand, obs, elapsed_ns(t0, t2));
   const auto t3 = Clock::now();
 
   // Apply the new allocation (set_cpus_allowed_ptr / migrate analogue).
@@ -376,7 +381,8 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
       const CoreId next = applied ? result.allocation[i] : initial[i];
       if (next < 0) continue;
-      const auto jn = static_cast<std::size_t>(next);
+      const std::size_t jn =
+          last_mx_.column_of[static_cast<std::size_t>(next)];
       const std::int32_t src_type =
           initial[i] >= 0 ? platform_.type_of(initial[i]) : -1;
       const std::int32_t dst_type = platform_.type_of(next);
@@ -427,13 +433,12 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
         ++migrations;
         if (audit != nullptr) {
           const CoreId dst = result.allocation[i];
-          const double ps = last_mx_.s.at(i, static_cast<std::size_t>(dst));
-          const double pp = last_mx_.p.at(i, static_cast<std::size_t>(dst));
+          const double ps = last_mx_.gips(i, dst);
+          const double pp = last_mx_.watts(i, dst);
           double src_eff = 0;
           if (src >= 0) {
-            const double ss = last_mx_.s.at(i, static_cast<std::size_t>(src));
-            const double sp = last_mx_.p.at(i, static_cast<std::size_t>(src));
-            if (sp > 0) src_eff = ss / sp;
+            const double sp = last_mx_.watts(i, src);
+            if (sp > 0) src_eff = last_mx_.gips(i, src) / sp;
           }
           obs::MigrationAuditRecord mr;
           mr.tid = last_mx_.tids[i];

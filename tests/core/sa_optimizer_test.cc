@@ -210,11 +210,46 @@ TEST(SaOptimizer, ValidatesInput) {
   EXPECT_THROW(opt.optimize(Matrix(4, 2, 1.0), Matrix(4, 2, 1.0), obj,
                             {0, 1, 0, 1}, &masks),
                std::invalid_argument);
-  // The column -> core map must name one core per column.
+  // The core -> physical core map must name one core per problem core.
   const std::vector<CoreId> one_core = {3};
   EXPECT_THROW(opt.optimize(Matrix(2, 2, 1.0), Matrix(2, 2, 1.0), obj, {0, 1},
                             nullptr, nullptr, &one_core),
                std::invalid_argument);
+  // Every core's column must be a column of S/P; with a column map the
+  // problem has one core per entry, so the physical-core map and the
+  // initial cores are sized by the map, not by S's columns.
+  const std::vector<std::size_t> past_end = {0, 2, 1};
+  EXPECT_THROW(opt.optimize(Matrix(2, 2, 1.0), Matrix(2, 2, 1.0), obj, {0, 1},
+                            nullptr, nullptr, nullptr, &past_end),
+               std::invalid_argument);
+  const std::vector<std::size_t> three_cores = {0, 1, 1};
+  const std::vector<CoreId> two_cores = {4, 5};
+  EXPECT_THROW(opt.optimize(Matrix(2, 2, 1.0), Matrix(2, 2, 1.0), obj, {0, 1},
+                            nullptr, nullptr, &two_cores, &three_cores),
+               std::invalid_argument);
+  EXPECT_THROW(opt.optimize(Matrix(2, 2, 1.0), Matrix(2, 2, 1.0), obj, {0, 3},
+                            nullptr, nullptr, nullptr, &three_cores),
+               std::invalid_argument);
+  EXPECT_NO_THROW(opt.optimize(Matrix(2, 2, 1.0), Matrix(2, 2, 1.0), obj,
+                               {0, 2}, nullptr, nullptr, nullptr,
+                               &three_cores));
+  // Affinity masks hold kMaxCores bits, so a map naming more cores cannot
+  // be combined with them; without masks the same problem anneals.
+  const std::vector<std::size_t> too_many(
+      static_cast<std::size_t>(kMaxCores) + 1, 0);
+  std::vector<std::bitset<kMaxCores>> two_masks(2);
+  two_masks[0].set();
+  two_masks[1].set();
+  SaConfig short_run;
+  short_run.max_iterations = 100;
+  SaOptimizer wide(short_run);
+  EXPECT_THROW(wide.optimize(Matrix(2, 1, 1.0), Matrix(2, 1, 1.0), obj,
+                             {0, kMaxCores}, &two_masks, nullptr, nullptr,
+                             &too_many),
+               std::invalid_argument);
+  EXPECT_NO_THROW(wide.optimize(Matrix(2, 1, 1.0), Matrix(2, 1, 1.0), obj,
+                                {0, kMaxCores}, nullptr, nullptr, nullptr,
+                                &too_many));
 }
 
 TEST(ExhaustiveOptimum, RefusesHugeInstances) {
@@ -591,6 +626,190 @@ TEST(SaOptimizer, ScaledAnnealsArePinned) {
                        1,  19, 4,  3,  13, 11, 13, 0,  0, 23, 8,  19, 9,  15,
                        18, 18, 20, 18, 5,  17, 2,  15, 4, 11, 16, 0},
                       0x406479c94d581d2aULL, 62, 244, 0});
+  }
+}
+
+/// A problem stored per core class, as build_characterization() stores
+/// it: n cores of up to four types, each type split over two operating
+/// points, one S/P column per (type, point) pair in order of its lowest
+/// core, duty-cycled and CPU-bound threads, and per-thread affinity masks.
+struct ClassProblem {
+  Matrix s, p;                       // m × classes
+  std::vector<std::size_t> columns;  // core -> column
+  std::vector<double> demand;
+  std::vector<std::bitset<kMaxCores>> affinity;
+  std::vector<CoreId> initial;
+
+  /// S or P with every core's column copied out: m × n.
+  Matrix per_core(const Matrix& by_class) const {
+    Matrix out(by_class.rows(), columns.size());
+    for (std::size_t i = 0; i < by_class.rows(); ++i) {
+      for (std::size_t j = 0; j < columns.size(); ++j) {
+        out.at(i, j) = by_class.at(i, columns[j]);
+      }
+    }
+    return out;
+  }
+};
+
+ClassProblem class_problem(Rng& rng) {
+  // A quarter of the shapes have 64 or more cores, where the radius
+  // proposals of a settled anneal leave their core about half the time.
+  const auto n = static_cast<std::size_t>(
+      rng.uniform() < 0.25 ? rng.randi(64, 97) : rng.randi(2, 41));
+  const auto m = static_cast<std::size_t>(rng.randi(1, 61));
+  const std::int64_t types = rng.randi(1, 5);
+  ClassProblem pr;
+  std::vector<std::int64_t> keys;  // type·2 + point, one per column
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::int64_t key = 2 * rng.randi(0, types) + rng.randi(0, 2);
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    pr.columns.push_back(static_cast<std::size_t>(it - keys.begin()));
+    if (it == keys.end()) keys.push_back(key);
+  }
+  pr.s = Matrix(m, keys.size());
+  pr.p = Matrix(m, keys.size());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      pr.s.at(i, k) = rng.uniform(0.1, 4.0);
+      pr.p.at(i, k) = rng.uniform(0.05, 3.0);
+    }
+    pr.demand.push_back(rng.uniform() < 0.5 ? -1.0 : rng.uniform(0.05, 2.0));
+    pr.initial.push_back(
+        static_cast<CoreId>(rng.randi(0, static_cast<std::int64_t>(n))));
+    std::bitset<kMaxCores> mask;
+    mask.set(static_cast<std::size_t>(pr.initial.back()));
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.uniform() < 0.7) mask.set(j);
+    }
+    pr.affinity.push_back(mask);
+  }
+  return pr;
+}
+
+void expect_same_result(const SaResult& a, const SaResult& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.allocation, b.allocation);
+  EXPECT_EQ(bits(a.objective), bits(b.objective));
+  EXPECT_EQ(bits(a.initial_objective), bits(b.initial_objective));
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.improved, b.improved);
+  EXPECT_EQ(a.accepted_worse, b.accepted_worse);
+  EXPECT_EQ(a.resyncs, b.resyncs);
+}
+
+TEST(SaOptimizer, ClassMatricesMatchTheirPerCoreExpansion) {
+  // Per-class S/P read through the core -> column map must anneal exactly
+  // as the same matrices expanded per core: both built-in kernels and the
+  // generic one, with demand and affinity, on random shapes and budgets.
+  Rng rng(2828);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    const ClassProblem pr = class_problem(rng);
+    const Matrix s = pr.per_core(pr.s);
+    const Matrix p = pr.per_core(pr.p);
+    std::vector<double> weights, sleep_w;
+    for (std::size_t j = 0; j < pr.columns.size(); ++j) {
+      weights.push_back(rng.uniform(0.5, 2.0));
+      sleep_w.push_back(rng.uniform(0.0, 0.2));
+    }
+    SaConfig cfg;
+    cfg.seed = rng.next_u64();
+    cfg.max_iterations =
+        trial % 3 == 0 ? 0 : static_cast<int>(rng.randi(100, 4000));
+    const EnergyEfficiencyObjective eq11(weights);
+    const GlobalEfficiencyObjective global(sleep_w);
+    const CoreWeightedObjective custom(weights);
+    for (const BalanceObjective* obj :
+         {static_cast<const BalanceObjective*>(&eq11),
+          static_cast<const BalanceObjective*>(&global),
+          static_cast<const BalanceObjective*>(&custom)}) {
+      SCOPED_TRACE(obj->name());
+      const SaResult by_class = SaOptimizer(cfg).optimize(
+          pr.s, pr.p, *obj, pr.initial, &pr.affinity, &pr.demand, nullptr,
+          &pr.columns);
+      const SaResult by_core = SaOptimizer(cfg).optimize(
+          s, p, *obj, pr.initial, &pr.affinity, &pr.demand);
+      expect_same_result(by_class, by_core);
+    }
+  }
+}
+
+TEST(SaOptimizer, ClassMatricesMatchAcrossDriftResyncs) {
+  // identical_rows() repeats each core type's values in every column of
+  // the type, so per class it is two columns. Its anneal crosses drift
+  // resyncs, which rebuild the state through the same map.
+  const LongProblem pr = identical_rows();
+  const std::vector<std::size_t> columns = {0, 0, 0, 0, 1, 1, 1, 1};
+  Matrix s(pr.s.rows(), 2), p(pr.p.rows(), 2);
+  for (std::size_t i = 0; i < pr.s.rows(); ++i) {
+    for (std::size_t j = 0; j < kLongCores; ++j) {
+      s.at(i, columns[j]) = pr.s.at(i, j);
+      p.at(i, columns[j]) = pr.p.at(i, j);
+    }
+  }
+  SaConfig cfg;
+  cfg.seed = 2;
+  cfg.max_iterations = pr.iterations;
+  const SaResult by_class =
+      SaOptimizer(cfg).optimize(s, p, long_objective(), pr.initial, nullptr,
+                                nullptr, nullptr, &columns);
+  const SaResult by_core = anneal(pr, 2);
+  EXPECT_GE(by_core.resyncs, 1);
+  expect_same_result(by_class, by_core);
+}
+
+TEST(SaOptimizer, ManycoreAnnealIsPinned) {
+  // 128 cores × 256 threads in four classes of 32 cores, duty-cycled and
+  // CPU-bound threads, the global objective and the auto budget: the
+  // manycore_fig7 shape. The expected values were recorded from the
+  // library before the class map, with the per-core expansion; per class
+  // through the map it must anneal the same. The allocation is pinned as
+  // an FNV-1a digest of its 256 core ids.
+  constexpr std::size_t n = 128, m = 256, k = 4;
+  Rng rng(1207);
+  Matrix s(m, k), p(m, k);
+  std::vector<double> demand;
+  std::vector<CoreId> initial;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      s.at(i, c) = rng.uniform(0.1, 4.0);
+      p.at(i, c) = rng.uniform(0.05, 3.0);
+    }
+    demand.push_back(i % 3 == 0 ? -1.0 : rng.uniform(0.05, 1.5));
+    initial.push_back(static_cast<CoreId>((i * 37) % n));
+  }
+  ClassProblem pr;
+  std::vector<double> sleep_w;
+  for (std::size_t j = 0; j < n; ++j) {
+    pr.columns.push_back(j / (n / k));
+    sleep_w.push_back(0.01 + 0.02 * static_cast<double>(pr.columns.back()));
+  }
+  const GlobalEfficiencyObjective obj(sleep_w);
+  SaConfig cfg;
+  cfg.seed = 31;
+  const auto digest = [](const std::vector<CoreId>& allocation) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const CoreId c : allocation) {
+      h ^= static_cast<std::uint64_t>(c);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  };
+  const SaResult by_core = SaOptimizer(cfg).optimize(
+      pr.per_core(s), pr.per_core(p), obj, initial, nullptr, &demand);
+  const SaResult by_class = SaOptimizer(cfg).optimize(
+      s, p, obj, initial, nullptr, &demand, nullptr, &pr.columns);
+  for (const SaResult* r : {&by_core, &by_class}) {
+    EXPECT_EQ(r->iterations, 60000);
+    EXPECT_EQ(digest(r->allocation), 0xd00a8a58a91b66a0ULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r->objective),
+              0x4000f281c28bd660ULL);  // 2.1184115599560727
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r->initial_objective),
+              0x3ff2635fbb25a1b5ULL);
+    EXPECT_EQ(r->improved, 262);
+    EXPECT_EQ(r->accepted_worse, 33);
+    EXPECT_EQ(r->resyncs, 0);
   }
 }
 

@@ -2,8 +2,9 @@
 // (core/shard.h): the --shards= grammar, the partition function's
 // true-partition invariants under fuzzed platforms, input validation at
 // every K, and the ShardedBalancer determinism contract — worker-count
-// independence, the K=1 bit-identity with the plain optimizer, and a
-// pinned K=4 result.
+// independence, the K=1 bit-identity with the plain optimizer, per-class
+// S/P matching their per-core expansion at K=1 and K=4, and a pinned K=4
+// result.
 #include "core/shard.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <bit>
 #include <bitset>
 #include <cstdlib>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -156,6 +158,13 @@ struct Instance {
   std::vector<double> demand;
 };
 
+/// The column map of per-core S/P: core j reads column j.
+std::vector<std::size_t> per_core_columns(const Matrix& s) {
+  std::vector<std::size_t> columns(s.cols());
+  std::iota(columns.begin(), columns.end(), std::size_t{0});
+  return columns;
+}
+
 Instance random_instance(const arch::Platform& platform, std::size_t m,
                          std::uint64_t seed) {
   Rng rng(seed);
@@ -191,9 +200,9 @@ TEST(ShardedBalancer, SingleShardIsBitIdenticalToUnshardedOptimizer) {
   ShardingConfig cfg;
   cfg.shards = 1;
   ShardedBalancer sharded(platform, cfg, sa.max_iterations);
-  const SaResult a =
-      sharded.balance(0, pass_seed, inst.s, inst.p, obj, inst.initial,
-                      inst.affinity, inst.demand, nullptr, 0);
+  const SaResult a = sharded.balance(
+      0, pass_seed, inst.s, inst.p, per_core_columns(inst.s), obj,
+      inst.initial, inst.affinity, inst.demand, nullptr, 0);
 
   SaOptimizer ref(sa);
   ref.set_seed(pass_seed);
@@ -222,8 +231,9 @@ TEST(ShardedBalancer, ResultsIndependentOfWorkerCount) {
     cfg.shards = 4;
     cfg.jobs = jobs;
     ShardedBalancer b(platform, cfg, sa_iterations);
-    return b.balance(0, 0x1234ULL, inst.s, inst.p, obj, inst.initial,
-                     inst.affinity, inst.demand, nullptr, 0);
+    return b.balance(0, 0x1234ULL, inst.s, inst.p, per_core_columns(inst.s),
+                     obj, inst.initial, inst.affinity, inst.demand, nullptr,
+                     0);
   };
   const SaResult seq = run(1);
   const SaResult par = run(8);
@@ -245,8 +255,8 @@ TEST(ShardedBalancer, MergedObjectiveNeverWorseThanInitial) {
     cfg.shards = 4;
     ShardedBalancer b(platform, cfg, sa_iterations);
     const SaResult r =
-        b.balance(0, seed, inst.s, inst.p, obj, inst.initial, inst.affinity,
-                  inst.demand, nullptr, 0);
+        b.balance(0, seed, inst.s, inst.p, per_core_columns(inst.s), obj,
+                  inst.initial, inst.affinity, inst.demand, nullptr, 0);
     EXPECT_GE(r.objective, r.initial_objective - 1e-9) << "seed " << seed;
     ASSERT_EQ(r.allocation.size(), inst.initial.size());
     for (std::size_t i = 0; i < r.allocation.size(); ++i) {
@@ -274,8 +284,9 @@ TEST(ShardedBalancer, RespectsAffinityMasks) {
   const int sa_iterations = 1000;
   EnergyEfficiencyObjective obj;
   ShardedBalancer b(platform, cfg, sa_iterations);
-  const SaResult r = b.balance(0, 5, inst.s, inst.p, obj, inst.initial,
-                               inst.affinity, inst.demand, nullptr, 0);
+  const SaResult r =
+      b.balance(0, 5, inst.s, inst.p, per_core_columns(inst.s), obj,
+                inst.initial, inst.affinity, inst.demand, nullptr, 0);
   EXPECT_EQ(r.allocation, inst.initial);
   EXPECT_EQ(b.last_pass().exchange_moves, 0);
 }
@@ -284,6 +295,7 @@ TEST(ShardedBalancer, RejectsShortPerThreadVectors) {
   // Every thread row needs a mask and a demand entry, S/P must span the
   // platform's cores and every initial core must be one of them. Malformed
   // input is refused up front at every K, not skipped or read past its end.
+  // (RejectsAColumnMapThatDoesNotFit covers the map itself.)
   const auto platform = arch::Platform::scaled_heterogeneous(2);  // 8 cores
   const auto inst = random_instance(platform, 6, 3);
   EnergyEfficiencyObjective obj;
@@ -298,31 +310,34 @@ TEST(ShardedBalancer, RejectsShortPerThreadVectors) {
     }
   }
   const std::vector<CoreId> on_core0(6, 0);
+  const std::vector<std::size_t> columns = per_core_columns(inst.s);
   for (const int shards : {1, 2}) {
     SCOPED_TRACE(::testing::Message() << "K = " << shards);
     ShardingConfig cfg;
     cfg.shards = shards;
     ShardedBalancer b(platform, cfg, 0);
-    EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial, one_mask,
-                           inst.demand, nullptr, 0),
+    EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, columns, obj, inst.initial,
+                           one_mask, inst.demand, nullptr, 0),
                  std::invalid_argument);
-    EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
+    EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, columns, obj, inst.initial,
                            inst.affinity, one_demand, nullptr, 0),
                  std::invalid_argument);
     for (const CoreId bad : {CoreId{-1}, CoreId{8}}) {
       std::vector<CoreId> initial = inst.initial;
       initial[0] = bad;
-      EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, obj, initial,
+      EXPECT_THROW(b.balance(0, 1, inst.s, inst.p, columns, obj, initial,
                              inst.affinity, inst.demand, nullptr, 0),
                    std::invalid_argument)
           << "initial core " << bad;
     }
-    EXPECT_THROW(b.balance(0, 1, narrow_s, narrow_p, obj, on_core0,
-                           inst.affinity, inst.demand, nullptr, 0),
+    EXPECT_THROW(b.balance(0, 1, narrow_s, narrow_p, per_core_columns(narrow_s),
+                           obj, on_core0, inst.affinity, inst.demand, nullptr,
+                           0),
                  std::invalid_argument);
     // The well-formed problem still balances.
-    EXPECT_NO_THROW(b.balance(0, 1, inst.s, inst.p, obj, inst.initial,
-                              inst.affinity, inst.demand, nullptr, 0));
+    EXPECT_NO_THROW(b.balance(0, 1, inst.s, inst.p, columns, obj,
+                              inst.initial, inst.affinity, inst.demand,
+                              nullptr, 0));
   }
 }
 
@@ -364,9 +379,10 @@ void expect_golden(const BalanceObjective& objective,
   cfg.shards = 4;
   cfg.jobs = 2;
   ShardedBalancer b(platform, cfg, 0);
-  const SaResult r =
-      b.balance(0, 0x5eedULL, inst.s, inst.p, objective, inst.initial,
-                inst.affinity, inst.demand, nullptr, 0);
+  const SaResult r = b.balance(0, 0x5eedULL, inst.s, inst.p,
+                               per_core_columns(inst.s), objective,
+                               inst.initial, inst.affinity, inst.demand,
+                               nullptr, 0);
   EXPECT_EQ(r.allocation, want.allocation);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.objective), want.objective_bits)
       << r.objective;
@@ -403,6 +419,139 @@ TEST(ShardedBalancer, FourShardResultsArePinned) {
                  0x40408b3ca484fce6ULL,  // 33.087788166938296
                  9316,
                  1});
+}
+
+/// A problem stored per core class: each core's class is its type and one
+/// of two operating points, numbered in order of the class's lowest core
+/// as build_characterization() numbers them, with duty-cycled and
+/// CPU-bound threads and per-thread affinity masks. `per_core` holds the
+/// same S/P with every core's column copied out.
+struct ClassInstance {
+  Instance by_class;
+  std::vector<std::size_t> columns;  // core -> column of by_class.s/p
+  Instance per_core;
+};
+
+ClassInstance class_instance(const arch::Platform& platform, std::size_t m,
+                             Rng& rng) {
+  const auto n = static_cast<std::size_t>(platform.num_cores());
+  ClassInstance ci;
+  std::vector<std::int64_t> keys;  // type·2 + point, one per column
+  for (CoreId c = 0; c < platform.num_cores(); ++c) {
+    const std::int64_t key = 2 * platform.type_of(c) + rng.randi(0, 2);
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    ci.columns.push_back(static_cast<std::size_t>(it - keys.begin()));
+    if (it == keys.end()) keys.push_back(key);
+  }
+  Instance& bc = ci.by_class;
+  bc.s = Matrix(m, keys.size());
+  bc.p = Matrix(m, keys.size());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      bc.s.at(i, k) = rng.uniform(0.1, 4.0);
+      bc.p.at(i, k) = rng.uniform(0.05, 3.0);
+    }
+    bc.initial.push_back(
+        static_cast<CoreId>(rng.randi(0, static_cast<std::int64_t>(n))));
+    std::bitset<kMaxCores> mask;
+    mask.set(static_cast<std::size_t>(bc.initial.back()));
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.uniform() < 0.8) mask.set(j);
+    }
+    bc.affinity.push_back(mask);
+    bc.demand.push_back(rng.uniform() < 0.4 ? -1.0 : rng.uniform(0.05, 1.5));
+  }
+  ci.per_core = bc;
+  ci.per_core.s = Matrix(m, n);
+  ci.per_core.p = Matrix(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      ci.per_core.s.at(i, j) = bc.s.at(i, ci.columns[j]);
+      ci.per_core.p.at(i, j) = bc.p.at(i, ci.columns[j]);
+    }
+  }
+  return ci;
+}
+
+TEST(ShardedBalancer, ClassMatricesMatchTheirPerCoreExpansion) {
+  // Per-class S/P with the core -> column map must balance exactly as the
+  // same matrices expanded per core: at K = 1 (the annealer in place) and
+  // at K = 4 (shard sub-problems, merge and exchange), for both built-in
+  // objectives, on random class splits, demand vectors and masks.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng(4242);
+  for (int trial = 0; trial < 12; ++trial) {
+    const auto platform = arch::Platform::scaled_heterogeneous(
+        static_cast<int>(rng.randi(1, 6)));
+    const auto m = static_cast<std::size_t>(rng.randi(4, 64));
+    const ClassInstance ci = class_instance(platform, m, rng);
+    std::vector<double> weights, sleep_w;
+    for (CoreId c = 0; c < platform.num_cores(); ++c) {
+      weights.push_back(rng.uniform(0.5, 2.0));
+      sleep_w.push_back(0.02 + 0.01 * platform.type_of(c));
+    }
+    const EnergyEfficiencyObjective eq11(weights);
+    const GlobalEfficiencyObjective global(sleep_w);
+    const std::uint64_t seed = rng.next_u64();
+    for (const int shards : {1, 4}) {
+      for (const BalanceObjective* obj :
+           {static_cast<const BalanceObjective*>(&eq11),
+            static_cast<const BalanceObjective*>(&global)}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << ", K = " << shards << ", "
+                     << obj->name());
+        ShardingConfig cfg;
+        cfg.shards = shards;
+        cfg.jobs = 2;
+        ShardedBalancer a(platform, cfg, 1500);
+        ShardedBalancer b(platform, cfg, 1500);
+        const Instance& bc = ci.by_class;
+        const Instance& pc = ci.per_core;
+        const SaResult by_class =
+            a.balance(0, seed, bc.s, bc.p, ci.columns, *obj, bc.initial,
+                      bc.affinity, bc.demand, nullptr, 0);
+        const SaResult by_core =
+            b.balance(0, seed, pc.s, pc.p, per_core_columns(pc.s), *obj,
+                      pc.initial, pc.affinity, pc.demand, nullptr, 0);
+        EXPECT_EQ(by_class.allocation, by_core.allocation);
+        EXPECT_EQ(bits(by_class.objective), bits(by_core.objective));
+        EXPECT_EQ(bits(by_class.initial_objective),
+                  bits(by_core.initial_objective));
+        EXPECT_EQ(by_class.iterations, by_core.iterations);
+        EXPECT_EQ(by_class.improved, by_core.improved);
+        EXPECT_EQ(by_class.accepted_worse, by_core.accepted_worse);
+        EXPECT_EQ(by_class.resyncs, by_core.resyncs);
+        EXPECT_EQ(a.last_pass().exchange_moves, b.last_pass().exchange_moves);
+      }
+    }
+  }
+}
+
+TEST(ShardedBalancer, RejectsAColumnMapThatDoesNotFit) {
+  // The map needs one entry per platform core, each naming a column of S/P.
+  const auto platform = arch::Platform::scaled_heterogeneous(2);  // 8 cores
+  Rng rng(8);
+  const ClassInstance ci = class_instance(platform, 6, rng);
+  const Instance& bc = ci.by_class;
+  EnergyEfficiencyObjective obj;
+  std::vector<std::size_t> short_map(ci.columns.begin(),
+                                     ci.columns.end() - 1);
+  std::vector<std::size_t> past_end = ci.columns;
+  past_end[3] = bc.s.cols();
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "K = " << shards);
+    ShardingConfig cfg;
+    cfg.shards = shards;
+    ShardedBalancer b(platform, cfg, 0);
+    EXPECT_THROW(b.balance(0, 1, bc.s, bc.p, short_map, obj, bc.initial,
+                           bc.affinity, bc.demand, nullptr, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(b.balance(0, 1, bc.s, bc.p, past_end, obj, bc.initial,
+                           bc.affinity, bc.demand, nullptr, 0),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(b.balance(0, 1, bc.s, bc.p, ci.columns, obj, bc.initial,
+                              bc.affinity, bc.demand, nullptr, 0));
+  }
 }
 
 /// Sets SB_JOBS for one scope and restores the previous value after.
@@ -448,8 +597,8 @@ TEST(ShardedBalancer, MalformedSbJobsWarnsOncePerBalancer) {
   testing::internal::CaptureStderr();
   ShardedBalancer b(platform, cfg, sa_iterations);
   for (std::uint64_t pass = 0; pass < 5; ++pass) {
-    b.balance(pass, pass, inst.s, inst.p, obj, inst.initial, inst.affinity,
-              inst.demand, nullptr, 0);
+    b.balance(pass, pass, inst.s, inst.p, per_core_columns(inst.s), obj,
+              inst.initial, inst.affinity, inst.demand, nullptr, 0);
   }
   EXPECT_EQ(count_of(testing::internal::GetCapturedStderr(), "SB_JOBS"), 1);
 }

@@ -108,9 +108,9 @@ TEST_F(SmartBalanceTest, BuildsFullCharacterizationMatrices) {
   EXPECT_EQ(mx.num_threads(), 6u);
   EXPECT_EQ(mx.num_cores(), 4u);
   for (std::size_t i = 0; i < mx.num_threads(); ++i) {
-    for (std::size_t j = 0; j < mx.num_cores(); ++j) {
-      EXPECT_GT(mx.s.at(i, j), 0.0) << i << "," << j;
-      EXPECT_GT(mx.p.at(i, j), 0.0) << i << "," << j;
+    for (CoreId c = 0; c < static_cast<CoreId>(mx.num_cores()); ++c) {
+      EXPECT_GT(mx.gips(i, c), 0.0) << i << "," << c;
+      EXPECT_GT(mx.watts(i, c), 0.0) << i << "," << c;
     }
   }
 }

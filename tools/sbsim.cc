@@ -163,6 +163,7 @@ struct Args {
   std::string platform_file;
   std::string policy = "smartbalance";
   std::string fleet;  // FleetConfig::parse spec (empty = single-node mode)
+  fleet::FleetConfig fleet_cfg;  // `fleet`, parsed
   bool compare = false;
   std::vector<std::pair<std::string, int>> benches;
   std::vector<std::tuple<TimeNs, std::string, int>> arrivals;
@@ -187,6 +188,7 @@ struct Args {
   std::string faults;        // FaultPlan::parse spec
   std::string defenses;      // auto | on | off
   core::SmartBalanceConfig smart;  // the four specs above, parsed
+  obs::ObsConfig obs;              // the observability flags, parsed
   std::vector<std::tuple<std::string, std::string, int>> thread_traces;
   std::string replay;          // sched-replay trace CSV (single-node)
   std::optional<double> replay_ips;  // compile calibration (instr/ns)
@@ -233,6 +235,23 @@ core::SmartBalanceConfig sb_config(const Args& a) {
     std::cerr << "unknown --defenses value: " << a.defenses << "\n";
     usage(2);
   }
+  return cfg;
+}
+
+/// The observability flags, for single-node and fleet runs alike. The
+/// merged exports (one run block per policy under --compare, per node under
+/// --fleet) are written once the runs are done; here the recorders are
+/// only turned on.
+obs::ObsConfig obs_config(const Args& a) {
+  obs::ObsConfig cfg;
+  cfg.trace = !a.chrome_trace.empty();
+  cfg.metrics = a.metrics;
+  cfg.audit = !a.audit.empty();
+  if (!a.obs_window.empty()) {
+    cfg.timeseries = obs::TimeseriesConfig::parse(a.obs_window);
+  }
+  cfg.timeseries.enabled = !a.timeseries.empty() || !a.slo.empty();
+  if (!a.slo.empty()) cfg.slo = obs::SloConfig::parse(a.slo);
   return cfg;
 }
 
@@ -366,6 +385,7 @@ Args parse_flags(int argc, char** argv) {
     reject_given(single_node,
                  "--fleet generates its own job stream and nodes; it cannot "
                  "be combined with ");
+    a.fleet_cfg = fleet::FleetConfig::parse(a.fleet);
   } else {
     if (!has_workload(a) && a.save_model.empty()) {
       std::cerr << "no workload given (need --bench/--mix/--bench-at/"
@@ -413,6 +433,7 @@ Args parse_flags(int argc, char** argv) {
     std::cerr << "--obs-window requires --timeseries or --slo\n";
     usage(2);
   }
+  a.obs = obs_config(a);
   return a;
 }
 
@@ -446,23 +467,6 @@ arch::Platform make_platform(const std::string& desc) {
   }
   std::cerr << "unknown platform: " << desc << "\n";
   usage(2);
-}
-
-/// The observability flags, for single-node and fleet runs alike. The
-/// merged exports (one run block per policy under --compare, per node under
-/// --fleet) are written once the runs are done; here the recorders are
-/// only turned on.
-obs::ObsConfig obs_config(const Args& a) {
-  obs::ObsConfig cfg;
-  cfg.trace = !a.chrome_trace.empty();
-  cfg.metrics = a.metrics;
-  cfg.audit = !a.audit.empty();
-  if (!a.obs_window.empty()) {
-    cfg.timeseries = obs::TimeseriesConfig::parse(a.obs_window);
-  }
-  cfg.timeseries.enabled = !a.timeseries.empty() || !a.slo.empty();
-  if (!a.slo.empty()) cfg.slo = obs::SloConfig::parse(a.slo);
-  return cfg;
 }
 
 /// The export files the flags name (see obs::write_exports).
@@ -503,7 +507,7 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
   cfg.kernel.enable_dvfs = a.dvfs;
   cfg.thermal_enabled = a.thermal;
   cfg.trace_path = a.trace;
-  cfg.obs = obs_config(a);
+  cfg.obs = a.obs;
   sim::Simulation s(platform, cfg);
   s.set_balancer(factory(s));
   if (!a.governor.empty()) {
@@ -545,12 +549,12 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
 }
 
 int run_fleet(const Args& a, const arch::Platform& platform) {
-  fleet::FleetConfig cfg = fleet::FleetConfig::parse(a.fleet);
+  fleet::FleetConfig cfg = a.fleet_cfg;
   cfg.duration = a.duration;
   cfg.seed = a.seed;
   cfg.node_policy = a.policy;  // validate() rejects anything but
                                // smartbalance/vanilla
-  cfg.obs = obs_config(a);
+  cfg.obs = a.obs;
   cfg.node_obs = a.metrics;
   if (!a.prom.empty()) {
     // The exposition snapshot reads the metrics registries; collect them
