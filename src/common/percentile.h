@@ -26,17 +26,23 @@ struct LatencyTail {
   std::uint64_t max_ns = 0;
 };
 
-/// Nearest-rank percentile of an unsorted sample (q in [0, 1]); 0 when
-/// empty. rank = ceil(q * n) clamped to [1, n], value = sorted[rank - 1].
+/// Nearest-rank value of a sorted, non-empty sample (q in [0, 1]):
+/// rank = ceil(q * n) clamped to [1, n], value = sorted[rank - 1].
+inline std::uint64_t sorted_rank(const std::vector<std::uint64_t>& sorted,
+                                 double q) {
+  auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  if (rank < 1) rank = 1;
+  if (rank > sorted.size()) rank = sorted.size();
+  return sorted[rank - 1];
+}
+
+/// Nearest-rank percentile of an unsorted sample; 0 when empty.
 inline std::uint64_t nearest_rank(std::vector<std::uint64_t> sample,
                                   double q) {
   if (sample.empty()) return 0;
   std::sort(sample.begin(), sample.end());
-  const auto n = static_cast<double>(sample.size());
-  auto rank = static_cast<std::size_t>(std::ceil(q * n));
-  if (rank < 1) rank = 1;
-  if (rank > sample.size()) rank = sample.size();
-  return sample[rank - 1];
+  return sorted_rank(sample, q);
 }
 
 /// Full tail summary of a sample (count/mean/p50/p95/p99/max).
@@ -49,16 +55,9 @@ inline LatencyTail tail_of(const std::vector<std::uint64_t>& sample) {
   double sum = 0;
   for (std::uint64_t v : sorted) sum += static_cast<double>(v);
   t.mean_ns = sum / static_cast<double>(sorted.size());
-  auto at = [&](double q) {
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    if (rank < 1) rank = 1;
-    if (rank > sorted.size()) rank = sorted.size();
-    return sorted[rank - 1];
-  };
-  t.p50_ns = at(0.50);
-  t.p95_ns = at(0.95);
-  t.p99_ns = at(0.99);
+  t.p50_ns = sorted_rank(sorted, 0.50);
+  t.p95_ns = sorted_rank(sorted, 0.95);
+  t.p99_ns = sorted_rank(sorted, 0.99);
   t.max_ns = sorted.back();
   return t;
 }

@@ -139,88 +139,54 @@ OnlineAdapter::PairState& OnlineAdapter::pair(std::int32_t src_type,
 }
 
 AdaptPassStats OnlineAdapter::observe(
-    std::uint64_t epoch, const std::vector<ThreadObservation>& obs) {
+    const std::vector<obs::JoinedForecast>& joined) {
   AdaptPassStats stats;
-  const bool contiguous = pending_valid_ && epoch == pending_epoch_ + 1;
-  if (contiguous) {
-    for (const Pending& f : pending_) {
-      const ThreadObservation* match = obs::find_thread(obs, f.tid);
-      // Same validity rules as the audit join: the thread must really have
-      // run (measured) on the predicted core of the predicted type.
-      if (match == nullptr || !match->measured || match->core != f.core ||
-          match->core_type != f.dst_type) {
-        continue;
-      }
-      PairState& p = pair(f.src_type, f.dst_type);
-      ++joins_;
-      ++stats.joined;
+  for (const obs::JoinedForecast& j : joined) {
+    const obs::Forecast& f = *j.forecast;
+    const obs::Observation& o = *j.observed;
+    const std::int32_t src = f.obs_src_type;
+    if (src < 0) continue;
+    PairState& p = pair(src, f.dst_type);
+    ++joins_;
+    ++stats.joined;
 
-      // Tier 1: signed residuals of the *raw* forecasts (adapting on the
-      // corrected ones would compound the correction into itself).
-      const bool drift_edge = residuals_.update(
-          f.src_type, f.dst_type,
-          obs::relative_residual(match->ips / 1e9, f.raw_gips),
-          obs::relative_residual(match->power_w, f.raw_w));
-      if (cfg_.bias) {
-        const obs::ResidualTracker::Pair& r =
-            *residuals_.find(f.src_type, f.dst_type);
-        p.gain_gips = clamp_gain(1.0 / (1.0 - r.sewma_gips));
-        p.gain_power = clamp_gain(1.0 / (1.0 - r.sewma_power));
-      }
+    // Tier 1: signed residuals of the *raw* forecasts (adapting on the
+    // corrected ones would compound the correction into itself).
+    const bool drift_edge = residuals_.update(
+        src, f.dst_type, obs::relative_residual(o.gips, f.raw_gips),
+        obs::relative_residual(o.watts, f.raw_watts));
+    if (cfg_.bias) {
+      const obs::ResidualTracker::Pair& r = *residuals_.find(src, f.dst_type);
+      p.gain_gips = clamp_gain(1.0 / (1.0 - r.sewma_gips));
+      p.gain_power = clamp_gain(1.0 / (1.0 - r.sewma_power));
+    }
 
-      // Tier 2: fold the validated sample into Θ. y is the observed IPC on
-      // the destination type; the weight matches the batch trainer.
-      // Cross-type only — same-type pairs have no filter (see pair()).
-      if (cfg_.rls && !p.rls.empty() && model_ != nullptr &&
-          std::isfinite(match->ipc)) {
-        std::array<double, kNumFeatures> theta =
-            model_->theta(f.src_type, f.dst_type);
-        const double w = 1.0 / std::max(match->ipc, 1e-3);
-        const std::uint64_t before = p.rls[0].updates();
-        p.rls[0].update(f.x, match->ipc, w, theta);
-        if (p.rls[0].updates() != before) {
-          model_->set_theta(f.src_type, f.dst_type, theta);
-          ++rls_updates_;
-          ++stats.rls_updates;
-        }
-      }
-
-      // Drift repairs the predictor (covariance reset) rather than
-      // escalating to degraded mode.
-      if (drift_edge && cfg_.rls && !p.rls.empty()) {
-        p.rls[0].reset();
-        ++p.cov_resets;
-        ++cov_resets_;
-        ++stats.cov_resets;
+    // Tier 2: fold the validated sample into Θ. y is the observed IPC on
+    // the destination type; the weight matches the batch trainer.
+    // Cross-type only — same-type pairs have no filter (see pair()).
+    if (cfg_.rls && !p.rls.empty() && model_ != nullptr &&
+        std::isfinite(o.ipc)) {
+      std::array<double, kNumFeatures> theta = model_->theta(src, f.dst_type);
+      const double w = 1.0 / std::max(o.ipc, 1e-3);
+      const std::uint64_t before = p.rls[0].updates();
+      p.rls[0].update(f.x, o.ipc, w, theta);
+      if (p.rls[0].updates() != before) {
+        model_->set_theta(src, f.dst_type, theta);
+        ++rls_updates_;
+        ++stats.rls_updates;
       }
     }
+
+    // Drift repairs the predictor (covariance reset) rather than
+    // escalating to degraded mode.
+    if (drift_edge && cfg_.rls && !p.rls.empty()) {
+      p.rls[0].reset();
+      ++p.cov_resets;
+      ++cov_resets_;
+      ++stats.cov_resets;
+    }
   }
-  pending_.clear();
-  pending_valid_ = false;
   return stats;
-}
-
-void OnlineAdapter::begin_forecasts(std::uint64_t epoch) {
-  pending_.clear();
-  pending_epoch_ = epoch;
-  pending_valid_ = true;
-}
-
-void OnlineAdapter::add_forecast(std::int64_t tid, std::int32_t core,
-                                 std::int32_t src_type, std::int32_t dst_type,
-                                 double raw_gips, double raw_w,
-                                 const std::array<double, kNumFeatures>& x) {
-  if (!pending_valid_) return;
-  if (src_type < 0 || dst_type < 0) return;
-  Pending f;
-  f.tid = tid;
-  f.core = core;
-  f.src_type = src_type;
-  f.dst_type = dst_type;
-  f.raw_gips = raw_gips;
-  f.raw_w = raw_w;
-  f.x = x;
-  pending_.push_back(f);
 }
 
 double OnlineAdapter::gips_multiplier(std::int32_t src_type,

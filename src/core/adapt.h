@@ -23,15 +23,15 @@
 //                       regime at once instead of over 1/(1-λ) epochs,
 //                       *instead of* escalating to degraded mode.
 //
-// The adapter keeps its own one-epoch-later forecast→observation join (the
-// same validity rules as obs::AuditRecorder) and its own obs::ResidualTracker
-// over the raw forecasts, so adaptation works — and behaves identically —
-// whether or not the observability audit recorder is attached. Everything
-// is a pure function of sim state: no host clocks, no RNG, fixed-sized
-// double arithmetic only, so adapted runs stay bit-identical across
-// --jobs=1/8. Adaptation defaults off; all goldens are untouched unless a
-// config opts in. Each tier is one switch: the gain clamp, λ and P0 are
-// constants in adapt.cc.
+// The adapter reads the rows of the balancer's one forecast join
+// (obs::ForecastLog), the same rows the audit recorder reads, and keeps its
+// own obs::ResidualTracker over the raw forecasts, so adaptation works —
+// and behaves identically — whether or not the audit recorder is attached.
+// Everything is a pure function of sim state: no host clocks, no RNG,
+// fixed-sized double arithmetic only, so adapted runs stay bit-identical
+// across --jobs=1/8. Adaptation defaults off; all goldens are untouched
+// unless a config opts in. Each tier is one switch: the gain clamp, λ and
+// P0 are constants in adapt.cc.
 #pragma once
 
 #include <array>
@@ -46,6 +46,8 @@
 #include "obs/residual_tracker.h"
 
 namespace sb::core {
+
+static_assert(kNumFeatures == obs::kForecastFeatures);
 
 /// `SmartBalanceConfig::Adaptation`. Parsed from the CLI/config grammar:
 /// comma-separated entries, each `bias` (enable tier 1) or `rls` (enable
@@ -126,23 +128,14 @@ class OnlineAdapter {
 
   const AdaptationConfig& config() const { return cfg_; }
 
-  /// Phase A of every pass, right after sensing: joins the forecasts
-  /// registered last pass against this pass's observations, advances the
-  /// signed residual EWMAs (tier 1 gains), absorbs RLS samples (tier 2)
-  /// and runs the drift detector / covariance resets. Join validity
-  /// mirrors the audit recorder: measured, on the predicted core, of the
-  /// predicted type, exactly one epoch later.
-  AdaptPassStats observe(std::uint64_t epoch,
-                         const std::vector<ThreadObservation>& obs);
-
-  /// Phase B: open this pass's forecast set (clears any unconsumed one).
-  void begin_forecasts(std::uint64_t epoch);
-  /// Phase B: one *raw* (pre-correction) forecast per thread (same-type
-  /// pairs included — tier 1 corrects them, tier 2 ignores them). `x` is
-  /// the Eq. 8 feature row the forecast was computed from.
-  void add_forecast(std::int64_t tid, std::int32_t core, std::int32_t src_type,
-                    std::int32_t dst_type, double raw_gips, double raw_w,
-                    const std::array<double, kNumFeatures>& x);
+  /// Phase A of every pass, right after sensing: reads the pass's joined
+  /// forecasts, keyed on the type each was extrapolated from (rows of an
+  /// unmeasured thread are skipped; same-type pairs count, tier 1 corrects
+  /// them and tier 2 ignores them). Advances the signed EWMAs of the *raw*
+  /// forecasts' residuals (tier 1 gains), absorbs RLS samples over each
+  /// row's Eq. 8 features (tier 2) and runs the drift detector /
+  /// covariance resets.
+  AdaptPassStats observe(const std::vector<obs::JoinedForecast>& joined);
 
   /// Tier 1 post-multipliers for a forecast; exactly 1.0 when bias
   /// correction is off or the pair is unseen.
@@ -159,16 +152,6 @@ class OnlineAdapter {
                               std::int32_t dst_type) const;
 
  private:
-  struct Pending {
-    std::int64_t tid = 0;
-    std::int32_t core = -1;
-    std::int32_t src_type = -1;
-    std::int32_t dst_type = -1;
-    double raw_gips = 0;
-    double raw_w = 0;
-    std::array<double, kNumFeatures> x{};
-  };
-
   /// What the adapter keeps per pair beside the residual tracker's state.
   struct PairState {
     double gain_gips = 1.0;
@@ -183,9 +166,6 @@ class OnlineAdapter {
   PredictorModel* model_;
   obs::ResidualTracker residuals_;  // on the raw forecasts' residuals
   std::map<std::pair<std::int32_t, std::int32_t>, PairState> pairs_;
-  std::vector<Pending> pending_;
-  std::uint64_t pending_epoch_ = 0;
-  bool pending_valid_ = false;
   std::uint64_t joins_ = 0;
   std::uint64_t rls_updates_ = 0;
   std::uint64_t cov_resets_ = 0;

@@ -142,11 +142,22 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     return;
   }
 
-  // Prediction audit (Phase A): join last pass's forecasts against what was
-  // actually sensed, score the previous decision's realized ΔJ, and advance
-  // the drift detector. Strictly read-only: nothing here feeds back into
-  // the balancing decision.
+  // Forecast join (Phase A): validate last pass's forecasts against what was
+  // actually sensed, once, for both readers below.
   obs::AuditRecorder* const audit = obs != nullptr ? obs->audit() : nullptr;
+  const bool forecasting = audit != nullptr || adapter_;
+  if (forecasting) {
+    std::vector<obs::Observation>& sensed = forecast_log_.sensed();
+    for (const ThreadObservation& o : observations) {
+      sensed.push_back({o.tid, o.core, o.core_type, o.ips / 1e9, o.power_w,
+                        o.ipc, o.measured});
+    }
+    forecast_log_.join(passes_);
+  }
+
+  // Prediction audit (Phase A): ledger the joined forecasts, score the
+  // previous decision's realized ΔJ, and advance the drift detector.
+  // Strictly read-only: nothing here feeds back into the balancing decision.
   std::int64_t audit_fault_delta = 0;
   if (audit != nullptr) {
     if (injector_) {
@@ -156,19 +167,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     }
     const double realized_j =
         realized_objective(observations, kernel.num_cores(), *objective_);
-    std::vector<obs::AuditObservation> aobs;
-    aobs.reserve(observations.size());
-    for (const ThreadObservation& o : observations) {
-      obs::AuditObservation a;
-      a.tid = o.tid;
-      a.core = o.core;
-      a.core_type = o.core_type;
-      a.gips = o.ips / 1e9;
-      a.watts = o.power_w;
-      a.measured = o.measured;
-      aobs.push_back(a);
-    }
-    const auto edges = audit->join(passes_, aobs, realized_j);
+    const auto edges = audit->join(passes_, forecast_log_, realized_j);
     for (const obs::DriftEvent& ev : edges) {
       obs->metrics().counter("predictor.drift").add();
       if (tracer != nullptr) {
@@ -181,13 +180,12 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     }
   }
 
-  // Online adaptation (Phase A, same join point as the audit recorder):
-  // validate last pass's raw forecasts against this pass's sensing, advance
-  // the bias/gain correctors, absorb RLS samples into Θ and run the
+  // Online adaptation (Phase A, on the same joined rows): advance the
+  // bias/gain correctors, absorb RLS samples into Θ and run the
   // covariance-reset drift detector — all before PREDICT, so this pass's
   // fan-out already uses the repaired coefficients.
   if (adapter_) {
-    const AdaptPassStats astats = adapter_->observe(passes_, observations);
+    const AdaptPassStats astats = adapter_->observe(forecast_log_.joined());
     if (obs != nullptr) {
       auto& m = obs->metrics();
       if (astats.joined > 0) {
@@ -209,6 +207,9 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
       }
     }
   }
+  // The rows are consumed; this pass's are filled after the balance phase
+  // (a degraded pass forecasts nothing).
+  std::vector<obs::Forecast>& forecasts = forecast_log_.open(passes_);
 
   // Degraded mode: when too few threads have trustworthy sensors, predicted
   // S/P matrices are mostly fiction — migrating on them is worse than not
@@ -235,7 +236,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
       d.healthy_fraction = sensing_.health().healthy_fraction;
       d.degraded = 1;
       d.faults_injected = audit_fault_delta;
-      audit->record_decision(d);
+      audit->record_decision(d, 0);
     }
     fallback_.on_balance(kernel, now);
     trace_sense();
@@ -349,6 +350,38 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
                 static_cast<double>(result.iterations)
           : 0.0;
 
+  // One forecast per thread: the S/P cell for wherever it runs next,
+  // corrected and raw, with the Eq. 8 row it came from when adapting.
+  if (forecasting) {
+    const bool have_raw = adapter_ != nullptr && cfg_.adaptation.bias;
+    for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
+      const CoreId next = applied ? result.allocation[i] : initial[i];
+      if (next < 0) continue;
+      const std::size_t jn =
+          last_mx_.column_of[static_cast<std::size_t>(next)];
+      const ThreadObservation& o = observations[i];
+      obs::Forecast& f = forecasts.emplace_back();
+      f.tid = last_mx_.tids[i];
+      f.core = next;
+      f.src_type = initial[i] >= 0 ? platform_.type_of(initial[i]) : -1;
+      f.obs_src_type = o.measured && o.core_type >= 0 ? o.core_type : -1;
+      f.dst_type = platform_.type_of(next);
+      f.gips = last_mx_.s.at(i, jn);
+      f.watts = last_mx_.p.at(i, jn);
+      f.raw_gips = have_raw ? raw_s.at(i, jn) : f.gips;
+      f.raw_watts = have_raw ? raw_p.at(i, jn) : f.watts;
+      if (adapter_ && f.obs_src_type >= 0) {
+        const double src_freq =
+            o.freq_mhz > 0 ? o.freq_mhz
+                           : platform_.params_of_type(o.core_type).freq_mhz;
+        const double dst_freq = kernel.config().enable_dvfs
+                                    ? kernel.core_opp(next).freq_mhz
+                                    : platform_.params_of(next).freq_mhz;
+        f.x = make_features(o, src_freq / dst_freq);
+      }
+    }
+  }
+
   // Prediction audit (Phase B): open this pass's ledger entry before the
   // apply loop so per-migration attribution can be registered against it.
   if (audit != nullptr) {
@@ -370,54 +403,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     d.sa_accepted_worse = result.accepted_worse;
     d.sa_improved = result.improved;
     d.faults_injected = audit_fault_delta;
-    audit->record_decision(d);
-  }
-  // One forecast per thread: the S/P cell for wherever it runs next. The
-  // audit ledger gets both the corrected and the raw value; the adapter
-  // registers the raw cross-type forecasts it will validate next pass.
-  if (audit != nullptr || adapter_) {
-    const bool have_raw = adapter_ != nullptr && cfg_.adaptation.bias;
-    if (adapter_) adapter_->begin_forecasts(passes_);
-    for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
-      const CoreId next = applied ? result.allocation[i] : initial[i];
-      if (next < 0) continue;
-      const std::size_t jn =
-          last_mx_.column_of[static_cast<std::size_t>(next)];
-      const std::int32_t src_type =
-          initial[i] >= 0 ? platform_.type_of(initial[i]) : -1;
-      const std::int32_t dst_type = platform_.type_of(next);
-      const double pred_gips = last_mx_.s.at(i, jn);
-      const double pred_w = last_mx_.p.at(i, jn);
-      const double rg = have_raw ? raw_s.at(i, jn) : pred_gips;
-      const double rw = have_raw ? raw_p.at(i, jn) : pred_w;
-      if (audit != nullptr) {
-        obs::ThreadPrediction tp;
-        tp.tid = last_mx_.tids[i];
-        tp.core = next;
-        tp.src_type = src_type;
-        tp.dst_type = dst_type;
-        tp.pred_gips = pred_gips;
-        tp.pred_w = pred_w;
-        tp.raw_pred_gips = rg;
-        tp.raw_pred_w = rw;
-        audit->record_prediction(tp);
-      }
-      // The adapter keys on the Θ row the forecast actually came from: the
-      // predictor extrapolates from the *observed* core type (the audit's
-      // src_type column is the thread's scheduled core, which can lag one
-      // migration behind while sensing serves cached rows).
-      const ThreadObservation& o = observations[i];
-      if (adapter_ && o.measured && o.core_type >= 0) {
-        const double src_freq =
-            o.freq_mhz > 0 ? o.freq_mhz
-                           : platform_.params_of_type(o.core_type).freq_mhz;
-        const double dst_freq = kernel.config().enable_dvfs
-                                    ? kernel.core_opp(next).freq_mhz
-                                    : platform_.params_of(next).freq_mhz;
-        adapter_->add_forecast(last_mx_.tids[i], next, o.core_type, dst_type,
-                               rg, rw, make_features(o, src_freq / dst_freq));
-      }
-    }
+    audit->record_decision(d, forecasts.size());
   }
 
   int migrations = 0;

@@ -156,6 +156,9 @@ class SmartBalancePolicy final : public os::LoadBalancer {
 
   /// Online predictor adaptation (null when cfg.adaptation is all-off).
   std::unique_ptr<OnlineAdapter> adapter_;
+  /// One forecast per thread for the audit recorder and the adapter, and
+  /// the next pass's one join of them against its sensing.
+  obs::ForecastLog forecast_log_;
 
   /// Fault injection (null when the plan is empty) and graceful degradation.
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -1,5 +1,6 @@
 #include "core/trainer.h"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,14 +10,17 @@
 namespace sb::core {
 namespace {
 
-class RngJitter final : public workload::JitterSource {
- public:
-  explicit RngJitter(Rng& rng) : rng_(rng) {}
-  double gaussian() override { return rng_.gaussian(); }
-
- private:
-  Rng& rng_;
-};
+/// Relative σ of the jittered profile replicas (regression diversity).
+constexpr double kJitterSigma = 0.06;
+/// Ridge regularization of the least-squares fits (degenerate columns).
+constexpr double kRidge = 1e-6;
+/// Instructions per synthesized profiling run.
+constexpr std::uint64_t kProfilingInsts = 20'000'000;
+/// Memory-latency operating points sampled during training and evaluation,
+/// so the regression stays calibrated under shared-bus contention (the
+/// runtime system sees inflated latencies when many cores miss at once).
+constexpr std::array<double, 3> kTrainingLatenciesNs = {
+    PredictorTrainer::kNominalMemLatencyNs, 140.0, 220.0};
 
 }  // namespace
 
@@ -35,7 +39,7 @@ ThreadObservation PredictorTrainer::synthesize_observation(
       perf_.evaluate_on_type(profile, src, mem_latency_ns, 1.0, freq);
 
   // Build ground-truth counters for a profiling run of N instructions.
-  const auto insts = static_cast<double>(cfg_.profiling_insts);
+  const auto insts = static_cast<double>(kProfilingInsts);
   const double cycles = insts * bd.total_cpi();
   perf::HpcCounters counters;
   perf::PerfModel::accumulate_counters(counters, bd, profile, insts, cycles);
@@ -80,7 +84,7 @@ PredictorModel PredictorTrainer::train(
   PredictorModel model(q);
 
   Rng rng(cfg_.seed);
-  RngJitter jitter(rng);
+  workload::RngJitter jitter(rng);
 
   // Expand the training set with jittered replicas so the regression sees
   // the neighbourhood of each benchmark, not just its exact point.
@@ -89,7 +93,7 @@ PredictorModel PredictorTrainer::train(
   for (const auto& p : profiles) {
     expanded.push_back(p);
     for (int r = 1; r < cfg_.replicas; ++r) {
-      expanded.push_back(p.jittered(cfg_.jitter_sigma, jitter));
+      expanded.push_back(p.jittered(kJitterSigma, jitter));
     }
   }
 
@@ -100,9 +104,7 @@ PredictorModel PredictorTrainer::train(
   // the same bus). With DVFS training enabled, each (sample, latency) is
   // additionally profiled at every source/destination frequency-ratio pair
   // so the FR feature carries real signal.
-  const std::vector<double> lats = cfg_.training_latencies_ns.empty()
-                                       ? std::vector<double>{cfg_.mem_latency_ns}
-                                       : cfg_.training_latencies_ns;
+  const auto& lats = kTrainingLatenciesNs;
   const std::vector<double> ratios = cfg_.training_freq_ratios.empty()
                                          ? std::vector<double>{1.0}
                                          : cfg_.training_freq_ratios;
@@ -172,7 +174,7 @@ PredictorModel PredictorTrainer::train(
           }
         }
       }
-      const auto coeffs = least_squares(a, b, cfg_.ridge);
+      const auto coeffs = least_squares(a, b, kRidge);
       std::array<double, kNumFeatures> th{};
       for (std::size_t k = 0; k < kNumFeatures; ++k) th[k] = coeffs[k];
       model.set_theta(s, d, th);
@@ -196,7 +198,7 @@ PredictorModel PredictorTrainer::train(
       a.at(i, 1) = w;
       b[i] = w * truth;
     }
-    const auto c = least_squares(a, b, cfg_.ridge);
+    const auto c = least_squares(a, b, kRidge);
     model.set_power_coeffs(d, c[0], c[1]);
   }
 
@@ -219,9 +221,7 @@ PredictorTrainer::ErrorReport PredictorTrainer::evaluate(
 
   // Evaluate at every operating point the runtime system encounters (the
   // shared bus inflates memory latency under load), matching deployment.
-  const std::vector<double> lats = cfg_.training_latencies_ns.empty()
-                                       ? std::vector<double>{cfg_.mem_latency_ns}
-                                       : cfg_.training_latencies_ns;
+  const auto& lats = kTrainingLatenciesNs;
   ErrorReport report;
   double perf_sum = 0, power_sum = 0;
   for (const auto& p : profiles) {

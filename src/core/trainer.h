@@ -24,18 +24,12 @@ namespace sb::core {
 
 class PredictorTrainer {
  public:
+  /// The profile jitter, ridge, profiling length and the training
+  /// memory latencies are constants in trainer.cc.
   struct Config {
     int replicas = 8;              // jittered copies of each profile
-    double jitter_sigma = 0.06;    // profile diversity for regression
     double counter_noise = 0.005;  // observation noise during profiling
-    double ridge = 1e-6;           // regularization (degenerate columns)
     std::uint64_t seed = 7;
-    std::uint64_t profiling_insts = 20'000'000;  // per profiling run
-    double mem_latency_ns = 80.0;  // evaluation operating point
-    /// Memory-latency operating points sampled during training, so the
-    /// regression stays calibrated under shared-bus contention (the runtime
-    /// system sees inflated latencies when many cores miss concurrently).
-    std::vector<double> training_latencies_ns = {80.0, 140.0, 220.0};
     /// Frequency ratios (relative to nominal) sampled during training. The
     /// default trains at nominal only (the paper's fixed-V/f setting); add
     /// ratios (e.g. {0.4, 0.7, 1.0}) when the runtime system uses DVFS so
@@ -76,21 +70,14 @@ class PredictorTrainer {
                                   std::vector<workload::WorkloadProfile>>>&
           by_benchmark) const;
 
-  /// Synthesizes a (noisy) profiling observation of `profile` on `src`.
-  ThreadObservation synthesize_observation(
-      const workload::WorkloadProfile& profile, CoreTypeId src,
-      Rng& rng) const {
-    return synthesize_observation(profile, src, rng, cfg_.mem_latency_ns);
-  }
-  ThreadObservation synthesize_observation(
-      const workload::WorkloadProfile& profile, CoreTypeId src, Rng& rng,
-      double mem_latency_ns) const {
-    return synthesize_observation(profile, src, rng, mem_latency_ns, 0.0);
-  }
+  /// Memory latency of the nominal operating point.
+  static constexpr double kNominalMemLatencyNs = 80.0;
+  /// Synthesizes a (noisy) profiling observation of `profile` on `src`;
   /// `freq_mhz` > 0 profiles the source core at a non-nominal DVFS point.
   ThreadObservation synthesize_observation(
       const workload::WorkloadProfile& profile, CoreTypeId src, Rng& rng,
-      double mem_latency_ns, double freq_mhz) const;
+      double mem_latency_ns = kNominalMemLatencyNs,
+      double freq_mhz = 0.0) const;
 
   /// All phase profiles of the benchmark library (PARSEC + x264 + IMB).
   static std::vector<workload::WorkloadProfile> default_training_profiles();

@@ -132,6 +132,24 @@ FleetSimulation::FleetSimulation(FleetConfig cfg,
   if (cfg_.obs.enabled()) {
     obs_ = std::make_unique<obs::Sink>(cfg_.obs);
     ts_next_ = cfg_.obs.timeseries.window;
+    if (obs::TimeseriesRecorder* rec = obs_->timeseries()) {
+      SignalIds& ids = ts_ids_;
+      ids.je = rec->intern("je");
+      ids.je_w = rec->intern("je_w");
+      ids.gips = rec->intern("gips");
+      ids.watts = rec->intern("watts");
+      ids.pending = rec->intern("fleet.pending");
+      ids.arrived = rec->intern("fleet.jobs.arrived");
+      ids.dispatched = rec->intern("fleet.jobs.dispatched");
+      ids.completed = rec->intern("fleet.jobs.completed");
+      ids.deferred = rec->intern("fleet.jobs.deferred");
+      ids.p99_wake_us = rec->intern("p99_wake_us");
+      for (int i = 0; i < cfg_.nodes; ++i) {
+        const std::string node = "node." + std::to_string(i);
+        ids.live_threads.push_back(rec->intern(node + ".live_threads"));
+        ids.active_jobs.push_back(rec->intern(node + ".active_jobs"));
+      }
+    }
   }
   if (!cfg_.arrival_replay.empty()) {
     // Replace the MMPP clock with the trace's spawn instants. The trace is
@@ -419,35 +437,35 @@ void FleetSimulation::sample_timeseries(TimeNs now) {
       joules += np->sim->kernel().energy().total_joules();
     }
     const double secs = to_seconds(ts_next_ - ts_last_);
+    const SignalIds& ids = ts_ids_;
     rec.begin_frame(static_cast<std::uint64_t>(ts_next_));
-    rec.record("je", joules > 0 ? insts / joules : 0.0);
+    rec.record(ids.je, joules > 0 ? insts / joules : 0.0);
     // Windowed efficiency: inst/J over this frame alone. Unlike cumulative
     // J_E it has no cold-start ramp and tracks the rack's *current*
     // operating point — the natural target for burn-rate SLO floors.
     const double d_joules = joules - ts_prev_joules_;
-    rec.record("je_w",
+    rec.record(ids.je_w,
                d_joules > 0 ? (insts - ts_prev_insts_) / d_joules : 0.0);
-    rec.record("gips", (insts - ts_prev_insts_) / secs / 1e9);
-    rec.record("watts", (joules - ts_prev_joules_) / secs);
+    rec.record(ids.gips, (insts - ts_prev_insts_) / secs / 1e9);
+    rec.record(ids.watts, (joules - ts_prev_joules_) / secs);
     ts_prev_insts_ = insts;
     ts_prev_joules_ = joules;
-    rec.record("fleet.pending", static_cast<double>(pending_.size()));
-    rec.record("fleet.jobs.arrived", static_cast<double>(jobs_.size()));
-    rec.record("fleet.jobs.dispatched",
+    rec.record(ids.pending, static_cast<double>(pending_.size()));
+    rec.record(ids.arrived, static_cast<double>(jobs_.size()));
+    rec.record(ids.dispatched,
                static_cast<double>(m.counter("fleet.jobs.dispatched").value));
-    rec.record("fleet.jobs.completed",
+    rec.record(ids.completed,
                static_cast<double>(m.counter("fleet.jobs.completed").value));
-    rec.record("fleet.jobs.deferred", static_cast<double>(jobs_deferred_));
+    rec.record(ids.deferred, static_cast<double>(jobs_deferred_));
     const obs::Histogram& wake = m.histogram("fleet.job.wake_to_run_ns");
-    rec.record("p99_wake_us",
+    rec.record(ids.p99_wake_us,
                wake.count() > 0
                    ? static_cast<double>(wake.quantile(0.99)) / 1e3
                    : 0.0);
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const std::string prefix = "node." + std::to_string(i);
-      rec.record(prefix + ".live_threads",
+      rec.record(ids.live_threads[i],
                  static_cast<double>(nodes_[i]->live_threads));
-      rec.record(prefix + ".active_jobs",
+      rec.record(ids.active_jobs[i],
                  static_cast<double>(nodes_[i]->active.size()));
     }
     obs_->complete_frame();

@@ -191,6 +191,15 @@ class FleetSimulation {
   std::vector<int> busy_counts_;
   std::uint64_t jobs_deferred_ = 0;
   std::unique_ptr<obs::Sink> obs_;
+  /// sample_timeseries' signal ids, interned once at construction (as
+  /// sim::TimeseriesSampler does), so a frame builds no name strings.
+  struct SignalIds {
+    std::uint32_t je = 0, je_w = 0, gips = 0, watts = 0, pending = 0,
+                  arrived = 0, dispatched = 0, completed = 0, deferred = 0,
+                  p99_wake_us = 0;
+    std::vector<std::uint32_t> live_threads, active_jobs;  // per node
+  };
+  SignalIds ts_ids_;
   /// Telemetry-plane cadence state (cfg.timeseries / cfg.slo).
   TimeNs ts_next_ = 0;
   TimeNs ts_last_ = 0;

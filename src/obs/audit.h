@@ -5,8 +5,8 @@
 // predicted GIPS/watts on the core each thread will run on next (the S/P
 // characterization columns), and a predicted objective gain ΔJ_E for the
 // allocation it applies. One epoch later the sensing layer reports what
-// actually happened. The recorder joins the two streams by thread id and
-// produces three record ledgers:
+// actually happened. The recorder reads the balancer's forecast join
+// (obs/residual_tracker.h) and produces three record ledgers:
 //
 //   thread     predicted vs observed GIPS / power for a thread whose next
 //              epoch landed on the predicted core (signed relative residual)
@@ -128,33 +128,6 @@ struct DriftState {
   double ewma_power_signed = 0;
 };
 
-/// The observation subset the recorder joins against — mirrors the fields
-/// of core::ThreadObservation the audit needs, without depending on core/.
-struct AuditObservation {
-  std::int64_t tid = 0;
-  std::int32_t core = -1;
-  std::int32_t core_type = -1;
-  double gips = 0;
-  double watts = 0;
-  bool measured = false;
-};
-
-/// Per-thread forecast registered after a balance pass: where the thread
-/// will run next epoch and what S/P predict for it there.
-struct ThreadPrediction {
-  std::int64_t tid = 0;
-  std::int32_t core = -1;
-  std::int32_t src_type = -1;
-  std::int32_t dst_type = -1;
-  double pred_gips = 0;
-  double pred_w = 0;
-  /// Pre-adaptation forecast for the same cell. Callers that don't adapt
-  /// may leave these 0: record_prediction backfills them from
-  /// pred_gips/pred_w so raw == corrected in unadapted exports.
-  double raw_pred_gips = 0;
-  double raw_pred_w = 0;
-};
-
 /// Everything the recorder produced for one run, detached and mergeable —
 /// carried alongside the metrics registry and trace snapshot in RunObs.
 struct AuditSnapshot {
@@ -173,22 +146,20 @@ struct AuditSnapshot {
 
 class AuditRecorder {
  public:
-  /// Phase A of every pass, right after sensing: joins the predictions
-  /// registered last pass against this pass's observations, finalizes the
-  /// previous epoch record (realized ΔJ / regret), closes out matured
-  /// migrations and advances the drift EWMAs. `realized_j` is the observed
-  /// objective computed from the same observations. Returns the drift
-  /// rising edges this join produced (usually empty).
-  std::vector<DriftEvent> join(std::uint64_t epoch,
-                               const std::vector<AuditObservation>& obs,
+  /// Phase A of every pass, right after `log` joined: records the joined
+  /// forecasts in the thread ledger and the drift EWMAs, finalizes the
+  /// previous epoch record (join counts, realized ΔJ / regret) and closes
+  /// out matured migrations against the log's observations. `realized_j`
+  /// is the observed objective computed from the same observations.
+  /// Returns the drift rising edges this join produced (usually empty).
+  std::vector<DriftEvent> join(std::uint64_t epoch, const ForecastLog& log,
                                double realized_j);
 
-  /// Phase B: opens the pass's epoch ledger entry. The recorder sets only
-  /// `realized_j`, the objective this pass sensed; join() fills in the
-  /// realized ΔJ, regret and join counts one epoch later.
-  void record_decision(EpochAuditRecord rec);
-  /// Phase B: one forecast per balanced thread.
-  void record_prediction(const ThreadPrediction& p);
+  /// Phase B: opens the pass's epoch ledger entry; `forecasts` counts the
+  /// thread forecasts the pass made. The recorder sets only `realized_j`,
+  /// the objective this pass sensed; join() fills in the realized ΔJ,
+  /// regret and join counts one epoch later.
+  void record_decision(EpochAuditRecord rec, std::size_t forecasts);
   /// Phase B: one entry per applied migration, stamped with the open
   /// decision's epoch. `src_eff` is the thread's measured GIPS/W on the
   /// source core, the baseline the realized gain is scored against.
@@ -215,11 +186,8 @@ class AuditRecorder {
   Ring<MigrationAuditRecord> migrations_{kAuditCapacity};
   std::vector<DriftEvent> drift_events_;
 
-  /// Forecasts awaiting next epoch's observations.
-  std::vector<ThreadPrediction> pending_preds_;
-  std::uint64_t pending_epoch_ = 0;  // pass the forecasts were made at
-  bool pending_valid_ = false;
   /// The previous pass's (still open) epoch ledger entry.
+  std::uint64_t open_epoch_ = 0;
   std::uint64_t open_epoch_seq_ = 0;
   bool open_epoch_valid_ = false;
   double open_epoch_realized_j_ = 0;

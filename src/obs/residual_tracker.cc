@@ -4,6 +4,28 @@
 
 namespace sb::obs {
 
+const Observation* find_thread(const std::vector<Observation>& obs,
+                               std::int64_t tid) {
+  for (const Observation& o : obs) {
+    if (o.tid == tid) return &o;
+  }
+  return nullptr;
+}
+
+void ForecastLog::join(std::uint64_t epoch) {
+  consumed_ = rows_.size();
+  contiguous_ = epoch == made_at_ + 1;
+  joined_.clear();
+  if (!contiguous_) return;
+  for (const Forecast& f : rows_) {
+    const Observation* o = find_thread(observed_, f.tid);
+    if (o != nullptr && o->measured && o->core == f.core &&
+        o->core_type == f.dst_type) {
+      joined_.push_back({&f, o});
+    }
+  }
+}
+
 double relative_residual(double observed, double predicted) {
   if (!(std::abs(observed) > 1e-12)) return 0.0;
   return (observed - predicted) / observed;

@@ -80,10 +80,6 @@ class TimeseriesRecorder {
   /// stamped with it and collected for same-frame consumers (SLO engine).
   void begin_frame(std::uint64_t t_ns);
   void record(std::uint32_t signal, double value);
-  /// Convenience for cold paths (interns on every call).
-  void record(std::string_view name, double value) {
-    record(intern(name), value);
-  }
 
   /// The (signal, value) pairs recorded since begin_frame.
   const std::vector<std::pair<std::uint32_t, double>>& frame() const {

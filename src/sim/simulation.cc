@@ -99,8 +99,7 @@ void Simulation::set_balancer(std::unique_ptr<os::LoadBalancer> balancer) {
 void Simulation::prepare_run() {
   sampled_ = cfg_.thermal_enabled || !cfg_.trace_path.empty();
   if (cfg_.thermal_enabled) {
-    thermal_ =
-        std::make_unique<power::ThermalModel>(platform_, cfg_.thermal);
+    thermal_ = std::make_unique<power::ThermalModel>(platform_);
     max_temp_seen_c_ = thermal_->max_temperature_c();
   }
   if (!cfg_.trace_path.empty()) {

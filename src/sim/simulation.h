@@ -32,10 +32,10 @@ struct SimulationConfig {
   std::uint64_t seed = 1234;
   std::string label;
 
-  /// Enables the per-core RC thermal model (stepped every 5 ms of simulated
-  /// time); results gain max/final core temperatures.
+  /// Enables the per-core RC thermal model at its default constants
+  /// (stepped every 5 ms of simulated time); results gain max/final core
+  /// temperatures.
   bool thermal_enabled = false;
-  power::ThermalModel::Config thermal;
   /// Non-empty: writes a long-format per-core time series
   /// (time_ms, core, power_w, temp_c, nr_running, freq_mhz) as CSV, one
   /// row per core every 5 ms of simulated time.

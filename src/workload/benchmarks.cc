@@ -7,16 +7,6 @@
 namespace sb::workload {
 namespace {
 
-/// Adapter so Benchmark::spawn can jitter profiles from an sb::Rng.
-class RngJitter final : public JitterSource {
- public:
-  explicit RngJitter(Rng& rng) : rng_(rng) {}
-  double gaussian() override { return rng_.gaussian(); }
-
- private:
-  Rng& rng_;
-};
-
 // Shorthand for building a profile. Arguments in the order they matter for
 // the balancer: ILP, instruction mix, branch behaviour, memory behaviour.
 WorkloadProfile prof(const std::string& name, double ilp, double mem_share,

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace sb::workload {
@@ -67,6 +68,16 @@ class JitterSource {
   virtual ~JitterSource() = default;
   /// A sample from N(0, 1).
   virtual double gaussian() = 0;
+};
+
+/// The JitterSource over an sb::Rng (benchmark spawning, trainer replicas).
+class RngJitter final : public JitterSource {
+ public:
+  explicit RngJitter(Rng& rng) : rng_(rng) {}
+  double gaussian() override { return rng_.gaussian(); }
+
+ private:
+  Rng& rng_;
 };
 
 /// A contiguous program phase: execute `instructions` with `profile`

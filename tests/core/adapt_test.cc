@@ -199,17 +199,32 @@ TEST(RlsFilter, IgnoresNonFiniteAndNonPositiveWeightSamples) {
 // OnlineAdapter: joins, identity, gains, drift reset
 // ---------------------------------------------------------------------------
 
-ThreadObservation make_obs(ThreadId tid, CoreId core, CoreTypeId type,
-                           double ips, double watts) {
-  ThreadObservation o;
-  o.tid = tid;
-  o.core = core;
-  o.core_type = type;
-  o.ips = ips;
-  o.ipc = 1.0;
-  o.power_w = watts;
-  o.measured = true;
-  return o;
+/// A joined row as the balancer's forecast join hands it over: a raw
+/// forecast from type `src` to type `dst` next to what was observed there.
+struct Row {
+  obs::Forecast f;
+  obs::Observation o;
+};
+
+Row make_row(std::int32_t src, std::int32_t dst, double raw_gips, double raw_w,
+             double obs_gips, double obs_w) {
+  Row r;
+  r.f.tid = 1;
+  r.f.src_type = r.f.obs_src_type = src;
+  r.f.dst_type = dst;
+  r.f.gips = r.f.raw_gips = raw_gips;
+  r.f.watts = r.f.raw_watts = raw_w;
+  r.o.tid = 1;
+  r.o.core_type = dst;
+  r.o.gips = obs_gips;
+  r.o.watts = obs_w;
+  r.o.ipc = 1.0;
+  r.o.measured = true;
+  return r;
+}
+
+AdaptPassStats observe(OnlineAdapter& adapter, const Row& r) {
+  return adapter.observe({{&r.f, &r.o}});
 }
 
 TEST(OnlineAdapter, BiasGainIsIdentityAtZeroResidualEwmas) {
@@ -222,11 +237,8 @@ TEST(OnlineAdapter, BiasGainIsIdentityAtZeroResidualEwmas) {
 
   // A perfectly-predicted join drives the residuals (and EWMAs) to exactly
   // zero, so the gains must stay exactly 1.
-  adapter.begin_forecasts(1);
-  std::array<double, kNumFeatures> x{};
-  adapter.add_forecast(7, 2, 0, 1, /*raw_gips=*/1.5, /*raw_w=*/0.8, x);
-  const AdaptPassStats stats =
-      adapter.observe(2, {make_obs(7, 2, 1, 1.5e9, 0.8)});
+  const AdaptPassStats stats = observe(
+      adapter, make_row(0, 1, /*raw_gips=*/1.5, /*raw_w=*/0.8, 1.5, 0.8));
   EXPECT_EQ(stats.joined, 1);
   EXPECT_EQ(adapter.gips_multiplier(0, 1), 1.0);
   EXPECT_EQ(adapter.power_multiplier(0, 1), 1.0);
@@ -235,12 +247,8 @@ TEST(OnlineAdapter, BiasGainIsIdentityAtZeroResidualEwmas) {
 TEST(OnlineAdapter, GainTracksBiasAndRespectsClamp) {
   AdaptationConfig cfg = AdaptationConfig::parse("bias");
   OnlineAdapter adapter(cfg, nullptr);
-  std::array<double, kNumFeatures> x{};
-  std::uint64_t pass = 1;
   auto join = [&](double raw, double observed) {
-    adapter.begin_forecasts(pass);
-    adapter.add_forecast(1, 0, 0, 1, raw, raw, x);
-    adapter.observe(++pass, {make_obs(1, 0, 1, observed * 1e9, observed)});
+    observe(adapter, make_row(0, 1, raw, raw, observed, observed));
   };
 
   // Forecast half the observed value: err = (obs-pred)/obs = 0.5. With the
@@ -266,32 +274,20 @@ TEST(OnlineAdapter, GainTracksBiasAndRespectsClamp) {
   EXPECT_DOUBLE_EQ(adapter.power_multiplier(0, 1), 1.0 / 1.5);
 }
 
-TEST(OnlineAdapter, JoinRequiresPredictedCoreTypeAndContiguousEpoch) {
-  AdaptationConfig cfg = AdaptationConfig::parse("bias");
-  OnlineAdapter adapter(cfg, nullptr);
-  std::array<double, kNumFeatures> x{};
+TEST(OnlineAdapter, KeysOnTheObservedSourceTypeAndSkipsUnmeasuredRows) {
+  // The Eq. 8 row extrapolated from where sensing measured the thread, so
+  // the adapter keys on that type, not on the scheduled core's.
+  OnlineAdapter adapter(AdaptationConfig::parse("bias"), nullptr);
+  Row lagging = make_row(2, 1, 1.0, 1.0, 2.0, 2.0);
+  lagging.f.src_type = 0;
+  EXPECT_EQ(observe(adapter, lagging).joined, 1);
+  EXPECT_GT(adapter.gips_multiplier(2, 1), 1.0);
+  EXPECT_EQ(adapter.gips_multiplier(0, 1), 1.0);
 
-  // Wrong core: no join.
-  adapter.begin_forecasts(1);
-  adapter.add_forecast(1, 0, 0, 1, 1.0, 1.0, x);
-  EXPECT_EQ(adapter.observe(2, {make_obs(1, 3, 1, 2.0e9, 2.0)}).joined, 0);
-
-  // Unmeasured: no join.
-  adapter.begin_forecasts(2);
-  adapter.add_forecast(1, 0, 0, 1, 1.0, 1.0, x);
-  auto unmeasured = make_obs(1, 0, 1, 2.0e9, 2.0);
-  unmeasured.measured = false;
-  EXPECT_EQ(adapter.observe(3, {unmeasured}).joined, 0);
-
-  // Epoch gap: forecasts from pass 3 cannot validate at pass 5.
-  adapter.begin_forecasts(3);
-  adapter.add_forecast(1, 0, 0, 1, 1.0, 1.0, x);
-  EXPECT_EQ(adapter.observe(5, {make_obs(1, 0, 1, 2.0e9, 2.0)}).joined, 0);
-
-  // Contiguous and on the predicted core of the predicted type: joins.
-  adapter.begin_forecasts(5);
-  adapter.add_forecast(1, 0, 0, 1, 1.0, 1.0, x);
-  EXPECT_EQ(adapter.observe(6, {make_obs(1, 0, 1, 2.0e9, 2.0)}).joined, 1);
+  // A thread unmeasured when forecast has no source type: no join.
+  Row unmeasured = make_row(0, 1, 1.0, 1.0, 2.0, 2.0);
+  unmeasured.f.obs_src_type = -1;
+  EXPECT_EQ(observe(adapter, unmeasured).joined, 0);
   EXPECT_EQ(adapter.joins(), 1u);
 }
 
@@ -304,15 +300,13 @@ TEST(OnlineAdapter, RlsUpdatesThetaAndDriftResetsCovariance) {
   OnlineAdapter adapter(cfg, &model);
 
   const auto theta_before = model.theta(0, 1);
-  std::array<double, kNumFeatures> x{};
-  x[8] = 1.0;  // measured ipc feature
-  x[9] = 1.0;  // intercept
+  // Observation far below the forecast: large residual.
+  Row r = make_row(0, 1, /*raw_gips=*/4.0, /*raw_w=*/4.0, 1.0, 1.0);
+  r.f.x[8] = 1.0;  // measured ipc feature
+  r.f.x[9] = 1.0;  // intercept
 
   for (std::uint64_t pass = 1; pass <= 8; ++pass) {
-    adapter.begin_forecasts(pass);
-    adapter.add_forecast(1, 0, 0, 1, /*raw_gips=*/4.0, /*raw_w=*/4.0, x);
-    // Observation far below the forecast: large residual.
-    adapter.observe(pass + 1, {make_obs(1, 0, 1, 1.0e9, 1.0)});
+    observe(adapter, r);
     EXPECT_EQ(adapter.cov_resets(), pass < 8 ? 0u : 1u) << "pass " << pass;
   }
   EXPECT_EQ(adapter.rls_updates(), 8u);

@@ -127,6 +127,27 @@ TEST(AdaptIntegration, AdaptCountersRideTheJsonReport) {
             static_cast<double>(r.adapt_cov_resets));
 }
 
+TEST(AdaptIntegration, AdapterIsIndependentOfTheAuditRecorder) {
+  // The audit recorder and the adapter read the same joined forecasts, but
+  // only the adapter feeds back: attaching the audit must not move a single
+  // adaptation counter or simulated number.
+  SimulationConfig cfg = base_cfg();
+  cfg.duration = milliseconds(3000);
+  core::SmartBalanceConfig sc = noisy_sc();
+  sc.adaptation = core::AdaptationConfig::parse("bias,rls");
+  const SimulationResult off = run_smart(cfg, sc);
+  cfg.obs.audit = true;
+  const SimulationResult on = run_smart(cfg, sc);
+  ASSERT_NE(on.obs, nullptr);
+  ASSERT_GT(on.obs->audit.joined, 0u);
+  EXPECT_GT(off.adapt_rls_updates, 0u);
+  EXPECT_EQ(on.adapt_joins, off.adapt_joins);
+  EXPECT_EQ(on.adapt_rls_updates, off.adapt_rls_updates);
+  EXPECT_EQ(on.adapt_cov_resets, off.adapt_cov_resets);
+  EXPECT_EQ(on.ips_per_watt, off.ips_per_watt);
+  EXPECT_EQ(on.migrations, off.migrations);
+}
+
 TEST(AdaptIntegration, RawAndCorrectedResidualsSplitExactlyWithBias) {
   // With adaptation off the raw columns ARE the corrected columns, byte
   // for byte; with the bias tier on they must diverge on a noisy run

@@ -1,11 +1,13 @@
-// Unit tests for the prediction-audit flight recorder: join semantics,
-// residual math, decision regret, the drift detector's rising-edge/re-arm
-// contract, ring overflow accounting, migration close-out, and the
-// schema-versioned export's byte-level determinism.
+// Unit tests for the prediction-audit flight recorder: how it ledgers the
+// shared forecast join, residual math, decision regret, the drift
+// detector's rising-edge/re-arm contract, ring overflow accounting,
+// migration close-out, and the schema-versioned export's byte-level
+// determinism.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/audit.h"
@@ -15,10 +17,10 @@
 namespace sb::obs {
 namespace {
 
-AuditObservation make_obs(std::int64_t tid, std::int32_t core,
-                          std::int32_t core_type, double gips, double watts,
-                          bool measured = true) {
-  AuditObservation o;
+Observation make_obs(std::int64_t tid, std::int32_t core,
+                     std::int32_t core_type, double gips, double watts,
+                     bool measured = true) {
+  Observation o;
   o.tid = tid;
   o.core = core;
   o.core_type = core_type;
@@ -28,18 +30,44 @@ AuditObservation make_obs(std::int64_t tid, std::int32_t core,
   return o;
 }
 
-ThreadPrediction make_pred(std::int64_t tid, std::int32_t core,
-                           std::int32_t src_type, std::int32_t dst_type,
-                           double gips, double w) {
-  ThreadPrediction p;
-  p.tid = tid;
-  p.core = core;
-  p.src_type = src_type;
-  p.dst_type = dst_type;
-  p.pred_gips = gips;
-  p.pred_w = w;
-  return p;
+/// An unadapted forecast: raw == corrected.
+Forecast make_pred(std::int64_t tid, std::int32_t core, std::int32_t src_type,
+                   std::int32_t dst_type, double gips, double w) {
+  Forecast f;
+  f.tid = tid;
+  f.core = core;
+  f.src_type = src_type;
+  f.dst_type = dst_type;
+  f.gips = f.raw_gips = gips;
+  f.watts = f.raw_watts = w;
+  return f;
 }
+
+/// Drives the recorder as the balancer does, through a ForecastLog: each
+/// sensed pass joins the forecasts the previous decision made before the
+/// recorder reads them.
+class Loop {
+ public:
+  std::vector<DriftEvent> sense(std::uint64_t epoch,
+                                std::vector<Observation> obs,
+                                double realized_j) {
+    log_.sensed() = std::move(obs);
+    log_.join(epoch);
+    const auto edges = r.join(epoch, log_, realized_j);
+    rows_ = &log_.open(epoch);
+    return edges;
+  }
+  void decide(const EpochAuditRecord& d, std::vector<Forecast> forecasts = {}) {
+    *rows_ = std::move(forecasts);
+    r.record_decision(d, rows_->size());
+  }
+
+  AuditRecorder r;
+
+ private:
+  ForecastLog log_;
+  std::vector<Forecast>* rows_ = nullptr;
+};
 
 EpochAuditRecord make_decision(std::uint64_t epoch, double pred_dj = 0,
                                bool applied = true) {
@@ -51,19 +79,19 @@ EpochAuditRecord make_decision(std::uint64_t epoch, double pred_dj = 0,
 }
 
 TEST(AuditRecorder, JoinComputesSignedRelativeResiduals) {
-  AuditRecorder r;
-  r.join(1, {}, 10.0);
-  r.record_decision(make_decision(1, /*pred_dj=*/0.5));
-  r.record_prediction(make_pred(7, 2, 0, 1, /*gips=*/2.0, /*w=*/1.0));
+  Loop l;
+  l.sense(1, {}, 10.0);
+  l.decide(make_decision(1, /*pred_dj=*/0.5),
+           {make_pred(7, 2, 0, 1, /*gips=*/2.0, /*w=*/1.0)});
 
   const auto edges =
-      r.join(2, {make_obs(7, 2, 1, /*gips=*/2.5, /*watts=*/0.8)}, 10.4);
+      l.sense(2, {make_obs(7, 2, 1, /*gips=*/2.5, /*watts=*/0.8)}, 10.4);
   EXPECT_TRUE(edges.empty());
-  EXPECT_EQ(r.joined(), 1u);
-  EXPECT_EQ(r.unjoined(), 0u);
-  EXPECT_EQ(r.predictions(), 1u);
+  EXPECT_EQ(l.r.joined(), 1u);
+  EXPECT_EQ(l.r.unjoined(), 0u);
+  EXPECT_EQ(l.r.predictions(), 1u);
 
-  const AuditSnapshot snap = r.snapshot();
+  const AuditSnapshot snap = l.r.snapshot();
   ASSERT_EQ(snap.threads.size(), 1u);
   const ThreadAuditRecord& t = snap.threads[0];
   EXPECT_EQ(t.epoch, 2u);
@@ -87,71 +115,61 @@ TEST(AuditRecorder, JoinComputesSignedRelativeResiduals) {
   EXPECT_EQ(e.unjoined, 0);
 }
 
-TEST(AuditRecorder, JoinRequiresMeasuredObservationOnPredictedCore) {
-  struct Case {
-    const char* name;
-    AuditObservation obs;
-    bool has_obs;
-  };
-  const Case cases[] = {
-      {"thread gone", AuditObservation{}, false},
-      {"unmeasured", make_obs(7, 2, 1, 2.0, 1.0, /*measured=*/false), true},
-      {"wrong core", make_obs(7, 3, 1, 2.0, 1.0), true},
-      {"wrong type (cached pre-migration row)", make_obs(7, 2, 0, 2.0, 1.0),
-       true},
-  };
-  for (const Case& c : cases) {
-    AuditRecorder r;
-    r.join(1, {}, 0.0);
-    r.record_decision(make_decision(1));
-    r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
-    std::vector<AuditObservation> obs;
-    if (c.has_obs) obs.push_back(c.obs);
-    r.join(2, obs, 0.0);
-    EXPECT_EQ(r.joined(), 0u) << c.name;
-    EXPECT_EQ(r.unjoined(), 1u) << c.name;
-    EXPECT_TRUE(r.snapshot().threads.empty()) << c.name;
-  }
+TEST(AuditRecorder, RejectedForecastsCountAsUnjoined) {
+  // The validity rule is the shared join's (residual_tracker_test.cc): a
+  // forecast it rejects leaves no thread record and counts as unjoined in
+  // the totals and in the forecasting pass's epoch record.
+  Loop l;
+  l.sense(1, {}, 0.0);
+  l.decide(make_decision(1), {make_pred(7, 2, 0, 1, 2.0, 1.0),
+                              make_pred(8, 3, 0, 1, 2.0, 1.0)});
+  l.sense(2, {make_obs(7, 2, 1, 2.0, 1.0), make_obs(8, 2, 1, 2.0, 1.0)}, 0.0);
+  EXPECT_EQ(l.r.joined(), 1u);
+  EXPECT_EQ(l.r.unjoined(), 1u);
+  EXPECT_EQ(l.r.predictions(), 2u);
+  const AuditSnapshot snap = l.r.snapshot();
+  ASSERT_EQ(snap.threads.size(), 1u);
+  EXPECT_EQ(snap.threads[0].tid, 7);
+  ASSERT_EQ(snap.epochs.size(), 1u);
+  EXPECT_EQ(snap.epochs[0].joined, 1);
+  EXPECT_EQ(snap.epochs[0].unjoined, 1);
 }
 
 TEST(AuditRecorder, NearZeroObservationYieldsZeroResidual) {
   // A thread that retired essentially nothing says nothing about the
   // predictor; the residual is defined as 0 rather than a huge ratio.
-  AuditRecorder r;
-  r.join(1, {}, 0.0);
-  r.record_decision(make_decision(1));
-  r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
-  r.join(2, {make_obs(7, 2, 1, /*gips=*/0.0, /*watts=*/1e-13)}, 0.0);
-  const AuditSnapshot snap = r.snapshot();
+  Loop l;
+  l.sense(1, {}, 0.0);
+  l.decide(make_decision(1), {make_pred(7, 2, 0, 1, 2.0, 1.0)});
+  l.sense(2, {make_obs(7, 2, 1, /*gips=*/0.0, /*watts=*/1e-13)}, 0.0);
+  const AuditSnapshot snap = l.r.snapshot();
   ASSERT_EQ(snap.threads.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.threads[0].gips_err, 0.0);
   EXPECT_DOUBLE_EQ(snap.threads[0].power_err, 0.0);
 }
 
 TEST(AuditRecorder, EpochGapDiscardsPendingForecasts) {
-  AuditRecorder r;
-  r.join(1, {}, 10.0);
-  r.record_decision(make_decision(1, 0.5));
-  r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
+  Loop l;
+  l.sense(1, {}, 10.0);
+  l.decide(make_decision(1, 0.5), {make_pred(7, 2, 0, 1, 2.0, 1.0)});
 
   // Pass 3, not 2: the one-epoch-later contract is broken.
-  r.join(3, {make_obs(7, 2, 1, 2.0, 1.0)}, 11.0);
-  EXPECT_EQ(r.joined(), 0u);
-  EXPECT_EQ(r.unjoined(), 1u);
-  const AuditSnapshot snap = r.snapshot();
+  l.sense(3, {make_obs(7, 2, 1, 2.0, 1.0)}, 11.0);
+  EXPECT_EQ(l.r.joined(), 0u);
+  EXPECT_EQ(l.r.unjoined(), 1u);
+  const AuditSnapshot snap = l.r.snapshot();
   ASSERT_EQ(snap.epochs.size(), 1u);
   EXPECT_EQ(snap.epochs[0].realized_valid, 0);
   EXPECT_EQ(snap.epochs[0].joined, 0);
   EXPECT_EQ(snap.epochs[0].unjoined, 1);
 }
 
-TEST(AuditRecorder, PredictionsWithoutDecisionAreIgnored) {
+TEST(AuditRecorder, MigrationsWithoutDecisionAreIgnored) {
   AuditRecorder r;
-  r.record_prediction(make_pred(7, 2, 0, 1, 2.0, 1.0));
   r.record_migration(MigrationAuditRecord{}, /*src_eff=*/0.0);
-  EXPECT_EQ(r.predictions(), 0u);
   const AuditSnapshot snap = r.snapshot();
   EXPECT_TRUE(snap.migrations.empty());
+  EXPECT_EQ(r.predictions(), 0u);
 }
 
 TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
@@ -159,16 +177,15 @@ TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
   // this checks the recorder feeds it the corrected residuals at the drift
   // contract (alpha 0.25, threshold 0.25, 8 joins) and turns its rising
   // edges and state into the export.
-  AuditRecorder r;
+  Loop l;
 
   // Each "round" forecasts gips=1.0 and observes `obs_gips` one pass later:
   // err = (obs - 1) / obs.
   std::uint64_t epoch = 1;
   std::vector<DriftEvent> edges;
   auto round = [&](double obs_gips) {
-    edges = r.join(epoch, {make_obs(7, 2, 1, obs_gips, 1.0)}, 0.0);
-    r.record_decision(make_decision(epoch));
-    r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
+    edges = l.sense(epoch, {make_obs(7, 2, 1, obs_gips, 1.0)}, 0.0);
+    l.decide(make_decision(epoch), {make_pred(7, 2, 0, 1, 1.0, 1.0)});
     ++epoch;
   };
 
@@ -181,7 +198,7 @@ TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
   }
   round(2.0);  // join 8: rising edge
   ASSERT_EQ(edges.size(), 1u);
-  EXPECT_TRUE(r.drift_active());
+  EXPECT_TRUE(l.r.drift_active());
   const DriftEvent ev = edges[0];
   EXPECT_EQ(ev.epoch, 9u);
   EXPECT_EQ(ev.src_type, 0);
@@ -195,12 +212,12 @@ TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
   // threshold after two, re-armed after three.
   round(1.0);
   round(1.0);
-  EXPECT_TRUE(r.drift_active());
+  EXPECT_TRUE(l.r.drift_active());
   round(1.0);
-  EXPECT_FALSE(r.drift_active());
+  EXPECT_FALSE(l.r.drift_active());
 
   // Final tracker state is exported.
-  const AuditSnapshot snap = r.snapshot();
+  const AuditSnapshot snap = l.r.snapshot();
   EXPECT_EQ(snap.drift_events.size(), 1u);
   ASSERT_EQ(snap.drift_states.size(), 1u);
   const DriftState& st = snap.drift_states[0];
@@ -214,14 +231,13 @@ TEST(AuditRecorder, DriftRisingEdgeDebounceAndRearm) {
 }
 
 TEST(AuditRecorder, RingOverflowDropsOldestAndKeepsCounts) {
-  AuditRecorder r;
+  Loop l;
   const std::uint64_t decisions = kAuditCapacity + 2;
   for (std::uint64_t e = 1; e <= decisions; ++e) {
-    r.join(e, {make_obs(7, 2, 1, 2.0, 1.0)}, 0.0);
-    r.record_decision(make_decision(e));
-    r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
+    l.sense(e, {make_obs(7, 2, 1, 2.0, 1.0)}, 0.0);
+    l.decide(make_decision(e), {make_pred(7, 2, 0, 1, 1.0, 1.0)});
   }
-  const AuditSnapshot snap = r.snapshot();
+  const AuditSnapshot snap = l.r.snapshot();
   // Two decisions more than the ring holds: epochs 1 and 2 dropped.
   ASSERT_EQ(snap.epochs.size(), kAuditCapacity);
   EXPECT_EQ(snap.epochs.front().epoch, 3u);
@@ -232,7 +248,7 @@ TEST(AuditRecorder, RingOverflowDropsOldestAndKeepsCounts) {
   EXPECT_EQ(snap.threads.front().epoch, 3u);
   EXPECT_EQ(snap.threads.back().epoch, decisions);
   EXPECT_EQ(snap.dropped_threads, 1u);
-  EXPECT_EQ(r.joined(), decisions - 1);
+  EXPECT_EQ(l.r.joined(), decisions - 1);
 }
 
 TEST(Ring, ZeroCapacityKeepsTheNewestRecord) {
@@ -250,9 +266,9 @@ TEST(Ring, ZeroCapacityKeepsTheNewestRecord) {
 }
 
 TEST(AuditRecorder, MigrationValidatedByFirstWarmedDestinationMeasurement) {
-  AuditRecorder r;
-  r.join(1, {}, 0.0);
-  r.record_decision(make_decision(1));
+  Loop l;
+  l.sense(1, {}, 0.0);
+  l.decide(make_decision(1));
   MigrationAuditRecord m;
   m.tid = 5;
   m.src = 0;
@@ -260,20 +276,20 @@ TEST(AuditRecorder, MigrationValidatedByFirstWarmedDestinationMeasurement) {
   m.src_type = 0;
   m.dst_type = 2;
   m.pred_gain = 0.4;
-  r.record_migration(m, /*src_eff=*/1.0);
+  l.r.record_migration(m, /*src_eff=*/1.0);
 
   // Epoch 2 still serves the cached pre-migration row (source core): the
   // entry must stay pending, not be closed out as "thread moved away".
-  r.join(2, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);
+  l.sense(2, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);
   {
-    const AuditSnapshot snap = r.snapshot();
+    const AuditSnapshot snap = l.r.snapshot();
     ASSERT_EQ(snap.migrations.size(), 1u);
     EXPECT_EQ(snap.migrations[0].realized_valid, 0);
   }
 
   // Epoch 3 sees the warmed-up destination measurement.
-  r.join(3, {make_obs(5, 3, 2, /*gips=*/3.0, /*watts=*/2.0)}, 0.0);
-  const AuditSnapshot snap = r.snapshot();
+  l.sense(3, {make_obs(5, 3, 2, /*gips=*/3.0, /*watts=*/2.0)}, 0.0);
+  const AuditSnapshot snap = l.r.snapshot();
   ASSERT_EQ(snap.migrations.size(), 1u);
   const MigrationAuditRecord& rec = snap.migrations[0];
   EXPECT_EQ(rec.epoch, 1u);
@@ -291,21 +307,21 @@ TEST(AuditRecorder, MigrationWindowExpiryLeavesRecordUnvalidated) {
   // past it the record was already closed out unvalidated.
   for (const std::uint64_t warm_at : {kMigrationJoinMaxAge,
                                       kMigrationJoinMaxAge + 1}) {
-    AuditRecorder r;
-    r.join(1, {}, 0.0);
-    r.record_decision(make_decision(1));
+    Loop l;
+    l.sense(1, {}, 0.0);
+    l.decide(make_decision(1));
     MigrationAuditRecord m;
     m.tid = 5;
     m.src = 0;
     m.dst = 3;
     m.dst_type = 2;
-    r.record_migration(m, /*src_eff=*/0.0);
+    l.r.record_migration(m, /*src_eff=*/0.0);
 
     for (std::uint64_t age = 1; age < warm_at; ++age) {
-      r.join(1 + age, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);  // cached row
+      l.sense(1 + age, {make_obs(5, 0, 0, 1.0, 1.0)}, 0.0);  // cached row
     }
-    r.join(1 + warm_at, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);
-    const AuditSnapshot snap = r.snapshot();
+    l.sense(1 + warm_at, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);
+    const AuditSnapshot snap = l.r.snapshot();
     ASSERT_EQ(snap.migrations.size(), 1u);
     const bool in_window = warm_at <= kMigrationJoinMaxAge;
     EXPECT_EQ(snap.migrations[0].realized_valid, in_window ? 1 : 0)
@@ -316,17 +332,17 @@ TEST(AuditRecorder, MigrationWindowExpiryLeavesRecordUnvalidated) {
 }
 
 TEST(AuditRecorder, MigrationOfExitedThreadIsClosedImmediately) {
-  AuditRecorder r;
-  r.join(1, {}, 0.0);
-  r.record_decision(make_decision(1));
+  Loop l;
+  l.sense(1, {}, 0.0);
+  l.decide(make_decision(1));
   MigrationAuditRecord m;
   m.tid = 5;
   m.dst = 3;
   m.dst_type = 2;
-  r.record_migration(m, /*src_eff=*/0.0);
-  r.join(2, {}, 0.0);  // thread gone
-  r.join(3, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);  // reappearance: ignored
-  EXPECT_EQ(r.snapshot().migrations[0].realized_valid, 0);
+  l.r.record_migration(m, /*src_eff=*/0.0);
+  l.sense(2, {}, 0.0);  // thread gone
+  l.sense(3, {make_obs(5, 3, 2, 3.0, 2.0)}, 0.0);  // reappearance: ignored
+  EXPECT_EQ(l.r.snapshot().migrations[0].realized_valid, 0);
 }
 
 // --------------------------------------------------------------------------
@@ -334,23 +350,22 @@ TEST(AuditRecorder, MigrationOfExitedThreadIsClosedImmediately) {
 // --------------------------------------------------------------------------
 
 RunObs audited_run(int run, const std::string& label, double obs_gips) {
-  AuditRecorder r;
-  r.join(1, {}, 1.0);
-  r.record_decision(make_decision(1, 0.25));
-  r.record_prediction(make_pred(7, 2, 0, 1, 1.0, 1.0));
+  Loop l;
+  l.sense(1, {}, 1.0);
+  l.decide(make_decision(1, 0.25), {make_pred(7, 2, 0, 1, 1.0, 1.0)});
   MigrationAuditRecord m;
   m.tid = 7;
   m.src = 0;
   m.dst = 2;
   m.src_type = 0;
   m.dst_type = 1;
-  r.record_migration(m, /*src_eff=*/0.5);
-  r.join(2, {make_obs(7, 2, 1, obs_gips, 1.0)}, 1.5);
+  l.r.record_migration(m, /*src_eff=*/0.5);
+  l.sense(2, {make_obs(7, 2, 1, obs_gips, 1.0)}, 1.5);
   RunObs o;
   o.run = run;
   o.label = label;
   o.audit_enabled = true;
-  o.audit = r.snapshot();
+  o.audit = l.r.snapshot();
   return o;
 }
 

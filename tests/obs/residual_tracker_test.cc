@@ -1,10 +1,12 @@
-// Unit tests for the shared per-(src,dst) residual tracker: the guarded
-// relative residual, the EWMA arithmetic, and the drift flag's debounce,
-// single rising edge, and re-arm contract. The audit recorder and online
-// adapter tests check only how they feed and read it.
+// Unit tests for the balancer's shared forecast join (its one-pass-later
+// validity rule) and per-(src,dst) residual tracker: the guarded relative
+// residual, the EWMA arithmetic, and the drift flag's debounce, single
+// rising edge, and re-arm contract. The audit recorder and online adapter
+// tests check only how they read the joined rows and feed the tracker.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "obs/residual_tracker.h"
 
@@ -74,6 +76,74 @@ TEST(ResidualTracker, RearmsAfterDecayAndEdgesAgain) {
   EXPECT_TRUE(at.update(2, 3, 0.5, 0.0));
   EXPECT_FALSE(at.update(2, 3, 0.25, 0.25));
   EXPECT_FALSE(at.any_active());
+}
+
+Forecast forecast(std::int64_t tid, std::int32_t core, std::int32_t dst_type) {
+  Forecast f;
+  f.tid = tid;
+  f.core = core;
+  f.dst_type = dst_type;
+  return f;
+}
+
+Observation observed(std::int64_t tid, std::int32_t core,
+                     std::int32_t core_type, bool measured = true) {
+  Observation o;
+  o.tid = tid;
+  o.core = core;
+  o.core_type = core_type;
+  o.measured = measured;
+  return o;
+}
+
+TEST(ForecastJoin, JoinsOnlyMeasuredThreadsOnThePredictedCoreOnePassLater) {
+  // Every forecast predicts core 2, of type 1; each thread's observation
+  // one pass later tests one clause of the rule.
+  const std::vector<Forecast> forecasts = {
+      forecast(1, 2, 1),  // valid
+      forecast(2, 2, 1),  // observed on another core
+      forecast(3, 2, 1),  // a cached pre-migration row: the wrong type
+      forecast(4, 2, 1),  // ran too briefly to be measured
+      forecast(5, 2, 1),  // exited: no observation
+      forecast(6, 2, 1),  // reported twice: the first entry decides
+  };
+  const std::vector<Observation> obs = {
+      observed(1, 2, 1),        observed(2, 3, 1), observed(3, 2, 0),
+      observed(4, 2, 1, false), observed(6, 2, 1), observed(6, 3, 1),
+  };
+  ForecastLog log;
+  log.open(4) = forecasts;
+  log.sensed() = obs;
+  log.join(5);
+  EXPECT_TRUE(log.contiguous());
+  EXPECT_EQ(log.consumed(), forecasts.size());
+  ASSERT_EQ(log.joined().size(), 2u);
+  EXPECT_EQ(log.joined()[0].forecast->tid, 1);
+  EXPECT_EQ(log.joined()[0].observed, &log.observations()[0]);
+  EXPECT_EQ(log.joined()[1].forecast->tid, 6);
+  EXPECT_EQ(log.joined()[1].observed, &log.observations()[4]);
+
+  // Opening the next pass consumes the rows and their join.
+  EXPECT_TRUE(log.open(5).empty());
+  EXPECT_TRUE(log.joined().empty());
+
+  // An epoch gap (a pass that never reached open()) joins none of them;
+  // the rows still count as consumed.
+  log.open(4) = forecasts;
+  log.sensed() = obs;
+  log.join(6);
+  EXPECT_FALSE(log.contiguous());
+  EXPECT_EQ(log.consumed(), forecasts.size());
+  EXPECT_TRUE(log.joined().empty());
+
+  // A degraded pass forecasts nothing: the next pass joins an empty set,
+  // contiguously.
+  log.open(6);
+  log.sensed() = obs;
+  log.join(7);
+  EXPECT_TRUE(log.contiguous());
+  EXPECT_EQ(log.consumed(), 0u);
+  EXPECT_TRUE(log.joined().empty());
 }
 
 }  // namespace

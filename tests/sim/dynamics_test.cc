@@ -28,7 +28,7 @@ TEST(Thermal, SimulationReportsTemperatures) {
   s.add_benchmark("swaptions", 4);
   const auto r = s.run();
   ASSERT_EQ(r.final_temp_c.size(), 4u);
-  EXPECT_GT(r.max_temp_c, cfg.thermal.ambient_c + 1.0);
+  EXPECT_GT(r.max_temp_c, power::ThermalModel::Config{}.ambient_c + 1.0);
   // The Huge core runs the hottest when loaded evenly.
   EXPECT_GT(r.final_temp_c[0], r.final_temp_c[3]);
 }
